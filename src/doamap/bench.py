@@ -1,8 +1,9 @@
 """Monte Carlo harness: sweep configuration, pipelines, CSV emission.
 
 One task = (grid point, run index).  Every task draws its noise from an
-independent substream keyed by (master_seed, grid index, run index), so the
-result CSV is byte-identical no matter how many workers execute the sweep.
+independent substream keyed by (master_seed, grid index, run index), so every
+column of the result CSV except the wall-clock `wall_ms` is identical no
+matter how many workers execute the sweep.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ from .ordermap import (
     aic_order,
     map_order_pca,
     map_order_scan,
-    posterior_variances,
+    posterior_at_order,
 )
 from .subspace import (
+    ProjectionStats,
     dtft_spectrum,
     eigendecompose,
     music_pseudospectrum,
@@ -68,6 +70,8 @@ CSV_HEADER = (
     "method,snr_db,overlap,decay,run,k_hat,err_doa,"
     "rmse_a0,rmse_a_shrunk,rmse_sigma,tau_mean,wall_ms"
 )
+# one parser per CSV_HEADER column, in RunRecord field order
+_CSV_PARSERS = (str, float, float, float, int, int) + (float,) * 6
 
 
 class ConfigError(ValueError):
@@ -107,6 +111,17 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown method {meth!r}")
         if self.doa_deg and len(self.doa_deg) != self.k_true:
             raise ConfigError("doa_deg length must equal k_true")
+        if self.m < 2:
+            raise ConfigError("m must be >= 2 (posterior means need K*M > 1)")
+        if not self.grid_step_deg > 0:
+            raise ConfigError("grid_step_deg must be > 0")
+        for name in ("snr_grid_db", "overlap", "decay", "methods"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must not be empty")
+        if not all(0.0 <= x <= 1.0 for x in (*self.overlap, *self.decay)):
+            raise ConfigError("overlap and decay values must lie in [0, 1]")
+        if not all(0.0 <= phi < 180.0 for phi in self.resolved_doas()):
+            raise ConfigError(f"DOAs {self.resolved_doas()} must lie in [0, 180)")
 
     def resolved_doas(self):
         if self.doa_deg:
@@ -204,11 +219,6 @@ def _fmt(x):
     return "nan" if (x is None or (isinstance(x, float) and math.isnan(x))) else f"{x:.10g}"
 
 
-def _k0_sigma2(norm2_y, d, m):
-    # pure-noise posterior of sigma^2 is inverse-gamma(DM, |Y|^2)
-    return norm2_y / (d * m - 1)
-
-
 def _peak_pipeline_metrics(fd, scenario, peaks, k, tau, truth, true_amps):
     """DOA and amplitude metrics for the top-k peaks of a spectrum."""
     angles = [peaks[i][0] for i in range(min(k, len(peaks)))]
@@ -239,18 +249,17 @@ def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None)
     true_amps = amplitude_matrix(scenario)
 
     grid = np.arange(0.0, 180.0, grid_step_deg)
-    eig_methods = {"pca-map", "music-map", "music-aic", "music-known-k"}
-    basis = None
-    if eig_methods.intersection(methods):
-        basis = eigendecompose(sample_covariance(fd.y))
+    # every second-order stage reads this one covariance and its eigenbasis
+    cov = sample_covariance(fd.y)
+    basis = eigendecompose(cov)
+    norm2_y = float(np.sum(np.abs(fd.y) ** 2))
     music_peaks = None
     if {"music-map", "music-aic", "music-known-k"}.intersection(methods):
         music_peaks = pick_peaks(music_pseudospectrum(basis, k_max, grid), k_max)
     dtft_peaks = None
     if {"dtft-map", "dtft-known-k"}.intersection(methods):
-        dtft_peaks = pick_peaks(dtft_spectrum(fd.y, grid), k_max)
+        dtft_peaks = pick_peaks(dtft_spectrum(cov, grid), k_max)
 
-    norm2_y = float(np.sum(np.abs(fd.y) ** 2))
     out = []
     for method in methods:
         t0 = time.perf_counter()
@@ -273,11 +282,11 @@ def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None)
                 if k_eff >= 1:
                     v = steering_matrix([p[0] for p in peaks[:k_eff]], scenario.d)
                     st = projection_stats(fd.y, v, scenario.m)
-                    pv = posterior_variances(st, scenario.d)
-                    tau, sigma2 = pv.tau_mean, pv.sigma2_mean
                 else:
-                    tau = 1.0
-                    sigma2 = _k0_sigma2(norm2_y, scenario.d, scenario.m)
+                    st = ProjectionStats.from_energy(
+                        0.0, norm2_y, 0, scenario.d, scenario.m)
+                pv = posterior_at_order(st, scenario.d)
+                tau, sigma2 = pv.tau_mean, pv.sigma2_mean
             err, r0, rs = _peak_pipeline_metrics(
                 fd, scenario, peaks, k_hat, tau, truth, true_amps
             )
@@ -332,25 +341,30 @@ def write_results(records, path):
 
 
 def read_results(path):
-    records = []
+    """Records of a write_results CSV; a malformed file is a ConfigError."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("method,"):
-                continue
-            f = line.split(",")
-            records.append(RunRecord(
-                method=f[0], snr_db=float(f[1]), overlap=float(f[2]),
-                decay=float(f[3]), run=int(f[4]), k_hat=int(f[5]),
-                err_doa=float(f[6]), rmse_a0=float(f[7]),
-                rmse_a_shrunk=float(f[8]), rmse_sigma=float(f[9]),
-                tau_mean=float(f[10]), wall_ms=float(f[11]),
-            ))
+        lines = [line.strip() for line in fh]
+    if lines[:2] != [CSV_SCHEMA_COMMENT, CSV_HEADER]:
+        raise ConfigError(f"{path}: missing the {CSV_SCHEMA_COMMENT!r} header")
+    records = []
+    for lineno, line in enumerate(lines[2:], 3):
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != len(_CSV_PARSERS):
+            raise ConfigError(f"{path}:{lineno}: {len(fields)} fields, "
+                              f"want {len(_CSV_PARSERS)}")
+        try:
+            records.append(RunRecord(*(
+                parse(f) for parse, f in zip(_CSV_PARSERS, fields))))
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     return records
 
 
-def aggregate(records):
-    """Per-(method, snr, overlap, decay) means of every metric column."""
+def aggregate(records, k_true=None):
+    """Per-(method, snr, overlap, decay) means of every metric column, and
+    the share of rows with k_hat == k_true (nan without k_true)."""
     groups = {}
     for rec in records:
         groups.setdefault(
@@ -368,25 +382,22 @@ def aggregate(records):
                 for col in ("err_doa", "rmse_a0", "rmse_a_shrunk",
                             "rmse_sigma", "tau_mean", "wall_ms")
             }
-        means["k_hat_mean"] = float(np.mean([r.k_hat for r in rows]))
-        means["k_correct_rate"] = math.nan  # filled by caller when K_true known
+        k_hats = np.array([r.k_hat for r in rows])
+        means["k_hat_mean"] = float(np.mean(k_hats))
+        means["k_correct_rate"] = (
+            math.nan if k_true is None else float(np.mean(k_hats == k_true))
+        )
         out.append((key, len(rows), means))
     return out
 
 
 def write_aggregates(records, path, k_true=None):
-    agg = aggregate(records)
+    agg = aggregate(records, k_true)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(CSV_SCHEMA_COMMENT + " (aggregated)\n")
         fh.write("method,snr_db,overlap,decay,n_runs,k_hat_mean,k_correct_rate,"
                  "err_doa,rmse_a0,rmse_a_shrunk,rmse_sigma,tau_mean,wall_ms\n")
-        by_key = {key: rows for key, rows in _group(records).items()}
         for (key, n, means) in agg:
-            if k_true is not None:
-                rows = by_key[key]
-                means["k_correct_rate"] = float(
-                    np.mean([r.k_hat == k_true for r in rows])
-                )
             fh.write(
                 f"{key[0]},{key[1]:g},{key[2]:g},{key[3]:g},{n},"
                 f"{means['k_hat_mean']:.6g},{_fmt(means['k_correct_rate'])},"
@@ -394,15 +405,6 @@ def write_aggregates(records, path, k_true=None):
                 f"{_fmt(means['rmse_a_shrunk'])},{_fmt(means['rmse_sigma'])},"
                 f"{_fmt(means['tau_mean'])},{means['wall_ms']:.3f}\n"
             )
-
-
-def _group(records):
-    groups = {}
-    for rec in records:
-        groups.setdefault(
-            (rec.method, rec.snr_db, rec.overlap, rec.decay), []
-        ).append(rec)
-    return groups
 
 
 def emit_curves(records, quantity, out_dir):
@@ -494,8 +496,6 @@ def validate_distributions(perturb=0.0, n_mc=20_000, seed=99):
     checks.append(("dominance_sum_cross_form", worst, 1e-8))
 
     # pdf normalization and moment/quadrature agreement
-    import warnings
-
     from scipy.integrate import IntegrationWarning, quad
 
     def _quad(fn):

@@ -27,6 +27,7 @@ __all__ = [
     "log_stiefel_volume",
     "log_f_y_k0",
     "posterior_variances",
+    "posterior_at_order",
     "map_order_pca",
     "map_order_scan",
     "shrink_amplitudes",
@@ -54,17 +55,8 @@ class OrderPosterior:
     stats_per_k: list
     ra_mean: float
     sigma2_mean: float
-    sigma02_mean: float
     tau_mean: float
     rank_deficient_k: tuple = ()
-
-    def csv_rows(self):
-        """One CSV line per candidate K: method,K,log_score,k_map,sigma2,tau."""
-        return [
-            f"{self.method},{k},{self.log_scores[k]!r},{self.k_map},"
-            f"{self.sigma2_mean!r},{self.tau_mean!r}"
-            for k in range(len(self.log_scores))
-        ]
 
 
 @dataclass(frozen=True)
@@ -122,47 +114,51 @@ def posterior_variances(stats: ProjectionStats, d):
     )
 
 
-def _finish_posterior(method, log_scores, stats_list, d, m, flagged=()):
+def posterior_at_order(stats: ProjectionStats, d):
+    """posterior_variances at a chosen order, with the K = 0 convention:
+    sigma^2 ~ inverse-gamma(DM, |Y|^2), tau = 1, no signal variance (nan)."""
+    if stats.alpha > 0:
+        return posterior_variances(stats, d)
+    sigma2 = stats.t / (stats.beta - 1)
+    return PosteriorVariances(ra_mean=math.nan, sigma2_mean=sigma2,
+                              sigma02_mean=sigma2 / d, tau_mean=1.0,
+                              ra_approx=math.nan, sigma2_approx=stats.t / stats.beta)
+
+
+def _finish_posterior(method, log_scores, stats_list, d, flagged=()):
     log_scores = np.asarray(log_scores, dtype=float)
     k_map = int(np.argmax(log_scores))  # argmax takes the smallest K on ties
-    if k_map >= 1:
-        pv = posterior_variances(stats_list[k_map], d)
-        ra, sigma2, sigma02, tau = (
-            pv.ra_mean, pv.sigma2_mean, pv.sigma02_mean, pv.tau_mean,
-        )
-    else:
-        # pure-noise posterior of sigma^2 is inverse-gamma(DM, |Y|^2)
-        t = stats_list[0].t
-        sigma2 = t / (d * m - 1)
-        ra, sigma02, tau = math.nan, sigma2 / d, 1.0
+    pv = posterior_at_order(stats_list[k_map], d)
     return OrderPosterior(
         method=method,
         log_scores=log_scores,
         k_map=k_map,
         stats_per_k=stats_list,
-        ra_mean=ra,
-        sigma2_mean=sigma2,
-        sigma02_mean=sigma02,
-        tau_mean=tau,
+        ra_mean=pv.ra_mean,
+        sigma2_mean=pv.sigma2_mean,
+        tau_mean=pv.tau_mean,
         rank_deficient_k=tuple(flagged),
     )
 
 
 def map_order_pca(basis: EigenBasis, freq_or_y, k_max, m):
-    """MAP order for the PCA pipeline: eigenvector bases, Stiefel prior."""
+    """MAP order for the PCA pipeline: eigenvector bases, Stiefel prior.
+
+    The top-K eigenvectors of R = Y Y^H capture the top-K eigenvalue sum.
+    """
     y = getattr(freq_or_y, "y", freq_or_y)
     d = basis.eigvecs.shape[0]
     if k_max >= d:
         raise ValueError(f"K_max must be < D, got K_max={k_max}, D={d}")
-    sqrt_d = math.sqrt(d)
+    norm2_y = float(np.sum(np.abs(y) ** 2))
+    s = np.concatenate(([0.0], np.cumsum(basis.eigvals[:k_max])))
     log_scores, stats_list = [], []
     for k in range(k_max + 1):
-        v = sqrt_d * basis.eigvecs[:, :k] if k > 0 else None
-        st = projection_stats(y, v, m)
+        st = ProjectionStats.from_energy(float(s[k]), norm2_y, k, d, m)
         lq = log_q_sum(st.alpha, st.beta, st.q) if k > 0 else 0.0
         log_scores.append(lq - log_stiefel_volume(d, k))
         stats_list.append(st)
-    return _finish_posterior("pca", log_scores, stats_list, d, m)
+    return _finish_posterior("pca", log_scores, stats_list, d)
 
 
 def map_order_scan(freq_or_y, peak_angles_deg, k_max, m, prior="music"):
@@ -194,7 +190,7 @@ def map_order_scan(freq_or_y, peak_angles_deg, k_max, m, prior="music"):
         lq = log_q_sum(st.alpha, st.beta, st.q) if k > 0 else 0.0
         log_scores.append(lq - k * math.log(2.0 * math.pi))
         stats_list.append(st)
-    return _finish_posterior(prior, log_scores, stats_list, d, m, flagged)
+    return _finish_posterior(prior, log_scores, stats_list, d, flagged)
 
 
 def shrink_amplitudes(a0, tau_mean):

@@ -2,8 +2,8 @@
 
 The three estimators share one geometric fact: for a candidate basis V the
 data energy splits as |Y|^2 = |V A0|^2 + |H0|^2 with A0 the least-squares
-amplitudes and H0 the residual.  projection_stats packages that split, plus
-the signal/noise degree counts, for the Bayesian order scores.
+amplitudes and H0 the residual.  ProjectionStats.from_energy packages that
+split, plus the signal/noise degree counts, for the Bayesian order scores.
 """
 
 from __future__ import annotations
@@ -50,12 +50,6 @@ class SpectrumCurve:
         if len(self.grid_deg) != len(self.values):
             raise ValueError("grid and values must have equal length")
 
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("angle_deg,value\n")
-            for a, v in zip(self.grid_deg, self.values):
-                fh.write(f"{a:.6f},{v!r}\n")
-
 
 @dataclass(frozen=True)
 class ProjectionStats:
@@ -76,6 +70,12 @@ class ProjectionStats:
         q = self.t / (self.s + self.t)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", 1.0 - q)
+
+    @classmethod
+    def from_energy(cls, s, norm2_y, k, d, m):
+        """Split of |Y|^2 when a rank-k basis captures energy s (t clamped)."""
+        t = max(norm2_y - s, T_CLAMP_REL * norm2_y)
+        return cls(s=s, t=t, alpha=k * m, beta=(d - k) * m)
 
 
 def sample_covariance(freq_or_y):
@@ -116,13 +116,15 @@ def pca_basis(basis: EigenBasis, k):
     return basis.eigvecs[:, :k]
 
 
-def dtft_spectrum(freq_or_y, grid_deg):
-    """Power spectrum |v(pi*cos(phi))^H Y|^2 over the angle grid."""
-    y = getattr(freq_or_y, "y", freq_or_y)
-    d = y.shape[0]
-    vg = steering_matrix(np.asarray(grid_deg, dtype=float), d)
-    vals = np.sum(np.abs(vg.conj().T @ y) ** 2, axis=1)
-    return SpectrumCurve(grid_deg=np.asarray(grid_deg, dtype=float), values=vals)
+def dtft_spectrum(cov, grid_deg):
+    """Power spectrum |v(pi*cos(phi))^H Y|^2 = v^H R v from R = Y Y^H."""
+    cov = np.asarray(cov)
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+        raise ValueError(f"need a square covariance matrix, got shape {cov.shape}")
+    grid = np.asarray(grid_deg, dtype=float)
+    vg = steering_matrix(grid, cov.shape[0])
+    vals = np.real(np.einsum("dg,dg->g", vg.conj(), cov @ vg))
+    return SpectrumCurve(grid_deg=grid, values=vals)
 
 
 def music_pseudospectrum(basis: EigenBasis, k_sub, grid_deg):
@@ -187,7 +189,7 @@ def projection_stats(freq_or_y, v, m):
     if k > d:
         raise ValueError(f"basis has more columns ({k}) than sensors ({d})")
     if k == 0:
-        return ProjectionStats(s=0.0, t=norm2_y, alpha=0, beta=d * m)
+        return ProjectionStats.from_energy(0.0, norm2_y, 0, d, m)
     u, sv, _ = np.linalg.svd(v, full_matrices=False)
     if sv[-1] < 1e-10 * sv[0]:
         i, j = _name_dependent_columns(v)
@@ -195,5 +197,4 @@ def projection_stats(freq_or_y, v, m):
             f"basis is rank deficient: columns {i} and {j} are (near) parallel"
         )
     s = float(np.sum(np.abs(u.conj().T @ y) ** 2))
-    t = max(norm2_y - s, T_CLAMP_REL * norm2_y)
-    return ProjectionStats(s=s, t=t, alpha=k * m, beta=(d - k) * m)
+    return ProjectionStats.from_energy(s, norm2_y, k, d, m)

@@ -16,6 +16,7 @@ from doamap.bench import (
     run_single,
     run_sweep,
     validate_distributions,
+    write_aggregates,
     write_results,
 )
 from doamap.cli import main as cli_main
@@ -65,6 +66,26 @@ class TestConfig:
             ExperimentConfig(methods=("music-map", "esprit"))
         with pytest.raises(ConfigError):
             ExperimentConfig(doa_deg=(10.0,))
+
+    @pytest.mark.parametrize("fields", [
+        dict(grid_step_deg=0.0),
+        dict(overlap=(0.0, 1.5)),
+        dict(decay=(-1.0,)),
+        dict(doa_deg=(10.0, 200.0, 30.0)),
+        dict(doa_spacing_deg=90.0),
+        dict(m=1, n=1),
+        dict(snr_grid_db=()),
+    ], ids=["grid-step-0", "overlap-1.5", "decay-neg", "doa-200",
+            "spacing-past-180", "m-1", "empty-snr"])
+    def test_rejects_values_that_fail_in_a_worker(self, fields, tmp_path, capsys):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**fields)
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text("".join(
+            f"{k} = {', '.join(map(str, v)) if isinstance(v, tuple) else v}\n"
+            for k, v in fields.items()))
+        assert cli_main(["sweep", "--config", str(cfg_file)]) == 1
+        assert "config error" in capsys.readouterr().err
 
     def test_from_file(self, tmp_path):
         cfg_file = tmp_path / "sweep.cfg"
@@ -201,6 +222,27 @@ class TestAggregation:
         agg = aggregate(rows)
         assert agg[0][2]["err_doa"] == pytest.approx(0.2)
 
+    def test_write_aggregates_bytes(self, tmp_path):
+        rows = self._records() + [RunRecord(
+            method="pca-map", snr_db=0.0, overlap=0.0, decay=0.0, run=0,
+            k_hat=3, err_doa=math.nan, rmse_a0=math.nan,
+            rmse_a_shrunk=math.nan, rmse_sigma=0.25, tau_mean=0.5, wall_ms=2.5,
+        )]
+        path = tmp_path / "res_agg.csv"
+        write_aggregates(rows, path, k_true=3)
+        assert path.read_bytes() == (
+            b"# doamap-results v1 (aggregated)\n"
+            b"method,snr_db,overlap,decay,n_runs,k_hat_mean,k_correct_rate,"
+            b"err_doa,rmse_a0,rmse_a_shrunk,rmse_sigma,tau_mean,wall_ms\n"
+            b"music-map,0,0,0,2,2.5,0.5,0.15,1,0.5,0.2,0.3,1.000\n"
+            b"music-map,10,0,0,2,2.5,0.5,0.15,1,0.5,0.2,0.3,1.000\n"
+            b"pca-map,0,0,0,1,3,1,nan,nan,nan,0.25,0.5,2.500\n"
+        )
+        assert all(means["k_correct_rate"] == 0.5
+                   for _key, _n, means in aggregate(self._records(), k_true=3))
+        assert all(math.isnan(means["k_correct_rate"])
+                   for _key, _n, means in aggregate(self._records()))
+
     def test_emit_curves(self, tmp_path):
         paths = emit_curves(self._records(), "err_doa", tmp_path / "curves")
         assert len(paths) == 1
@@ -275,6 +317,27 @@ class TestCli:
     def test_curves_missing_input_exit_code(self, capsys):
         assert cli_main(["curves", "--in", "/no/such.csv",
                          "--quantity", "err_doa"]) == 1
+
+    @pytest.mark.parametrize("edit", [
+        lambda lines: lines[:2] + [lines[2].replace(",0.1,", ",zero,")],
+        lambda lines: lines[:2] + [lines[2] + ",7"],
+        lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]],
+        lambda lines: ["# doamap-results v0"] + lines[1:],
+        lambda lines: lines[:1] + [lines[1].replace("k_hat,", "khat,")] + lines[2:],
+        lambda lines: lines[1:],
+    ], ids=["bad-float", "extra-field", "missing-field", "schema",
+            "header", "no-schema-line"])
+    def test_curves_malformed_input_exit_code(self, edit, tmp_path, capsys):
+        res = tmp_path / "res.csv"
+        write_results([RunRecord(
+            method="music-map", snr_db=0.0, overlap=0.0, decay=0.0, run=0,
+            k_hat=2, err_doa=0.1, rmse_a0=1.0, rmse_a_shrunk=0.5,
+            rmse_sigma=0.2, tau_mean=0.3, wall_ms=1.0,
+        )], res)
+        res.write_text("\n".join(edit(res.read_text().splitlines())) + "\n")
+        assert cli_main(["curves", "--in", str(res), "--quantity", "err_doa",
+                         "--out-dir", str(tmp_path / "curves")]) == 1
+        assert "config error" in capsys.readouterr().err
 
     def test_curves_bad_quantity_exit_code(self, tmp_path, capsys):
         res = tmp_path / "res.csv"

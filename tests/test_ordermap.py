@@ -163,7 +163,7 @@ class TestMapOrderPca:
 class TestMapOrderScan:
     def _peaks(self, fd, kind, k_max=10):
         if kind == "dtft":
-            return pick_peaks(dtft_spectrum(fd, GRID), k_max)
+            return pick_peaks(dtft_spectrum(sample_covariance(fd), GRID), k_max)
         basis = eigendecompose(sample_covariance(fd))
         return pick_peaks(music_pseudospectrum(basis, k_max, GRID), k_max)
 

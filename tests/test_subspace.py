@@ -85,12 +85,13 @@ class TestSpectra:
 
     def test_dtft_peak_at_source(self):
         sc = default_scenario(d=32, k=1, m=64, n=64, snr_db=240.0, seed=0)
-        curve = dtft_spectrum(synth_freq(sc), self.GRID)
+        curve = dtft_spectrum(sample_covariance(synth_freq(sc)), self.GRID)
         best = curve.grid_deg[np.argmax(curve.values)]
         assert abs(best - sc.doa_deg[0]) <= 0.5
 
     def test_dtft_zero_data(self):
-        curve = dtft_spectrum(np.zeros((8, 4), dtype=complex), self.GRID)
+        curve = dtft_spectrum(sample_covariance(np.zeros((8, 4), dtype=complex)),
+                              self.GRID)
         assert np.all(curve.values == 0.0)
 
     def test_music_sharp_at_source(self):
@@ -119,7 +120,7 @@ class TestSpectra:
     def test_spectrum_matches_direct_projection(self):
         rng = np.random.default_rng(3)
         y = rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))
-        curve = dtft_spectrum(y, np.array([33.0, 90.0]))
+        curve = dtft_spectrum(sample_covariance(y), np.array([33.0, 90.0]))
         v = steering_matrix([33.0, 90.0], 8)
         expect = np.sum(np.abs(v.conj().T @ y) ** 2, axis=1)
         np.testing.assert_allclose(curve.values, expect, rtol=1e-12)
@@ -245,7 +246,7 @@ class TestProjectionStats:
         sc = default_scenario(d=32, k=3, m=96, n=96, snr_db=240.0, seed=0)
         fd = synth_freq(sc)
         grid = np.arange(0.0, 180.0, 0.5)
-        d_peaks = pick_peaks(dtft_spectrum(fd, grid), 3)
+        d_peaks = pick_peaks(dtft_spectrum(sample_covariance(fd), grid), 3)
         basis = eigendecompose(sample_covariance(fd))
         m_peaks = pick_peaks(music_pseudospectrum(basis, 3, grid), 3)
         d_ang = sorted(p[0] for p in d_peaks)
