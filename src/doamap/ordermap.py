@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .arraysim import steering_matrix
-from .specfun import log_gamma, log_q_sum, log_reg_inc_beta
+from .specfun import DominancePair, double_moment, log_gamma, log_q_sum
 from .subspace import EigenBasis, ProjectionStats, projection_stats
 
 __all__ = [
@@ -92,25 +92,22 @@ def log_f_y_k0(norm2_y, d, m):
 def posterior_variances(stats: ProjectionStats, d):
     """Posterior mean variances and the noise-to-signal percentage.
 
-    Exact forms are inverse-gamma-pair moment ratios; the large-degree
-    approximations are exposed alongside for cross-checking.
+    The exact means are the first moments of the inverse-gamma pair
+    X = D*ra, Y = sigma2 conditioned on X >= Y, so they need alpha > 1 and
+    beta > 1; the large-degree approximations are exposed alongside for
+    cross-checking.
     """
-    a, b = stats.alpha, stats.beta
-    if a <= 1 or b <= 1:
-        raise ValueError(
-            f"posterior means need alpha > 1 and beta > 1, got {a}, {b}"
-        )
-    log_ip = log_reg_inc_beta(stats.p, a, b)
-    ra = (stats.s / d) / (a - 1) * math.exp(log_reg_inc_beta(stats.p, a - 1, b) - log_ip)
-    sigma2 = stats.t / (b - 1) * math.exp(log_reg_inc_beta(stats.p, a, b - 1) - log_ip)
+    pair = DominancePair(stats.alpha, stats.beta, stats.s, stats.t)
+    ra = double_moment(pair, 1, "invgamma", "x") / d
+    sigma2 = double_moment(pair, 1, "invgamma", "y")
     sigma02 = sigma2 / d
     return PosteriorVariances(
         ra_mean=ra,
         sigma2_mean=sigma2,
         sigma02_mean=sigma02,
         tau_mean=sigma02 / ra,
-        ra_approx=(stats.s / d) / a,
-        sigma2_approx=stats.t / b,
+        ra_approx=(stats.s / d) / stats.alpha,
+        sigma2_approx=stats.t / stats.beta,
     )
 
 

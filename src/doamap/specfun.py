@@ -4,8 +4,12 @@ The order-selection machinery scores each candidate subspace dimension by the
 probability that a gamma variate (signal-plus-noise energy) dominates an
 independent gamma variate (residual energy).  That probability is a regularized
 incomplete beta function with integer shapes, which admits a finite
-negative-binomial sum; everything here is evaluated in log domain via
-log-sum-exp so large degree counts (thousands) never overflow.
+negative-binomial sum evaluated in log domain via log-sum-exp, so large degree
+counts (hundreds of thousands) never overflow.
+
+`log_reg_inc_beta` is the only O(beta) sum here.  The order score
+(`log_q_sum`), both conditional pdfs and every moment of a `DominancePair`
+are closed forms around it, and a pair computes its normaliser log I_p once.
 
 Shapes are restricted to positive integers throughout: the finite-sum
 identities rely on Gamma(n) = (n-1)!.
@@ -17,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import betaln, gammaln, logsumexp
 
 __all__ = [
     "GammaParams",
@@ -58,7 +62,8 @@ class DominancePair:
     """Two independent (inverse-)gamma variates X, Y conditioned on their order.
 
     alpha/beta are the integer signal/noise degrees, s_x/s_y the rates.
-    q is stored as s_y/(s_x+s_y) and p as 1-q so that p + q == 1 exactly.
+    q is stored as s_y/(s_x+s_y) and p as 1-q so that p + q == 1 exactly;
+    log_ip = log I_p(alpha, beta) is the log normaliser Pr[X <= Y].
     """
 
     alpha: int
@@ -67,6 +72,7 @@ class DominancePair:
     s_y: float
     p: float = field(init=False)
     q: float = field(init=False)
+    log_ip: float = field(init=False)
 
     def __post_init__(self):
         if int(self.alpha) != self.alpha or self.alpha < 1:
@@ -78,6 +84,8 @@ class DominancePair:
         q = self.s_y / (self.s_x + self.s_y)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", 1.0 - q)
+        object.__setattr__(self, "log_ip",
+                           log_reg_inc_beta(self.p, self.alpha, self.beta))
 
 
 def log_gamma(x):
@@ -125,16 +133,21 @@ def log_reg_inc_beta(p, n, m):
     if np.any(p_arr < 0) or np.any(p_arr > 1):
         raise ValueError("p must lie in [0, 1]")
     n, m = int(n), int(m)
-    i = np.arange(m)
-    log_coef = gammaln(n + i) - gammaln(i + 1) - gammaln(n)
+    # At paper degrees each length-m array is ~3 MB.  In-place updates, and
+    # freeing i and tmp before logsumexp makes its own copies, keep at most
+    # three alive; with more, the allocator returns the freed heap top to
+    # the OS and every call faults all its pages in again.
+    i = np.arange(m, dtype=float)
+    log_terms = gammaln(n + i)
+    tmp = i + 1
+    log_terms -= gammaln(tmp, out=tmp)
+    log_terms -= gammaln(n)
     # p = 0 or 1 hits log(0) and 0 * -inf in the terms; both endpoints are
     # overwritten with their exact values below
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_terms = (
-            log_coef
-            + n * np.log(p_arr)[..., None]
-            + i * np.log1p(-p_arr)[..., None]
-        )
+        log_terms = log_terms + n * np.log(p_arr)[..., None]
+        log_terms += i * np.log1p(-p_arr)[..., None]
+    del i, tmp
     out = logsumexp(log_terms, axis=-1)
     out = np.minimum(out, 0.0)
     # exact endpoints: I_0 = 0, I_1 = 1
@@ -151,16 +164,18 @@ def reg_inc_beta(p, n, m):
 
 def prob_dominance(pair: DominancePair):
     """Pr[X <= Y] for the independent gamma pair (= Pr[X >= Y] inverse-gamma)."""
-    return reg_inc_beta(pair.p, pair.alpha, pair.beta)
+    return math.exp(pair.log_ip)
 
 
 def log_q_sum(alpha, beta, q):
     """log of the finite dominance sum used by the order scores.
 
     Q = sum_{i=0}^{beta-1} Gamma(beta) Gamma(alpha+i) / (i! Gamma(alpha+beta))
-        * q^-(beta-i),
-    equal to I_p(alpha,beta) / (p * q * B_p(alpha,beta)) wherever the latter
-    does not overflow.  alpha == 0 is the empty-subspace convention: Q = 1.
+        * q^-(beta-i)
+      = I_p(alpha,beta) / (p * q * B_p(alpha,beta)),   p = 1 - q,
+    evaluated through the second (cross) form as
+    log I_p - alpha log p - beta log q + log B(alpha,beta): one kernel call.
+    alpha == 0 is the empty-subspace convention: Q = 1.
     """
     if int(alpha) != alpha or alpha < 0 or int(beta) != beta or beta < 1:
         raise ValueError(f"bad degrees alpha={alpha}, beta={beta}")
@@ -169,33 +184,13 @@ def log_q_sum(alpha, beta, q):
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0, 1), got {q}")
     alpha, beta = int(alpha), int(beta)
-    i = np.arange(beta)
-    log_terms = (
-        gammaln(beta)
-        + gammaln(alpha + i)
-        - gammaln(i + 1)
-        - gammaln(alpha + beta)
-        - (beta - i) * math.log(q)
-    )
-    return float(logsumexp(log_terms))
+    p = 1.0 - q
+    return (log_reg_inc_beta(p, alpha, beta) - alpha * math.log(p)
+            - beta * math.log(q) + float(betaln(alpha, beta)))
 
 
 def _log_gamma_pdf(x, n, s):
     return n * math.log(s) + (n - 1) * math.log(x) - s * x - gammaln(n)
-
-
-def _log_invgamma_pdf(x, n, s):
-    return n * math.log(s) - (n + 1) * math.log(x) - s / x - gammaln(n)
-
-
-def _log_lower_series(n, x):
-    """log of gamma(n,x)/Gamma(n)."""
-    if x == 0:
-        return -math.inf
-    val = -np.expm1(_log_upper_series(n, x))
-    if val <= 0:
-        return -math.inf
-    return float(np.log(val))
 
 
 def double_gamma_pdf(x, pair: DominancePair, which):
@@ -207,11 +202,14 @@ def double_gamma_pdf(x, pair: DominancePair, which):
     if not x > 0:
         raise ValueError(f"x must be positive, got {x}")
     a, b, sx, sy = pair.alpha, pair.beta, pair.s_x, pair.s_y
-    log_ip = log_reg_inc_beta(pair.p, a, b)
     if which == "lower":
-        log_pdf = _log_upper_series(b, sy * x) + _log_gamma_pdf(x, a, sx) - log_ip
+        log_pdf = (_log_upper_series(b, sy * x) + _log_gamma_pdf(x, a, sx)
+                   - pair.log_ip)
     elif which == "upper":
-        log_pdf = _log_lower_series(a, sx * x) + _log_gamma_pdf(x, b, sy) - log_ip
+        lower = reg_lower_inc_gamma(a, sx * x)
+        if lower <= 0:
+            return 0.0
+        log_pdf = math.log(lower) + _log_gamma_pdf(x, b, sy) - pair.log_ip
     else:
         raise ValueError(f"which must be 'lower' or 'upper', got {which!r}")
     return math.exp(log_pdf) if log_pdf > -745 else 0.0
@@ -221,67 +219,41 @@ def double_invgamma_pdf(x, pair: DominancePair, which):
     """Density of one member of an inverse-gamma pair (X, Y) given X >= Y.
 
     which='upper' is the marginal of X (the dominating variate),
-    which='lower' the marginal of Y.  Mirror of double_gamma_pdf under
-    x -> 1/x.
+    which='lower' the marginal of Y.  X >= Y for the inverse-gammas is
+    1/X <= 1/Y for the gamma pair, so this is the mirrored gamma density
+    at 1/x times the Jacobian 1/x^2.
     """
     if not x > 0:
         raise ValueError(f"x must be positive, got {x}")
-    a, b, sx, sy = pair.alpha, pair.beta, pair.s_x, pair.s_y
-    log_ip = log_reg_inc_beta(pair.p, a, b)
-    if which == "upper":
-        log_pdf = _log_upper_series(b, sy / x) + _log_invgamma_pdf(x, a, sx) - log_ip
-    elif which == "lower":
-        log_pdf = _log_lower_series(a, sx / x) + _log_invgamma_pdf(x, b, sy) - log_ip
-    else:
-        raise ValueError(f"which must be 'upper' or 'lower', got {which!r}")
-    return math.exp(log_pdf) if log_pdf > -745 else 0.0
+    mirrored = {"upper": "lower", "lower": "upper"}.get(which, which)
+    return double_gamma_pdf(1.0 / x, pair, mirrored) / x / x
 
 
 def double_moment(pair: DominancePair, k, family, which):
     """Closed-form k-th moment of the double (inverse-)gamma marginals.
 
-    All four moments are a plain (inverse-)gamma moment times a ratio of
-    incomplete beta values with a shifted shape.  Inverse-gamma moments
-    require shape - k >= 1.
+    With (shape, rate) the parameters of the chosen variate, each moment is
+    the plain moment Gamma(shape+-k)/Gamma(shape) * rate^-+k times
+    I_p(shifted shapes) / I_p(alpha, beta), where family 'gamma' shifts the
+    shape by +k and 'invgamma' by -k.  Inverse-gamma moments require
+    shape - k >= 1.
     """
     if int(k) != k or k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
-    a, b, sx, sy = pair.alpha, pair.beta, pair.s_x, pair.s_y
-    k = int(k)
-    log_ip = log_reg_inc_beta(pair.p, a, b)
-    if family == "gamma":
-        if which == "x":
-            log_m = (
-                gammaln(a + k) - gammaln(a) - k * math.log(sx)
-                + log_reg_inc_beta(pair.p, a + k, b) - log_ip
-            )
-        elif which == "y":
-            log_m = (
-                gammaln(b + k) - gammaln(b) - k * math.log(sy)
-                + log_reg_inc_beta(pair.p, a, b + k) - log_ip
-            )
-        else:
-            raise ValueError(f"which must be 'x' or 'y', got {which!r}")
-    elif family == "invgamma":
-        if which == "x":
-            if a - k < 1:
-                raise ValueError(f"alpha - k must be >= 1, got alpha={a}, k={k}")
-            log_m = (
-                gammaln(a - k) - gammaln(a) + k * math.log(sx)
-                + log_reg_inc_beta(pair.p, a - k, b) - log_ip
-            )
-        elif which == "y":
-            if b - k < 1:
-                raise ValueError(f"beta - k must be >= 1, got beta={b}, k={k}")
-            log_m = (
-                gammaln(b - k) - gammaln(b) + k * math.log(sy)
-                + log_reg_inc_beta(pair.p, a, b - k) - log_ip
-            )
-        else:
-            raise ValueError(f"which must be 'x' or 'y', got {which!r}")
-    else:
+    if family not in ("gamma", "invgamma"):
         raise ValueError(f"family must be 'gamma' or 'invgamma', got {family!r}")
-    return float(np.exp(log_m))
+    if which not in ("x", "y"):
+        raise ValueError(f"which must be 'x' or 'y', got {which!r}")
+    k, a, b = int(k), pair.alpha, pair.beta
+    name, shape, rate = ("alpha", a, pair.s_x) if which == "x" else ("beta", b, pair.s_y)
+    shifted = shape + k if family == "gamma" else shape - k
+    if shifted < 1:
+        raise ValueError(f"{name} - k must be >= 1, got {name}={shape}, k={k}")
+    # Gamma(max)/Gamma(min) of the two shapes, an exact product of k integers
+    ratio = math.prod(range(min(shape, shifted), max(shape, shifted)))
+    plain = ratio / rate**k if family == "gamma" else rate**k / ratio
+    a_k, b_k = (shifted, b) if which == "x" else (a, shifted)
+    return plain * math.exp(log_reg_inc_beta(pair.p, a_k, b_k) - pair.log_ip)
 
 
 def sample_dominance_pair(params_x: GammaParams, params_y: GammaParams, rng):

@@ -75,8 +75,12 @@ class TestConfig:
         dict(doa_spacing_deg=90.0),
         dict(m=1, n=1),
         dict(snr_grid_db=()),
+        dict(k_true=0),
+        dict(k_max=0),
+        dict(master_seed=-1),
     ], ids=["grid-step-0", "overlap-1.5", "decay-neg", "doa-200",
-            "spacing-past-180", "m-1", "empty-snr"])
+            "spacing-past-180", "m-1", "empty-snr", "k-true-0", "k-max-0",
+            "seed-neg"])
     def test_rejects_values_that_fail_in_a_worker(self, fields, tmp_path, capsys):
         with pytest.raises(ConfigError):
             ExperimentConfig(**fields)
@@ -86,6 +90,10 @@ class TestConfig:
             for k, v in fields.items()))
         assert cli_main(["sweep", "--config", str(cfg_file)]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_negative_seed_flag_exit_code(self, capsys):
+        assert cli_main(["sweep", "--seed", "-1"]) == 1
+        assert "master_seed" in capsys.readouterr().err
 
     def test_from_file(self, tmp_path):
         cfg_file = tmp_path / "sweep.cfg"

@@ -6,9 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammaln, logsumexp
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import invgamma as invgamma_dist
 
+from doamap.ordermap import posterior_variances
 from doamap.specfun import (
     DominancePair,
     GammaParams,
@@ -24,6 +26,7 @@ from doamap.specfun import (
     reg_lower_inc_gamma,
     sample_dominance_pair,
 )
+from doamap.subspace import ProjectionStats
 
 
 class TestLogGamma:
@@ -150,6 +153,18 @@ class TestLogQSum:
                     rhs = log_reg_inc_beta(p, a, b)
                     assert abs(math.expm1(lhs - rhs)) <= 1e-8, (a, b, p)
 
+    @pytest.mark.parametrize("alpha, beta", [
+        (1, 1), (3, 7), (40, 360), (512, 15872), (20480, 389120), (40960, 368640),
+    ])
+    @pytest.mark.parametrize("q", [0.9, 0.3, 0.05, 1e-3])
+    def test_direct_finite_sum_oracle(self, alpha, beta, q):
+        # Q summed term by term up to paper degrees (alpha + beta = 409,600)
+        i = np.arange(beta)
+        direct = float(logsumexp(
+            gammaln(beta) + gammaln(alpha + i) - gammaln(i + 1)
+            - gammaln(alpha + beta) - (beta - i) * math.log(q)))
+        assert abs(log_q_sum(alpha, beta, q) - direct) <= 1e-14 * (alpha + beta)
+
     def test_monotone_in_p(self):
         # more signal energy can only raise the dominance score
         p_grid = np.linspace(0.05, 0.95, 37)
@@ -261,6 +276,18 @@ class TestDoubleMoments:
             m1 = double_moment(pair, 1, "gamma", "x")
             m2 = double_moment(pair, 2, "gamma", "x")
             assert m2 >= m1**2
+
+    def test_invgamma_moment_at_paper_degrees(self):
+        # Gamma(beta-1)/Gamma(beta) is 1/(beta-1) exactly, not a gammaln
+        # difference that loses ~1e-9 relative at these degrees
+        a, b, s, t = 40960, 368640, 1e5, 3.9e5
+        pair = DominancePair(alpha=a, beta=b, s_x=s, s_y=t)
+        expected = t / (b - 1) * math.exp(
+            log_reg_inc_beta(pair.p, a, b - 1) - log_reg_inc_beta(pair.p, a, b))
+        mean = double_moment(pair, 1, "invgamma", "y")
+        assert mean == pytest.approx(expected, rel=1e-14)
+        stats = ProjectionStats(s=s, t=t, alpha=a, beta=b)
+        assert posterior_variances(stats, 100).sigma2_mean == mean
 
     def test_invgamma_moment_needs_shape(self):
         pair = DominancePair(alpha=2, beta=3, s_x=1.0, s_y=1.0)
