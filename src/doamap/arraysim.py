@@ -14,7 +14,7 @@ tones make the two statistically identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,6 +61,8 @@ class ArrayScenario:
                 raise ValueError(f"DOA {phi} outside [0, 180)")
         if not (0.0 <= self.overlap <= 1.0 and 0.0 <= self.decay <= 1.0):
             raise ValueError("overlap and decay must lie in [0, 1]")
+        if not self.snr_db > -math.inf:  # +inf is the noiseless limit
+            raise ValueError(f"snr_db must be a number above -inf, got {self.snr_db}")
 
 
 @dataclass(frozen=True)

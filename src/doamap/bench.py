@@ -12,7 +12,7 @@ import math
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
@@ -31,9 +31,9 @@ from .ordermap import (
     map_order_pca,
     map_order_scan,
     posterior_at_order,
+    shrink_amplitudes,
 )
 from .subspace import (
-    ProjectionStats,
     dtft_spectrum,
     eigendecompose,
     music_pseudospectrum,
@@ -109,24 +109,32 @@ class ExperimentConfig:
             raise ConfigError(f"k_max ({self.k_max}) must be < d ({self.d})")
         if self.n_runs < 1:
             raise ConfigError("n_runs must be >= 1")
-        if self.m > self.n:
-            raise ConfigError("m must not exceed n")
         for meth in self.methods:
             if meth not in KNOWN_METHODS:
                 raise ConfigError(f"unknown method {meth!r}")
-        if self.doa_deg and len(self.doa_deg) != self.k_true:
-            raise ConfigError("doa_deg length must equal k_true")
         if self.m < 2:
             raise ConfigError("m must be >= 2 (posterior means need K*M > 1)")
         if not self.grid_step_deg > 0:
             raise ConfigError("grid_step_deg must be > 0")
+        if not self.doa_spacing_deg >= 0:
+            raise ConfigError("doa_spacing_deg must be >= 0 (0 = default spacing)")
         for name in ("snr_grid_db", "overlap", "decay", "methods"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} must not be empty")
-        if not all(0.0 <= x <= 1.0 for x in (*self.overlap, *self.decay)):
-            raise ConfigError("overlap and decay values must lie in [0, 1]")
-        if not all(0.0 <= phi < 180.0 for phi in self.resolved_doas()):
-            raise ConfigError(f"DOAs {self.resolved_doas()} must lie in [0, 180)")
+        for grid_idx, point in enumerate(self.grid_points()):
+            try:  # ArrayScenario checks m <= n, the DOAs, overlap, decay, SNR
+                self.scenario(grid_idx)
+            except ValueError as exc:
+                raise ConfigError(f"grid point {point}: {exc}") from exc
+
+    def scenario(self, grid_idx):
+        """The ArrayScenario of grid point `grid_idx` (see grid_points)."""
+        snr, overlap, decay = self.grid_points()[grid_idx]
+        return ArrayScenario(
+            d=self.d, k_true=self.k_true, m=self.m, n=self.n,
+            doa_deg=self.resolved_doas(), overlap=overlap, decay=decay,
+            snr_db=snr, seed=self.master_seed,
+        )
 
     def resolved_doas(self):
         if self.doa_deg:
@@ -235,18 +243,21 @@ def _peak_pipeline_metrics(fd, scenario, peaks, k, tau, truth, true_amps):
     sorted_angles = tuple(angles[i] for i in order)
     v = steering_matrix(angles, scenario.d)
     a0, *_ = np.linalg.lstsq(v, fd.y, rcond=None)
-    a0 = a0[order]
+    amps = shrink_amplitudes(a0[order], tau)
     err = err_doa(DoaEstimate(sorted_angles), truth)
-    r0 = rmse_amplitude(a0, sorted_angles, true_amps, truth.angles_deg)
-    rs = rmse_amplitude((1.0 - tau) * a0, sorted_angles, true_amps, truth.angles_deg)
+    r0 = rmse_amplitude(amps.a0, sorted_angles, true_amps, truth.angles_deg)
+    rs = rmse_amplitude(amps.a_shrunk, sorted_angles, true_amps, truth.angles_deg)
     return err, r0, rs
 
 
 def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None):
     """Execute every requested pipeline on one data draw.
 
-    Returns dicts with the per-method metric fields of RunRecord (the sweep
-    metadata is filled in by run_sweep).
+    A method is '<source>-<rule>': the source (pca, or the peaks of the music
+    or dtft spectrum, each computed once) gives the bases; the rule (map,
+    aic or known-k) the order, whose posterior is read on the steering prefix
+    the MAP scan would score.  Returns dicts with the per-method metric fields
+    of RunRecord (run_sweep fills in the sweep metadata).
     """
     fd = synth_freq(scenario, rng=rng)
     sigma_true = math.sqrt(fd.noise_var_freq)
@@ -257,50 +268,41 @@ def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None)
     # every second-order stage reads this one covariance and its eigenbasis
     cov = sample_covariance(fd.y)
     basis = eigendecompose(cov)
-    norm2_y = float(np.sum(np.abs(fd.y) ** 2))
-    music_peaks = None
-    if {"music-map", "music-aic", "music-known-k"}.intersection(methods):
-        music_peaks = pick_peaks(music_pseudospectrum(basis, k_max, grid), k_max)
-    dtft_peaks = None
-    if {"dtft-map", "dtft-known-k"}.intersection(methods):
-        dtft_peaks = pick_peaks(dtft_spectrum(cov, grid), k_max)
+    pairs = [method.split("-", 1) for method in methods]  # (source, rule)
+    sources = {source for source, _rule in pairs}
+    peaks = {}
+    if "music" in sources:
+        peaks["music"] = pick_peaks(music_pseudospectrum(basis, k_max, grid), k_max)
+    if "dtft" in sources:
+        peaks["dtft"] = pick_peaks(dtft_spectrum(cov, grid), k_max)
 
     out = []
-    for method in methods:
+    for method, (source, rule) in zip(methods, pairs):
         t0 = time.perf_counter()
-        if method == "pca-map":
-            post = map_order_pca(basis, fd, k_max, scenario.m)
-            k_hat, tau, sigma2 = post.k_map, post.tau_mean, post.sigma2_mean
+        if rule == "map":
+            post = (map_order_pca(basis, fd, k_max, scenario.m) if source == "pca"
+                    else map_order_scan(fd, peaks[source], k_max, scenario.m,
+                                        prior=source))
+            k_hat = post.k_map
+        else:
+            k_hat = (aic_order(basis.eigvals, scenario.m, k_max)
+                     if rule == "aic" else scenario.k_true)
+            prefix = [angle for angle, _height in peaks[source][:k_hat]]
+            v = steering_matrix(prefix, scenario.d) if prefix else None
+            post = posterior_at_order(
+                projection_stats(fd.y, v, scenario.m), scenario.d)
+        if source == "pca":
             err = r0 = rs = math.nan  # eigenvector bases carry no DOAs
         else:
-            peaks = music_peaks if method.startswith("music") else dtft_peaks
-            if method.endswith("-map"):
-                prior = "music" if method.startswith("music") else "dtft"
-                post = map_order_scan(fd, peaks, k_max, scenario.m, prior=prior)
-                k_hat, tau, sigma2 = post.k_map, post.tau_mean, post.sigma2_mean
-            else:
-                if method == "music-aic":
-                    k_hat = aic_order(basis.eigvals, scenario.m, k_max)
-                else:  # known-K oracle
-                    k_hat = scenario.k_true
-                k_eff = min(k_hat, len(peaks))
-                if k_eff >= 1:
-                    v = steering_matrix([p[0] for p in peaks[:k_eff]], scenario.d)
-                    st = projection_stats(fd.y, v, scenario.m)
-                else:
-                    st = ProjectionStats.from_energy(
-                        0.0, norm2_y, 0, scenario.d, scenario.m)
-                pv = posterior_at_order(st, scenario.d)
-                tau, sigma2 = pv.tau_mean, pv.sigma2_mean
             err, r0, rs = _peak_pipeline_metrics(
-                fd, scenario, peaks, k_hat, tau, truth, true_amps
-            )
-        rmse_sigma = abs(math.sqrt(sigma2) - sigma_true)
+                fd, scenario, peaks[source], k_hat, post.tau_mean, truth,
+                true_amps)
+        rmse_sigma = abs(math.sqrt(post.sigma2_mean) - sigma_true)
         wall_ms = (time.perf_counter() - t0) * 1e3
         out.append(
             dict(method=method, k_hat=k_hat, err_doa=err, rmse_a0=r0,
-                 rmse_a_shrunk=rs, rmse_sigma=rmse_sigma, tau_mean=tau,
-                 wall_ms=wall_ms)
+                 rmse_a_shrunk=rs, rmse_sigma=rmse_sigma,
+                 tau_mean=post.tau_mean, wall_ms=wall_ms)
         )
     return out
 
@@ -308,14 +310,9 @@ def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None)
 def _run_task(args):
     config, grid_idx, run_idx = args
     snr, overlap, decay = config.grid_points()[grid_idx]
-    scenario = ArrayScenario(
-        d=config.d, k_true=config.k_true, m=config.m, n=config.n,
-        doa_deg=config.resolved_doas(), overlap=overlap, decay=decay,
-        snr_db=snr, seed=config.master_seed,
-    )
     rng = np.random.default_rng([config.master_seed, grid_idx, run_idx])
-    rows = run_single(scenario, config.k_max, config.grid_step_deg,
-                      config.methods, rng=rng)
+    rows = run_single(config.scenario(grid_idx), config.k_max,
+                      config.grid_step_deg, config.methods, rng=rng)
     return [
         RunRecord(snr_db=snr, overlap=overlap, decay=decay, run=run_idx, **row)
         for row in rows
@@ -413,27 +410,29 @@ def write_aggregates(records, path, k_true=None):
 
 
 def emit_curves(records, quantity, out_dir):
-    """Per-method, per-overlap mean curve of one metric versus SNR."""
+    """aggregate()'s mean of one metric versus SNR (k_hat reads k_hat_mean),
+    one curve_<quantity>_<method>_overlap<o>_decay<d>.csv per curve."""
     if not records:
         raise ValueError("empty result table")
     valid = {"k_hat", "err_doa", "rmse_a0", "rmse_a_shrunk",
              "rmse_sigma", "tau_mean", "wall_ms"}
     if quantity not in valid:
         raise ValueError(f"unknown quantity {quantity!r}; choose from {sorted(valid)}")
+    column = "k_hat_mean" if quantity == "k_hat" else quantity
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     curves = {}
-    for rec in records:
-        curves.setdefault((rec.method, rec.overlap), {}).setdefault(
-            rec.snr_db, []
-        ).append(float(getattr(rec, quantity)))
+    for (method, snr, overlap, decay), _n, means in aggregate(records):
+        curves.setdefault((method, overlap, decay), []).append(
+            (snr, means[column]))
     paths = []
-    for (method, overlap), by_snr in sorted(curves.items()):
-        path = out_dir / f"curve_{quantity}_{method}_overlap{overlap:g}.csv"
+    for (method, overlap, decay), points in sorted(curves.items()):
+        path = out_dir / (f"curve_{quantity}_{method}_overlap{overlap:g}"
+                          f"_decay{decay:g}.csv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"snr_db,mean_{quantity}\n")
-            for snr in sorted(by_snr):
-                fh.write(f"{snr:g},{float(np.nanmean(by_snr[snr])):.10g}\n")
+            for snr, mean in points:
+                fh.write(f"{snr:g},{mean:.10g}\n")
         paths.append(path)
     return paths
 

@@ -62,22 +62,21 @@ def _cmd_sweep(args):
         overrides["output_path"] = args.out
     if args.runs is not None:
         overrides["n_runs"] = args.runs
-    try:
-        if args.config:
-            config = ExperimentConfig.from_file(args.config, **overrides)
-            if args.paper_scale:
-                print("note: --paper-scale ignored when --config is given",
-                      file=sys.stderr)
-        elif args.paper_scale:
-            config = ExperimentConfig.paper_scale(**overrides)
-        else:
-            config = ExperimentConfig(**overrides)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    # a ConfigError here reaches main(), which exits 1 before any work
+    if args.config:
+        config = ExperimentConfig.from_file(args.config, **overrides)
+        if args.paper_scale:
+            print("note: --paper-scale ignored when --config is given",
+                  file=sys.stderr)
+    elif args.paper_scale:
+        config = ExperimentConfig.paper_scale(**overrides)
+    else:
+        config = ExperimentConfig(**overrides)
+    out = Path(config.output_path)
+    if not out.parent.is_dir():
+        raise ConfigError(f"output directory {out.parent} does not exist")
 
     records = run_sweep(config, jobs=max(1, args.jobs))
-    out = Path(config.output_path)
     try:
         write_results(records, out)
         write_aggregates(records, out.with_name(out.stem + "_agg" + out.suffix),

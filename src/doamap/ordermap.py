@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -122,8 +121,14 @@ def posterior_at_order(stats: ProjectionStats, d):
                               ra_approx=math.nan, sigma2_approx=stats.t / stats.beta)
 
 
-def _finish_posterior(method, log_scores, stats_list, d, flagged=()):
-    log_scores = np.asarray(log_scores, dtype=float)
+def _finish_posterior(method, stats_list, log_prior, d):
+    """MAP order over log Q(alpha, beta, q) + log_prior(K) (log Q = 0 at K = 0);
+    a None stats entry (rank-deficient prefix) scores -inf and is flagged."""
+    log_scores = np.full(len(stats_list), -math.inf)
+    for k, st in enumerate(stats_list):
+        if st is not None:
+            lq = log_q_sum(st.alpha, st.beta, st.q) if k > 0 else 0.0
+            log_scores[k] = lq + log_prior(k)
     k_map = int(np.argmax(log_scores))  # argmax takes the smallest K on ties
     pv = posterior_at_order(stats_list[k_map], d)
     return OrderPosterior(
@@ -134,7 +139,7 @@ def _finish_posterior(method, log_scores, stats_list, d, flagged=()):
         ra_mean=pv.ra_mean,
         sigma2_mean=pv.sigma2_mean,
         tau_mean=pv.tau_mean,
-        rank_deficient_k=tuple(flagged),
+        rank_deficient_k=tuple(k for k, st in enumerate(stats_list) if st is None),
     )
 
 
@@ -149,13 +154,10 @@ def map_order_pca(basis: EigenBasis, freq_or_y, k_max, m):
         raise ValueError(f"K_max must be < D, got K_max={k_max}, D={d}")
     norm2_y = float(np.sum(np.abs(y) ** 2))
     s = np.concatenate(([0.0], np.cumsum(basis.eigvals[:k_max])))
-    log_scores, stats_list = [], []
-    for k in range(k_max + 1):
-        st = ProjectionStats.from_energy(float(s[k]), norm2_y, k, d, m)
-        lq = log_q_sum(st.alpha, st.beta, st.q) if k > 0 else 0.0
-        log_scores.append(lq - log_stiefel_volume(d, k))
-        stats_list.append(st)
-    return _finish_posterior("pca", log_scores, stats_list, d)
+    stats_list = [ProjectionStats.from_energy(float(s[k]), norm2_y, k, d, m)
+                  for k in range(k_max + 1)]
+    return _finish_posterior("pca", stats_list,
+                             lambda k: -log_stiefel_volume(d, k), d)
 
 
 def map_order_scan(freq_or_y, peak_angles_deg, k_max, m, prior="music"):
@@ -169,25 +171,18 @@ def map_order_scan(freq_or_y, peak_angles_deg, k_max, m, prior="music"):
     if prior not in ("music", "dtft"):
         raise ValueError(f"prior must be 'music' or 'dtft', got {prior!r}")
     y = getattr(freq_or_y, "y", freq_or_y)
-    d = y.shape[0]
     angles = [a[0] if isinstance(a, tuple) else float(a) for a in peak_angles_deg]
     if k_max > 0 and not angles:
         raise ValueError("empty peak list with K_max > 0")
-    k_max = min(k_max, len(angles))
-    log_scores, stats_list, flagged = [], [], []
-    for k in range(k_max + 1):
-        v = steering_matrix(angles[:k], d) if k > 0 else None
+    stats_list = []
+    for k in range(min(k_max, len(angles)) + 1):
+        v = steering_matrix(angles[:k], y.shape[0]) if k > 0 else None
         try:
-            st = projection_stats(y, v, m)
+            stats_list.append(projection_stats(y, v, m))
         except ValueError:
-            log_scores.append(-math.inf)
             stats_list.append(None)
-            flagged.append(k)
-            continue
-        lq = log_q_sum(st.alpha, st.beta, st.q) if k > 0 else 0.0
-        log_scores.append(lq - k * math.log(2.0 * math.pi))
-        stats_list.append(st)
-    return _finish_posterior(prior, log_scores, stats_list, d, flagged)
+    return _finish_posterior(prior, stats_list,
+                             lambda k: -k * math.log(2.0 * math.pi), y.shape[0])
 
 
 def shrink_amplitudes(a0, tau_mean):

@@ -115,6 +115,11 @@ class TestScenarioLayout:
             ArrayScenario(d=4, k_true=1, m=8, n=8, doa_deg=(200.0,))
         with pytest.raises(ValueError):
             default_scenario(d=4, k=1, m=8, n=8, overlap=1.5)
+        for snr in (math.nan, -math.inf):
+            with pytest.raises(ValueError):
+                default_scenario(d=4, k=1, m=8, n=8, snr_db=snr)
+        # +inf is the noiseless limit
+        assert default_scenario(d=4, k=1, m=8, n=8, snr_db=math.inf).snr_db == math.inf
 
 
 class TestNoiseScaling:

@@ -66,6 +66,15 @@ class TestConfig:
             ExperimentConfig(methods=("music-map", "esprit"))
         with pytest.raises(ConfigError):
             ExperimentConfig(doa_deg=(10.0,))
+        with pytest.raises(ConfigError):
+            ExperimentConfig(doa_spacing_deg=-5.0)
+
+    def test_scenario_per_grid_point(self):
+        cfg = ExperimentConfig(snr_grid_db=(0.0, math.inf), decay=(0.0, 0.5))
+        sc = cfg.scenario(3)
+        assert (sc.snr_db, sc.overlap, sc.decay) == cfg.grid_points()[3]
+        assert (sc.d, sc.k_true, sc.m, sc.n) == (32, 3, 512, 512)
+        assert sc.doa_deg == cfg.resolved_doas() and sc.seed == cfg.master_seed
 
     @pytest.mark.parametrize("fields", [
         dict(grid_step_deg=0.0),
@@ -78,9 +87,11 @@ class TestConfig:
         dict(k_true=0),
         dict(k_max=0),
         dict(master_seed=-1),
+        dict(snr_grid_db=(0.0, math.nan)),
+        dict(snr_grid_db=(-math.inf,)),
     ], ids=["grid-step-0", "overlap-1.5", "decay-neg", "doa-200",
             "spacing-past-180", "m-1", "empty-snr", "k-true-0", "k-max-0",
-            "seed-neg"])
+            "seed-neg", "snr-nan", "snr-neg-inf"])
     def test_rejects_values_that_fail_in_a_worker(self, fields, tmp_path, capsys):
         with pytest.raises(ConfigError):
             ExperimentConfig(**fields)
@@ -150,6 +161,73 @@ class TestRunSingle:
                 assert math.isnan(row["err_doa"])
             else:
                 assert 0.0 <= row["err_doa"] <= 1.0
+
+    # All six methods on three FAST-shape draws, recorded at commit 02dc1d9
+    # (k_hat exact, floats to 1e-10 relative, the golden bound); the golden
+    # record holds only the four default methods.  The -10 dB draw has AIC
+    # at K = 0; the K = 6 draw has k_true > k_max, so known-K reads 5 peaks.
+    # Rows: method, k_hat, err_doa, rmse_a0, rmse_a_shrunk, rmse_sigma, tau_mean.
+    RECORDED = [
+        (dict(d=16, k=2, m=64, n=64, snr_db=20.0), 10, [
+            ("pca-map", 2, math.nan, math.nan, math.nan,
+             0.008400966340256888, 0.009383479755693546),
+            ("music-map", 2, 0.002777777777777778, 1.3824691618138392,
+             1.4166695918822043, 0.05655521409063413, 0.014772903592881996),
+            ("dtft-map", 3, 0.15555555555555556, 4.92154103001855,
+             4.604259700475151, 0.0530955800799458, 0.02157026159907376),
+            ("music-aic", 2, 0.002777777777777778, 1.3824691618138392,
+             1.4166695918822043, 0.05655521409063413, 0.014772903592881996),
+            ("music-known-k", 2, 0.002777777777777778, 1.3824691618138392,
+             1.4166695918822043, 0.05655521409063413, 0.014772903592881996),
+            ("dtft-known-k", 2, 0.23055555555555557, 7.567813735212293,
+             7.113773892120512, 0.5167468936080057, 0.15109374671722056),
+        ]),
+        (dict(d=16, k=2, m=64, n=64, snr_db=-10.0), 11, [
+            ("pca-map", 0, math.nan, math.nan, math.nan,
+             0.09086406916343925, 1.0),
+            ("music-map", 0, 1.0, 11.52443057161611, 11.52443057161611,
+             0.09086406916343925, 1.0),
+            ("dtft-map", 0, 1.0, 11.52443057161611, 11.52443057161611,
+             0.09086406916343925, 1.0),
+            ("music-aic", 0, 1.0, 11.52443057161611, 11.52443057161611,
+             0.09086406916343925, 1.0),
+            ("music-known-k", 2, 0.16666666666666666, 117.48639879855583,
+             9.64256636207011, 0.0187327228226426, 0.8306731945562238),
+            ("dtft-known-k", 2, 0.09722222222222222, 131.03588786140523,
+             8.311238082882015, 0.04578741706853684, 0.7978810672970702),
+        ]),
+        (dict(d=16, k=6, m=64, n=64, snr_db=10.0), 12, [
+            ("pca-map", 5, math.nan, math.nan, math.nan,
+             0.1269640124519521, 0.13929874614748297),
+            ("music-map", 5, 0.0022222222222222222, 5.212033392169584,
+             6.1151333933294705, 0.18504811432155122, 0.1752734337308434),
+            ("dtft-map", 5, 0.0022222222222222222, 3.4173796969930397,
+             4.681539003770874, 0.18427988801894624, 0.17474795064825063),
+            ("music-aic", 5, 0.0022222222222222222, 5.212033392169584,
+             6.1151333933294705, 0.18504811432155122, 0.1752734337308434),
+            ("music-known-k", 6, 0.0022222222222222222, 5.212033392169584,
+             6.1151333933294705, 0.18504811432155122, 0.1752734337308434),
+            ("dtft-known-k", 6, 0.0022222222222222222, 3.4173796969930397,
+             4.681539003770874, 0.18427988801894624, 0.17474795064825063),
+        ]),
+    ]
+
+    @pytest.mark.parametrize("shape,rng_seed,want", RECORDED,
+                             ids=["fast-20dB", "fast-minus10dB", "k6-kmax5"])
+    def test_all_methods_match_recorded(self, shape, rng_seed, want):
+        from doamap.arraysim import default_scenario
+
+        rows = run_single(default_scenario(**shape), 5, 2.0,
+                          [w[0] for w in want],
+                          rng=np.random.default_rng(rng_seed))
+        fields = ("err_doa", "rmse_a0", "rmse_a_shrunk", "rmse_sigma", "tau_mean")
+        for row, (method, k_hat, *floats) in zip(rows, want, strict=True):
+            assert (row["method"], row["k_hat"]) == (method, k_hat)
+            for f, expect in zip(fields, floats):
+                got = float(row[f])
+                assert (math.isnan(got) if math.isnan(expect) else
+                        abs(got - expect) <= 1e-10 * max(abs(got), abs(expect))
+                        ), (method, f, got, expect)
 
     def test_known_k_uses_truth(self):
         from doamap.arraysim import default_scenario
@@ -259,6 +337,22 @@ class TestAggregation:
         assert lines[1] == "0,0.15"
         assert lines[2] == "10,0.15"
 
+    def test_emit_curves_per_decay(self, tmp_path):
+        rows = [RunRecord(
+            method="music-map", snr_db=snr, overlap=0.0, decay=decay, run=0,
+            k_hat=k, err_doa=err, rmse_a0=1.0, rmse_a_shrunk=0.5,
+            rmse_sigma=0.2, tau_mean=0.3, wall_ms=1.0,
+        ) for snr in (0.0, 10.0) for decay, err, k in ((0.0, 0.1, 2), (0.5, 0.9, 3))]
+        paths = emit_curves(rows, "err_doa", tmp_path)
+        assert [p.name for p in paths] == [
+            "curve_err_doa_music-map_overlap0_decay0.csv",
+            "curve_err_doa_music-map_overlap0_decay0.5.csv",
+        ]
+        assert paths[0].read_text() == "snr_db,mean_err_doa\n0,0.1\n10,0.1\n"
+        assert paths[1].read_text() == "snr_db,mean_err_doa\n0,0.9\n10,0.9\n"
+        paths = emit_curves(rows, "k_hat", tmp_path)
+        assert [p.read_text().splitlines()[1] for p in paths] == ["0,2", "0,3"]
+
     def test_emit_curves_rejects_unknown_quantity(self, tmp_path):
         with pytest.raises(ValueError):
             emit_curves(self._records(), "nonsense", tmp_path)
@@ -349,6 +443,20 @@ class TestCli:
 
     def test_curves_bad_quantity_exit_code(self, tmp_path, capsys):
         res = tmp_path / "res.csv"
-        res.write_text(CSV_HEADER + "\n")
-        assert cli_main(["curves", "--in", str(res),
-                         "--quantity", "nonsense"]) == 1
+        write_results([RunRecord(
+            method="music-map", snr_db=0.0, overlap=0.0, decay=0.0, run=0,
+            k_hat=2, err_doa=0.1, rmse_a0=1.0, rmse_a_shrunk=0.5,
+            rmse_sigma=0.2, tau_mean=0.3, wall_ms=1.0,
+        )], res)
+        assert cli_main(["curves", "--in", str(res), "--quantity", "nonsense",
+                         "--out-dir", str(tmp_path / "curves")]) == 1
+        assert "unknown quantity" in capsys.readouterr().err
+
+    def test_sweep_missing_out_dir_exit_code(self, tmp_path, capsys, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("run_sweep called before the output check")
+
+        monkeypatch.setattr("doamap.cli.run_sweep", no_sweep)
+        out = tmp_path / "missing_dir" / "res.csv"
+        assert cli_main(["sweep", "--runs", "1", "--out", str(out)]) == 1
+        assert "config error" in capsys.readouterr().err

@@ -16,15 +16,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from doamap.arraysim import ArrayScenario
 from doamap.bench import ExperimentConfig, run_single
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "desk-sweep.json"
 REL_TOL = 1e-10
 FLOAT_FIELDS = ("err_doa", "rmse_a0", "rmse_a_shrunk", "rmse_sigma", "tau_mean")
 CONFIG = ExperimentConfig(overlap=(0.0, 0.999))
-GRID = CONFIG.grid_points()
-TASKS = [(gi, 0) for gi in range(len(GRID))] + [(23, 1), (24, 6), (24, 9)]
+TASKS = [(gi, 0) for gi in range(len(CONFIG.grid_points()))] + [(23, 1), (24, 6), (24, 9)]
 
 
 @pytest.fixture(scope="module")
@@ -33,14 +31,8 @@ def golden():
 
 
 def _replay(gi, ri):
-    snr, overlap, decay = GRID[gi]
-    scenario = ArrayScenario(
-        d=CONFIG.d, k_true=CONFIG.k_true, m=CONFIG.m, n=CONFIG.n,
-        doa_deg=CONFIG.resolved_doas(), overlap=overlap, decay=decay,
-        snr_db=snr, seed=CONFIG.master_seed,
-    )
     rng = np.random.default_rng([CONFIG.master_seed, gi, ri])
-    return run_single(scenario, CONFIG.k_max, CONFIG.grid_step_deg,
+    return run_single(CONFIG.scenario(gi), CONFIG.k_max, CONFIG.grid_step_deg,
                       CONFIG.methods, rng=rng)
 
 
