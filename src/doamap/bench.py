@@ -1,15 +1,13 @@
 """Monte Carlo harness: sweep configuration, pipelines, CSV emission.
 
 One task = (grid point, run index).  Every task draws its noise from an
-independent substream keyed by (master_seed, grid index, run index), so every
-column of the result CSV except the wall-clock `wall_ms` is identical no
-matter how many workers execute the sweep.
+independent substream keyed by (master_seed, grid index, run index), so the
+result CSV is byte-identical no matter how many workers execute the sweep.
 """
 
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -47,6 +45,7 @@ __all__ = [
     "RunRecord",
     "ConfigError",
     "CSV_HEADER",
+    "METRICS",
     "run_single",
     "run_sweep",
     "write_results",
@@ -65,13 +64,14 @@ KNOWN_METHODS = (
     "dtft-known-k",
 )
 
-CSV_SCHEMA_COMMENT = "# doamap-results v1"
-CSV_HEADER = (
-    "method,snr_db,overlap,decay,run,k_hat,err_doa,"
-    "rmse_a0,rmse_a_shrunk,rmse_sigma,tau_mean,wall_ms"
-)
+# RunRecord's metric fields (after k_hat); every results writer/reader uses it
+METRICS = ("err_doa", "rmse_a0", "rmse_a_shrunk", "rmse_sigma", "tau_mean")
+
+CSV_SCHEMA_COMMENT = "# doamap-results v2"
+CSV_HEADER = ",".join(("method", "snr_db", "overlap", "decay", "run", "k_hat")
+                      + METRICS)
 # one parser per CSV_HEADER column, in RunRecord field order
-_CSV_PARSERS = (str, float, float, float, int, int) + (float,) * 6
+_CSV_PARSERS = (str, float, float, float, int, int) + (float,) * len(METRICS)
 
 
 class ConfigError(ValueError):
@@ -119,8 +119,11 @@ class ExperimentConfig:
         if not self.doa_spacing_deg >= 0:
             raise ConfigError("doa_spacing_deg must be >= 0 (0 = default spacing)")
         for name in ("snr_grid_db", "overlap", "decay", "methods"):
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not values:
                 raise ConfigError(f"{name} must not be empty")
+            if len(set(values)) != len(values):  # aggregate() would merge them
+                raise ConfigError(f"{name} has duplicate entries: {values}")
         for grid_idx, point in enumerate(self.grid_points()):
             try:  # ArrayScenario checks m <= n, the DOAs, overlap, decay, SNR
                 self.scenario(grid_idx)
@@ -217,15 +220,11 @@ class RunRecord:
     rmse_a_shrunk: float
     rmse_sigma: float
     tau_mean: float
-    wall_ms: float
 
     def csv_row(self):
-        return (
-            f"{self.method},{self.snr_db:g},{self.overlap:g},{self.decay:g},"
-            f"{self.run},{self.k_hat},{_fmt(self.err_doa)},{_fmt(self.rmse_a0)},"
-            f"{_fmt(self.rmse_a_shrunk)},{_fmt(self.rmse_sigma)},"
-            f"{_fmt(self.tau_mean)},{self.wall_ms:.3f}"
-        )
+        return (f"{self.method},{self.snr_db:g},{self.overlap:g},{self.decay:g},"
+                f"{self.run},{self.k_hat},"
+                + ",".join(_fmt(getattr(self, col)) for col in METRICS))
 
 
 def _fmt(x):
@@ -278,7 +277,6 @@ def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None)
 
     out = []
     for method, (source, rule) in zip(methods, pairs):
-        t0 = time.perf_counter()
         if rule == "map":
             post = (map_order_pca(basis, fd, k_max, scenario.m) if source == "pca"
                     else map_order_scan(fd, peaks[source], k_max, scenario.m,
@@ -298,11 +296,10 @@ def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None)
                 fd, scenario, peaks[source], k_hat, post.tau_mean, truth,
                 true_amps)
         rmse_sigma = abs(math.sqrt(post.sigma2_mean) - sigma_true)
-        wall_ms = (time.perf_counter() - t0) * 1e3
         out.append(
             dict(method=method, k_hat=k_hat, err_doa=err, rmse_a0=r0,
                  rmse_a_shrunk=rs, rmse_sigma=rmse_sigma,
-                 tau_mean=post.tau_mean, wall_ms=wall_ms)
+                 tau_mean=post.tau_mean)
         )
     return out
 
@@ -344,8 +341,11 @@ def write_results(records, path):
 
 def read_results(path):
     """Records of a write_results CSV; a malformed file is a ConfigError."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [line.strip() for line in fh]
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a UTF-8 text file: {exc}") from exc
     if lines[:2] != [CSV_SCHEMA_COMMENT, CSV_HEADER]:
         raise ConfigError(f"{path}: missing the {CSV_SCHEMA_COMMENT!r} header")
     records = []
@@ -379,11 +379,8 @@ def aggregate(records, k_true=None):
             # pca-map rows are all-NaN in the DOA columns; the NaN mean is
             # the intended result, not a condition worth reporting
             warnings.simplefilter("ignore", RuntimeWarning)
-            means = {
-                col: float(np.nanmean([getattr(r, col) for r in rows]))
-                for col in ("err_doa", "rmse_a0", "rmse_a_shrunk",
-                            "rmse_sigma", "tau_mean", "wall_ms")
-            }
+            means = {col: float(np.nanmean([getattr(r, col) for r in rows]))
+                     for col in METRICS}
         k_hats = np.array([r.k_hat for r in rows])
         means["k_hat_mean"] = float(np.mean(k_hats))
         means["k_correct_rate"] = (
@@ -397,16 +394,12 @@ def write_aggregates(records, path, k_true=None):
     agg = aggregate(records, k_true)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(CSV_SCHEMA_COMMENT + " (aggregated)\n")
-        fh.write("method,snr_db,overlap,decay,n_runs,k_hat_mean,k_correct_rate,"
-                 "err_doa,rmse_a0,rmse_a_shrunk,rmse_sigma,tau_mean,wall_ms\n")
+        fh.write(",".join(("method", "snr_db", "overlap", "decay", "n_runs",
+                           "k_hat_mean", "k_correct_rate") + METRICS) + "\n")
         for (key, n, means) in agg:
-            fh.write(
-                f"{key[0]},{key[1]:g},{key[2]:g},{key[3]:g},{n},"
-                f"{means['k_hat_mean']:.6g},{_fmt(means['k_correct_rate'])},"
-                f"{_fmt(means['err_doa'])},{_fmt(means['rmse_a0'])},"
-                f"{_fmt(means['rmse_a_shrunk'])},{_fmt(means['rmse_sigma'])},"
-                f"{_fmt(means['tau_mean'])},{means['wall_ms']:.3f}\n"
-            )
+            fh.write(f"{key[0]},{key[1]:g},{key[2]:g},{key[3]:g},{n},"
+                     f"{means['k_hat_mean']:.6g},{_fmt(means['k_correct_rate'])},"
+                     + ",".join(_fmt(means[col]) for col in METRICS) + "\n")
 
 
 def emit_curves(records, quantity, out_dir):
@@ -414,10 +407,9 @@ def emit_curves(records, quantity, out_dir):
     one curve_<quantity>_<method>_overlap<o>_decay<d>.csv per curve."""
     if not records:
         raise ValueError("empty result table")
-    valid = {"k_hat", "err_doa", "rmse_a0", "rmse_a_shrunk",
-             "rmse_sigma", "tau_mean", "wall_ms"}
+    valid = ("k_hat",) + METRICS
     if quantity not in valid:
-        raise ValueError(f"unknown quantity {quantity!r}; choose from {sorted(valid)}")
+        raise ValueError(f"unknown quantity {quantity!r}; choose from {list(valid)}")
     column = "k_hat_mean" if quantity == "k_hat" else quantity
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -437,12 +429,11 @@ def emit_curves(records, quantity, out_dir):
     return paths
 
 
-def validate_distributions(perturb=0.0, n_mc=20_000, seed=99):
+def validate_distributions(n_mc=20_000, seed=99):
     """Identity suite for the special-function layer.
 
     Returns (passed, checks) where checks is a list of
-    (name, max_error, tolerance, ok).  `perturb` is a test hook that offsets
-    the incomplete-beta values inside the complement check.
+    (name, max_error, tolerance, ok).
     """
     from . import specfun as sf
 
@@ -453,7 +444,7 @@ def validate_distributions(perturb=0.0, n_mc=20_000, seed=99):
     worst = 0.0
     for n in (1, 2, 3, 5, 8, 13, 21, 34, 64):
         for m in (1, 2, 4, 7, 16, 32, 64):
-            ip = sf.reg_inc_beta(p_grid, n, m) + perturb
+            ip = sf.reg_inc_beta(p_grid, n, m)
             ipc = sf.reg_inc_beta(1.0 - p_grid, m, n)
             worst = max(worst, float(np.max(np.abs(ip + ipc - 1.0))))
     checks.append(("complement_identity", worst, 1e-12))

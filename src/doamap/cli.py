@@ -55,6 +55,8 @@ def _build_parser():
 
 
 def _cmd_sweep(args):
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     overrides = {}
     if args.seed is not None:
         overrides["master_seed"] = args.seed
@@ -76,7 +78,7 @@ def _cmd_sweep(args):
     if not out.parent.is_dir():
         raise ConfigError(f"output directory {out.parent} does not exist")
 
-    records = run_sweep(config, jobs=max(1, args.jobs))
+    records = run_sweep(config, jobs=args.jobs)
     try:
         write_results(records, out)
         write_aggregates(records, out.with_name(out.stem + "_agg" + out.suffix),

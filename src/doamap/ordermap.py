@@ -127,8 +127,7 @@ def _finish_posterior(method, stats_list, log_prior, d):
     log_scores = np.full(len(stats_list), -math.inf)
     for k, st in enumerate(stats_list):
         if st is not None:
-            lq = log_q_sum(st.alpha, st.beta, st.q) if k > 0 else 0.0
-            log_scores[k] = lq + log_prior(k)
+            log_scores[k] = log_q_sum(st.alpha, st.beta, st.q) + log_prior(k)
     k_map = int(np.argmax(log_scores))  # argmax takes the smallest K on ties
     pv = posterior_at_order(stats_list[k_map], d)
     return OrderPosterior(
