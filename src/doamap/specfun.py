@@ -11,6 +11,14 @@ counts (hundreds of thousands) never overflow.
 (`log_q_sum`), both conditional pdfs and every moment of a `DominancePair`
 are closed forms around it, and a pair computes its normaliser log I_p once.
 
+Both finite sums (`log_reg_inc_beta` and the upper incomplete gamma series)
+read log Gamma(j) and float(j) from one grow-only module table instead of
+calling `gammaln` per term, and take the log-sum-exp in place with the exact
+operations of scipy's `logsumexp` (Blanchard, Higham & Higham, IMA J. Numer.
+Anal. 41(4), 2021).  Operands and operation order are those of the per-term
+formula, so the results are bit-identical to it.  At paper degrees
+(n + m ~ 4.1e5) the two tables hold about 6.6 MB.
+
 Shapes are restricted to positive integers throughout: the finite-sum
 identities rely on Gamma(n) = (n-1)!.
 """
@@ -21,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaln, gammaln, logsumexp
+from scipy.special import betaln, gammaln
 
 __all__ = [
     "GammaParams",
@@ -41,6 +49,9 @@ __all__ = [
 
 _MAX_EXACT_FACTORIAL = 20
 _FACTORIALS = [math.factorial(i) for i in range(_MAX_EXACT_FACTORIAL + 1)]
+
+# (gammaln(j), float(j)) for j = 0 .. len-1; replaced by longer tables only
+_TABLES = (np.empty(0), np.empty(0))
 
 
 @dataclass(frozen=True)
@@ -97,23 +108,65 @@ def log_gamma(x):
     return math.lgamma(x)
 
 
+def _log_gamma_table(top):
+    """(log_gamma, index) tables covering j = 0 .. top-1 at least.
+
+    log_gamma[j] is gammaln(float(j)) (inf at j = 0) and index[j] is
+    float(j).  gammaln is elementwise, so a slice carries the same bits as
+    the per-term call it replaces, whatever size the table was built at.
+    A larger top rebuilds both tables whole, which peaks lower than
+    appending to them.
+    """
+    global _TABLES
+    log_gamma, index = _TABLES
+    if len(index) < top:
+        index = np.arange(top, dtype=float)
+        log_gamma = gammaln(index)
+        _TABLES = log_gamma, index
+    return log_gamma, index
+
+
+def _logsumexp(t):
+    """log sum exp(t) over the last axis; t is overwritten.
+
+    The operations of scipy's `logsumexp` without its copies: the maximal
+    terms are counted and set aside, the rest are shifted by the max,
+    exponentiated and summed pairwise, and the result is
+    log1p(sum / count) + log(count) + max.  A row of -inf gives -inf.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_max = np.max(t, axis=-1)
+        at_max = t == t_max[..., None]
+        count = np.sum(at_max, axis=-1, dtype=float)
+        np.copyto(t, -np.inf, where=at_max)
+        t -= t_max[..., None]
+        np.exp(t, out=t)
+        out = np.log1p(np.sum(t, axis=-1) / count) + np.log(count) + t_max
+    return np.where(t_max == -np.inf, -np.inf, out)
+
+
 def _log_upper_series(n, x):
     """log of Gamma(n,x)/Gamma(n) = log sum_{k=0}^{n-1} x^k e^{-x} / k!."""
     if x == 0:
         return 0.0
-    k = np.arange(n)
-    return min(float(logsumexp(k * math.log(x) - x - gammaln(k + 1))), 0.0)
+    if x == math.inf:
+        return -math.inf
+    log_gamma, index = _log_gamma_table(n + 1)
+    t = index[:n] * math.log(x)
+    t -= x
+    t -= log_gamma[1:n + 1]
+    return min(float(_logsumexp(t)), 0.0)
 
 
 def reg_lower_inc_gamma(n, x):
     """Regularized lower incomplete gamma gamma(n,x)/Gamma(n), integer n >= 1.
 
     Uses the finite series 1 - sum_{k<n} x^k e^{-x}/k!, with the sum taken in
-    log domain so large x does not overflow.
+    log domain so large x does not overflow; x = inf gives 1.
     """
     if int(n) != n or n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"x must be nonnegative, got {x}")
     if x == 0:
         return 0.0
@@ -126,30 +179,29 @@ def log_reg_inc_beta(p, n, m):
     I_p(n,m) = sum_{i=0}^{m-1} C(n+i-1, i) p^n (1-p)^i, a sum of positive
     terms, so the log-sum-exp evaluation keeps full relative accuracy even
     when I_p underflows.  Accepts scalar or array p.
+
+    The log binomial coefficients are gammaln(n+i) - gammaln(i+1) -
+    gammaln(n) read from the module's log-gamma table, and the log-sum-exp
+    runs in place; both keep the operands and operation order of the
+    per-term formula with scipy's `logsumexp`, so the result is
+    bit-identical to it.  The tables grow to n + m entries, about 6.6 MB
+    at paper degrees.
     """
     if int(n) != n or n < 1 or int(m) != m or m < 1:
         raise ValueError(f"shapes must be positive integers, got n={n}, m={m}")
     p_arr = np.asarray(p, dtype=float)
-    if np.any(p_arr < 0) or np.any(p_arr > 1):
+    if not np.all((p_arr >= 0) & (p_arr <= 1)):
         raise ValueError("p must lie in [0, 1]")
     n, m = int(n), int(m)
-    # At paper degrees each length-m array is ~3 MB.  In-place updates, and
-    # freeing i and tmp before logsumexp makes its own copies, keep at most
-    # three alive; with more, the allocator returns the freed heap top to
-    # the OS and every call faults all its pages in again.
-    i = np.arange(m, dtype=float)
-    log_terms = gammaln(n + i)
-    tmp = i + 1
-    log_terms -= gammaln(tmp, out=tmp)
-    log_terms -= gammaln(n)
+    log_gamma, index = _log_gamma_table(n + m)
+    log_terms = log_gamma[n:n + m] - log_gamma[1:m + 1]
+    log_terms -= log_gamma[n]
     # p = 0 or 1 hits log(0) and 0 * -inf in the terms; both endpoints are
     # overwritten with their exact values below
     with np.errstate(divide="ignore", invalid="ignore"):
         log_terms = log_terms + n * np.log(p_arr)[..., None]
-        log_terms += i * np.log1p(-p_arr)[..., None]
-    del i, tmp
-    out = logsumexp(log_terms, axis=-1)
-    out = np.minimum(out, 0.0)
+        log_terms += index[:m] * np.log1p(-p_arr)[..., None]
+    out = np.minimum(_logsumexp(log_terms), 0.0)
     # exact endpoints: I_0 = 0, I_1 = 1
     out = np.where(p_arr == 1.0, 0.0, out)
     if out.ndim == 0:

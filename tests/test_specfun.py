@@ -5,11 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import betainc, gammaln, logsumexp
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import invgamma as invgamma_dist
 
+from doamap import specfun
 from doamap.ordermap import posterior_variances
 from doamap.specfun import (
     DominancePair,
@@ -27,6 +30,31 @@ from doamap.specfun import (
     sample_dominance_pair,
 )
 from doamap.subspace import ProjectionStats
+
+# validate_distributions' p grid, the only array-p caller
+P_GRID = np.linspace(0.01, 0.99, 99)
+
+
+def _oracle_log_reg_inc_beta(p, n, m):
+    """The per-term formula the kernel replaced: gammaln per term plus
+    scipy's logsumexp.  The kernel must return its bits exactly."""
+    p_arr = np.asarray(p, dtype=float)
+    i = np.arange(m, dtype=float)
+    log_terms = gammaln(n + i) - gammaln(i + 1) - gammaln(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_terms = log_terms + n * np.log(p_arr)[..., None]
+        log_terms += i * np.log1p(-p_arr)[..., None]
+    out = np.minimum(logsumexp(log_terms, axis=-1), 0.0)
+    out = np.where(p_arr == 1.0, 0.0, out)
+    return float(out) if out.ndim == 0 else out
+
+
+def _oracle_log_upper_series(n, x):
+    """Per-term log Gamma(n,x)/Gamma(n) with scipy's logsumexp."""
+    if x == 0:
+        return 0.0
+    k = np.arange(n)
+    return min(float(logsumexp(k * math.log(x) - x - gammaln(k + 1))), 0.0)
 
 
 class TestLogGamma:
@@ -66,6 +94,14 @@ class TestRegLowerIncGamma:
         with pytest.raises(ValueError):
             reg_lower_inc_gamma(2, -1.0)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="x must be nonnegative"):
+            reg_lower_inc_gamma(3, math.nan)
+
+    def test_infinite_x_is_one(self):
+        for n in (1, 4, 500):
+            assert reg_lower_inc_gamma(n, math.inf) == 1.0
+
 
 class TestRegIncBeta:
     def test_uniform_cdf(self):
@@ -98,6 +134,59 @@ class TestRegIncBeta:
             reg_inc_beta(1.2, 2, 2)
         with pytest.raises(ValueError):
             reg_inc_beta(-0.1, 2, 2)
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
+            log_reg_inc_beta(math.nan, 2, 3)
+        with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
+            log_reg_inc_beta(np.array([0.2, math.nan]), 2, 3)
+
+
+class TestKernelBitIdentity:
+    """The table-and-in-place kernel returns the per-term formula's bits."""
+
+    @pytest.mark.parametrize("n, m", [(40960, 368640), (2048, 407552), (512, 15872)])
+    @pytest.mark.parametrize("p", [0.0, 1e-300, 0.5, 1.0 - 1e-16, 1.0])
+    def test_paper_degrees(self, n, m, p):
+        assert log_reg_inc_beta(p, n, m) == _oracle_log_reg_inc_beta(p, n, m)
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (8, 2), (13, 64), (64, 7), (512, 15872)])
+    def test_array_p(self, n, m):
+        for grid in (P_GRID, 1.0 - P_GRID, np.array([0.0, 0.4, 1.0])):
+            got = log_reg_inc_beta(grid, n, m)
+            assert got.shape == grid.shape
+            assert np.array_equal(got, _oracle_log_reg_inc_beta(grid, n, m))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 30, 200, 3000])
+    @pytest.mark.parametrize("x", [1e-300, 1e-6, 0.4, 3.0, 45.0, 800.0, 1e6])
+    def test_upper_series_and_lower_gamma(self, n, x):
+        expected = _oracle_log_upper_series(n, x)
+        assert specfun._log_upper_series(n, x) == expected
+        assert reg_lower_inc_gamma(n, x) == float(-np.expm1(expected))
+
+    def test_table_growth_order(self):
+        # large, then small, then larger than any table so far: growing the
+        # table must not change the bits of entries it already held
+        large = log_reg_inc_beta(0.3, 40960, 368640)
+        small = log_reg_inc_beta(0.3, 5, 9)
+        before = len(specfun._TABLES[1])
+        n, m = 1000, before + 5000
+        grown = log_reg_inc_beta(0.999, n, m)
+        assert len(specfun._TABLES[1]) > before
+        assert grown == _oracle_log_reg_inc_beta(0.999, n, m)
+        assert log_reg_inc_beta(0.3, 40960, 368640) == large
+        assert log_reg_inc_beta(0.3, 5, 9) == small
+        assert large == _oracle_log_reg_inc_beta(0.3, 40960, 368640)
+        assert small == _oracle_log_reg_inc_beta(0.3, 5, 9)
+
+    @given(n=st.integers(1, 40_000), m=st.integers(1, 400_000),
+           p=st.floats(0.0, 1.0))
+    def test_property_matches_oracle(self, n, m, p):
+        assert log_reg_inc_beta(p, n, m) == _oracle_log_reg_inc_beta(p, n, m)
+
+    @given(n=st.integers(1, 2000), x=st.floats(0.0, 1e5))
+    def test_property_upper_series(self, n, x):
+        assert specfun._log_upper_series(n, x) == _oracle_log_upper_series(n, x)
 
 
 class TestProbDominance:
