@@ -6,24 +6,19 @@ from .arraysim import (
     TimeData,
     amplitude_matrix,
     default_scenario,
-    doa_to_omega,
     fft_reduce,
     steering_matrix,
-    steering_vector,
     synth_freq,
     synth_time,
 )
-from .metrics import DoaEstimate, err_doa, rmse_amplitude, rmse_scalar, snr_db
+from .metrics import DoaEstimate, err_doa, rmse_amplitude
 from .ordermap import (
-    AmplitudeEstimates,
     OrderPosterior,
     aic_order,
-    log_f_y_k0,
     log_stiefel_volume,
     map_order_pca,
     map_order_scan,
     posterior_variances,
-    shrink_amplitudes,
 )
 from .specfun import (
     DominancePair,
@@ -37,7 +32,6 @@ from .specfun import (
     prob_dominance,
     reg_inc_beta,
     reg_lower_inc_gamma,
-    sample_dominance_pair,
 )
 from .subspace import (
     EigenBasis,
@@ -46,7 +40,6 @@ from .subspace import (
     dtft_spectrum,
     eigendecompose,
     music_pseudospectrum,
-    pca_basis,
     pick_peaks,
     projection_stats,
     sample_covariance,

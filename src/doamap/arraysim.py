@@ -22,9 +22,7 @@ __all__ = [
     "ArrayScenario",
     "TimeData",
     "FreqData",
-    "steering_vector",
     "steering_matrix",
-    "doa_to_omega",
     "amplitude_matrix",
     "default_doas",
     "default_scenario",
@@ -76,27 +74,12 @@ class FreqData:
     noise_var_freq: float  # per-entry complex noise variance in y
 
 
-def doa_to_omega(phi_deg):
-    """Spatial frequency omega = pi*cos(phi), mapped into [-pi, pi)."""
-    phi = np.asarray(phi_deg, dtype=float)
-    if np.any(phi < 0.0) or np.any(phi >= 180.0):
-        raise ValueError("arrival angle must lie in [0, 180)")
-    omega = np.pi * np.cos(np.deg2rad(phi))
-    omega = np.where(omega >= np.pi, omega - 2 * np.pi, omega)
-    if omega.ndim == 0:
-        return float(omega)
-    return omega
-
-
-def steering_vector(omega, d):
-    """Array response v_d = exp(j*omega*d), d = 1..D; squared norm is D."""
-    if d < 1:
-        raise ValueError("need at least one sensor")
-    return np.exp(1j * omega * np.arange(1, d + 1))
-
-
 def steering_matrix(doa_deg, d):
-    """D x K steering matrix for arrival angles in degrees."""
+    """D x K steering matrix for arrival angles in degrees.
+
+    Column k is exp(j*omega_k*d), d = 1..D, with omega_k = pi*cos(phi_k)
+    mapped into [-pi, pi); each column has squared norm D.
+    """
     angles = np.atleast_1d(np.asarray(doa_deg, dtype=float))
     omegas = np.pi * np.cos(np.deg2rad(angles))
     omegas = np.where(omegas >= np.pi, omegas - 2 * np.pi, omegas)

@@ -1,4 +1,4 @@
-"""Evaluation metrics: DOA error rate, amplitude RMSE, scalar RMSE, SNR."""
+"""Evaluation metrics: the DOA error rate and the amplitude RMSE."""
 
 from __future__ import annotations
 
@@ -11,8 +11,6 @@ __all__ = [
     "DoaEstimate",
     "err_doa",
     "rmse_amplitude",
-    "rmse_scalar",
-    "snr_db",
 ]
 
 
@@ -90,23 +88,3 @@ def rmse_amplitude(est_amps, est_doas, true_amps, true_doas):
         prev = angle
     total += (180.0 - prev) * float(np.sum(diff**2))
     return math.sqrt(total / m)
-
-
-def rmse_scalar(estimates, truth):
-    """Root mean squared deviation of a list of estimates from one truth."""
-    est = np.asarray(estimates, dtype=float)
-    if est.size == 0:
-        raise ValueError("need at least one estimate")
-    return float(np.sqrt(np.mean((est - truth) ** 2)))
-
-
-def snr_db(amplitudes, sigma0_sq):
-    """10*log10(max_k |a_k|^2/M / sigma0^2), the max per-tone power over
-    projected noise variance."""
-    a = np.atleast_2d(np.asarray(amplitudes))
-    if a.shape[0] == 0:
-        raise ValueError("need at least one source")
-    if not sigma0_sq > 0:
-        raise ValueError("sigma0^2 must be positive")
-    peak = float(np.max(np.sum(np.abs(a) ** 2, axis=1)) / a.shape[1])
-    return 10.0 * math.log10(peak / sigma0_sq)

@@ -21,15 +21,12 @@ from .subspace import EigenBasis, ProjectionStats, projection_stats
 
 __all__ = [
     "OrderPosterior",
-    "AmplitudeEstimates",
     "PosteriorVariances",
     "log_stiefel_volume",
-    "log_f_y_k0",
     "posterior_variances",
     "posterior_at_order",
     "map_order_pca",
     "map_order_scan",
-    "shrink_amplitudes",
     "aic_order",
 ]
 
@@ -38,10 +35,7 @@ __all__ = [
 class PosteriorVariances:
     ra_mean: float          # posterior mean signal-plus-noise variance
     sigma2_mean: float      # posterior mean noise variance
-    sigma02_mean: float     # projected noise variance sigma2_mean / D
-    tau_mean: float         # noise-to-signal percentage sigma02/ra
-    ra_approx: float        # large-degree approximation (s/D)/(K*M)
-    sigma2_approx: float    # large-degree approximation t/((D-K)*M)
+    tau_mean: float         # noise-to-signal percentage (sigma2_mean/D)/ra_mean
 
 
 @dataclass(frozen=True)
@@ -58,19 +52,11 @@ class OrderPosterior:
     rank_deficient_k: tuple = ()
 
 
-@dataclass(frozen=True)
-class AmplitudeEstimates:
-    a0: np.ndarray        # least-squares amplitudes V+ Y
-    a_shrunk: np.ndarray  # shrunk estimate (1 - tau) * A0
-
-
-def log_stiefel_volume(d, k, radius=None):
-    """log volume of {V in C^(D x K): V^H V = R^2 I}, default radius sqrt(D)."""
+def log_stiefel_volume(d, k):
+    """log volume of {V in C^(D x K): V^H V = R^2 I} at radius R = sqrt(D)."""
     if not 0 <= k <= d:
         raise ValueError(f"need 0 <= K <= D, got K={k}, D={d}")
-    if radius is None:
-        radius = math.sqrt(d)
-    log_r2 = 2.0 * math.log(radius)
+    log_r2 = 2.0 * math.log(math.sqrt(d))
     return float(
         sum(
             math.log(2.0) + i * (math.log(math.pi) + log_r2)
@@ -80,34 +66,18 @@ def log_stiefel_volume(d, k, radius=None):
     )
 
 
-def log_f_y_k0(norm2_y, d, m):
-    """log marginal likelihood of pure noise: Gamma(DM) / (pi^DM |Y|^(2DM))."""
-    if not norm2_y > 0:
-        raise ValueError("data energy must be positive")
-    dm = d * m
-    return log_gamma(dm) - dm * math.log(math.pi) - dm * math.log(norm2_y)
-
-
 def posterior_variances(stats: ProjectionStats, d):
     """Posterior mean variances and the noise-to-signal percentage.
 
     The exact means are the first moments of the inverse-gamma pair
     X = D*ra, Y = sigma2 conditioned on X >= Y, so they need alpha > 1 and
-    beta > 1; the large-degree approximations are exposed alongside for
-    cross-checking.
+    beta > 1.
     """
     pair = DominancePair(stats.alpha, stats.beta, stats.s, stats.t)
     ra = double_moment(pair, 1, "invgamma", "x") / d
     sigma2 = double_moment(pair, 1, "invgamma", "y")
-    sigma02 = sigma2 / d
-    return PosteriorVariances(
-        ra_mean=ra,
-        sigma2_mean=sigma2,
-        sigma02_mean=sigma02,
-        tau_mean=sigma02 / ra,
-        ra_approx=(stats.s / d) / stats.alpha,
-        sigma2_approx=stats.t / stats.beta,
-    )
+    return PosteriorVariances(ra_mean=ra, sigma2_mean=sigma2,
+                              tau_mean=sigma2 / d / ra)
 
 
 def posterior_at_order(stats: ProjectionStats, d):
@@ -116,9 +86,7 @@ def posterior_at_order(stats: ProjectionStats, d):
     if stats.alpha > 0:
         return posterior_variances(stats, d)
     sigma2 = stats.t / (stats.beta - 1)
-    return PosteriorVariances(ra_mean=math.nan, sigma2_mean=sigma2,
-                              sigma02_mean=sigma2 / d, tau_mean=1.0,
-                              ra_approx=math.nan, sigma2_approx=stats.t / stats.beta)
+    return PosteriorVariances(ra_mean=math.nan, sigma2_mean=sigma2, tau_mean=1.0)
 
 
 def _finish_posterior(method, stats_list, log_prior, d):
@@ -142,12 +110,12 @@ def _finish_posterior(method, stats_list, log_prior, d):
     )
 
 
-def map_order_pca(basis: EigenBasis, freq_or_y, k_max, m):
+def map_order_pca(basis: EigenBasis, y, k_max, m):
     """MAP order for the PCA pipeline: eigenvector bases, Stiefel prior.
 
-    The top-K eigenvectors of R = Y Y^H capture the top-K eigenvalue sum.
+    The top-K eigenvectors of R = Y Y^H of the D x M data Y capture the
+    top-K eigenvalue sum.
     """
-    y = getattr(freq_or_y, "y", freq_or_y)
     d = basis.eigvecs.shape[0]
     if k_max >= d:
         raise ValueError(f"K_max must be < D, got K_max={k_max}, D={d}")
@@ -159,18 +127,18 @@ def map_order_pca(basis: EigenBasis, freq_or_y, k_max, m):
                              lambda k: -log_stiefel_volume(d, k), d)
 
 
-def map_order_scan(freq_or_y, peak_angles_deg, k_max, m, prior="music"):
-    """MAP order for spectrum pipelines: nested top-K steering prefixes.
+def map_order_scan(y, peaks, k_max, m, prior="music"):
+    """MAP order for spectrum pipelines on the D x M data Y: nested top-K
+    steering prefixes.
 
-    peak_angles_deg is the height-ordered candidate list (as returned by
-    pick_peaks); prefix K uses its first K entries.  The DOA prior
+    peaks is pick_peaks' height-ordered list of (angle, height) pairs;
+    prefix K uses the angles of its first K entries.  The DOA prior
     contributes -K*log(2*pi) for both the MUSIC and DTFT spectra.  A
     rank-deficient prefix (coincident peaks) scores -inf and is flagged.
     """
     if prior not in ("music", "dtft"):
         raise ValueError(f"prior must be 'music' or 'dtft', got {prior!r}")
-    y = getattr(freq_or_y, "y", freq_or_y)
-    angles = [a[0] if isinstance(a, tuple) else float(a) for a in peak_angles_deg]
+    angles = [angle for angle, _height in peaks]
     if k_max > 0 and not angles:
         raise ValueError("empty peak list with K_max > 0")
     stats_list = []
@@ -182,12 +150,6 @@ def map_order_scan(freq_or_y, peak_angles_deg, k_max, m, prior="music"):
             stats_list.append(None)
     return _finish_posterior(prior, stats_list,
                              lambda k: -k * math.log(2.0 * math.pi), y.shape[0])
-
-
-def shrink_amplitudes(a0, tau_mean):
-    """Calibrated amplitude estimate (1 - tau) * A0 next to the raw A0."""
-    a0 = np.asarray(a0)
-    return AmplitudeEstimates(a0=a0, a_shrunk=(1.0 - tau_mean) * a0)
 
 
 def aic_order(eigvals, m, k_max):

@@ -43,7 +43,6 @@ __all__ = [
     "double_gamma_pdf",
     "double_invgamma_pdf",
     "double_moment",
-    "sample_dominance_pair",
     "dominance_frequency",
 ]
 
@@ -306,13 +305,6 @@ def double_moment(pair: DominancePair, k, family, which):
     plain = ratio / rate**k if family == "gamma" else rate**k / ratio
     a_k, b_k = (shifted, b) if which == "x" else (a, shifted)
     return plain * math.exp(log_reg_inc_beta(pair.p, a_k, b_k) - pair.log_ip)
-
-
-def sample_dominance_pair(params_x: GammaParams, params_y: GammaParams, rng):
-    """One draw of the independent pair (X, Y) plus the indicator X <= Y."""
-    x = rng.gamma(params_x.shape, 1.0 / params_x.rate)
-    y = rng.gamma(params_y.shape, 1.0 / params_y.rate)
-    return x, y, bool(x <= y)
 
 
 def dominance_frequency(params_x: GammaParams, params_y: GammaParams, n, rng):

@@ -20,7 +20,6 @@ __all__ = [
     "ProjectionStats",
     "sample_covariance",
     "eigendecompose",
-    "pca_basis",
     "dtft_spectrum",
     "music_pseudospectrum",
     "pick_peaks",
@@ -56,20 +55,17 @@ class ProjectionStats:
     """Energy split of Y on a K-dimensional basis plus degree counts.
 
     s = |V A0|^2, t = |H0|^2 (clamped away from zero), alpha = K*M,
-    beta = (D-K)*M.  q is stored as t/(s+t) and p as 1-q so p + q == 1.
+    beta = (D-K)*M, and the residual share q = t/(s+t).
     """
 
     s: float
     t: float
     alpha: int
     beta: int
-    p: float = field(init=False)
     q: float = field(init=False)
 
     def __post_init__(self):
-        q = self.t / (self.s + self.t)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", 1.0 - q)
+        object.__setattr__(self, "q", self.t / (self.s + self.t))
 
     @classmethod
     def from_energy(cls, s, norm2_y, k, d, m):
@@ -78,9 +74,8 @@ class ProjectionStats:
         return cls(s=s, t=t, alpha=k * m, beta=(d - k) * m)
 
 
-def sample_covariance(freq_or_y):
-    """Hermitian sample covariance Y Y^H (symmetrized)."""
-    y = getattr(freq_or_y, "y", freq_or_y)
+def sample_covariance(y):
+    """Hermitian sample covariance Y Y^H (symmetrized) of the D x M data."""
     r = y @ y.conj().T
     return (r + r.conj().T) / 2.0
 
@@ -109,11 +104,6 @@ def eigendecompose(cov):
         if abs(pivot) > 0:
             vecs[:, j] *= np.conj(pivot) / abs(pivot)
     return EigenBasis(eigvecs=vecs, eigvals=vals)
-
-
-def pca_basis(basis: EigenBasis, k):
-    """First k eigenvectors (unit columns; scale by sqrt(D) for radius-D use)."""
-    return basis.eigvecs[:, :k]
 
 
 def dtft_spectrum(cov, grid_deg):
@@ -175,14 +165,13 @@ def _name_dependent_columns(v):
     return min(i, j), max(i, j)
 
 
-def projection_stats(freq_or_y, v, m):
-    """Energy split of Y on basis V via an SVD least-squares fit.
+def projection_stats(y, v, m):
+    """Energy split of the D x M data Y on basis V via an SVD least-squares fit.
 
     Never forms (V^H V)^-1; rank deficiency (smallest singular value below
     1e-10 of the largest) is an error naming the offending column pair.
     K = 0 is the pure-noise convention (s = 0, t = |Y|^2).
     """
-    y = getattr(freq_or_y, "y", freq_or_y)
     d = y.shape[0]
     norm2_y = float(np.sum(np.abs(y) ** 2))
     k = 0 if v is None else v.shape[1]

@@ -10,11 +10,9 @@ from doamap.arraysim import (
     amplitude_matrix,
     default_doas,
     default_scenario,
-    doa_to_omega,
     fft_reduce,
     noise_variances,
     steering_matrix,
-    steering_vector,
     synth_freq,
     synth_time,
 )
@@ -23,50 +21,53 @@ from doamap.arraysim import tone_grid
 
 class TestGeometry:
     def test_omega_endpoints(self):
-        assert doa_to_omega(90.0) == pytest.approx(0.0, abs=1e-15)
-        assert doa_to_omega(0.0) == pytest.approx(-math.pi)  # wrapped from +pi
-        assert doa_to_omega(60.0) == pytest.approx(math.pi / 2.0, rel=1e-14)
+        # first-sensor phase of each column is omega = pi*cos(phi)
+        v = steering_matrix([90.0, 0.0, 60.0], 6)
+        np.testing.assert_allclose(v[:, 0], 1.0, rtol=0, atol=1e-14)
+        assert np.angle(v[0, 1]) == pytest.approx(-math.pi)  # wrapped from +pi
+        assert np.angle(v[0, 2]) == pytest.approx(math.pi / 2.0, rel=1e-14)
 
     def test_omega_in_range(self):
-        omega = doa_to_omega(np.linspace(0.0, 179.999, 1000))
+        # an unwrapped omega = +pi at 0 degrees would read np.angle == pi
+        v = steering_matrix(np.linspace(0.0, 179.999, 1000), 1)
+        omega = np.angle(v[0])
         assert np.all(omega >= -math.pi) and np.all(omega < math.pi)
 
-    def test_omega_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            doa_to_omega(180.0)
-        with pytest.raises(ValueError):
-            doa_to_omega(-1.0)
-
     def test_steering_vector_norm_and_phase(self):
-        v = steering_vector(0.3, 16)
-        assert np.linalg.norm(v) ** 2 == pytest.approx(16.0, rel=1e-13)
-        assert v[0] == pytest.approx(np.exp(0.3j))
+        v = steering_matrix([0.0, 37.0, 90.0, 151.5, 179.9], 16)
+        norms = np.sum(np.abs(v) ** 2, axis=0)
+        np.testing.assert_allclose(norms, 16.0, rtol=1e-13)
+        omega = math.pi * math.cos(math.radians(37.0))
+        assert v[0, 1] == pytest.approx(np.exp(1j * omega))
 
     def test_steering_vector_zero_frequency(self):
-        assert np.allclose(steering_vector(0.0, 5), np.ones(5))
+        assert np.allclose(steering_matrix([90.0], 5)[:, 0], np.ones(5))
 
     def test_steering_matrix_matches_vector(self):
         v_mat = steering_matrix([40.0, 120.0], 8)
         for col, phi in zip(v_mat.T, (40.0, 120.0)):
-            assert np.allclose(col, steering_vector(doa_to_omega(phi), 8))
+            omega = math.pi * math.cos(math.radians(phi))
+            assert np.allclose(col, np.exp(1j * omega * np.arange(1, 9)))
 
     def test_on_grid_steering_orthogonality(self):
         # omega on the length-D DFT grid makes steering vectors orthogonal
         d = 16
-        v1 = steering_vector(2 * math.pi * 3 / d, d)
-        v2 = steering_vector(2 * math.pi * 7 / d, d)
+        phis = [math.degrees(math.acos(2.0 * j / d)) for j in (3, 7)]
+        v1, v2 = steering_matrix(phis, d).T
         assert abs(np.vdot(v1, v2)) <= 1e-10
 
     def test_dtft_kernel_identity(self):
-        # |v(w1)^H v(w2)| = |sin(D dw/2) / sin(dw/2)|
+        # |v(w1)^H v(w2)| = |sin(D dw/2) / sin(dw/2)|, w = pi*cos(phi)
         rng = np.random.default_rng(7)
         d = 23
         for _ in range(200):
-            w1, w2 = rng.uniform(-math.pi, math.pi, 2)
+            phis = rng.uniform(0.0, 180.0, 2)
+            w1, w2 = np.pi * np.cos(np.deg2rad(phis))
             dw = w1 - w2
             if abs(math.sin(dw / 2)) < 1e-9:
                 continue
-            inner = abs(np.vdot(steering_vector(w1, d), steering_vector(w2, d)))
+            v1, v2 = steering_matrix(phis, d).T
+            inner = abs(np.vdot(v1, v2))
             expect = abs(math.sin(d * dw / 2) / math.sin(dw / 2))
             assert inner == pytest.approx(expect, abs=1e-8 * d)
 

@@ -1,10 +1,14 @@
 """Tests for the sweep configuration, Monte Carlo harness, CSV I/O, and CLI."""
 
+import importlib
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from doamap import bench
 from doamap.bench import (
     CSV_HEADER,
     METRICS,
@@ -242,6 +246,57 @@ class TestRunSingle:
         rows = run_single(sc, 5, 2.0, ("music-known-k", "dtft-known-k"),
                           rng=np.random.default_rng(1))
         assert all(r["k_hat"] == 2 for r in rows)
+
+
+def _load_tracing():
+    """perfbench/tracing.py, loaded from its file without touching sys.path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkContract:
+    """perfbench/run.py --trace 1 wraps the functions named in its TRACED
+    table and binds their arguments in count functions; a rename, removal
+    or signature change in the package must fail here, not in the benchmark."""
+
+    # TRACED layers that one run_single draw does not reach
+    NOT_IN_DRAW = {"bench.write_results", "bench.write_aggregates",
+                   "bench.validate_distributions"}
+    METHODS = ("pca-map", "music-map", "dtft-map", "music-aic",
+               "music-known-k", "dtft-known-k")
+
+    def test_traced_functions_resolve(self):
+        tracing = _load_tracing()
+        for mod_name, fn_name in tracing.TRACED:
+            module = importlib.import_module(f"doamap.{mod_name}")
+            assert callable(getattr(module, fn_name, None)), (mod_name, fn_name)
+
+    def test_traced_draw(self):
+        from doamap.arraysim import default_scenario
+
+        tracing = _load_tracing()
+        sc = default_scenario(d=16, k=2, m=64, n=64, snr_db=20.0, seed=0)
+        untraced = run_single(sc, 5, 2.0, self.METHODS,
+                              rng=np.random.default_rng(0))
+        tracer = tracing.Tracer()
+        with tracing.instrument(tracer), tracer.op_span():
+            # through the module attribute, which instrument() patches
+            traced = bench.run_single(sc, 5, 2.0, self.METHODS,
+                                      rng=np.random.default_rng(0))
+        # a count function that raised inside a caught call would change rows
+        assert repr(traced) == repr(untraced)
+        for mod_name, fn_name in tracing.TRACED:
+            name = f"{mod_name}.{fn_name}"
+            if name not in self.NOT_IN_DRAW:
+                assert tracer.counts[name, "calls"] > 0, name
+        layers = tracing.layer_metrics([tracer], [1], 1)
+        assert layers["ordermap.candidates_scored"] > 0
+        assert layers["specfun.log_q_sum.terms"] > 0
+        assert layers["specfun.log_reg_inc_beta.terms"] > 0
+        assert layers["subspace.dtft_spectrum.gflop_computed"] > 0
 
 
 class TestSweep:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from doamap.metrics import DoaEstimate, err_doa, rmse_amplitude, rmse_scalar, snr_db
+from doamap.metrics import DoaEstimate, err_doa, rmse_amplitude
 
 
 class TestDoaEstimate:
@@ -123,30 +123,3 @@ class TestRmseAmplitude:
         with pytest.raises(ValueError):
             rmse_amplitude(np.ones((2, 3)), (10.0,), np.ones((1, 3)), (10.0,))
 
-
-class TestScalarRmse:
-    def test_single_value(self):
-        assert rmse_scalar([3.0], 1.0) == pytest.approx(2.0)
-
-    def test_mean_of_squares(self):
-        assert rmse_scalar([0.0, 2.0], 1.0) == pytest.approx(1.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            rmse_scalar([], 1.0)
-
-
-class TestSnrDb:
-    def test_unit_power_unit_noise(self):
-        assert snr_db(np.ones((1, 4)), 1.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_ten_db(self):
-        assert snr_db(np.sqrt(10.0) * np.ones((1, 4)), 1.0) == pytest.approx(10.0)
-
-    def test_max_over_sources(self):
-        amps = np.array([[1.0, 1.0], [3.0, 3.0]])
-        assert snr_db(amps, 1.0) == pytest.approx(10.0 * math.log10(9.0))
-
-    def test_rejects_bad_noise(self):
-        with pytest.raises(ValueError):
-            snr_db(np.ones((1, 2)), 0.0)

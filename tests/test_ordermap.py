@@ -13,12 +13,10 @@ from doamap.arraysim import (
 )
 from doamap.ordermap import (
     aic_order,
-    log_f_y_k0,
     log_stiefel_volume,
     map_order_pca,
     map_order_scan,
     posterior_variances,
-    shrink_amplitudes,
 )
 from doamap.specfun import log_q_sum
 from doamap.subspace import (
@@ -36,8 +34,8 @@ GRID = np.arange(0.0, 180.0, 0.5)
 
 class TestStiefelVolume:
     def test_unit_circle(self):
-        # D = K = 1, R = 1: the set is the unit circle in C, volume 2*pi
-        assert log_stiefel_volume(1, 1, radius=1.0) == pytest.approx(
+        # D = K = 1, R = sqrt(D) = 1: the set is the unit circle in C, volume 2*pi
+        assert log_stiefel_volume(1, 1) == pytest.approx(
             math.log(2 * math.pi), rel=1e-14
         )
 
@@ -46,11 +44,11 @@ class TestStiefelVolume:
 
     def test_product_form(self):
         # direct product oracle: prod_{k=D-K+1}^{D} 2 (pi R^2)^k / (Gamma(k) R)
-        d, k, r = 4, 2, 2.0
+        d, k, r = 4, 2, 2.0  # R = sqrt(D)
         expect = 1.0
         for i in range(d - k + 1, d + 1):
             expect *= 2.0 * (math.pi * r * r) ** i / (math.gamma(i) * r)
-        assert log_stiefel_volume(d, k, radius=r) == pytest.approx(
+        assert log_stiefel_volume(d, k) == pytest.approx(
             math.log(expect), rel=1e-12
         )
 
@@ -63,26 +61,15 @@ class TestStiefelVolume:
             log_stiefel_volume(4, 5)
 
 
-class TestPureNoiseLikelihood:
-    def test_matches_direct_formula(self):
-        val = log_f_y_k0(2.5, 3, 4)
-        dm = 12
-        expect = math.lgamma(dm) - dm * math.log(math.pi) - dm * math.log(2.5)
-        assert val == pytest.approx(expect, rel=1e-13)
-
-    def test_rejects_zero_energy(self):
-        with pytest.raises(ValueError):
-            log_f_y_k0(0.0, 3, 4)
-
-
 class TestPosteriorVariances:
     def test_large_degree_matches_approximation(self):
         st = ProjectionStats(s=500.0, t=300.0, alpha=2000, beta=6000)
         pv = posterior_variances(st, d=8)
-        assert pv.ra_mean == pytest.approx(pv.ra_approx, rel=0.01)
-        assert pv.sigma2_mean == pytest.approx(pv.sigma2_approx, rel=0.01)
-        assert pv.sigma02_mean == pytest.approx(pv.sigma2_mean / 8.0, rel=1e-12)
-        assert pv.tau_mean == pytest.approx(pv.sigma02_mean / pv.ra_mean, rel=1e-12)
+        # large-degree approximations (s/D)/(K*M) and t/((D-K)*M)
+        assert pv.ra_mean == pytest.approx((st.s / 8) / st.alpha, rel=0.01)
+        assert pv.sigma2_mean == pytest.approx(st.t / st.beta, rel=0.01)
+        assert pv.tau_mean == pytest.approx(pv.sigma2_mean / 8.0 / pv.ra_mean,
+                                            rel=1e-12)
 
     def test_tau_below_one_on_signal_data(self):
         # whenever the per-dimension signal energy exceeds the per-dimension
@@ -119,8 +106,8 @@ class TestMapOrderPca:
     def test_recovers_k_on_clean_data(self):
         sc = default_scenario(d=32, k=3, m=512, n=512, snr_db=20.0, seed=0)
         fd = synth_freq(sc)
-        basis = eigendecompose(sample_covariance(fd))
-        post = map_order_pca(basis, fd, k_max=10, m=sc.m)
+        basis = eigendecompose(sample_covariance(fd.y))
+        post = map_order_pca(basis, fd.y, k_max=10, m=sc.m)
         assert post.k_map == 3
         assert len(post.log_scores) == 11
         assert post.method == "pca"
@@ -132,16 +119,16 @@ class TestMapOrderPca:
         for seed in range(10):
             sc = default_scenario(d=32, k=0, m=512, n=512, snr_db=0.0, seed=seed)
             fd = synth_freq(sc)
-            basis = eigendecompose(sample_covariance(fd))
-            post = map_order_pca(basis, fd, k_max=10, m=sc.m)
+            basis = eigendecompose(sample_covariance(fd.y))
+            post = map_order_pca(basis, fd.y, k_max=10, m=sc.m)
             hats.append(post.k_map)
         assert max(hats) <= 1
 
     def test_k0_posterior_conventions(self):
         sc = default_scenario(d=16, k=0, m=256, n=256, snr_db=0.0, seed=1)
         fd = synth_freq(sc)
-        basis = eigendecompose(sample_covariance(fd))
-        post = map_order_pca(basis, fd, k_max=5, m=sc.m)
+        basis = eigendecompose(sample_covariance(fd.y))
+        post = map_order_pca(basis, fd.y, k_max=5, m=sc.m)
         if post.k_map == 0:
             assert math.isnan(post.ra_mean)
             assert post.tau_mean == 1.0
@@ -163,51 +150,42 @@ class TestMapOrderPca:
 class TestMapOrderScan:
     def _peaks(self, fd, kind, k_max=10):
         if kind == "dtft":
-            return pick_peaks(dtft_spectrum(sample_covariance(fd), GRID), k_max)
-        basis = eigendecompose(sample_covariance(fd))
+            return pick_peaks(dtft_spectrum(sample_covariance(fd.y), GRID), k_max)
+        basis = eigendecompose(sample_covariance(fd.y))
         return pick_peaks(music_pseudospectrum(basis, k_max, GRID), k_max)
 
     def test_k0_score_is_zero(self):
         sc = default_scenario(d=16, k=1, m=128, n=128, snr_db=10.0, seed=2)
         fd = synth_freq(sc)
-        post = map_order_scan(fd, self._peaks(fd, "dtft"), 5, sc.m, prior="dtft")
+        post = map_order_scan(fd.y, self._peaks(fd, "dtft"), 5, sc.m, prior="dtft")
         assert post.log_scores[0] == 0.0
 
     def test_single_source_selected(self):
         sc = default_scenario(d=32, k=1, m=256, n=256, snr_db=15.0, seed=3)
         fd = synth_freq(sc)
         for kind in ("music", "dtft"):
-            post = map_order_scan(fd, self._peaks(fd, kind), 8, sc.m, prior=kind)
+            post = map_order_scan(fd.y, self._peaks(fd, kind), 8, sc.m, prior=kind)
             assert post.k_map == 1
             assert post.log_scores[1] > post.log_scores[0]
-
-    def test_accepts_bare_angles(self):
-        sc = default_scenario(d=16, k=1, m=64, n=64, snr_db=15.0, seed=4)
-        fd = synth_freq(sc)
-        peaks = self._peaks(fd, "dtft")
-        bare = [p[0] for p in peaks]
-        a = map_order_scan(fd, peaks, 5, sc.m, prior="dtft")
-        b = map_order_scan(fd, bare, 5, sc.m, prior="dtft")
-        np.testing.assert_array_equal(a.log_scores, b.log_scores)
 
     def test_k_max_capped_by_peak_count(self):
         sc = default_scenario(d=16, k=1, m=64, n=64, snr_db=240.0, seed=5)
         fd = synth_freq(sc)
-        post = map_order_scan(fd, [sc.doa_deg[0]], 10, sc.m, prior="dtft")
+        post = map_order_scan(fd.y, [(sc.doa_deg[0], 1.0)], 10, sc.m, prior="dtft")
         assert len(post.log_scores) == 2  # K in {0, 1} only
 
     def test_coincident_peaks_flagged(self):
         sc = default_scenario(d=16, k=1, m=64, n=64, snr_db=20.0, seed=6)
         fd = synth_freq(sc)
-        angles = [50.0, 50.0]
-        post = map_order_scan(fd, angles, 2, sc.m, prior="music")
+        peaks = [(50.0, 2.0), (50.0, 1.0)]
+        post = map_order_scan(fd.y, peaks, 2, sc.m, prior="music")
         assert post.rank_deficient_k == (2,)
         assert post.log_scores[2] == -math.inf
         assert post.k_map in (0, 1)
 
     def test_rejects_bad_prior(self):
         with pytest.raises(ValueError):
-            map_order_scan(np.ones((4, 2), dtype=complex), [10.0], 1, 2,
+            map_order_scan(np.ones((4, 2), dtype=complex), [(10.0, 1.0)], 1, 2,
                            prior="esprit")
 
     def test_empty_peaks_with_positive_k_max(self):
@@ -216,16 +194,6 @@ class TestMapOrderScan:
 
 
 class TestShrinkage:
-    def test_shapes_and_values(self):
-        a0 = np.array([[2.0, 4.0], [6.0, 8.0]])
-        est = shrink_amplitudes(a0, 0.25)
-        np.testing.assert_allclose(est.a_shrunk, 0.75 * a0)
-        np.testing.assert_allclose(est.a0, a0)
-
-    def test_tau_zero_is_identity(self):
-        a0 = np.array([[1.0 + 2.0j]])
-        np.testing.assert_array_equal(shrink_amplitudes(a0, 0.0).a_shrunk, a0)
-
     def test_shrinkage_helps_at_low_snr(self):
         # known-DOA amplitude fits: shrinking by (1 - tau) reduces the squared
         # error in the vast majority of low-SNR draws
@@ -272,5 +240,5 @@ class TestAic:
     def test_recovers_k_on_clean_data(self):
         sc = default_scenario(d=32, k=3, m=512, n=512, snr_db=20.0, seed=8)
         fd = synth_freq(sc)
-        basis = eigendecompose(sample_covariance(fd))
+        basis = eigendecompose(sample_covariance(fd.y))
         assert aic_order(basis.eigvals, sc.m, 10) == 3
