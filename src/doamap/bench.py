@@ -240,7 +240,7 @@ def _peak_pipeline_metrics(fd, scenario, peaks, k, tau, truth, true_amps):
     order = np.argsort(angles, kind="stable")
     sorted_angles = tuple(angles[i] for i in order)
     v = steering_matrix(angles, scenario.d)
-    a0, *_ = np.linalg.lstsq(v, fd.y, rcond=None)
+    a0 = np.linalg.pinv(v) @ fd.y
     a0 = a0[order]
     err = err_doa(DoaEstimate(sorted_angles), truth)
     r0 = rmse_amplitude(a0, sorted_angles, true_amps, truth.angles_deg)
