@@ -53,7 +53,7 @@ class OrderPosterior:
 
 
 def log_stiefel_volume(d, k):
-    """log volume of {V in C^(D x K): V^H V = R^2 I} at radius R = sqrt(D)."""
+    """log volume of {V in C^(D x K): V^H V = D I}, columns of norm sqrt(D)."""
     if not 0 <= k <= d:
         raise ValueError(f"need 0 <= K <= D, got K={k}, D={d}")
     log_r2 = 2.0 * math.log(math.sqrt(d))
