@@ -35,7 +35,6 @@ from .subspace import (
     eigendecompose,
     music_pseudospectrum,
     pick_peaks,
-    projection_stats,
     sample_covariance,
 )
 
@@ -113,8 +112,11 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown method {meth!r}")
         if self.m < 2:
             raise ConfigError("m must be >= 2 (posterior means need K*M > 1)")
-        if not self.grid_step_deg > 0:
-            raise ConfigError("grid_step_deg must be > 0")
+        # the grid has ceil(180 / step) points: two or more, an intp count
+        if not (0 < self.grid_step_deg < 180
+                and 180 / self.grid_step_deg <= np.iinfo(np.intp).max):
+            raise ConfigError("grid_step_deg must be in (0, 180) with an "
+                              f"intp-sized grid, got {self.grid_step_deg}")
         if not self.doa_spacing_deg >= 0:
             raise ConfigError("doa_spacing_deg must be >= 0 (0 = default spacing)")
         for name in ("snr_grid_db", "overlap", "decay", "methods"):
@@ -252,11 +254,11 @@ def _peak_pipeline_metrics(fd, scenario, peaks, k, tau, truth, true_amps):
 def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None):
     """Execute every requested pipeline on one data draw.
 
-    A method is '<source>-<rule>': the source (pca, or the peaks of the music
-    or dtft spectrum, each computed once) gives the bases; the rule (map,
-    aic or known-k) the order, whose posterior is read on the steering prefix
-    the MAP scan would score.  Returns dicts with the per-method metric fields
-    of RunRecord (run_sweep fills in the sweep metadata).
+    A method is '<source>-<rule>'.  Each source (pca, or the peaks of the
+    music or dtft spectrum) runs its order scan once; the rule picks K: map
+    the MAP order, aic and known-k their own K, read off the scan's per-K
+    stats (a K past the last peak reads the last prefix).  Returns dicts with
+    the per-method metric fields of RunRecord (run_sweep fills in the rest).
     """
     fd = synth_freq(scenario, rng=rng)
     sigma_true = math.sqrt(fd.noise_var_freq)
@@ -269,26 +271,26 @@ def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None)
     basis = eigendecompose(cov)
     pairs = [method.split("-", 1) for method in methods]  # (source, rule)
     sources = {source for source, _rule in pairs}
-    peaks = {}
+    peaks, posts = {}, {}
+    if "pca" in sources:
+        posts["pca"] = map_order_pca(basis, fd.y, k_max, scenario.m)
     if "music" in sources:
         peaks["music"] = pick_peaks(music_pseudospectrum(basis, k_max, grid), k_max)
     if "dtft" in sources:
         peaks["dtft"] = pick_peaks(dtft_spectrum(cov, grid), k_max)
+    for source, source_peaks in peaks.items():
+        posts[source] = map_order_scan(fd.y, source_peaks, k_max, scenario.m)
 
     out = []
     for method, (source, rule) in zip(methods, pairs):
+        post = posts[source]
         if rule == "map":
-            post = (map_order_pca(basis, fd.y, k_max, scenario.m) if source == "pca"
-                    else map_order_scan(fd.y, peaks[source], k_max, scenario.m,
-                                        prior=source))
             k_hat = post.k_map
         else:
             k_hat = (aic_order(basis.eigvals, scenario.m, k_max)
                      if rule == "aic" else scenario.k_true)
-            prefix = [angle for angle, _height in peaks[source][:k_hat]]
-            v = steering_matrix(prefix, scenario.d) if prefix else None
-            post = posterior_at_order(
-                projection_stats(fd.y, v, scenario.m), scenario.d)
+            stats = post.stats_per_k[min(k_hat, len(post.stats_per_k) - 1)]
+            post = posterior_at_order(stats, scenario.d)
         if source == "pca":
             err = r0 = rs = math.nan  # eigenvector bases carry no DOAs
         else:

@@ -101,12 +101,8 @@ def _cmd_validate(_args):
 def _cmd_curves(args):
     try:
         records = read_results(args.input)
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         paths = emit_curves(records, args.quantity, args.out_dir)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     for p in paths:

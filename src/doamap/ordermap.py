@@ -42,7 +42,6 @@ class PosteriorVariances:
 class OrderPosterior:
     """Per-K log-scores and the selected model order with posterior variances."""
 
-    method: str
     log_scores: np.ndarray          # K = 0..K_max, up to a K-independent constant
     k_map: int
     stats_per_k: list
@@ -83,13 +82,15 @@ def posterior_variances(stats: ProjectionStats, d):
 def posterior_at_order(stats: ProjectionStats, d):
     """posterior_variances at a chosen order, with the K = 0 convention:
     sigma^2 ~ inverse-gamma(DM, |Y|^2), tau = 1, no signal variance (nan)."""
+    if stats is None:  # a scan's rank-deficient prefix
+        raise ValueError("steering prefix is rank deficient: no posterior")
     if stats.alpha > 0:
         return posterior_variances(stats, d)
     sigma2 = stats.t / (stats.beta - 1)
     return PosteriorVariances(ra_mean=math.nan, sigma2_mean=sigma2, tau_mean=1.0)
 
 
-def _finish_posterior(method, stats_list, log_prior, d):
+def _finish_posterior(stats_list, log_prior, d):
     """MAP order over log Q(alpha, beta, q) + log_prior(K) (log Q = 0 at K = 0);
     a None stats entry (rank-deficient prefix) scores -inf and is flagged."""
     log_scores = np.full(len(stats_list), -math.inf)
@@ -99,7 +100,6 @@ def _finish_posterior(method, stats_list, log_prior, d):
     k_map = int(np.argmax(log_scores))  # argmax takes the smallest K on ties
     pv = posterior_at_order(stats_list[k_map], d)
     return OrderPosterior(
-        method=method,
         log_scores=log_scores,
         k_map=k_map,
         stats_per_k=stats_list,
@@ -123,32 +123,28 @@ def map_order_pca(basis: EigenBasis, y, k_max, m):
     s = np.concatenate(([0.0], np.cumsum(basis.eigvals[:k_max])))
     stats_list = [ProjectionStats.from_energy(float(s[k]), norm2_y, k, d, m)
                   for k in range(k_max + 1)]
-    return _finish_posterior("pca", stats_list,
-                             lambda k: -log_stiefel_volume(d, k), d)
+    return _finish_posterior(stats_list, lambda k: -log_stiefel_volume(d, k), d)
 
 
-def map_order_scan(y, peaks, k_max, m, prior="music"):
+def map_order_scan(y, peaks, k_max, m):
     """MAP order for spectrum pipelines on the D x M data Y: nested top-K
     steering prefixes.
 
-    peaks is pick_peaks' height-ordered list of (angle, height) pairs;
-    prefix K uses the angles of its first K entries.  The DOA prior
-    contributes -K*log(2*pi) for both the MUSIC and DTFT spectra.  A
-    rank-deficient prefix (coincident peaks) scores -inf and is flagged.
+    peaks is pick_peaks' height-ordered list of (angle, height) pairs; prefix
+    K is the first K columns of one steering matrix of the first K_max
+    angles, and an empty list scores K = 0 alone.  The DOA prior contributes
+    -K*log(2*pi) for both the MUSIC and DTFT spectra.  A rank-deficient
+    prefix (coincident peaks) scores -inf and is flagged.
     """
-    if prior not in ("music", "dtft"):
-        raise ValueError(f"prior must be 'music' or 'dtft', got {prior!r}")
-    angles = [angle for angle, _height in peaks]
-    if k_max > 0 and not angles:
-        raise ValueError("empty peak list with K_max > 0")
+    angles = [angle for angle, _height in peaks[:k_max]]
+    v = steering_matrix(angles, y.shape[0])
     stats_list = []
-    for k in range(min(k_max, len(angles)) + 1):
-        v = steering_matrix(angles[:k], y.shape[0]) if k > 0 else None
+    for k in range(len(angles) + 1):
         try:
-            stats_list.append(projection_stats(y, v, m))
+            stats_list.append(projection_stats(y, v[:, :k], m))
         except ValueError:
             stats_list.append(None)
-    return _finish_posterior(prior, stats_list,
+    return _finish_posterior(stats_list,
                              lambda k: -k * math.log(2.0 * math.pi), y.shape[0])
 
 

@@ -25,6 +25,7 @@ from doamap.bench import (
     write_results,
 )
 from doamap.cli import main as cli_main
+from doamap.ordermap import map_order_scan
 
 FAST = dict(d=16, k_true=2, m=64, n=64, k_max=5, n_runs=2,
             snr_grid_db=(20.0,), grid_step_deg=2.0)
@@ -83,6 +84,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("fields", [
         dict(grid_step_deg=0.0),
+        dict(grid_step_deg=math.inf),
+        dict(grid_step_deg=180.0),
+        dict(grid_step_deg=1e-300),
         dict(overlap=(0.0, 1.5)),
         dict(decay=(-1.0,)),
         dict(doa_deg=(10.0, 200.0, 30.0)),
@@ -98,7 +102,8 @@ class TestConfig:
         dict(snr_grid_db=(0.0, 10.0, 0.0)),
         dict(overlap=(0.5, 0.5)),
         dict(decay=(0.0, 0.0)),
-    ], ids=["grid-step-0", "overlap-1.5", "decay-neg", "doa-200",
+    ], ids=["grid-step-0", "grid-step-inf", "grid-step-180", "grid-step-tiny",
+            "overlap-1.5", "decay-neg", "doa-200",
             "spacing-past-180", "m-1", "empty-snr", "k-true-0", "k-max-0",
             "seed-neg", "snr-nan", "snr-neg-inf", "dup-method", "dup-snr",
             "dup-overlap", "dup-decay"])
@@ -247,6 +252,29 @@ class TestRunSingle:
                           rng=np.random.default_rng(1))
         assert all(r["k_hat"] == 2 for r in rows)
 
+    def test_coincident_peaks(self, monkeypatch):
+        # map flags the rank-deficient prefix K = 2 and picks below it;
+        # known-k at K = 2 has no posterior there and raises
+        from doamap.arraysim import default_scenario
+
+        monkeypatch.setattr(bench, "pick_peaks",
+                            lambda curve, count: [(50.0, 2.0), (50.0, 1.0)])
+        scans = []
+
+        def spy(*args):
+            scans.append(map_order_scan(*args))
+            return scans[-1]
+
+        monkeypatch.setattr(bench, "map_order_scan", spy)
+        sc = default_scenario(d=16, k=2, m=64, n=64, snr_db=20.0, seed=0)
+        (row,) = run_single(sc, 5, 2.0, ("music-map",),
+                            rng=np.random.default_rng(0))
+        assert [post.rank_deficient_k for post in scans] == [(2,)]
+        assert row["k_hat"] == scans[0].k_map <= 1
+        with pytest.raises(ValueError, match="rank deficient"):
+            run_single(sc, 5, 2.0, ("music-known-k",),
+                       rng=np.random.default_rng(0))
+
 
 def _load_tracing():
     """perfbench/tracing.py, loaded from its file without touching sys.path."""
@@ -298,6 +326,25 @@ class TestBenchmarkContract:
         assert layers["specfun.log_q_sum.terms"] > 0
         assert layers["specfun.log_reg_inc_beta.terms"] > 0
         assert layers["subspace.dtft_spectrum.gflop_computed"] > 0
+
+    def test_one_scan_per_source(self):
+        # every rule reads its source's one scan: each scored candidate is
+        # one projection, and the steering matrices are synthesis, the two
+        # spectra, one per scan and one per non-empty amplitude fit
+        from doamap.arraysim import default_scenario
+
+        tracing = _load_tracing()
+        sc = default_scenario(d=16, k=2, m=64, n=64, snr_db=20.0, seed=0)
+        tracer = tracing.Tracer()
+        with tracing.instrument(tracer):
+            rows = bench.run_single(sc, 5, 2.0, self.METHODS,
+                                    rng=np.random.default_rng(0))
+        counts = tracer.counts
+        scored = counts["ordermap.map_order_scan", "candidates_scored"]
+        assert counts["subspace.projection_stats", "calls"] == scored == 12
+        fits = sum(1 for r in rows
+                   if r["method"] != "pca-map" and r["k_hat"] > 0)
+        assert counts["arraysim.steering_matrix", "calls"] == 1 + 2 + 2 + fits == 10
 
 
 class TestSweep:

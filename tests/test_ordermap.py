@@ -16,6 +16,7 @@ from doamap.ordermap import (
     log_stiefel_volume,
     map_order_pca,
     map_order_scan,
+    posterior_at_order,
     posterior_variances,
 )
 from doamap.specfun import log_q_sum
@@ -86,6 +87,10 @@ class TestPosteriorVariances:
             )
             assert 0.0 < pv.tau_mean < 1.0
 
+    def test_rank_deficient_prefix_has_no_posterior(self):
+        with pytest.raises(ValueError, match="prefix"):
+            posterior_at_order(None, 4)
+
     def test_rejects_degenerate_degrees(self):
         with pytest.raises(ValueError):
             posterior_variances(ProjectionStats(s=1.0, t=1.0, alpha=1, beta=9), 3)
@@ -110,7 +115,6 @@ class TestMapOrderPca:
         post = map_order_pca(basis, fd.y, k_max=10, m=sc.m)
         assert post.k_map == 3
         assert len(post.log_scores) == 11
-        assert post.method == "pca"
         assert 0.0 < post.tau_mean < 1.0
 
     def test_pure_noise_stays_low_order(self):
@@ -157,40 +161,49 @@ class TestMapOrderScan:
     def test_k0_score_is_zero(self):
         sc = default_scenario(d=16, k=1, m=128, n=128, snr_db=10.0, seed=2)
         fd = synth_freq(sc)
-        post = map_order_scan(fd.y, self._peaks(fd, "dtft"), 5, sc.m, prior="dtft")
+        post = map_order_scan(fd.y, self._peaks(fd, "dtft"), 5, sc.m)
         assert post.log_scores[0] == 0.0
 
     def test_single_source_selected(self):
         sc = default_scenario(d=32, k=1, m=256, n=256, snr_db=15.0, seed=3)
         fd = synth_freq(sc)
         for kind in ("music", "dtft"):
-            post = map_order_scan(fd.y, self._peaks(fd, kind), 8, sc.m, prior=kind)
+            post = map_order_scan(fd.y, self._peaks(fd, kind), 8, sc.m)
             assert post.k_map == 1
             assert post.log_scores[1] > post.log_scores[0]
 
     def test_k_max_capped_by_peak_count(self):
         sc = default_scenario(d=16, k=1, m=64, n=64, snr_db=240.0, seed=5)
         fd = synth_freq(sc)
-        post = map_order_scan(fd.y, [(sc.doa_deg[0], 1.0)], 10, sc.m, prior="dtft")
+        post = map_order_scan(fd.y, [(sc.doa_deg[0], 1.0)], 10, sc.m)
         assert len(post.log_scores) == 2  # K in {0, 1} only
 
     def test_coincident_peaks_flagged(self):
         sc = default_scenario(d=16, k=1, m=64, n=64, snr_db=20.0, seed=6)
         fd = synth_freq(sc)
         peaks = [(50.0, 2.0), (50.0, 1.0)]
-        post = map_order_scan(fd.y, peaks, 2, sc.m, prior="music")
+        post = map_order_scan(fd.y, peaks, 2, sc.m)
         assert post.rank_deficient_k == (2,)
         assert post.log_scores[2] == -math.inf
         assert post.k_map in (0, 1)
 
-    def test_rejects_bad_prior(self):
-        with pytest.raises(ValueError):
-            map_order_scan(np.ones((4, 2), dtype=complex), [(10.0, 1.0)], 1, 2,
-                           prior="esprit")
+    def test_empty_peaks_score_k0_alone(self):
+        y = np.ones((4, 2), dtype=complex)
+        post = map_order_scan(y, [], 3, 2)
+        assert post.k_map == 0
+        assert len(post.log_scores) == 1 and post.log_scores[0] == 0.0
+        assert post.tau_mean == 1.0
+        assert post.sigma2_mean == pytest.approx(8.0 / (4 * 2 - 1))
 
-    def test_empty_peaks_with_positive_k_max(self):
-        with pytest.raises(ValueError):
-            map_order_scan(np.ones((4, 2), dtype=complex), [], 3, 2)
+    def test_prefixes_are_slices_of_one_matrix(self):
+        # each prefix's stats equal those of its own steering matrix, bit for bit
+        sc = default_scenario(d=16, k=3, m=64, n=64, snr_db=5.0, seed=7)
+        fd = synth_freq(sc)
+        peaks = self._peaks(fd, "music", k_max=5)
+        post = map_order_scan(fd.y, peaks, 5, sc.m)
+        for k in range(1, len(post.stats_per_k)):
+            v = steering_matrix([angle for angle, _h in peaks[:k]], sc.d)
+            assert post.stats_per_k[k] == projection_stats(fd.y, v, sc.m)
 
 
 class TestShrinkage:
