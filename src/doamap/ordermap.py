@@ -138,10 +138,11 @@ def map_order_scan(y, peaks, k_max, m):
     """
     angles = [angle for angle, _height in peaks[:k_max]]
     v = steering_matrix(angles, y.shape[0])
+    norm2_y = float(np.sum(np.abs(y) ** 2))
     stats_list = []
     for k in range(len(angles) + 1):
         try:
-            stats_list.append(projection_stats(y, v[:, :k], m))
+            stats_list.append(projection_stats(y, v[:, :k], m, norm2_y=norm2_y))
         except ValueError:
             stats_list.append(None)
     return _finish_posterior(stats_list,

@@ -19,6 +19,14 @@ Anal. 41(4), 2021).  Operands and operation order are those of the per-term
 formula, so the results are bit-identical to it.  At paper degrees
 (n + m ~ 4.1e5) the two tables hold about 6.6 MB.
 
+`log_reg_inc_beta` computes only a window of its m terms.  Its log-terms
+are concave in the index, so a coarse grid of at most 256 of them bounds
+the indices within 750 of the max; every term outside lies further below,
+where exp (zero below -745.13) returns exactly 0.  The window's exps are
+summed in a zeroed row of all m entries, so `np.sum` adds the same array
+in the same pairwise order as the full-range sum and the result keeps
+every bit.  At paper degrees the window holds about a fifth of the terms.
+
 Shapes are restricted to positive integers throughout: the finite-sum
 identities rely on Gamma(n) = (n-1)!.
 """
@@ -51,6 +59,10 @@ _FACTORIALS = [math.factorial(i) for i in range(_MAX_EXACT_FACTORIAL + 1)]
 
 # (gammaln(j), float(j)) for j = 0 .. len-1; replaced by longer tables only
 _TABLES = (np.empty(0), np.empty(0))
+
+# _term_window's grid size and margin; exp(x) is exactly 0 below -745.13
+_GRID = 256
+_MARGIN = 750.0
 
 
 @dataclass(frozen=True)
@@ -125,13 +137,21 @@ def _log_gamma_table(top):
     return log_gamma, index
 
 
-def _logsumexp(t):
-    """log sum exp(t) over the last axis; t is overwritten.
+def _logsumexp(t, lo=0, size=None):
+    """log sum exp over the last axis of rows of `size` terms; t is overwritten.
+
+    t holds the terms at [lo, lo + w) of each row, w = t.shape[-1]; every
+    term outside that window must lie more than 745.13 below the row's max,
+    where its shifted exp rounds to exactly 0.  size=None means t is the
+    whole row, as does a window of full length.
 
     The operations of scipy's `logsumexp` without its copies: the maximal
-    terms are counted and set aside, the rest are shifted by the max,
-    exponentiated and summed pairwise, and the result is
-    log1p(sum / count) + log(count) + max.  A row of -inf gives -inf.
+    terms are counted and set aside, the rest are shifted by the max and
+    exponentiated, and the result is log1p(sum / count) + log(count) + max
+    (Blanchard, Higham & Higham, IMA J. Numer. Anal. 41(4), 2021).  The
+    exps of a window go into a zeroed row of full length, so `np.sum` adds
+    the very array the full-range sum would see, with the same pairwise
+    tree, and the result keeps every bit.  A row of -inf gives -inf.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         t_max = np.max(t, axis=-1)
@@ -139,8 +159,12 @@ def _logsumexp(t):
         count = np.sum(at_max, axis=-1, dtype=float)
         np.copyto(t, -np.inf, where=at_max)
         t -= t_max[..., None]
-        np.exp(t, out=t)
-        out = np.log1p(np.sum(t, axis=-1) / count) + np.log(count) + t_max
+        if size in (None, t.shape[-1]):
+            e = np.exp(t, out=t)
+        else:
+            e = np.zeros(t.shape[:-1] + (size,))
+            np.exp(t, out=e[..., lo:lo + t.shape[-1]])
+        out = np.log1p(np.sum(e, axis=-1) / count) + np.log(count) + t_max
     return np.where(t_max == -np.inf, -np.inf, out)
 
 
@@ -172,6 +196,52 @@ def reg_lower_inc_gamma(n, x):
     return float(-np.expm1(_log_upper_series(int(n), x)))
 
 
+def _log_terms(p, n, m, sl):
+    """log C(n+i-1, i) p^n (1-p)^i for i in range(m)[sl], one row per p.
+
+    The log binomial coefficient is gammaln(n+i) - gammaln(i+1) -
+    gammaln(n) read from the module's log-gamma table.  Every index gets
+    the same operands in the same order, whichever slice asks for it, so a
+    term carries the same bits on a grid, in a window or over the full
+    range.  p = 0 or 1 hits log(0) and 0 * -inf; log_reg_inc_beta
+    overwrites both endpoints with their exact values.
+    """
+    log_gamma, index = _log_gamma_table(n + m)
+    t = log_gamma[n:n + m][sl] - log_gamma[1:m + 1][sl]
+    t -= log_gamma[n]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = t + n * np.log(p)[..., None]
+        t += index[:m][sl] * np.log1p(-p)[..., None]
+    return t
+
+
+def _term_window(p, n, m):
+    """[lo, hi): the indices of log_reg_inc_beta's sum whose exp can be nonzero.
+
+    Each row of terms is the log of a negative-binomial pmf in i, a concave
+    sequence.  The terms on a grid of at most _GRID indices, one every
+    `stride`, are the exact terms of the full range.  Let a and b be the
+    first and last grid points within _MARGIN = 750 of the grid max.  By
+    concavity every index up to the grid point before a, or from the grid
+    point after b, has a term no larger than that grid point's, which is
+    more than 750 below the grid max and so more than 750 below the row
+    max.  exp underflows to 0 below -745.13, and the 4.9 left over covers
+    the rounding of the terms (below 1e-6 at paper degrees).  An array p
+    takes the union of its rows' windows.  m <= _GRID, or no finite term
+    (p = 1), gives [0, m).
+    """
+    stride = -(-m // _GRID)
+    if stride == 1:
+        return 0, m
+    grid = _log_terms(p, n, m, slice(0, m, stride))
+    near = grid >= np.max(grid, axis=-1, keepdims=True) - _MARGIN
+    kept = np.flatnonzero(near.reshape(-1, near.shape[-1]).any(axis=0))
+    if not kept.size:
+        return 0, m
+    return (max(int(kept[0] - 1) * stride + 1, 0),
+            min(int(kept[-1] + 1) * stride, m))
+
+
 def log_reg_inc_beta(p, n, m):
     """log I_p(n,m) for positive integer shapes, via the negative-binomial sum.
 
@@ -179,12 +249,13 @@ def log_reg_inc_beta(p, n, m):
     terms, so the log-sum-exp evaluation keeps full relative accuracy even
     when I_p underflows.  Accepts scalar or array p.
 
-    The log binomial coefficients are gammaln(n+i) - gammaln(i+1) -
-    gammaln(n) read from the module's log-gamma table, and the log-sum-exp
-    runs in place; both keep the operands and operation order of the
-    per-term formula with scipy's `logsumexp`, so the result is
-    bit-identical to it.  The tables grow to n + m entries, about 6.6 MB
-    at paper degrees.
+    Only the terms of `_term_window`, those within 750 of their row's max,
+    are computed and exponentiated; at paper degrees that is about a
+    fifth of the m terms.  The rest would round to exactly 0 in exp, and
+    the window's exps are summed in a zero-padded row of length m, so the
+    result is bit-identical to the per-term formula with scipy's
+    `logsumexp` over all m terms.  The log-gamma tables grow to n + m
+    entries, about 6.6 MB at paper degrees.
     """
     if int(n) != n or n < 1 or int(m) != m or m < 1:
         raise ValueError(f"shapes must be positive integers, got n={n}, m={m}")
@@ -192,15 +263,9 @@ def log_reg_inc_beta(p, n, m):
     if not np.all((p_arr >= 0) & (p_arr <= 1)):
         raise ValueError("p must lie in [0, 1]")
     n, m = int(n), int(m)
-    log_gamma, index = _log_gamma_table(n + m)
-    log_terms = log_gamma[n:n + m] - log_gamma[1:m + 1]
-    log_terms -= log_gamma[n]
-    # p = 0 or 1 hits log(0) and 0 * -inf in the terms; both endpoints are
-    # overwritten with their exact values below
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_terms = log_terms + n * np.log(p_arr)[..., None]
-        log_terms += index[:m] * np.log1p(-p_arr)[..., None]
-    out = np.minimum(_logsumexp(log_terms), 0.0)
+    lo, hi = _term_window(p_arr, n, m)
+    log_terms = _log_terms(p_arr, n, m, slice(lo, hi))
+    out = np.minimum(_logsumexp(log_terms, lo, m), 0.0)
     # exact endpoints: I_0 = 0, I_1 = 1
     out = np.where(p_arr == 1.0, 0.0, out)
     if out.ndim == 0:

@@ -34,15 +34,22 @@ from doamap.subspace import ProjectionStats
 P_GRID = np.linspace(0.01, 0.99, 99)
 
 
-def _oracle_log_reg_inc_beta(p, n, m):
-    """The per-term formula the kernel replaced: gammaln per term plus
-    scipy's logsumexp.  The kernel must return its bits exactly."""
-    p_arr = np.asarray(p, dtype=float)
+def _oracle_log_terms(p_arr, n, m):
+    """All m log-terms of I_p(n, m), gammaln per term, one row per p."""
     i = np.arange(m, dtype=float)
     log_terms = gammaln(n + i) - gammaln(i + 1) - gammaln(n)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_terms = log_terms + n * np.log(p_arr)[..., None]
         log_terms += i * np.log1p(-p_arr)[..., None]
+    return log_terms
+
+
+def _oracle_log_reg_inc_beta(p, n, m):
+    """The per-term formula the kernel replaced: gammaln per term plus
+    scipy's logsumexp over all m terms.  The kernel must return its bits
+    exactly."""
+    p_arr = np.asarray(p, dtype=float)
+    log_terms = _oracle_log_terms(p_arr, n, m)
     out = np.minimum(logsumexp(log_terms, axis=-1), 0.0)
     out = np.where(p_arr == 1.0, 0.0, out)
     return float(out) if out.ndim == 0 else out
@@ -186,6 +193,62 @@ class TestKernelBitIdentity:
     @given(n=st.integers(1, 2000), x=st.floats(0.0, 1e5))
     def test_property_upper_series(self, n, x):
         assert specfun._log_upper_series(n, x) == _oracle_log_upper_series(n, x)
+
+
+# (n, m, p) of a paper-draw kernel call, captured from a traced draw
+PAPER_CALL = (20480, 389120, 0.0647)
+
+
+class TestKernelWindow:
+    """The kernel exponentiates only `_term_window`'s terms, bit-identically."""
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, 5e-324, 1e-300, 1.0 - 2.0**-53])
+    @pytest.mark.parametrize("n, m", [(20480, 389120), (1, 400_000)])
+    def test_extreme_p(self, n, m, p):
+        assert log_reg_inc_beta(p, n, m) == _oracle_log_reg_inc_beta(p, n, m)
+
+    @pytest.mark.parametrize("m", [specfun._GRID - 1, specfun._GRID, specfun._GRID + 1])
+    @pytest.mark.parametrize("n, p", [(1, 1.0 - 2.0**-53), (3, 0.5), (200, 0.02)])
+    def test_grid_threshold(self, n, m, p):
+        # up to _GRID terms the window is the full range; one more term
+        # switches the grid on, and a steep row then shrinks the window
+        lo, hi = specfun._term_window(np.asarray(p), n, m)
+        if m <= specfun._GRID:
+            assert (lo, hi) == (0, m)
+        elif n == 1:
+            assert hi - lo < m // 4
+        assert log_reg_inc_beta(p, n, m) == _oracle_log_reg_inc_beta(p, n, m)
+
+    def test_array_p_disjoint_windows(self):
+        n, m, _ = PAPER_CALL
+        p = np.array([0.9, 0.0647])
+        (lo0, hi0), (lo1, hi1) = (specfun._term_window(np.asarray(x), n, m) for x in p)
+        assert hi0 < lo1
+        assert specfun._term_window(p, n, m) == (lo0, hi1)
+        assert np.array_equal(log_reg_inc_beta(p, n, m),
+                              _oracle_log_reg_inc_beta(p, n, m))
+
+    def test_underflow_regime(self):
+        # I_p ~ exp(-2e5): every term underflows, only the log domain holds it
+        n, m, _ = PAPER_CALL
+        got = log_reg_inc_beta(1e-6, n, m)
+        assert -2.1e5 < got < -1.9e5
+        assert got == _oracle_log_reg_inc_beta(1e-6, n, m)
+
+    def test_paper_call_skips_most_terms(self):
+        # guards the work saving: a kernel back on the full range fails here
+        n, m, p = PAPER_CALL
+        lo, hi = specfun._term_window(np.asarray(p), n, m)
+        assert hi - lo < m / 2
+
+    @given(n=st.integers(1, 40_000), m=st.integers(1, 400_000),
+           p=st.floats(0.0, 1.0))
+    def test_property_terms_outside_window_underflow(self, n, m, p):
+        lo, hi = specfun._term_window(np.asarray(p), n, m)
+        assert 0 <= lo < hi <= m
+        t = _oracle_log_terms(np.asarray(p), n, m)
+        outside = np.concatenate([t[:lo], t[hi:]])
+        assert np.all(outside - np.max(t) < -745.2)
 
 
 class TestProbDominance:
