@@ -36,7 +36,6 @@ from .specfun import (
 from .subspace import (
     EigenBasis,
     ProjectionStats,
-    SpectrumCurve,
     dtft_spectrum,
     eigendecompose,
     music_pseudospectrum,

@@ -161,7 +161,7 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path, **overrides):
         """Flat key = value config file; commas separate list entries."""
-        fields = {}
+        fields, key_lines = {}, {}
         try:
             text = Path(path).read_text()
         except OSError as exc:
@@ -173,6 +173,9 @@ class ExperimentConfig:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
+            if key_lines.setdefault(key, lineno) != lineno:
+                raise ConfigError(f"{path}:{lineno}: {key!r} is already set "
+                                  f"on line {key_lines[key]}")
             fields[key] = value
         fields.update({k: v for k, v in overrides.items() if v is not None})
         return cls._from_strings(fields, source=str(path))
@@ -255,10 +258,12 @@ def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None)
     """Execute every requested pipeline on one data draw.
 
     A method is '<source>-<rule>'.  Each source (pca, or the peaks of the
-    music or dtft spectrum) runs its order scan once; the rule picks K: map
-    the MAP order, aic and known-k their own K, read off the scan's per-K
-    stats (a K past the last peak reads the last prefix).  Returns dicts with
-    the per-method metric fields of RunRecord (run_sweep fills in the rest).
+    music or dtft spectrum, both read off one grid steering table) runs its
+    order scan once; the rule only picks K: map the MAP order, aic the AIC
+    order, known-k the true count.  The posterior, amplitude fit and metrics
+    run once per (source, K), shared by every method picking it (a K past
+    the last peak reads the last prefix).  Returns dicts with the per-method
+    metric fields of RunRecord (run_sweep fills in the rest).
     """
     fd = synth_freq(scenario, rng=rng)
     sigma_true = math.sqrt(fd.noise_var_freq)
@@ -274,35 +279,41 @@ def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None)
     peaks, posts = {}, {}
     if "pca" in sources:
         posts["pca"] = map_order_pca(basis, fd.y, k_max, scenario.m)
+    if sources & {"music", "dtft"}:
+        steer = steering_matrix(grid, scenario.d).T  # G x D, row g: grid[g]
     if "music" in sources:
-        peaks["music"] = pick_peaks(music_pseudospectrum(basis, k_max, grid), k_max)
+        peaks["music"] = pick_peaks(
+            grid, music_pseudospectrum(basis, k_max, steer), k_max)
     if "dtft" in sources:
-        peaks["dtft"] = pick_peaks(dtft_spectrum(cov, grid), k_max)
+        peaks["dtft"] = pick_peaks(grid, dtft_spectrum(cov, steer), k_max)
     for source, source_peaks in peaks.items():
         posts[source] = map_order_scan(fd.y, source_peaks, k_max, scenario.m)
 
+    fits = {}  # (source, k_hat) -> metric fields
     out = []
     for method, (source, rule) in zip(methods, pairs):
         post = posts[source]
         if rule == "map":
             k_hat = post.k_map
+        elif rule == "aic":
+            k_hat = aic_order(basis.eigvals, scenario.m, k_max)
         else:
-            k_hat = (aic_order(basis.eigvals, scenario.m, k_max)
-                     if rule == "aic" else scenario.k_true)
+            k_hat = scenario.k_true
+        key = (source, k_hat)
+        if key not in fits:
             stats = post.stats_per_k[min(k_hat, len(post.stats_per_k) - 1)]
-            post = posterior_at_order(stats, scenario.d)
-        if source == "pca":
-            err = r0 = rs = math.nan  # eigenvector bases carry no DOAs
-        else:
-            err, r0, rs = _peak_pipeline_metrics(
-                fd, scenario, peaks[source], k_hat, post.tau_mean, truth,
-                true_amps)
-        rmse_sigma = abs(math.sqrt(post.sigma2_mean) - sigma_true)
-        out.append(
-            dict(method=method, k_hat=k_hat, err_doa=err, rmse_a0=r0,
-                 rmse_a_shrunk=rs, rmse_sigma=rmse_sigma,
-                 tau_mean=post.tau_mean)
-        )
+            pv = posterior_at_order(stats, scenario.d)
+            if source == "pca":
+                err = r0 = rs = math.nan  # eigenvector bases carry no DOAs
+            else:
+                err, r0, rs = _peak_pipeline_metrics(
+                    fd, scenario, peaks[source], k_hat, pv.tau_mean, truth,
+                    true_amps)
+            fits[key] = dict(
+                err_doa=err, rmse_a0=r0, rmse_a_shrunk=rs,
+                rmse_sigma=abs(math.sqrt(pv.sigma2_mean) - sigma_true),
+                tau_mean=pv.tau_mean)
+        out.append(dict(method=method, k_hat=k_hat, **fits[key]))
     return out
 
 

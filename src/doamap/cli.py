@@ -77,12 +77,15 @@ def _cmd_sweep(args):
     out = Path(config.output_path)
     if not out.parent.is_dir():
         raise ConfigError(f"output directory {out.parent} does not exist")
+    agg = out.parent / (out.stem + "_agg" + out.suffix)
+    for path in (out, agg):
+        if path.is_dir():
+            raise ConfigError(f"output path {path} is a directory")
 
     records = run_sweep(config, jobs=args.jobs)
     try:
         write_results(records, out)
-        write_aggregates(records, out.with_name(out.stem + "_agg" + out.suffix),
-                         k_true=config.k_true)
+        write_aggregates(records, agg, k_true=config.k_true)
     except OSError as exc:
         print(f"partial output: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

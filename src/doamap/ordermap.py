@@ -40,14 +40,12 @@ class PosteriorVariances:
 
 @dataclass(frozen=True)
 class OrderPosterior:
-    """Per-K log-scores and the selected model order with posterior variances."""
+    """Per-K log-scores and energy splits and the MAP order; a caller that
+    picks an order K gets its variances from posterior_at_order."""
 
     log_scores: np.ndarray          # K = 0..K_max, up to a K-independent constant
     k_map: int
     stats_per_k: list
-    ra_mean: float
-    sigma2_mean: float
-    tau_mean: float
     rank_deficient_k: tuple = ()
 
 
@@ -90,22 +88,17 @@ def posterior_at_order(stats: ProjectionStats, d):
     return PosteriorVariances(ra_mean=math.nan, sigma2_mean=sigma2, tau_mean=1.0)
 
 
-def _finish_posterior(stats_list, log_prior, d):
+def _finish_posterior(stats_list, log_prior):
     """MAP order over log Q(alpha, beta, q) + log_prior(K) (log Q = 0 at K = 0);
     a None stats entry (rank-deficient prefix) scores -inf and is flagged."""
     log_scores = np.full(len(stats_list), -math.inf)
     for k, st in enumerate(stats_list):
         if st is not None:
             log_scores[k] = log_q_sum(st.alpha, st.beta, st.q) + log_prior(k)
-    k_map = int(np.argmax(log_scores))  # argmax takes the smallest K on ties
-    pv = posterior_at_order(stats_list[k_map], d)
     return OrderPosterior(
         log_scores=log_scores,
-        k_map=k_map,
+        k_map=int(np.argmax(log_scores)),  # argmax takes the smallest K on ties
         stats_per_k=stats_list,
-        ra_mean=pv.ra_mean,
-        sigma2_mean=pv.sigma2_mean,
-        tau_mean=pv.tau_mean,
         rank_deficient_k=tuple(k for k, st in enumerate(stats_list) if st is None),
     )
 
@@ -123,7 +116,7 @@ def map_order_pca(basis: EigenBasis, y, k_max, m):
     s = np.concatenate(([0.0], np.cumsum(basis.eigvals[:k_max])))
     stats_list = [ProjectionStats.from_energy(float(s[k]), norm2_y, k, d, m)
                   for k in range(k_max + 1)]
-    return _finish_posterior(stats_list, lambda k: -log_stiefel_volume(d, k), d)
+    return _finish_posterior(stats_list, lambda k: -log_stiefel_volume(d, k))
 
 
 def map_order_scan(y, peaks, k_max, m):
@@ -145,8 +138,7 @@ def map_order_scan(y, peaks, k_max, m):
             stats_list.append(projection_stats(y, v[:, :k], m, norm2_y=norm2_y))
         except ValueError:
             stats_list.append(None)
-    return _finish_posterior(stats_list,
-                             lambda k: -k * math.log(2.0 * math.pi), y.shape[0])
+    return _finish_posterior(stats_list, lambda k: -k * math.log(2.0 * math.pi))
 
 
 def aic_order(eigvals, m, k_max):

@@ -4,6 +4,8 @@ The three estimators share one geometric fact: for a candidate basis V the
 data energy splits as |Y|^2 = |V A0|^2 + |H0|^2 with A0 the least-squares
 amplitudes and H0 the residual.  ProjectionStats.from_energy packages that
 split, plus the signal/noise degree counts, for the Bayesian order scores.
+Both spectra read one G x D grid steering table, built once per draw, whose
+row g is the steering vector of grid angle g.
 """
 
 from __future__ import annotations
@@ -12,11 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arraysim import steering_matrix
-
 __all__ = [
     "EigenBasis",
-    "SpectrumCurve",
     "ProjectionStats",
     "sample_covariance",
     "eigendecompose",
@@ -36,18 +35,6 @@ class EigenBasis:
 
     eigvecs: np.ndarray
     eigvals: np.ndarray
-
-
-@dataclass(frozen=True)
-class SpectrumCurve:
-    """Nonnegative spectrum values on an ascending angle grid (degrees)."""
-
-    grid_deg: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        if len(self.grid_deg) != len(self.values):
-            raise ValueError("grid and values must have equal length")
 
 
 @dataclass(frozen=True)
@@ -106,39 +93,40 @@ def eigendecompose(cov):
     return EigenBasis(eigvecs=vecs, eigvals=vals)
 
 
-def dtft_spectrum(cov, grid_deg):
-    """Power spectrum |v(pi*cos(phi))^H Y|^2 = v^H R v from R = Y Y^H."""
+def dtft_spectrum(cov, steer):
+    """Power spectrum |v(pi*cos(phi))^H Y|^2 = v^H R v from R = Y Y^H, on the
+    rows of the G x D grid steering table."""
     cov = np.asarray(cov)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ValueError(f"need a square covariance matrix, got shape {cov.shape}")
-    grid = np.asarray(grid_deg, dtype=float)
-    vg = steering_matrix(grid, cov.shape[0])
-    vals = np.real(np.einsum("dg,dg->g", vg.conj(), cov @ vg))
-    return SpectrumCurve(grid_deg=grid, values=vals)
+    vg = steer.T
+    return np.real(np.einsum("dg,dg->g", vg.conj(), cov @ vg))
 
 
-def music_pseudospectrum(basis: EigenBasis, k_sub, grid_deg):
-    """Reciprocal noise-subspace projection 1 / |Q_noise^H v(phi)|^2."""
+def music_pseudospectrum(basis: EigenBasis, k_sub, steer):
+    """Reciprocal noise-subspace projection 1 / |Q_noise^H v(phi)|^2 on the
+    rows of the G x D grid steering table."""
     d = basis.eigvecs.shape[0]
     if not 0 < k_sub < d:
         raise ValueError(f"signal subspace size must lie in (0, {d}), got {k_sub}")
     noise = basis.eigvecs[:, k_sub:]
-    vg = steering_matrix(np.asarray(grid_deg, dtype=float), d)
-    denom = np.sum(np.abs(noise.conj().T @ vg) ** 2, axis=0)
-    vals = 1.0 / np.maximum(denom, 1e-300)
-    return SpectrumCurve(grid_deg=np.asarray(grid_deg, dtype=float), values=vals)
+    denom = np.sum(np.abs(noise.conj().T @ steer.T) ** 2, axis=0)
+    return 1.0 / np.maximum(denom, 1e-300)
 
 
-def pick_peaks(curve: SpectrumCurve, count):
-    """Local maxima of the curve, height-descending, ties toward smaller angle.
+def pick_peaks(grid_deg, values, count):
+    """Local maxima of a spectrum on an ascending angle grid (degrees),
+    height-descending, ties toward smaller angle.
 
     Interior points must strictly exceed both neighbors; boundary points get a
     one-sided test.  Returns up to `count` (angle, height) pairs, fewer when
     the curve has fewer maxima.
     """
-    v = np.asarray(curve.values, dtype=float)
+    v = np.asarray(values, dtype=float)
     if v.size == 0:
         raise ValueError("empty spectrum curve")
+    if len(grid_deg) != v.size:
+        raise ValueError("grid and values must have equal length")
     if v.size == 1:
         idx = np.array([0])
     else:
@@ -152,7 +140,7 @@ def pick_peaks(curve: SpectrumCurve, count):
     # stable sort on -height keeps the smaller-angle peak first on ties
     order = np.argsort(-v[idx], kind="stable")
     idx = idx[order][:count]
-    return [(float(curve.grid_deg[i]), float(v[i])) for i in idx]
+    return [(float(grid_deg[i]), float(v[i])) for i in idx]
 
 
 def _name_dependent_columns(v):

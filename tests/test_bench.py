@@ -144,6 +144,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_file(cfg_file)
 
+    def test_from_file_duplicate_key(self, tmp_path):
+        cfg_file = tmp_path / "sweep.cfg"
+        cfg_file.write_text("d = 16\nn_runs = 1\n# again\nn_runs = 2\n")
+        with pytest.raises(ConfigError, match=r":4: 'n_runs' .* line 2"):
+            ExperimentConfig.from_file(cfg_file)
+
     def test_from_file_bad_syntax(self, tmp_path):
         cfg_file = tmp_path / "sweep.cfg"
         cfg_file.write_text("just some text\n")
@@ -258,7 +264,7 @@ class TestRunSingle:
         from doamap.arraysim import default_scenario
 
         monkeypatch.setattr(bench, "pick_peaks",
-                            lambda curve, count: [(50.0, 2.0), (50.0, 1.0)])
+                            lambda grid, values, count: [(50.0, 2.0), (50.0, 1.0)])
         scans = []
 
         def spy(*args):
@@ -327,10 +333,8 @@ class TestBenchmarkContract:
         assert layers["specfun.log_reg_inc_beta.terms"] > 0
         assert layers["subspace.dtft_spectrum.gflop_computed"] > 0
 
-    def test_one_scan_per_source(self):
-        # every rule reads its source's one scan: each scored candidate is
-        # one projection, and the steering matrices are synthesis, the two
-        # spectra, one per scan and one per non-empty amplitude fit
+    def _traced_six_method_draw(self):
+        """(tracing module, tracer, rows) of one traced FAST-shape draw."""
         from doamap.arraysim import default_scenario
 
         tracing = _load_tracing()
@@ -339,12 +343,59 @@ class TestBenchmarkContract:
         with tracing.instrument(tracer):
             rows = bench.run_single(sc, 5, 2.0, self.METHODS,
                                     rng=np.random.default_rng(0))
+        return tracing, tracer, rows
+
+    @staticmethod
+    def _source_and_k(row):
+        return row["method"].split("-", 1)[0], row["k_hat"]
+
+    def test_one_scan_per_source(self):
+        # every rule reads its source's one scan: each scored candidate is
+        # one projection, and the steering matrices are synthesis, the one
+        # grid table both spectra read, one per scan and one amplitude fit
+        # per distinct spectrum (source, K > 0)
+        _tracing, tracer, rows = self._traced_six_method_draw()
         counts = tracer.counts
         scored = counts["ordermap.map_order_scan", "candidates_scored"]
         assert counts["subspace.projection_stats", "calls"] == scored == 12
-        fits = sum(1 for r in rows
-                   if r["method"] != "pca-map" and r["k_hat"] > 0)
-        assert counts["arraysim.steering_matrix", "calls"] == 1 + 2 + 2 + fits == 10
+        fits = {self._source_and_k(r) for r in rows
+                if r["method"] != "pca-map" and r["k_hat"] > 0}
+        assert counts["arraysim.steering_matrix", "calls"] == (
+            1 + 1 + 2 + len(fits)) == 7
+
+    def test_one_posterior_per_source_and_order(self):
+        # rules only pick K: the methods that pick the same (source, K) share
+        # one posterior and one fit, so their rows differ only in the method
+        _tracing, tracer, rows = self._traced_six_method_draw()
+        groups = {}
+        for row in rows:
+            rest = {f: v for f, v in row.items() if f != "method"}
+            groups.setdefault(self._source_and_k(row), []).append(repr(rest))
+        assert len(groups["music", 2]) == 3  # map, aic and known-k agree here
+        for reprs in groups.values():
+            assert len(set(reprs)) == 1
+        # K = 0 takes the closed-form convention, not posterior_variances
+        assert tracer.counts["ordermap.posterior_variances", "calls"] == sum(
+            1 for _source, k in groups if k >= 1) == 4
+
+    def test_dtft_counts_read_the_grid_table(self, monkeypatch):
+        # _dtft_counts reads len() of the second argument as G and the
+        # covariance as D x D, so the spectra must get the G x D table
+        # (a D x G one would count D/G of the flops)
+        from doamap import subspace
+
+        tables = []
+
+        def spy(cov, steer):
+            tables.append(np.shape(steer))
+            return subspace.dtft_spectrum(cov, steer)  # traced under instrument
+
+        monkeypatch.setattr(bench, "dtft_spectrum", spy)
+        tracing, tracer, _rows = self._traced_six_method_draw()
+        assert tables == [(90, 16)]
+        layers = tracing.layer_metrics([tracer], [1], 1)
+        assert layers["subspace.dtft_spectrum.gflop_computed"] == (
+            8 * 90 * 16**2 / 1e9)
 
 
 class TestSweep:
@@ -573,6 +624,18 @@ class TestCli:
         out = tmp_path / "missing_dir" / "res.csv"
         assert cli_main(["sweep", "--runs", "1", "--out", str(out)]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("taken", ["res.csv", "res_agg.csv"])
+    def test_sweep_out_is_directory_exit_code(self, taken, tmp_path, capsys,
+                                              monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("run_sweep called before the output check")
+
+        monkeypatch.setattr("doamap.cli.run_sweep", no_sweep)
+        (tmp_path / taken).mkdir()
+        assert cli_main(["sweep", "--runs", "1",
+                         "--out", str(tmp_path / "res.csv")]) == 1
+        assert "is a directory" in capsys.readouterr().err
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_sweep_bad_jobs_exit_code(self, jobs, tmp_path, capsys, monkeypatch):

@@ -115,7 +115,8 @@ class TestMapOrderPca:
         post = map_order_pca(basis, fd.y, k_max=10, m=sc.m)
         assert post.k_map == 3
         assert len(post.log_scores) == 11
-        assert 0.0 < post.tau_mean < 1.0
+        pv = posterior_at_order(post.stats_per_k[post.k_map], sc.d)
+        assert 0.0 < pv.tau_mean < 1.0
 
     def test_pure_noise_stays_low_order(self):
         # regression fixture: seeded noise-only draws should not inflate K
@@ -134,10 +135,11 @@ class TestMapOrderPca:
         basis = eigendecompose(sample_covariance(fd.y))
         post = map_order_pca(basis, fd.y, k_max=5, m=sc.m)
         if post.k_map == 0:
-            assert math.isnan(post.ra_mean)
-            assert post.tau_mean == 1.0
+            pv = posterior_at_order(post.stats_per_k[0], sc.d)
+            assert math.isnan(pv.ra_mean)
+            assert pv.tau_mean == 1.0
             norm2 = float(np.sum(np.abs(fd.y) ** 2))
-            assert post.sigma2_mean == pytest.approx(norm2 / (16 * 256 - 1))
+            assert pv.sigma2_mean == pytest.approx(norm2 / (16 * 256 - 1))
 
     def test_rejects_k_max_ge_d(self):
         basis = eigendecompose(np.eye(4))
@@ -153,10 +155,13 @@ class TestMapOrderPca:
 
 class TestMapOrderScan:
     def _peaks(self, fd, kind, k_max=10):
+        steer = steering_matrix(GRID, fd.y.shape[0]).T
         if kind == "dtft":
-            return pick_peaks(dtft_spectrum(sample_covariance(fd.y), GRID), k_max)
-        basis = eigendecompose(sample_covariance(fd.y))
-        return pick_peaks(music_pseudospectrum(basis, k_max, GRID), k_max)
+            values = dtft_spectrum(sample_covariance(fd.y), steer)
+        else:
+            basis = eigendecompose(sample_covariance(fd.y))
+            values = music_pseudospectrum(basis, k_max, steer)
+        return pick_peaks(GRID, values, k_max)
 
     def test_k0_score_is_zero(self):
         sc = default_scenario(d=16, k=1, m=128, n=128, snr_db=10.0, seed=2)
@@ -192,8 +197,9 @@ class TestMapOrderScan:
         post = map_order_scan(y, [], 3, 2)
         assert post.k_map == 0
         assert len(post.log_scores) == 1 and post.log_scores[0] == 0.0
-        assert post.tau_mean == 1.0
-        assert post.sigma2_mean == pytest.approx(8.0 / (4 * 2 - 1))
+        pv = posterior_at_order(post.stats_per_k[0], 4)
+        assert pv.tau_mean == 1.0
+        assert pv.sigma2_mean == pytest.approx(8.0 / (4 * 2 - 1))
 
     def test_prefixes_are_slices_of_one_matrix(self):
         # each prefix's stats equal those of its own steering matrix, bit for bit

@@ -12,7 +12,6 @@ from doamap.arraysim import (
     synth_freq,
 )
 from doamap.subspace import (
-    SpectrumCurve,
     dtft_spectrum,
     eigendecompose,
     music_pseudospectrum,
@@ -74,84 +73,93 @@ class TestCovarianceAndEigen:
             eigendecompose(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+def _steer(grid, d):
+    """The G x D grid steering table the spectra read."""
+    return steering_matrix(grid, d).T
+
+
 class TestSpectra:
     GRID = np.arange(0.0, 180.0, 0.5)
 
     def test_dtft_peak_at_source(self):
         sc = default_scenario(d=32, k=1, m=64, n=64, snr_db=240.0, seed=0)
-        curve = dtft_spectrum(sample_covariance(synth_freq(sc).y), self.GRID)
-        best = curve.grid_deg[np.argmax(curve.values)]
+        values = dtft_spectrum(sample_covariance(synth_freq(sc).y),
+                               _steer(self.GRID, 32))
+        best = self.GRID[np.argmax(values)]
         assert abs(best - sc.doa_deg[0]) <= 0.5
 
     def test_dtft_zero_data(self):
-        curve = dtft_spectrum(sample_covariance(np.zeros((8, 4), dtype=complex)),
-                              self.GRID)
-        assert np.all(curve.values == 0.0)
+        values = dtft_spectrum(sample_covariance(np.zeros((8, 4), dtype=complex)),
+                               _steer(self.GRID, 8))
+        assert np.all(values == 0.0)
 
     def test_music_sharp_at_source(self):
         sc = default_scenario(d=32, k=1, m=64, n=64, snr_db=240.0, seed=0)
         fd = synth_freq(sc)
         basis = eigendecompose(sample_covariance(fd.y))
-        curve = music_pseudospectrum(basis, 1, self.GRID)
-        best = curve.grid_deg[np.argmax(curve.values)]
+        values = music_pseudospectrum(basis, 1, _steer(self.GRID, 32))
+        best = self.GRID[np.argmax(values)]
         assert abs(best - sc.doa_deg[0]) <= 0.5
         # noiseless: on-peak pseudospectrum exceeds the median by orders of magnitude
-        assert np.max(curve.values) / np.median(curve.values) > 1e4
+        assert np.max(values) / np.median(values) > 1e4
 
     def test_music_flat_on_white_noise(self):
         sc = default_scenario(d=32, k=0, m=512, n=512, snr_db=0.0, seed=123)
         fd = synth_freq(sc)
         basis = eigendecompose(sample_covariance(fd.y))
-        curve = music_pseudospectrum(basis, 3, self.GRID)
-        assert np.max(curve.values) / np.median(curve.values) <= 10.0
+        values = music_pseudospectrum(basis, 3, _steer(self.GRID, 32))
+        assert np.max(values) / np.median(values) <= 10.0
 
     def test_music_rejects_bad_subspace_size(self):
         basis = eigendecompose(np.eye(4))
         for k in (0, 4, 5):
             with pytest.raises(ValueError):
-                music_pseudospectrum(basis, k, self.GRID)
+                music_pseudospectrum(basis, k, _steer(self.GRID, 4))
 
     def test_spectrum_matches_direct_projection(self):
         rng = np.random.default_rng(3)
         y = rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))
-        curve = dtft_spectrum(sample_covariance(y), np.array([33.0, 90.0]))
+        values = dtft_spectrum(sample_covariance(y), _steer([33.0, 90.0], 8))
         v = steering_matrix([33.0, 90.0], 8)
         expect = np.sum(np.abs(v.conj().T @ y) ** 2, axis=1)
-        np.testing.assert_allclose(curve.values, expect, rtol=1e-12)
+        np.testing.assert_allclose(values, expect, rtol=1e-12)
 
 
 class TestPickPeaks:
     def test_two_bumps_ordered_by_height(self):
         grid = np.arange(7.0)
         vals = np.array([0.0, 3.0, 0.0, 5.0, 0.0, 1.0, 0.0])
-        peaks = pick_peaks(SpectrumCurve(grid, vals), 10)
+        peaks = pick_peaks(grid, vals, 10)
         assert peaks == [(3.0, 5.0), (1.0, 3.0), (5.0, 1.0)]
 
     def test_count_truncates(self):
         grid = np.arange(7.0)
         vals = np.array([0.0, 3.0, 0.0, 5.0, 0.0, 1.0, 0.0])
-        assert len(pick_peaks(SpectrumCurve(grid, vals), 2)) == 2
+        assert len(pick_peaks(grid, vals, 2)) == 2
 
     def test_monotone_curve_boundary_peak(self):
         grid = np.arange(5.0)
-        assert pick_peaks(SpectrumCurve(grid, grid.copy()), 3) == [(4.0, 4.0)]
-        desc = SpectrumCurve(grid, grid[::-1].copy())
-        assert pick_peaks(desc, 3) == [(0.0, 4.0)]
+        assert pick_peaks(grid, grid.copy(), 3) == [(4.0, 4.0)]
+        assert pick_peaks(grid, grid[::-1].copy(), 3) == [(0.0, 4.0)]
 
     def test_tie_prefers_smaller_angle(self):
         grid = np.arange(5.0)
         vals = np.array([0.0, 2.0, 0.0, 2.0, 0.0])
-        peaks = pick_peaks(SpectrumCurve(grid, vals), 2)
+        peaks = pick_peaks(grid, vals, 2)
         assert peaks[0][0] == 1.0 and peaks[1][0] == 3.0
 
     def test_plateau_is_not_a_peak(self):
         grid = np.arange(4.0)
         vals = np.array([0.0, 1.0, 1.0, 0.0])
-        assert pick_peaks(SpectrumCurve(grid, vals), 4) == []
+        assert pick_peaks(grid, vals, 4) == []
 
     def test_empty_curve_raises(self):
         with pytest.raises(ValueError):
-            pick_peaks(SpectrumCurve(np.array([]), np.array([])), 1)
+            pick_peaks(np.array([]), np.array([]), 1)
+
+    def test_length_mismatch_raises(self):
+        with pytest.raises(ValueError, match="equal length"):
+            pick_peaks(np.arange(3.0), np.zeros(4), 1)
 
 
 class TestProjectionStats:
@@ -240,9 +248,10 @@ class TestProjectionStats:
         sc = default_scenario(d=32, k=3, m=96, n=96, snr_db=240.0, seed=0)
         fd = synth_freq(sc)
         grid = np.arange(0.0, 180.0, 0.5)
-        d_peaks = pick_peaks(dtft_spectrum(sample_covariance(fd.y), grid), 3)
+        steer = _steer(grid, 32)
+        d_peaks = pick_peaks(grid, dtft_spectrum(sample_covariance(fd.y), steer), 3)
         basis = eigendecompose(sample_covariance(fd.y))
-        m_peaks = pick_peaks(music_pseudospectrum(basis, 3, grid), 3)
+        m_peaks = pick_peaks(grid, music_pseudospectrum(basis, 3, steer), 3)
         d_ang = sorted(p[0] for p in d_peaks)
         m_ang = sorted(p[0] for p in m_peaks)
         for est, true in zip(d_ang, sorted(sc.doa_deg)):
