@@ -3,13 +3,10 @@
 from .arraysim import (
     ArrayScenario,
     FreqData,
-    TimeData,
     amplitude_matrix,
     default_scenario,
-    fft_reduce,
     steering_matrix,
     synth_freq,
-    synth_time,
 )
 from .metrics import DoaEstimate, err_doa, rmse_amplitude
 from .ordermap import (

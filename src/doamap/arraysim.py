@@ -6,9 +6,9 @@ steering vector v_d = exp(j*omega*d), d = 1..D.  Each source is a band of
 unit (or linearly decayed) amplitudes over on-bin DFT tones; the band layout
 is controlled by the overlap ratio between consecutive sources.
 
-Frequency-domain generation is the default path; the time-domain model plus
-the per-bin Fourier reduction is kept for round-trip checks, since on-bin
-tones make the two statistically identical.
+Data are drawn in the frequency domain, Y = V A + Z.  The time-domain model
+and its per-bin Fourier reduction, which on-bin tones make statistically
+identical, live with the tests as the oracle this path is checked against.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "ArrayScenario",
-    "TimeData",
     "FreqData",
     "steering_matrix",
     "amplitude_matrix",
@@ -28,8 +27,6 @@ __all__ = [
     "default_scenario",
     "noise_variances",
     "synth_freq",
-    "synth_time",
-    "fft_reduce",
 ]
 
 
@@ -61,11 +58,6 @@ class ArrayScenario:
             raise ValueError("overlap and decay must lie in [0, 1]")
         if not self.snr_db > -math.inf:  # +inf is the noiseless limit
             raise ValueError(f"snr_db must be a number above -inf, got {self.snr_db}")
-
-
-@dataclass(frozen=True)
-class TimeData:
-    x: np.ndarray          # complex D x N sensor output
 
 
 @dataclass(frozen=True)
@@ -155,40 +147,3 @@ def synth_freq(scenario: ArrayScenario, rng=None):
         return FreqData(y=z, noise_var_freq=var)
     v = steering_matrix(scenario.doa_deg, scenario.d)
     return FreqData(y=v @ amps.astype(complex) + z, noise_var_freq=var)
-
-
-def _tone_matrix(tone_freqs, n):
-    """M x N matrix of on-grid tones w_{m,t} = exp(j*gamma_m*t), t = 1..N."""
-    t = np.arange(1, n + 1)
-    return np.exp(1j * np.outer(np.asarray(tone_freqs, dtype=float), t))
-
-
-def tone_grid(m, n):
-    """Default DFT-bin tone frequencies gamma_m = 2*pi*(m-1)/N, m = 1..M."""
-    return 2 * np.pi * np.arange(m) / n
-
-
-def synth_time(scenario: ArrayScenario, rng=None):
-    """Time-domain data X = V A W + E with AWGN of power N*sigma^2."""
-    if rng is None:
-        rng = np.random.default_rng(scenario.seed)
-    amps = amplitude_matrix(scenario)
-    var_freq = noise_variances(scenario, amps)
-    w = _tone_matrix(tone_grid(scenario.m, scenario.n), scenario.n)
-    e = _complex_awgn(rng, (scenario.d, scenario.n), scenario.n * var_freq)
-    if scenario.k_true == 0:
-        return TimeData(x=e)
-    v = steering_matrix(scenario.doa_deg, scenario.d)
-    return TimeData(x=v @ (amps.astype(complex) @ w) + e)
-
-
-def fft_reduce(data: TimeData, tone_freqs, noise_var_time=0.0):
-    """Project time data onto the tone bins: Y = X W^H / N.
-
-    With on-bin tones W W^H = N*I, so a noiseless round trip through
-    synth_time reproduces V A exactly.
-    """
-    n = data.x.shape[1]
-    w = _tone_matrix(tone_freqs, n)
-    y = data.x @ w.conj().T / n
-    return FreqData(y=y, noise_var_freq=noise_var_time / n)

@@ -13,11 +13,19 @@ are closed forms around it, and a pair computes its normaliser log I_p once.
 
 Both finite sums (`log_reg_inc_beta` and the upper incomplete gamma series)
 read log Gamma(j) and float(j) from one grow-only module table instead of
-calling `gammaln` per term, and take the log-sum-exp in place with the exact
+calling `gammaln` per term, and take the log-sum-exp with the exact
 operations of scipy's `logsumexp` (Blanchard, Higham & Higham, IMA J. Numer.
 Anal. 41(4), 2021).  Operands and operation order are those of the per-term
 formula, so the results are bit-identical to it.  At paper degrees
 (n + m ~ 4.1e5) the two tables hold about 6.6 MB.
+
+The two sums split the work differently because their callers differ.
+The kernel sums rows of up to ~4e5 terms in place with numpy.  The gamma
+series gets one scalar x and n <= 5 terms in the identity suite's ~15k pdf
+calls, so numpy's per-call dispatch would dominate: it builds the terms,
+their max, the count of maxima and the shift as Python floats (single IEEE
+operations, the same bits as numpy's) and keeps numpy only for exp, log1p,
+log and the sum, whose SIMD loops `math` need not reproduce bit for bit.
 
 `log_reg_inc_beta` computes only a window of its m terms.  Its log-terms
 are concave in the index, so a coarse grid of at most 256 of them bounds
@@ -75,8 +83,8 @@ class GammaParams:
     def __post_init__(self):
         if int(self.shape) != self.shape or self.shape < 1:
             raise ValueError(f"shape must be a positive integer, got {self.shape}")
-        if not self.rate > 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        if not 0 < self.rate < math.inf:  # False for NaN
+            raise ValueError(f"rate must be finite and positive, got {self.rate}")
 
 
 @dataclass(frozen=True)
@@ -101,8 +109,10 @@ class DominancePair:
             raise ValueError(f"alpha must be a positive integer, got {self.alpha}")
         if int(self.beta) != self.beta or self.beta < 1:
             raise ValueError(f"beta must be a positive integer, got {self.beta}")
-        if not (self.s_x > 0 and self.s_y > 0):
-            raise ValueError("rates s_x, s_y must be positive")
+        for name in ("s_x", "s_y"):
+            rate = getattr(self, name)
+            if not 0 < rate < math.inf:  # False for NaN
+                raise ValueError(f"{name} must be finite and positive, got {rate}")
         q = self.s_y / (self.s_x + self.s_y)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", 1.0 - q)
@@ -137,48 +147,67 @@ def _log_gamma_table(top):
     return log_gamma, index
 
 
-def _logsumexp(t, lo=0, size=None):
+def _logsumexp(t, lo, size):
     """log sum exp over the last axis of rows of `size` terms; t is overwritten.
 
     t holds the terms at [lo, lo + w) of each row, w = t.shape[-1]; every
     term outside that window must lie more than 745.13 below the row's max,
-    where its shifted exp rounds to exactly 0.  size=None means t is the
-    whole row, as does a window of full length.
+    where its shifted exp rounds to exactly 0.  A window of full length is
+    the whole row.
 
     The operations of scipy's `logsumexp` without its copies: the maximal
     terms are counted and set aside, the rest are shifted by the max and
     exponentiated, and the result is log1p(sum / count) + log(count) + max
     (Blanchard, Higham & Higham, IMA J. Numer. Anal. 41(4), 2021).  The
-    exps of a window go into a zeroed row of full length, so `np.sum` adds
-    the very array the full-range sum would see, with the same pairwise
-    tree, and the result keeps every bit.  A row of -inf gives -inf.
+    exps of a window go into a zeroed row of full length, so
+    `np.add.reduce` adds the very array the full-range sum would see, with
+    the same pairwise tree, and the result keeps every bit.  The count is
+    an exact integer, so dividing by it and taking its log give the bits
+    of scipy's float count.  A row of -inf gives -inf.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_max = np.max(t, axis=-1)
+        t_max = np.maximum.reduce(t, axis=-1)
         at_max = t == t_max[..., None]
-        count = np.sum(at_max, axis=-1, dtype=float)
+        count = np.count_nonzero(at_max, axis=-1)
         np.copyto(t, -np.inf, where=at_max)
         t -= t_max[..., None]
-        if size in (None, t.shape[-1]):
+        if size == t.shape[-1]:
             e = np.exp(t, out=t)
         else:
             e = np.zeros(t.shape[:-1] + (size,))
             np.exp(t, out=e[..., lo:lo + t.shape[-1]])
-        out = np.log1p(np.sum(e, axis=-1) / count) + np.log(count) + t_max
-    return np.where(t_max == -np.inf, -np.inf, out)
+        out = np.log1p(np.add.reduce(e, axis=-1) / count) + np.log(count) + t_max
+    if out.ndim:
+        out[t_max == -np.inf] = -np.inf
+    elif t_max == -np.inf:
+        out = -np.inf
+    return out
 
 
 def _log_upper_series(n, x):
-    """log of Gamma(n,x)/Gamma(n) = log sum_{k=0}^{n-1} x^k e^{-x} / k!."""
+    """log of Gamma(n,x)/Gamma(n) = log sum_{k=0}^{n-1} x^k e^{-x} / k!, scalar x.
+
+    Python floats carry the log-terms k*log(x) - x - log Gamma(k+1) (the
+    per-term formula's operands, in its order), their max, the count of
+    maxima and the shift; each is one IEEE operation with numpy's bits.
+    numpy keeps the exp over the shifted row, with the maxima at -inf so
+    they add exactly 0 in place, the `np.add.reduce` over that whole row
+    (scipy's array, summed in scipy's order), log1p and log.  The result
+    is bit-identical to the formula with scipy's `logsumexp`.
+    """
     if x == 0:
         return 0.0
     if x == math.inf:
         return -math.inf
-    log_gamma, index = _log_gamma_table(n + 1)
-    t = index[:n] * math.log(x)
-    t -= x
-    t -= log_gamma[1:n + 1]
-    return min(float(_logsumexp(t)), 0.0)
+    x = float(x)
+    lx = math.log(x)
+    log_gamma = _log_gamma_table(n + 1)[0][1:n + 1].tolist()
+    t = [k * lx - x - g for k, g in enumerate(log_gamma)]
+    t_max = max(t)
+    count = t.count(t_max)
+    s = np.add.reduce(np.exp([u - t_max if u != t_max else -math.inf for u in t]))
+    out = np.log1p(s / count) + np.log(float(count)) + t_max
+    return min(float(out), 0.0)
 
 
 def reg_lower_inc_gamma(n, x):
@@ -260,7 +289,7 @@ def log_reg_inc_beta(p, n, m):
     if int(n) != n or n < 1 or int(m) != m or m < 1:
         raise ValueError(f"shapes must be positive integers, got n={n}, m={m}")
     p_arr = np.asarray(p, dtype=float)
-    if not np.all((p_arr >= 0) & (p_arr <= 1)):
+    if not (p_arr.min() >= 0 and p_arr.max() <= 1):  # False for NaN
         raise ValueError("p must lie in [0, 1]")
     n, m = int(n), int(m)
     lo, hi = _term_window(p_arr, n, m)
@@ -306,7 +335,9 @@ def log_q_sum(alpha, beta, q):
 
 
 def _log_gamma_pdf(x, n, s):
-    return n * math.log(s) + (n - 1) * math.log(x) - s * x - gammaln(n)
+    # log Gamma(n) from the table carries the bits of gammaln(float(n))
+    log_gamma_n = float(_log_gamma_table(n + 1)[0][n])
+    return n * math.log(s) + (n - 1) * math.log(x) - s * x - log_gamma_n
 
 
 def double_gamma_pdf(x, pair: DominancePair, which):

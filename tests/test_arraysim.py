@@ -10,13 +10,11 @@ from doamap.arraysim import (
     amplitude_matrix,
     default_doas,
     default_scenario,
-    fft_reduce,
     noise_variances,
     steering_matrix,
     synth_freq,
-    synth_time,
 )
-from doamap.arraysim import tone_grid
+from timedomain import fft_reduce, synth_time, tone_grid
 
 
 class TestGeometry:

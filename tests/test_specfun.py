@@ -13,6 +13,7 @@ from scipy.stats import gamma as gamma_dist
 from scipy.stats import invgamma as invgamma_dist
 
 from doamap import specfun
+from doamap.bench import validate_distributions
 from doamap.ordermap import posterior_variances
 from doamap.specfun import (
     DominancePair,
@@ -169,6 +170,22 @@ class TestKernelBitIdentity:
         expected = _oracle_log_upper_series(n, x)
         assert specfun._log_upper_series(n, x) == expected
         assert reg_lower_inc_gamma(n, x) == float(-np.expm1(expected))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 127, 128, 129])
+    @pytest.mark.parametrize("x", [1e-300, 0.4, 1.0, 45.0, 800.0, 1e6])
+    def test_upper_series_summation_boundaries(self, n, x):
+        # numpy's sum changes its grouping around 8 and 128 terms; at x = 1 the
+        # first two terms are both -1, so two maxima are set aside
+        expected = _oracle_log_upper_series(n, x)
+        assert specfun._log_upper_series(n, x) == expected
+        assert reg_lower_inc_gamma(n, x) == float(-np.expm1(expected))
+
+    def test_identity_suite_matches_oracle_series(self, monkeypatch):
+        # every pdf and quadrature of the suite reads the series, so equal
+        # checks mean equal bits through the whole suite
+        fast = validate_distributions(n_mc=2000)
+        monkeypatch.setattr(specfun, "_log_upper_series", _oracle_log_upper_series)
+        assert validate_distributions(n_mc=2000) == fast
 
     def test_table_growth_order(self):
         # large, then small, then larger than any table so far: growing the
@@ -465,3 +482,12 @@ class TestValidation:
             DominancePair(alpha=1, beta=1, s_x=-1.0, s_y=1.0)
         with pytest.raises(ValueError):
             GammaParams(shape=2, rate=0.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rates_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="rate must be finite and positive"):
+            GammaParams(shape=2, rate=bad)
+        with pytest.raises(ValueError, match="s_x must be finite and positive"):
+            DominancePair(alpha=3, beta=4, s_x=bad, s_y=1.0)
+        with pytest.raises(ValueError, match="s_y must be finite and positive"):
+            DominancePair(alpha=3, beta=4, s_x=1.0, s_y=bad)
