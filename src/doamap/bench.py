@@ -110,6 +110,11 @@ class ExperimentConfig:
         for meth in self.methods:
             if meth not in KNOWN_METHODS:
                 raise ConfigError(f"unknown method {meth!r}")
+        # a scan stops at k_max, so known-k would fit the k_max prefix
+        if self.k_true > self.k_max and any(
+                meth.endswith("-known-k") for meth in self.methods):
+            raise ConfigError(f"known-k methods need k_true ({self.k_true}) "
+                              f"<= k_max ({self.k_max})")
         if self.m < 2:
             raise ConfigError("m must be >= 2 (posterior means need K*M > 1)")
         # the grid has ceil(180 / step) points: two or more, an intp count

@@ -6,6 +6,13 @@ probability that signal-plus-noise variance dominates projected noise
 variance.  That probability is a finite dominance sum evaluated in log
 domain, plus a prior term: the Stiefel-volume prior for PCA bases, or the
 uniform-DOA prior (2*pi)^-K for steering bases picked from a spectrum.
+
+Only the MAP order leaves a scan, so the scan is a branch and bound over K.
+log I_p <= 0, so the score's closed form with log I_p = 0 bounds it from
+above: the bound U_K runs the same floating-point operations on 0.0
+instead of the computed log I_p (itself clamped to <= 0.0), and rounding
+is monotone, so score <= U_K bit for bit.  The O(beta) kernel runs only
+for orders whose bound can still beat the best exact score so far.
 """
 
 from __future__ import annotations
@@ -16,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arraysim import steering_matrix
-from .specfun import DominancePair, double_moment, log_gamma, log_q_sum
+from .specfun import (DominancePair, _log_q_from, double_moment, log_gamma,
+                      log_q_sum)
 from .subspace import EigenBasis, ProjectionStats, projection_stats
 
 __all__ = [
@@ -40,10 +48,18 @@ class PosteriorVariances:
 
 @dataclass(frozen=True)
 class OrderPosterior:
-    """Per-K log-scores and energy splits and the MAP order; a caller that
-    picks an order K gets its variances from posterior_at_order."""
+    """Per-K log-scores, their bounds and energy splits, and the MAP order;
+    a caller that picks an order K gets its variances from posterior_at_order.
+
+    log_scores[K] is the exact score of every order the scan scored and NaN
+    for an order it pruned; log_score_bounds[K] >= log_scores[K] for every
+    K, so a pruned order lost to the MAP order by at least
+    log_scores[k_map] - log_score_bounds[K].  Both are -inf at a
+    rank-deficient prefix.
+    """
 
     log_scores: np.ndarray          # K = 0..K_max, up to a K-independent constant
+    log_score_bounds: np.ndarray    # closed-form upper bound on each score
     k_map: int
     stats_per_k: list
     rank_deficient_k: tuple = ()
@@ -89,15 +105,39 @@ def posterior_at_order(stats: ProjectionStats, d):
 
 
 def _finish_posterior(stats_list, log_prior):
-    """MAP order over log Q(alpha, beta, q) + log_prior(K) (log Q = 0 at K = 0);
-    a None stats entry (rank-deficient prefix) scores -inf and is flagged."""
-    log_scores = np.full(len(stats_list), -math.inf)
+    """MAP order over log Q(alpha, beta, q) + log_prior(K), branch and bound.
+
+    Each order's bound is `_log_q_from(0.0, ...)` + log_prior(K).  K = 0
+    (log Q = 0) scores exactly its bound and a None stats entry
+    (rank-deficient prefix) scores -inf and is flagged, neither with a
+    kernel call.  The rest are scored by log_q_sum in descending bound
+    order (ties to smaller K) until a bound falls below the best score so
+    far.  A pruned order scores at most its bound, below that best, so the
+    MAP order is the argmax over all exact scores, smallest K on ties.
+    """
+    n = len(stats_list)
+    priors = [log_prior(k) for k in range(n)]
+    bounds = np.full(n, -math.inf)
+    log_scores = np.full(n, math.nan)
     for k, st in enumerate(stats_list):
-        if st is not None:
-            log_scores[k] = log_q_sum(st.alpha, st.beta, st.q) + log_prior(k)
+        if st is None:
+            log_scores[k] = -math.inf
+        elif st.alpha == 0:
+            bounds[k] = log_scores[k] = 0.0 + priors[k]
+        else:
+            bounds[k] = _log_q_from(0.0, st.alpha, st.beta, st.q) + priors[k]
+    best = -math.inf
+    for k in sorted(range(n), key=lambda k: (-bounds[k], k)):
+        if bounds[k] < best:
+            break
+        if math.isnan(log_scores[k]):
+            st = stats_list[k]
+            log_scores[k] = log_q_sum(st.alpha, st.beta, st.q) + priors[k]
+        best = max(best, log_scores[k])
     return OrderPosterior(
         log_scores=log_scores,
-        k_map=int(np.argmax(log_scores)),  # argmax takes the smallest K on ties
+        log_score_bounds=bounds,
+        k_map=int(np.nanargmax(log_scores)),  # the smallest K on ties
         stats_per_k=stats_list,
         rank_deficient_k=tuple(k for k, st in enumerate(stats_list) if st is None),
     )

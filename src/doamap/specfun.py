@@ -321,6 +321,10 @@ def log_q_sum(alpha, beta, q):
     evaluated through the second (cross) form as
     log I_p - alpha log p - beta log q + log B(alpha,beta): one kernel call.
     alpha == 0 is the empty-subspace convention: Q = 1.
+
+    The computed log I_p is at most 0.0, so `_log_q_from(0.0, ...)`, the
+    same arithmetic without the kernel, bounds the result from above bit
+    for bit: each IEEE operation rounds monotonically in its left operand.
     """
     if int(alpha) != alpha or alpha < 0 or int(beta) != beta or beta < 1:
         raise ValueError(f"bad degrees alpha={alpha}, beta={beta}")
@@ -329,9 +333,14 @@ def log_q_sum(alpha, beta, q):
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0, 1), got {q}")
     alpha, beta = int(alpha), int(beta)
+    return _log_q_from(log_reg_inc_beta(1.0 - q, alpha, beta), alpha, beta, q)
+
+
+def _log_q_from(log_ip, alpha, beta, q):
+    """log_q_sum's closed form around a given log I_p, in its operation order."""
     p = 1.0 - q
-    return (log_reg_inc_beta(p, alpha, beta) - alpha * math.log(p)
-            - beta * math.log(q) + float(betaln(alpha, beta)))
+    return (log_ip - alpha * math.log(p) - beta * math.log(q)
+            + float(betaln(alpha, beta)))
 
 
 def _log_gamma_pdf(x, n, s):

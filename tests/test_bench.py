@@ -102,11 +102,12 @@ class TestConfig:
         dict(snr_grid_db=(0.0, 10.0, 0.0)),
         dict(overlap=(0.5, 0.5)),
         dict(decay=(0.0, 0.0)),
+        dict(d=8, k_true=5, k_max=3, methods=("music-known-k",)),
     ], ids=["grid-step-0", "grid-step-inf", "grid-step-180", "grid-step-tiny",
             "overlap-1.5", "decay-neg", "doa-200",
             "spacing-past-180", "m-1", "empty-snr", "k-true-0", "k-max-0",
             "seed-neg", "snr-nan", "snr-neg-inf", "dup-method", "dup-snr",
-            "dup-overlap", "dup-decay"])
+            "dup-overlap", "dup-decay", "known-k-past-k-max"])
     def test_rejects_values_that_fail_in_a_worker(self, fields, tmp_path, capsys):
         with pytest.raises(ConfigError):
             ExperimentConfig(**fields)
@@ -116,6 +117,12 @@ class TestConfig:
             for k, v in fields.items()))
         assert cli_main(["sweep", "--config", str(cfg_file)]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_k_true_past_k_max_without_known_k(self):
+        # only known-k reads k_true as an order; the other rules scan to k_max
+        cfg = ExperimentConfig(d=8, k_true=5, k_max=3,
+                               methods=("music-map", "pca-map", "music-aic"))
+        assert cfg.k_true > cfg.k_max
 
     def test_negative_seed_flag_exit_code(self, capsys):
         assert cli_main(["sweep", "--seed", "-1"]) == 1

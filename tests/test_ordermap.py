@@ -11,7 +11,9 @@ from doamap.arraysim import (
     steering_matrix,
     synth_freq,
 )
+from doamap import ordermap
 from doamap.ordermap import (
+    _finish_posterior,
     aic_order,
     log_stiefel_volume,
     map_order_pca,
@@ -210,6 +212,109 @@ class TestMapOrderScan:
         for k in range(1, len(post.stats_per_k)):
             v = steering_matrix([angle for angle, _h in peaks[:k]], sc.d)
             assert post.stats_per_k[k] == projection_stats(fd.y, v, sc.m)
+
+
+def _pca_prior(d):
+    return lambda k: -log_stiefel_volume(d, k)
+
+
+def _scan_prior(k):
+    return -k * math.log(2.0 * math.pi)
+
+
+def _check_pruned(post, log_prior):
+    """The pruned scan against every order's exact score (the oracle)."""
+    exact = np.array([
+        -math.inf if st is None
+        else log_q_sum(st.alpha, st.beta, st.q) + log_prior(k)
+        for k, st in enumerate(post.stats_per_k)])
+    assert post.k_map == int(np.argmax(exact))
+    for k, (got, bound, want) in enumerate(
+            zip(post.log_scores, post.log_score_bounds, exact)):
+        assert bound >= want, k
+        if math.isnan(got):
+            assert bound < exact.max(), k
+        else:
+            assert got == want, k
+    return int(np.isnan(post.log_scores).sum())
+
+
+class TestPrunedScan:
+    """The branch and bound over K against the full scan's np.argmax."""
+
+    def test_matches_full_scan_on_desk_draws(self):
+        pruned = 0
+        for seed, snr_db in enumerate((-30.0, -15.0, -5.0, 0.0, 10.0, 30.0)):
+            sc = default_scenario(d=32, k=3, m=512, n=512, snr_db=snr_db,
+                                  seed=seed)
+            fd = synth_freq(sc, rng=np.random.default_rng(seed))
+            basis = eigendecompose(sample_covariance(fd.y))
+            pruned += _check_pruned(
+                map_order_pca(basis, fd.y, 10, sc.m), _pca_prior(sc.d))
+            steer = steering_matrix(GRID, sc.d).T
+            for values in (music_pseudospectrum(basis, 10, steer),
+                           dtft_spectrum(sample_covariance(fd.y), steer)):
+                peaks = pick_peaks(GRID, values, 10)
+                pruned += _check_pruned(
+                    map_order_scan(fd.y, peaks, 10, sc.m), _scan_prior)
+        assert pruned > 0  # the bound did cut kernel calls
+
+    def test_kernel_runs_only_for_scored_orders(self, monkeypatch):
+        calls = []
+
+        def counting(alpha, beta, q):
+            calls.append(alpha)
+            return log_q_sum(alpha, beta, q)
+
+        monkeypatch.setattr(ordermap, "log_q_sum", counting)
+        sc = default_scenario(d=32, k=3, m=512, n=512, snr_db=10.0, seed=4)
+        fd = synth_freq(sc)
+        post = map_order_pca(eigendecompose(sample_covariance(fd.y)), fd.y,
+                             10, sc.m)
+        scored = [k for k in range(1, 11) if not math.isnan(post.log_scores[k])]
+        assert sorted(calls) == [k * sc.m for k in scored]
+        assert post.k_map in scored and len(scored) < 10
+
+    def test_tied_bounds_pick_smaller_k(self):
+        strong = ProjectionStats(s=900.0, t=100.0, alpha=64, beta=960)
+        weak = ProjectionStats(s=10.0, t=990.0, alpha=128, beta=896)
+        stats = [ProjectionStats(s=0.0, t=1000.0, alpha=0, beta=1024),
+                 weak, strong, strong, weak]
+        post = _finish_posterior(stats, lambda k: 0.0)
+        assert post.log_score_bounds[2] == post.log_score_bounds[3]
+        assert post.k_map == 2
+        _check_pruned(post, lambda k: 0.0)
+
+    def test_top_bound_can_lose(self):
+        # K = 1 has the highest bound but K = 2 the highest exact score, so
+        # the scan goes on past its first exact score
+        stats = [ProjectionStats.from_energy(s, 1000.0, k, 16, 4)
+                 for k, s in enumerate((0.0, 85.0, 169.0))]
+        post = _finish_posterior(stats, lambda k: 0.0)
+        assert post.log_score_bounds[1] > post.log_score_bounds[2]
+        assert post.k_map == 2
+        _check_pruned(post, lambda k: 0.0)
+
+    def test_k0_winner_prunes_every_order(self):
+        stats = [ProjectionStats.from_energy(s, 1000.0, k, 16, 64)
+                 for k, s in enumerate((0.0, 20.0, 30.0, 35.0))]
+        prior = lambda k: -1e6 * k  # noqa: E731
+        post = _finish_posterior(stats, prior)
+        assert post.k_map == 0
+        assert post.log_scores[0] == post.log_score_bounds[0] == 0.0
+        assert np.isnan(post.log_scores[1:]).all()
+        _check_pruned(post, prior)
+
+    @pytest.mark.parametrize("deficient", [(1,), (2, 3), (1, 2, 3)])
+    def test_rank_deficient_prefixes(self, deficient):
+        stats = [ProjectionStats.from_energy(s, 1000.0, k, 16, 64)
+                 for k, s in enumerate((0.0, 600.0, 700.0, 720.0))]
+        stats = [None if k in deficient else st for k, st in enumerate(stats)]
+        post = _finish_posterior(stats, _scan_prior)
+        assert post.rank_deficient_k == deficient
+        for k in deficient:
+            assert post.log_scores[k] == post.log_score_bounds[k] == -math.inf
+        _check_pruned(post, _scan_prior)
 
 
 class TestShrinkage:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import betainc, gammaln, logsumexp
@@ -345,6 +345,19 @@ class TestLogQSum:
             log_q_sum(2, 3, 0.0)
         with pytest.raises(ValueError):
             log_q_sum(2, 3, 1.0)
+
+    @given(alpha=st.integers(1, 400_000), beta=st.integers(1, 400_000),
+           q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @example(alpha=3, beta=5, q=1e-300)  # p = 1 - q rounds to 1: log I_p = 0
+    @example(alpha=20480, beta=389120, q=0.0647)
+    def test_property_closed_form_bounds_score(self, alpha, beta, q):
+        # the score's arithmetic on 0.0 >= log I_p rounds to no less, bit
+        # for bit, and to the same bits where log I_p is 0
+        bound = specfun._log_q_from(0.0, alpha, beta, q)
+        score = log_q_sum(alpha, beta, q)
+        assert score <= bound
+        if log_reg_inc_beta(1.0 - q, alpha, beta) == 0.0:
+            assert score == bound
 
 
 def _joint_marginal_oracle(x, pair, family, which):
