@@ -23,7 +23,6 @@ from .specfun import (
     double_gamma_pdf,
     double_invgamma_pdf,
     double_moment,
-    log_gamma,
     log_q_sum,
     log_reg_inc_beta,
     prob_dominance,

@@ -240,18 +240,19 @@ def _fmt(x):
     return "nan" if (x is None or (isinstance(x, float) and math.isnan(x))) else f"{x:.10g}"
 
 
-def _peak_pipeline_metrics(fd, scenario, peaks, k, tau, truth, true_amps):
-    """DOA and amplitude metrics for the top-k peaks of a spectrum."""
-    angles = [peaks[i][0] for i in range(min(k, len(peaks)))]
-    if not angles:
+def _peak_pipeline_metrics(fd, grid, steer, idx, tau, truth, true_amps):
+    """DOA and amplitude metrics for the spectrum peaks at grid indices idx
+    (highest first), fitted on their rows of the G x D steering table."""
+    if not idx.size:
         err = err_doa(DoaEstimate(()), truth)
         zero = rmse_amplitude(None, (), true_amps, truth.angles_deg)
         return err, zero, zero
+    angles = grid[idx]
     order = np.argsort(angles, kind="stable")
-    sorted_angles = tuple(angles[i] for i in order)
-    v = steering_matrix(angles, scenario.d)
-    a0 = np.linalg.pinv(v) @ fd.y
-    a0 = a0[order]
+    sorted_angles = tuple(angles[order].tolist())
+    # pinv over the columns in peak order, then rows in angle order: a pinv
+    # of angle-sorted columns would move a0 by a few ulps
+    a0 = (np.linalg.pinv(steer[idx].T) @ fd.y)[order]
     err = err_doa(DoaEstimate(sorted_angles), truth)
     r0 = rmse_amplitude(a0, sorted_angles, true_amps, truth.angles_deg)
     rs = rmse_amplitude((1.0 - tau) * a0, sorted_angles, true_amps,
@@ -263,8 +264,9 @@ def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None)
     """Execute every requested pipeline on one data draw.
 
     A method is '<source>-<rule>'.  Each source (pca, or the peaks of the
-    music or dtft spectrum, both read off one grid steering table) runs its
-    order scan once; the rule only picks K: map the MAP order, aic the AIC
+    music or dtft spectrum: grid indices into the one grid steering table
+    that the spectra, scans and amplitude fits read) runs its order scan
+    once; the rule only picks K: map the MAP order, aic the AIC
     order, known-k the true count.  The posterior, amplitude fit and metrics
     run once per (source, K), shared by every method picking it (a K past
     the last peak reads the last prefix).  Returns dicts with the per-method
@@ -288,11 +290,11 @@ def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None)
         steer = steering_matrix(grid, scenario.d).T  # G x D, row g: grid[g]
     if "music" in sources:
         peaks["music"] = pick_peaks(
-            grid, music_pseudospectrum(basis, k_max, steer), k_max)
+            music_pseudospectrum(basis, k_max, steer), k_max)
     if "dtft" in sources:
-        peaks["dtft"] = pick_peaks(grid, dtft_spectrum(cov, steer), k_max)
-    for source, source_peaks in peaks.items():
-        posts[source] = map_order_scan(fd.y, source_peaks, k_max, scenario.m)
+        peaks["dtft"] = pick_peaks(dtft_spectrum(cov, steer), k_max)
+    for source, idx in peaks.items():  # grid indices, highest peak first
+        posts[source] = map_order_scan(fd.y, steer[idx], k_max, scenario.m)
 
     fits = {}  # (source, k_hat) -> metric fields
     out = []
@@ -312,8 +314,8 @@ def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None)
                 err = r0 = rs = math.nan  # eigenvector bases carry no DOAs
             else:
                 err, r0, rs = _peak_pipeline_metrics(
-                    fd, scenario, peaks[source], k_hat, pv.tau_mean, truth,
-                    true_amps)
+                    fd, grid, steer, peaks[source][:k_hat], pv.tau_mean,
+                    truth, true_amps)
             fits[key] = dict(
                 err_doa=err, rmse_a0=r0, rmse_a_shrunk=rs,
                 rmse_sigma=abs(math.sqrt(pv.sigma2_mean) - sigma_true),

@@ -22,9 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arraysim import steering_matrix
-from .specfun import (DominancePair, _log_q_from, double_moment, log_gamma,
-                      log_q_sum)
+from .specfun import DominancePair, _log_q_from, double_moment, log_q_sum
 from .subspace import EigenBasis, ProjectionStats, projection_stats
 
 __all__ = [
@@ -73,7 +71,7 @@ def log_stiefel_volume(d, k):
     return float(
         sum(
             math.log(2.0) + i * (math.log(math.pi) + log_r2)
-            - log_gamma(i) - 0.5 * log_r2
+            - math.lgamma(i) - 0.5 * log_r2
             for i in range(d - k + 1, d + 1)
         )
     )
@@ -159,21 +157,20 @@ def map_order_pca(basis: EigenBasis, y, k_max, m):
     return _finish_posterior(stats_list, lambda k: -log_stiefel_volume(d, k))
 
 
-def map_order_scan(y, peaks, k_max, m):
+def map_order_scan(y, steer_rows, k_max, m):
     """MAP order for spectrum pipelines on the D x M data Y: nested top-K
     steering prefixes.
 
-    peaks is pick_peaks' height-ordered list of (angle, height) pairs; prefix
-    K is the first K columns of one steering matrix of the first K_max
-    angles, and an empty list scores K = 0 alone.  The DOA prior contributes
-    -K*log(2*pi) for both the MUSIC and DTFT spectra.  A rank-deficient
-    prefix (coincident peaks) scores -inf and is flagged.
+    steer_rows is P x D, row i the steering vector of the i-th highest
+    spectrum peak; prefix K is the first K rows, transposed, and P = 0
+    scores K = 0 alone.  The DOA prior contributes -K*log(2*pi) for both the
+    MUSIC and DTFT spectra.  A rank-deficient prefix (coincident peaks)
+    scores -inf and is flagged.
     """
-    angles = [angle for angle, _height in peaks[:k_max]]
-    v = steering_matrix(angles, y.shape[0])
+    v = steer_rows[:k_max].T
     norm2_y = float(np.sum(np.abs(y) ** 2))
     stats_list = []
-    for k in range(len(angles) + 1):
+    for k in range(v.shape[1] + 1):
         try:
             stats_list.append(projection_stats(y, v[:, :k], m, norm2_y=norm2_y))
         except ValueError:

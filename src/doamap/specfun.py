@@ -50,7 +50,6 @@ from scipy.special import betaln, gammaln
 __all__ = [
     "GammaParams",
     "DominancePair",
-    "log_gamma",
     "reg_lower_inc_gamma",
     "reg_inc_beta",
     "log_reg_inc_beta",
@@ -61,9 +60,6 @@ __all__ = [
     "double_moment",
     "dominance_frequency",
 ]
-
-_MAX_EXACT_FACTORIAL = 20
-_FACTORIALS = [math.factorial(i) for i in range(_MAX_EXACT_FACTORIAL + 1)]
 
 # (gammaln(j), float(j)) for j = 0 .. len-1; replaced by longer tables only
 _TABLES = (np.empty(0), np.empty(0))
@@ -118,15 +114,6 @@ class DominancePair:
         object.__setattr__(self, "p", 1.0 - q)
         object.__setattr__(self, "log_ip",
                            log_reg_inc_beta(self.p, self.alpha, self.beta))
-
-
-def log_gamma(x):
-    """log Gamma(x) for x > 0; exact factorial for integer x <= 20."""
-    if not x > 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    if x == int(x) and x <= _MAX_EXACT_FACTORIAL + 1:
-        return math.log(_FACTORIALS[int(x) - 1])
-    return math.lgamma(x)
 
 
 def _log_gamma_table(top):

@@ -5,7 +5,8 @@ data energy splits as |Y|^2 = |V A0|^2 + |H0|^2 with A0 the least-squares
 amplitudes and H0 the residual.  ProjectionStats.from_energy packages that
 split, plus the signal/noise degree counts, for the Bayesian order scores.
 Both spectra read one G x D grid steering table, built once per draw, whose
-row g is the steering vector of grid angle g.
+row g is the steering vector of grid angle g; a spectrum peak is a grid
+index, so its steering vector is a row of that table.
 """
 
 from __future__ import annotations
@@ -70,9 +71,8 @@ def sample_covariance(y):
 def eigendecompose(cov):
     """Descending eigenpairs of a Hermitian PSD matrix.
 
-    Negative round-off eigenvalues are clamped to zero; each eigenvector is
-    rotated so its first significantly nonzero component is real positive,
-    which pins the arbitrary phase for reproducible fixtures.
+    Negative round-off eigenvalues are clamped to zero.  Eigenvector phases
+    are eigh's: MUSIC reads |Q^H v|^2 and PCA and AIC read only eigenvalues.
     """
     cov = np.asarray(cov)
     herm_err = np.max(np.abs(cov - cov.conj().T))
@@ -81,16 +81,8 @@ def eigendecompose(cov):
         raise ValueError(f"matrix is not Hermitian (max asymmetry {herm_err:.3g})")
     vals, vecs = np.linalg.eigh(cov)
     vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
     vals[vals < 0] = 0.0
-    absvecs = np.abs(vecs)
-    for j in range(vecs.shape[1]):
-        col_max = absvecs[:, j].max()
-        idx = np.argmax(absvecs[:, j] > 1e-12 * col_max)
-        pivot = vecs[idx, j]
-        if abs(pivot) > 0:
-            vecs[:, j] *= np.conj(pivot) / abs(pivot)
-    return EigenBasis(eigvecs=vecs, eigvals=vals)
+    return EigenBasis(eigvecs=vecs[:, ::-1].copy(), eigvals=vals)
 
 
 def dtft_spectrum(cov, steer):
@@ -114,19 +106,17 @@ def music_pseudospectrum(basis: EigenBasis, k_sub, steer):
     return 1.0 / np.maximum(denom, 1e-300)
 
 
-def pick_peaks(grid_deg, values, count):
-    """Local maxima of a spectrum on an ascending angle grid (degrees),
-    height-descending, ties toward smaller angle.
+def pick_peaks(values, count):
+    """Grid indices of a spectrum's local maxima, height-descending, ties
+    toward the smaller index.
 
     Interior points must strictly exceed both neighbors; boundary points get a
-    one-sided test.  Returns up to `count` (angle, height) pairs, fewer when
-    the curve has fewer maxima.
+    one-sided test.  Returns up to `count` indices, fewer when the curve has
+    fewer maxima.
     """
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         raise ValueError("empty spectrum curve")
-    if len(grid_deg) != v.size:
-        raise ValueError("grid and values must have equal length")
     if v.size == 1:
         idx = np.array([0])
     else:
@@ -135,12 +125,8 @@ def pick_peaks(grid_deg, values, count):
         is_peak[0] = v[0] > v[1]
         is_peak[-1] = v[-1] > v[-2]
         idx = np.nonzero(is_peak)[0]
-    if idx.size == 0:
-        return []
-    # stable sort on -height keeps the smaller-angle peak first on ties
-    order = np.argsort(-v[idx], kind="stable")
-    idx = idx[order][:count]
-    return [(float(grid_deg[i]), float(v[i])) for i in idx]
+    # stable sort on -height keeps the smaller index first on ties
+    return idx[np.argsort(-v[idx], kind="stable")][:count]
 
 
 def _name_dependent_columns(v):

@@ -270,8 +270,9 @@ class TestRunSingle:
         # known-k at K = 2 has no posterior there and raises
         from doamap.arraysim import default_scenario
 
+        # grid index 25 of the 2-degree grid is 50 degrees
         monkeypatch.setattr(bench, "pick_peaks",
-                            lambda grid, values, count: [(50.0, 2.0), (50.0, 1.0)])
+                            lambda values, count: np.array([25, 25]))
         scans = []
 
         def spy(*args):
@@ -358,17 +359,52 @@ class TestBenchmarkContract:
 
     def test_one_scan_per_source(self):
         # every rule reads its source's one scan: each scored candidate is
-        # one projection, and the steering matrices are synthesis, the one
-        # grid table both spectra read, one per scan and one amplitude fit
-        # per distinct spectrum (source, K > 0)
-        _tracing, tracer, rows = self._traced_six_method_draw()
+        # one projection, and the steering matrices are synthesis and the
+        # one grid table that both spectra, both scans and every amplitude
+        # fit read rows of
+        _tracing, tracer, _rows = self._traced_six_method_draw()
         counts = tracer.counts
         scored = counts["ordermap.map_order_scan", "candidates_scored"]
         assert counts["subspace.projection_stats", "calls"] == scored == 12
-        fits = {self._source_and_k(r) for r in rows
-                if r["method"] != "pca-map" and r["k_hat"] > 0}
-        assert counts["arraysim.steering_matrix", "calls"] == (
-            1 + 1 + 2 + len(fits)) == 7
+        assert counts["arraysim.steering_matrix", "calls"] == 2
+
+    def test_scan_reads_peak_rows(self, monkeypatch):
+        # the tracer counts len() of the scan's second argument as the peak
+        # count, so the scan gets the peaks' steering rows, P x D, highest
+        # peak first.  The 30-degree grid has fewer peaks than k_max = 5,
+        # where a D x P argument would count min(k_max, D) = 5 peaks.
+        from doamap.arraysim import default_scenario, steering_matrix
+
+        tracing = _load_tracing()
+        sc = default_scenario(d=16, k=2, m=64, n=64, snr_db=20.0, seed=0)
+        tracer = tracing.Tracer()
+        picked, scanned = [], []
+        with tracing.instrument(tracer), monkeypatch.context() as mp:
+            traced_pick, traced_scan = bench.pick_peaks, bench.map_order_scan
+
+            def pick_spy(values, count):
+                picked.append(traced_pick(values, count))
+                return picked[-1]
+
+            def scan_spy(y, steer_rows, k_max, m):
+                scanned.append(steer_rows)
+                return traced_scan(y, steer_rows, k_max, m)
+
+            mp.setattr(bench, "pick_peaks", pick_spy)
+            mp.setattr(bench, "map_order_scan", scan_spy)
+            grids = []
+            for step in (2.0, 30.0):
+                bench.run_single(sc, 5, step, ("music-map", "dtft-map"),
+                                 rng=np.random.default_rng(0))
+                grids += [np.arange(0.0, 180.0, step)] * 2
+        assert [rows.shape for rows in scanned] == [
+            (idx.size, sc.d) for idx in picked]
+        assert min(idx.size for idx in picked) < 5
+        for grid, idx, rows in zip(grids, picked, scanned, strict=True):
+            np.testing.assert_allclose(
+                rows, steering_matrix(grid[idx], sc.d).T, rtol=1e-12)
+        assert tracer.counts["ordermap.map_order_scan", "candidates_scored"] == (
+            sum(idx.size + 1 for idx in picked))
 
     def test_one_posterior_per_source_and_order(self):
         # rules only pick K: the methods that pick the same (source, K) share

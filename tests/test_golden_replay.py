@@ -5,10 +5,11 @@ substream that task (grid index, run index) of `doamap sweep` uses.  `k_hat`
 must match exactly and every float column to 1e-10 relative, the bound the
 benchmark checks.
 
-Desk draws use the desk defaults with overlap {0, 0.999}.  Run 0 of every
-grid point covers all SNRs and overlaps; 23:1, 24:6 and 24:9 are high-SNR
-draws whose `rmse_sigma` = |sqrt(sigma2) - sigma| cancels about four digits,
-so they catch a few-ulp drift in the captured energies.
+Desk draws replay the whole desk-sweep pool (desk defaults with overlap
+{0, 0.999}, every grid point, runs 0-9), ~2 s.  Its high-SNR draws, such as
+23:1, 24:6 and 24:9, have an `rmse_sigma` = |sqrt(sigma2) - sigma| that
+cancels about four digits, so they catch a few-ulp drift in the captured
+energies.
 
 Paper draws replay the whole paper-draws pool (SNR {-20, 0, 20} dB, runs
 0-3) at paper shape, where the incomplete-beta sums run to ~4e5 terms.
@@ -27,7 +28,7 @@ GOLDEN_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
 REL_TOL = 1e-10
 FLOAT_FIELDS = ("err_doa", "rmse_a0", "rmse_a_shrunk", "rmse_sigma", "tau_mean")
 CONFIG = ExperimentConfig(overlap=(0.0, 0.999))
-TASKS = [(gi, 0) for gi in range(len(CONFIG.grid_points()))] + [(23, 1), (24, 6), (24, 9)]
+TASKS = [(gi, ri) for gi in range(len(CONFIG.grid_points())) for ri in range(10)]
 PAPER_CONFIG = ExperimentConfig.paper_scale(snr_grid_db=(-20.0, 0.0, 20.0))
 PAPER_TASKS = [(gi, ri) for gi in range(len(PAPER_CONFIG.grid_points())) for ri in range(4)]
 
@@ -65,6 +66,10 @@ def _check(rows, want):
         assert row["k_hat"] == expect["k_hat"], row["method"]
         for f in FLOAT_FIELDS:
             assert _close(float(row[f]), expect[f]), (row["method"], f, row[f], expect[f])
+
+
+def test_desk_pool_is_replayed_whole(golden):
+    assert sorted(golden) == sorted(f"{gi}:{ri}" for gi, ri in TASKS)
 
 
 @pytest.mark.parametrize("gi,ri", TASKS, ids=[f"{gi}:{ri}" for gi, ri in TASKS])

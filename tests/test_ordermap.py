@@ -157,46 +157,49 @@ class TestMapOrderPca:
 
 class TestMapOrderScan:
     def _peaks(self, fd, kind, k_max=10):
+        """Grid indices of the spectrum's peaks and their steering rows."""
         steer = steering_matrix(GRID, fd.y.shape[0]).T
         if kind == "dtft":
             values = dtft_spectrum(sample_covariance(fd.y), steer)
         else:
             basis = eigendecompose(sample_covariance(fd.y))
             values = music_pseudospectrum(basis, k_max, steer)
-        return pick_peaks(GRID, values, k_max)
+        idx = pick_peaks(values, k_max)
+        return idx, steer[idx]
 
     def test_k0_score_is_zero(self):
         sc = default_scenario(d=16, k=1, m=128, n=128, snr_db=10.0, seed=2)
         fd = synth_freq(sc)
-        post = map_order_scan(fd.y, self._peaks(fd, "dtft"), 5, sc.m)
+        post = map_order_scan(fd.y, self._peaks(fd, "dtft")[1], 5, sc.m)
         assert post.log_scores[0] == 0.0
 
     def test_single_source_selected(self):
         sc = default_scenario(d=32, k=1, m=256, n=256, snr_db=15.0, seed=3)
         fd = synth_freq(sc)
         for kind in ("music", "dtft"):
-            post = map_order_scan(fd.y, self._peaks(fd, kind), 8, sc.m)
+            post = map_order_scan(fd.y, self._peaks(fd, kind)[1], 8, sc.m)
             assert post.k_map == 1
             assert post.log_scores[1] > post.log_scores[0]
 
     def test_k_max_capped_by_peak_count(self):
         sc = default_scenario(d=16, k=1, m=64, n=64, snr_db=240.0, seed=5)
         fd = synth_freq(sc)
-        post = map_order_scan(fd.y, [(sc.doa_deg[0], 1.0)], 10, sc.m)
+        post = map_order_scan(fd.y, steering_matrix(sc.doa_deg, sc.d).T, 10,
+                              sc.m)
         assert len(post.log_scores) == 2  # K in {0, 1} only
 
     def test_coincident_peaks_flagged(self):
         sc = default_scenario(d=16, k=1, m=64, n=64, snr_db=20.0, seed=6)
         fd = synth_freq(sc)
-        peaks = [(50.0, 2.0), (50.0, 1.0)]
-        post = map_order_scan(fd.y, peaks, 2, sc.m)
+        rows = steering_matrix([50.0, 50.0], sc.d).T
+        post = map_order_scan(fd.y, rows, 2, sc.m)
         assert post.rank_deficient_k == (2,)
         assert post.log_scores[2] == -math.inf
         assert post.k_map in (0, 1)
 
     def test_empty_peaks_score_k0_alone(self):
         y = np.ones((4, 2), dtype=complex)
-        post = map_order_scan(y, [], 3, 2)
+        post = map_order_scan(y, np.empty((0, 4), dtype=complex), 3, 2)
         assert post.k_map == 0
         assert len(post.log_scores) == 1 and post.log_scores[0] == 0.0
         pv = posterior_at_order(post.stats_per_k[0], 4)
@@ -207,10 +210,10 @@ class TestMapOrderScan:
         # each prefix's stats equal those of its own steering matrix, bit for bit
         sc = default_scenario(d=16, k=3, m=64, n=64, snr_db=5.0, seed=7)
         fd = synth_freq(sc)
-        peaks = self._peaks(fd, "music", k_max=5)
-        post = map_order_scan(fd.y, peaks, 5, sc.m)
+        idx, rows = self._peaks(fd, "music", k_max=5)
+        post = map_order_scan(fd.y, rows, 5, sc.m)
         for k in range(1, len(post.stats_per_k)):
-            v = steering_matrix([angle for angle, _h in peaks[:k]], sc.d)
+            v = steering_matrix(GRID[idx[:k]], sc.d)
             assert post.stats_per_k[k] == projection_stats(fd.y, v, sc.m)
 
 
@@ -254,9 +257,9 @@ class TestPrunedScan:
             steer = steering_matrix(GRID, sc.d).T
             for values in (music_pseudospectrum(basis, 10, steer),
                            dtft_spectrum(sample_covariance(fd.y), steer)):
-                peaks = pick_peaks(GRID, values, 10)
+                rows = steer[pick_peaks(values, 10)]
                 pruned += _check_pruned(
-                    map_order_scan(fd.y, peaks, 10, sc.m), _scan_prior)
+                    map_order_scan(fd.y, rows, 10, sc.m), _scan_prior)
         assert pruned > 0  # the bound did cut kernel calls
 
     def test_kernel_runs_only_for_scored_orders(self, monkeypatch):

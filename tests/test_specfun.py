@@ -22,7 +22,6 @@ from doamap.specfun import (
     double_gamma_pdf,
     double_invgamma_pdf,
     double_moment,
-    log_gamma,
     log_q_sum,
     log_reg_inc_beta,
     prob_dominance,
@@ -62,23 +61,6 @@ def _oracle_log_upper_series(n, x):
         return 0.0
     k = np.arange(n)
     return min(float(logsumexp(k * math.log(x) - x - gammaln(k + 1))), 0.0)
-
-
-class TestLogGamma:
-    def test_known_values(self):
-        assert log_gamma(1) == 0.0
-        assert log_gamma(5) == pytest.approx(math.log(24), rel=1e-15)
-        assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-14)
-
-    def test_matches_lgamma_on_grid(self):
-        for x in np.linspace(0.1, 200.0, 57):
-            assert log_gamma(float(x)) == pytest.approx(math.lgamma(x), rel=1e-12)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            log_gamma(0.0)
-        with pytest.raises(ValueError):
-            log_gamma(-2.5)
 
 
 class TestRegLowerIncGamma:
@@ -316,7 +298,7 @@ class TestLogQSum:
                     q = 1.0 - p
                     log_bp = (
                         (a - 1) * math.log(p) + (b - 1) * math.log(q)
-                        - (log_gamma(a) + log_gamma(b) - log_gamma(a + b))
+                        - (math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
                     )
                     lhs = log_q_sum(a, b, q) + math.log(p * q) + log_bp
                     rhs = math.log(betainc(a, b, p))
