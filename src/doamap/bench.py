@@ -13,6 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -78,23 +79,26 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full sweep description; desk-scale defaults, paper scale via flag."""
+    """Full sweep description; desk-scale defaults, paper scale via flag.
+
+    The fields are the config-file keys, and each value is parsed by its
+    field's annotation (see parse_file).
+    """
 
     d: int = 32
     k_true: int = 3
     m: int = 512
     n: int = 512
-    overlap: tuple = (0.0,)
-    decay: tuple = (0.0,)
-    doa_deg: tuple = ()          # explicit DOAs; empty = default spacing
-    doa_spacing_deg: float = 0.0  # >0 overrides the default floor(170/K) spacing
-    snr_grid_db: tuple = (-30.0, -25.0, -20.0, -15.0, -10.0, -5.0, 0.0,
-                          5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
+    overlap: tuple[float, ...] = (0.0,)
+    decay: tuple[float, ...] = (0.0,)
+    doa_deg: tuple[float, ...] = ()  # explicit DOAs; empty = default spacing
+    snr_grid_db: tuple[float, ...] = (-30.0, -25.0, -20.0, -15.0, -10.0, -5.0,
+                                      0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
     k_max: int = 10
     grid_step_deg: float = 0.5
     n_runs: int = 100
     master_seed: int = 0
-    methods: tuple = ("pca-map", "music-map", "dtft-map", "music-aic")
+    methods: tuple[str, ...] = ("pca-map", "music-map", "dtft-map", "music-aic")
     output_path: str = "results.csv"
 
     def __post_init__(self):
@@ -122,8 +126,6 @@ class ExperimentConfig:
                 and 180 / self.grid_step_deg <= np.iinfo(np.intp).max):
             raise ConfigError("grid_step_deg must be in (0, 180) with an "
                               f"intp-sized grid, got {self.grid_step_deg}")
-        if not self.doa_spacing_deg >= 0:
-            raise ConfigError("doa_spacing_deg must be >= 0 (0 = default spacing)")
         for name in ("snr_grid_db", "overlap", "decay", "methods"):
             values = getattr(self, name)
             if not values:
@@ -146,11 +148,7 @@ class ExperimentConfig:
         )
 
     def resolved_doas(self):
-        if self.doa_deg:
-            return tuple(self.doa_deg)
-        if self.doa_spacing_deg > 0:
-            return tuple(10.0 + i * self.doa_spacing_deg for i in range(self.k_true))
-        return default_doas(self.k_true)
+        return tuple(self.doa_deg) or default_doas(self.k_true)
 
     def grid_points(self):
         """(snr_db, overlap, decay) in deterministic sweep order."""
@@ -164,9 +162,15 @@ class ExperimentConfig:
         return cls(**base)
 
     @classmethod
-    def from_file(cls, path, **overrides):
-        """Flat key = value config file; commas separate list entries."""
-        fields, key_lines = {}, {}
+    def parse_file(cls, path):
+        """The settings of a flat key = value config file, by field name.
+
+        Commas separate the entries of a tuple field; each value or entry is
+        parsed by the field's annotation.  An unknown key, a key set twice or
+        a value its type rejects is a ConfigError.
+        """
+        types = get_type_hints(cls)
+        settings, key_lines = {}, {}
         try:
             text = Path(path).read_text()
         except OSError as exc:
@@ -178,42 +182,25 @@ class ExperimentConfig:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
+            if key not in types:
+                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
             if key_lines.setdefault(key, lineno) != lineno:
                 raise ConfigError(f"{path}:{lineno}: {key!r} is already set "
                                   f"on line {key_lines[key]}")
-            fields[key] = value
-        fields.update({k: v for k, v in overrides.items() if v is not None})
-        return cls._from_strings(fields, source=str(path))
+            try:
+                settings[key] = _parse(types[key], value)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+        return settings
 
-    @classmethod
-    def _from_strings(cls, fields, source="<config>"):
-        ints = {"d", "k_true", "m", "n", "k_max", "n_runs", "master_seed"}
-        floats = {"grid_step_deg", "doa_spacing_deg"}
-        float_lists = {"overlap", "decay", "snr_grid_db", "doa_deg"}
-        str_lists = {"methods"}
-        kwargs = {}
-        for key, value in fields.items():
-            if isinstance(value, str):
-                try:
-                    if key in ints:
-                        value = int(value)
-                    elif key in floats:
-                        value = float(value)
-                    elif key in float_lists:
-                        value = tuple(float(v) for v in value.split(",") if v.strip())
-                    elif key in str_lists:
-                        value = tuple(v.strip() for v in value.split(",") if v.strip())
-                    elif key == "output_path":
-                        pass
-                    else:
-                        raise ConfigError(f"{source}: unknown config key {key!r}")
-                except ValueError as exc:
-                    raise ConfigError(f"{source}: bad value for {key}: {exc}") from exc
-            kwargs[key] = value
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(f"{source}: {exc}") from exc
+
+def _parse(annotation, text):
+    """A config value by its field's annotation; tuple entries split on ','."""
+    if get_origin(annotation) is tuple:
+        entry = get_args(annotation)[0]
+        return tuple(entry(v.strip()) for v in text.split(",") if v.strip())
+    return annotation(text)
 
 
 @dataclass(frozen=True)
@@ -281,11 +268,12 @@ def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None)
     # every second-order stage reads this one covariance and its eigenbasis
     cov = sample_covariance(fd.y)
     basis = eigendecompose(cov)
+    norm2_y = float(np.sum(np.abs(fd.y) ** 2))
     pairs = [method.split("-", 1) for method in methods]  # (source, rule)
     sources = {source for source, _rule in pairs}
     peaks, posts = {}, {}
     if "pca" in sources:
-        posts["pca"] = map_order_pca(basis, fd.y, k_max, scenario.m)
+        posts["pca"] = map_order_pca(basis, norm2_y, k_max, scenario.m)
     if sources & {"music", "dtft"}:
         steer = steering_matrix(grid, scenario.d).T  # G x D, row g: grid[g]
     if "music" in sources:
@@ -294,7 +282,8 @@ def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None)
     if "dtft" in sources:
         peaks["dtft"] = pick_peaks(dtft_spectrum(cov, steer), k_max)
     for source, idx in peaks.items():  # grid indices, highest peak first
-        posts[source] = map_order_scan(fd.y, steer[idx], k_max, scenario.m)
+        posts[source] = map_order_scan(fd.y, steer[idx], k_max, scenario.m,
+                                       norm2_y)
 
     fits = {}  # (source, k_hat) -> metric fields
     out = []
@@ -344,7 +333,8 @@ def run_sweep(config: ExperimentConfig, jobs=1):
         for ri in range(config.n_runs)
     ]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a fork start method forks every worker up front
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             chunks = list(pool.map(_run_task, tasks, chunksize=8))
     else:
         chunks = [_run_task(t) for t in tasks]

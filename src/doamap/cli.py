@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .bench import (
@@ -37,11 +38,16 @@ def _build_parser():
     sweep = sub.add_parser("sweep", help="run a Monte Carlo sweep")
     sweep.add_argument("--config", help="flat key=value config file")
     sweep.add_argument("--paper-scale", action="store_true",
-                       help="use the full-scale defaults (D=100, M=N=4096, 10^3 runs)")
-    sweep.add_argument("--seed", type=int, default=None, help="master seed override")
+                       help="start from the full-scale preset (D=100, M=N=4096, "
+                            "10^3 runs); --config keys and flags override it")
+    # the flags that set a config key store it under the key's name
+    sweep.add_argument("--seed", dest="master_seed", metavar="SEED", type=int,
+                       help="master seed override")
     sweep.add_argument("--jobs", type=int, default=1, help="worker process count")
-    sweep.add_argument("--out", default=None, help="output CSV path override")
-    sweep.add_argument("--runs", type=int, default=None, help="n_runs override")
+    sweep.add_argument("--out", dest="output_path", metavar="OUT",
+                       help="output CSV path override")
+    sweep.add_argument("--runs", dest="n_runs", metavar="RUNS", type=int,
+                       help="n_runs override")
 
     sub.add_parser("validate-dist",
                    help="run the distribution identity suite")
@@ -57,23 +63,14 @@ def _build_parser():
 def _cmd_sweep(args):
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-    overrides = {}
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.out is not None:
-        overrides["output_path"] = args.out
-    if args.runs is not None:
-        overrides["n_runs"] = args.runs
-    # a ConfigError here reaches main(), which exits 1 before any work
-    if args.config:
-        config = ExperimentConfig.from_file(args.config, **overrides)
-        if args.paper_scale:
-            print("note: --paper-scale ignored when --config is given",
-                  file=sys.stderr)
-    elif args.paper_scale:
-        config = ExperimentConfig.paper_scale(**overrides)
-    else:
-        config = ExperimentConfig(**overrides)
+    # defaults < --paper-scale preset < --config file < flags; a
+    # ConfigError here reaches main(), which exits 1 before any work
+    settings = ExperimentConfig.parse_file(args.config) if args.config else {}
+    keys = {f.name for f in fields(ExperimentConfig)}
+    settings.update((k, v) for k, v in vars(args).items()
+                    if k in keys and v is not None)
+    make = ExperimentConfig.paper_scale if args.paper_scale else ExperimentConfig
+    config = make(**settings)
     out = Path(config.output_path)
     if not out.parent.is_dir():
         raise ConfigError(f"output directory {out.parent} does not exist")

@@ -141,25 +141,24 @@ def _finish_posterior(stats_list, log_prior):
     )
 
 
-def map_order_pca(basis: EigenBasis, y, k_max, m):
+def map_order_pca(basis: EigenBasis, norm2_y, k_max, m):
     """MAP order for the PCA pipeline: eigenvector bases, Stiefel prior.
 
     The top-K eigenvectors of R = Y Y^H of the D x M data Y capture the
-    top-K eigenvalue sum.
+    top-K eigenvalue sum; norm2_y is |Y|^2, the data's total energy.
     """
     d = basis.eigvecs.shape[0]
     if k_max >= d:
         raise ValueError(f"K_max must be < D, got K_max={k_max}, D={d}")
-    norm2_y = float(np.sum(np.abs(y) ** 2))
     s = np.concatenate(([0.0], np.cumsum(basis.eigvals[:k_max])))
     stats_list = [ProjectionStats.from_energy(float(s[k]), norm2_y, k, d, m)
                   for k in range(k_max + 1)]
     return _finish_posterior(stats_list, lambda k: -log_stiefel_volume(d, k))
 
 
-def map_order_scan(y, steer_rows, k_max, m):
-    """MAP order for spectrum pipelines on the D x M data Y: nested top-K
-    steering prefixes.
+def map_order_scan(y, steer_rows, k_max, m, norm2_y):
+    """MAP order for spectrum pipelines on the D x M data Y, of energy
+    norm2_y = |Y|^2: nested top-K steering prefixes.
 
     steer_rows is P x D, row i the steering vector of the i-th highest
     spectrum peak; prefix K is the first K rows, transposed, and P = 0
@@ -168,7 +167,6 @@ def map_order_scan(y, steer_rows, k_max, m):
     scores -inf and is flagged.
     """
     v = steer_rows[:k_max].T
-    norm2_y = float(np.sum(np.abs(y) ** 2))
     stats_list = []
     for k in range(v.shape[1] + 1):
         try:

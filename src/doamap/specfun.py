@@ -12,12 +12,12 @@ counts (hundreds of thousands) never overflow.
 are closed forms around it, and a pair computes its normaliser log I_p once.
 
 Both finite sums (`log_reg_inc_beta` and the upper incomplete gamma series)
-read log Gamma(j) and float(j) from one grow-only module table instead of
-calling `gammaln` per term, and take the log-sum-exp with the exact
+read log Gamma(j) from one grow-only module table instead of calling
+`gammaln` per term, and take the log-sum-exp with the exact
 operations of scipy's `logsumexp` (Blanchard, Higham & Higham, IMA J. Numer.
 Anal. 41(4), 2021).  Operands and operation order are those of the per-term
 formula, so the results are bit-identical to it.  At paper degrees
-(n + m ~ 4.1e5) the two tables hold about 6.6 MB.
+(n + m ~ 4.1e5) the table holds about 3.3 MB.
 
 The two sums split the work differently because their callers differ.
 The kernel sums rows of up to ~4e5 terms in place with numpy.  The gamma
@@ -61,8 +61,8 @@ __all__ = [
     "dominance_frequency",
 ]
 
-# (gammaln(j), float(j)) for j = 0 .. len-1; replaced by longer tables only
-_TABLES = (np.empty(0), np.empty(0))
+# gammaln(float(j)) for j = 0 .. len-1; replaced by longer tables only
+_LOG_GAMMA = np.empty(0)
 
 # _term_window's grid size and margin; exp(x) is exactly 0 below -745.13
 _GRID = 256
@@ -117,21 +117,17 @@ class DominancePair:
 
 
 def _log_gamma_table(top):
-    """(log_gamma, index) tables covering j = 0 .. top-1 at least.
+    """The log-gamma table covering j = 0 .. top-1 at least.
 
-    log_gamma[j] is gammaln(float(j)) (inf at j = 0) and index[j] is
-    float(j).  gammaln is elementwise, so a slice carries the same bits as
-    the per-term call it replaces, whatever size the table was built at.
-    A larger top rebuilds both tables whole, which peaks lower than
-    appending to them.
+    Entry j is gammaln(float(j)) (inf at j = 0).  gammaln is elementwise,
+    so a slice carries the same bits as the per-term call it replaces,
+    whatever size the table was built at.  A larger top rebuilds the table
+    whole, which peaks lower than appending to it.
     """
-    global _TABLES
-    log_gamma, index = _TABLES
-    if len(index) < top:
-        index = np.arange(top, dtype=float)
-        log_gamma = gammaln(index)
-        _TABLES = log_gamma, index
-    return log_gamma, index
+    global _LOG_GAMMA
+    if len(_LOG_GAMMA) < top:
+        _LOG_GAMMA = gammaln(np.arange(top, dtype=float))
+    return _LOG_GAMMA
 
 
 def _logsumexp(t, lo, size):
@@ -188,7 +184,7 @@ def _log_upper_series(n, x):
         return -math.inf
     x = float(x)
     lx = math.log(x)
-    log_gamma = _log_gamma_table(n + 1)[0][1:n + 1].tolist()
+    log_gamma = _log_gamma_table(n + 1)[1:n + 1].tolist()
     t = [k * lx - x - g for k, g in enumerate(log_gamma)]
     t_max = max(t)
     count = t.count(t_max)
@@ -222,12 +218,14 @@ def _log_terms(p, n, m, sl):
     range.  p = 0 or 1 hits log(0) and 0 * -inf; log_reg_inc_beta
     overwrites both endpoints with their exact values.
     """
-    log_gamma, index = _log_gamma_table(n + m)
+    log_gamma = _log_gamma_table(n + m)
+    i = range(m)[sl]
     t = log_gamma[n:n + m][sl] - log_gamma[1:m + 1][sl]
     t -= log_gamma[n]
     with np.errstate(divide="ignore", invalid="ignore"):
         t = t + n * np.log(p)[..., None]
-        t += index[:m][sl] * np.log1p(-p)[..., None]
+        t += (np.arange(i.start, i.stop, i.step, dtype=float)
+              * np.log1p(-p)[..., None])
     return t
 
 
@@ -270,8 +268,8 @@ def log_reg_inc_beta(p, n, m):
     fifth of the m terms.  The rest would round to exactly 0 in exp, and
     the window's exps are summed in a zero-padded row of length m, so the
     result is bit-identical to the per-term formula with scipy's
-    `logsumexp` over all m terms.  The log-gamma tables grow to n + m
-    entries, about 6.6 MB at paper degrees.
+    `logsumexp` over all m terms.  The log-gamma table grows to n + m
+    entries, about 3.3 MB at paper degrees.
     """
     if int(n) != n or n < 1 or int(m) != m or m < 1:
         raise ValueError(f"shapes must be positive integers, got n={n}, m={m}")
@@ -332,7 +330,7 @@ def _log_q_from(log_ip, alpha, beta, q):
 
 def _log_gamma_pdf(x, n, s):
     # log Gamma(n) from the table carries the bits of gammaln(float(n))
-    log_gamma_n = float(_log_gamma_table(n + 1)[0][n])
+    log_gamma_n = float(_log_gamma_table(n + 1)[n])
     return n * math.log(s) + (n - 1) * math.log(x) - s * x - log_gamma_n
 
 

@@ -1,5 +1,6 @@
 """Tests for the sweep configuration, Monte Carlo harness, CSV I/O, and CLI."""
 
+import dataclasses
 import importlib
 import importlib.util
 import math
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from doamap import bench
+from doamap import bench, cli
 from doamap.bench import (
     CSV_HEADER,
     METRICS,
@@ -30,6 +31,19 @@ from doamap.ordermap import map_order_scan
 FAST = dict(d=16, k_true=2, m=64, n=64, k_max=5, n_runs=2,
             snr_grid_db=(20.0,), grid_step_deg=2.0)
 
+# a valid value other than the default for every ExperimentConfig field
+NON_DEFAULT = dict(
+    d=40, k_true=2, m=256, n=1024, overlap=(0.0, 0.5), decay=(0.25,),
+    doa_deg=(20.0, 80.0, 140.0), snr_grid_db=(-5.0, 5.0), k_max=6,
+    grid_step_deg=1.0, n_runs=7, master_seed=11,
+    methods=("dtft-map", "music-known-k"), output_path="out/r.csv")
+
+
+def _config_text(settings):
+    return "".join(
+        f"{k} = {', '.join(map(str, v)) if isinstance(v, tuple) else v}\n"
+        for k, v in settings.items())
+
 
 class TestConfig:
     def test_desk_defaults(self):
@@ -46,10 +60,6 @@ class TestConfig:
 
     def test_resolved_doas_default(self):
         assert ExperimentConfig().resolved_doas() == (10.0, 66.0, 122.0)
-
-    def test_resolved_doas_spacing_override(self):
-        cfg = ExperimentConfig(doa_spacing_deg=5.0)
-        assert cfg.resolved_doas() == (10.0, 15.0, 20.0)
 
     def test_resolved_doas_explicit(self):
         cfg = ExperimentConfig(k_true=2, doa_deg=(33.0, 99.0))
@@ -72,8 +82,6 @@ class TestConfig:
             ExperimentConfig(methods=("music-map", "esprit"))
         with pytest.raises(ConfigError):
             ExperimentConfig(doa_deg=(10.0,))
-        with pytest.raises(ConfigError):
-            ExperimentConfig(doa_spacing_deg=-5.0)
 
     def test_scenario_per_grid_point(self):
         cfg = ExperimentConfig(snr_grid_db=(0.0, math.inf), decay=(0.0, 0.5))
@@ -90,7 +98,6 @@ class TestConfig:
         dict(overlap=(0.0, 1.5)),
         dict(decay=(-1.0,)),
         dict(doa_deg=(10.0, 200.0, 30.0)),
-        dict(doa_spacing_deg=90.0),
         dict(m=1, n=1),
         dict(snr_grid_db=()),
         dict(k_true=0),
@@ -104,17 +111,15 @@ class TestConfig:
         dict(decay=(0.0, 0.0)),
         dict(d=8, k_true=5, k_max=3, methods=("music-known-k",)),
     ], ids=["grid-step-0", "grid-step-inf", "grid-step-180", "grid-step-tiny",
-            "overlap-1.5", "decay-neg", "doa-200",
-            "spacing-past-180", "m-1", "empty-snr", "k-true-0", "k-max-0",
+            "overlap-1.5", "decay-neg", "doa-200", "m-1", "empty-snr",
+            "k-true-0", "k-max-0",
             "seed-neg", "snr-nan", "snr-neg-inf", "dup-method", "dup-snr",
             "dup-overlap", "dup-decay", "known-k-past-k-max"])
     def test_rejects_values_that_fail_in_a_worker(self, fields, tmp_path, capsys):
         with pytest.raises(ConfigError):
             ExperimentConfig(**fields)
         cfg_file = tmp_path / "bad.cfg"
-        cfg_file.write_text("".join(
-            f"{k} = {', '.join(map(str, v)) if isinstance(v, tuple) else v}\n"
-            for k, v in fields.items()))
+        cfg_file.write_text(_config_text(fields))
         assert cli_main(["sweep", "--config", str(cfg_file)]) == 1
         assert "config error" in capsys.readouterr().err
 
@@ -141,31 +146,53 @@ class TestConfig:
             "methods = music-map, dtft-map\n"
             "n_runs = 3\n"
         )
-        cfg = ExperimentConfig.from_file(cfg_file)
+        cfg = ExperimentConfig(**ExperimentConfig.parse_file(cfg_file))
         assert cfg.d == 16 and cfg.snr_grid_db == (-10.0, 0.0, 10.0)
         assert cfg.methods == ("music-map", "dtft-map")
+
+    @pytest.mark.parametrize("field", dataclasses.fields(ExperimentConfig),
+                             ids=lambda f: f.name)
+    def test_config_file_round_trips_every_field(self, field, tmp_path):
+        value = NON_DEFAULT[field.name]
+        assert value != field.default
+        cfg_file = tmp_path / "sweep.cfg"
+        cfg_file.write_text(_config_text({field.name: value}))
+        settings = ExperimentConfig.parse_file(cfg_file)
+        assert settings == {field.name: value}
+        got = getattr(ExperimentConfig(**settings), field.name)
+        assert repr(got) == repr(value)  # types too: 7 != 7.0, () != []
+
+    def test_every_field_has_a_round_trip_value(self):
+        names = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert names == list(NON_DEFAULT) and len(names) == 14
 
     def test_from_file_unknown_key(self, tmp_path):
         cfg_file = tmp_path / "sweep.cfg"
         cfg_file.write_text("dd = 16\n")
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_file(cfg_file)
+        with pytest.raises(ConfigError, match="'dd'"):
+            ExperimentConfig.parse_file(cfg_file)
+
+    def test_config_file_bad_value(self, tmp_path):
+        cfg_file = tmp_path / "sweep.cfg"
+        cfg_file.write_text("d = 16\nsnr_grid_db = 0, ten\n")
+        with pytest.raises(ConfigError, match=":2: bad value for snr_grid_db"):
+            ExperimentConfig.parse_file(cfg_file)
 
     def test_from_file_duplicate_key(self, tmp_path):
         cfg_file = tmp_path / "sweep.cfg"
         cfg_file.write_text("d = 16\nn_runs = 1\n# again\nn_runs = 2\n")
         with pytest.raises(ConfigError, match=r":4: 'n_runs' .* line 2"):
-            ExperimentConfig.from_file(cfg_file)
+            ExperimentConfig.parse_file(cfg_file)
 
     def test_from_file_bad_syntax(self, tmp_path):
         cfg_file = tmp_path / "sweep.cfg"
         cfg_file.write_text("just some text\n")
         with pytest.raises(ConfigError):
-            ExperimentConfig.from_file(cfg_file)
+            ExperimentConfig.parse_file(cfg_file)
 
     def test_from_file_missing(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig.from_file("/nonexistent/path.cfg")
+            ExperimentConfig.parse_file("/nonexistent/path.cfg")
 
 
 class TestRunSingle:
@@ -386,9 +413,9 @@ class TestBenchmarkContract:
                 picked.append(traced_pick(values, count))
                 return picked[-1]
 
-            def scan_spy(y, steer_rows, k_max, m):
+            def scan_spy(y, steer_rows, k_max, m, norm2_y):
                 scanned.append(steer_rows)
-                return traced_scan(y, steer_rows, k_max, m)
+                return traced_scan(y, steer_rows, k_max, m, norm2_y)
 
             mp.setattr(bench, "pick_peaks", pick_spy)
             mp.setattr(bench, "map_order_scan", scan_spy)
@@ -442,6 +469,29 @@ class TestBenchmarkContract:
 
 
 class TestSweep:
+    def test_pool_capped_at_task_count(self, monkeypatch):
+        # two tasks take two workers, whatever --jobs asks for
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
+        cfg = ExperimentConfig(**FAST, methods=("music-map",))
+        serial = [r.csv_row() for r in run_sweep(cfg)]
+        assert [r.csv_row() for r in run_sweep(cfg, jobs=64)] == serial
+        assert pools == [2]
+
     def test_record_count_and_order(self):
         cfg = ExperimentConfig(**FAST, methods=("music-map", "dtft-map"))
         records = run_sweep(cfg)
@@ -594,6 +644,38 @@ class TestCli:
         assert cli_main(["sweep", "--config", str(cfg_file)]) == 0
         assert (tmp_path / "res.csv").exists()
         assert (tmp_path / "res_agg.csv").exists()
+
+    def test_sweep_precedence(self, tmp_path, monkeypatch, capsys):
+        # defaults < --paper-scale preset < --config file < flags
+        monkeypatch.chdir(tmp_path)
+        swept = []
+        monkeypatch.setattr(cli, "run_sweep",
+                            lambda config, jobs: swept.append(config) or [])
+        file_keys = dict(k_true=2, m=64, n=64, n_runs=3, master_seed=5,
+                         output_path=str(tmp_path / "file.csv"))
+        cfg_file = tmp_path / "f.cfg"
+        cfg_file.write_text(_config_text(file_keys))
+        flag_keys = dict(master_seed=9, n_runs=1,
+                         output_path=str(tmp_path / "flag.csv"))
+        flags = ["--seed", "9", "--runs", "1", "--out", flag_keys["output_path"]]
+        paper = ExperimentConfig.paper_scale
+        cases = [
+            ([], ExperimentConfig()),
+            (["--paper-scale"], paper()),
+            (["--config", str(cfg_file)], ExperimentConfig(**file_keys)),
+            (["--paper-scale", "--config", str(cfg_file)], paper(**file_keys)),
+            (["--config", str(cfg_file)] + flags,
+             ExperimentConfig(**{**file_keys, **flag_keys})),
+            (["--paper-scale", "--config", str(cfg_file)] + flags,
+             paper(**{**file_keys, **flag_keys})),
+        ]
+        for argv, _want in cases:
+            assert cli_main(["sweep"] + argv) == 0
+        assert swept == [want for _argv, want in cases]
+        both = swept[3]
+        assert (both.d, both.grid_step_deg) == (100, 0.1)
+        assert (both.k_true, both.m, both.n, both.n_runs) == (2, 64, 64, 3)
+        assert "ignored" not in capsys.readouterr().err
 
     def test_sweep_bad_config_exit_code(self, tmp_path, capsys):
         cfg_file = tmp_path / "bad.cfg"

@@ -109,12 +109,17 @@ class TestPosteriorVariances:
         assert pv.sigma2_mean == pytest.approx(fd.noise_var_freq, rel=0.05)
 
 
+def _norm2(y):
+    """|Y|^2, the energy the MAP scans take from their caller."""
+    return float(np.sum(np.abs(y) ** 2))
+
+
 class TestMapOrderPca:
     def test_recovers_k_on_clean_data(self):
         sc = default_scenario(d=32, k=3, m=512, n=512, snr_db=20.0, seed=0)
         fd = synth_freq(sc)
         basis = eigendecompose(sample_covariance(fd.y))
-        post = map_order_pca(basis, fd.y, k_max=10, m=sc.m)
+        post = map_order_pca(basis, _norm2(fd.y), k_max=10, m=sc.m)
         assert post.k_map == 3
         assert len(post.log_scores) == 11
         pv = posterior_at_order(post.stats_per_k[post.k_map], sc.d)
@@ -127,7 +132,7 @@ class TestMapOrderPca:
             sc = default_scenario(d=32, k=0, m=512, n=512, snr_db=0.0, seed=seed)
             fd = synth_freq(sc)
             basis = eigendecompose(sample_covariance(fd.y))
-            post = map_order_pca(basis, fd.y, k_max=10, m=sc.m)
+            post = map_order_pca(basis, _norm2(fd.y), k_max=10, m=sc.m)
             hats.append(post.k_map)
         assert max(hats) <= 1
 
@@ -135,7 +140,7 @@ class TestMapOrderPca:
         sc = default_scenario(d=16, k=0, m=256, n=256, snr_db=0.0, seed=1)
         fd = synth_freq(sc)
         basis = eigendecompose(sample_covariance(fd.y))
-        post = map_order_pca(basis, fd.y, k_max=5, m=sc.m)
+        post = map_order_pca(basis, _norm2(fd.y), k_max=5, m=sc.m)
         if post.k_map == 0:
             pv = posterior_at_order(post.stats_per_k[0], sc.d)
             assert math.isnan(pv.ra_mean)
@@ -146,7 +151,7 @@ class TestMapOrderPca:
     def test_rejects_k_max_ge_d(self):
         basis = eigendecompose(np.eye(4))
         with pytest.raises(ValueError):
-            map_order_pca(basis, np.ones((4, 2), dtype=complex), k_max=4, m=2)
+            map_order_pca(basis, 8.0, k_max=4, m=2)
 
     def test_score_monotone_in_signal_fraction(self):
         # at fixed degrees, the dominance score grows with the signal share p
@@ -170,14 +175,16 @@ class TestMapOrderScan:
     def test_k0_score_is_zero(self):
         sc = default_scenario(d=16, k=1, m=128, n=128, snr_db=10.0, seed=2)
         fd = synth_freq(sc)
-        post = map_order_scan(fd.y, self._peaks(fd, "dtft")[1], 5, sc.m)
+        post = map_order_scan(fd.y, self._peaks(fd, "dtft")[1], 5, sc.m,
+                              _norm2(fd.y))
         assert post.log_scores[0] == 0.0
 
     def test_single_source_selected(self):
         sc = default_scenario(d=32, k=1, m=256, n=256, snr_db=15.0, seed=3)
         fd = synth_freq(sc)
         for kind in ("music", "dtft"):
-            post = map_order_scan(fd.y, self._peaks(fd, kind)[1], 8, sc.m)
+            post = map_order_scan(fd.y, self._peaks(fd, kind)[1], 8, sc.m,
+                                  _norm2(fd.y))
             assert post.k_map == 1
             assert post.log_scores[1] > post.log_scores[0]
 
@@ -185,21 +192,21 @@ class TestMapOrderScan:
         sc = default_scenario(d=16, k=1, m=64, n=64, snr_db=240.0, seed=5)
         fd = synth_freq(sc)
         post = map_order_scan(fd.y, steering_matrix(sc.doa_deg, sc.d).T, 10,
-                              sc.m)
+                              sc.m, _norm2(fd.y))
         assert len(post.log_scores) == 2  # K in {0, 1} only
 
     def test_coincident_peaks_flagged(self):
         sc = default_scenario(d=16, k=1, m=64, n=64, snr_db=20.0, seed=6)
         fd = synth_freq(sc)
         rows = steering_matrix([50.0, 50.0], sc.d).T
-        post = map_order_scan(fd.y, rows, 2, sc.m)
+        post = map_order_scan(fd.y, rows, 2, sc.m, _norm2(fd.y))
         assert post.rank_deficient_k == (2,)
         assert post.log_scores[2] == -math.inf
         assert post.k_map in (0, 1)
 
     def test_empty_peaks_score_k0_alone(self):
         y = np.ones((4, 2), dtype=complex)
-        post = map_order_scan(y, np.empty((0, 4), dtype=complex), 3, 2)
+        post = map_order_scan(y, np.empty((0, 4), dtype=complex), 3, 2, 8.0)
         assert post.k_map == 0
         assert len(post.log_scores) == 1 and post.log_scores[0] == 0.0
         pv = posterior_at_order(post.stats_per_k[0], 4)
@@ -211,7 +218,7 @@ class TestMapOrderScan:
         sc = default_scenario(d=16, k=3, m=64, n=64, snr_db=5.0, seed=7)
         fd = synth_freq(sc)
         idx, rows = self._peaks(fd, "music", k_max=5)
-        post = map_order_scan(fd.y, rows, 5, sc.m)
+        post = map_order_scan(fd.y, rows, 5, sc.m, _norm2(fd.y))
         for k in range(1, len(post.stats_per_k)):
             v = steering_matrix(GRID[idx[:k]], sc.d)
             assert post.stats_per_k[k] == projection_stats(fd.y, v, sc.m)
@@ -253,13 +260,15 @@ class TestPrunedScan:
             fd = synth_freq(sc, rng=np.random.default_rng(seed))
             basis = eigendecompose(sample_covariance(fd.y))
             pruned += _check_pruned(
-                map_order_pca(basis, fd.y, 10, sc.m), _pca_prior(sc.d))
+                map_order_pca(basis, _norm2(fd.y), 10, sc.m),
+                _pca_prior(sc.d))
             steer = steering_matrix(GRID, sc.d).T
             for values in (music_pseudospectrum(basis, 10, steer),
                            dtft_spectrum(sample_covariance(fd.y), steer)):
                 rows = steer[pick_peaks(values, 10)]
                 pruned += _check_pruned(
-                    map_order_scan(fd.y, rows, 10, sc.m), _scan_prior)
+                    map_order_scan(fd.y, rows, 10, sc.m, _norm2(fd.y)),
+                    _scan_prior)
         assert pruned > 0  # the bound did cut kernel calls
 
     def test_kernel_runs_only_for_scored_orders(self, monkeypatch):
@@ -272,8 +281,8 @@ class TestPrunedScan:
         monkeypatch.setattr(ordermap, "log_q_sum", counting)
         sc = default_scenario(d=32, k=3, m=512, n=512, snr_db=10.0, seed=4)
         fd = synth_freq(sc)
-        post = map_order_pca(eigendecompose(sample_covariance(fd.y)), fd.y,
-                             10, sc.m)
+        post = map_order_pca(eigendecompose(sample_covariance(fd.y)),
+                             _norm2(fd.y), 10, sc.m)
         scored = [k for k in range(1, 11) if not math.isnan(post.log_scores[k])]
         assert sorted(calls) == [k * sc.m for k in scored]
         assert post.k_map in scored and len(scored) < 10
