@@ -19,7 +19,6 @@ from .ordermap import (
 )
 from .specfun import (
     DominancePair,
-    GammaParams,
     double_gamma_pdf,
     double_invgamma_pdf,
     double_moment,

@@ -114,15 +114,14 @@ def amplitude_matrix(scenario: ArrayScenario):
     return a
 
 
-def noise_variances(scenario: ArrayScenario, amps=None):
+def noise_variances(scenario: ArrayScenario, amps):
     """Per-entry frequency-domain noise variance implied by the target SNR.
 
     SNR is max-source power per tone over the projected noise variance
     sigma0^2 = sigma^2/D; inverting gives sigma^2 = D * max_k(|a_k|^2/M)
-    * 10^(-SNR/10).  A pure-noise scenario uses unit reference power.
+    * 10^(-SNR/10), with amps the K x M amplitude matrix.  A pure-noise
+    scenario uses unit reference power.
     """
-    if amps is None:
-        amps = amplitude_matrix(scenario)
     if scenario.k_true > 0:
         peak_power = float(np.max(np.sum(np.abs(amps) ** 2, axis=1)) / scenario.m)
     else:

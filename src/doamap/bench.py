@@ -29,7 +29,7 @@ from .ordermap import (
     aic_order,
     map_order_pca,
     map_order_scan,
-    posterior_at_order,
+    posterior_variances,
 )
 from .subspace import (
     dtft_spectrum,
@@ -298,7 +298,7 @@ def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None)
         key = (source, k_hat)
         if key not in fits:
             stats = post.stats_per_k[min(k_hat, len(post.stats_per_k) - 1)]
-            pv = posterior_at_order(stats, scenario.d)
+            pv = posterior_variances(stats, scenario.d)
             if source == "pca":
                 err = r0 = rs = math.nan  # eigenvector bases carry no DOAs
             else:
@@ -478,9 +478,7 @@ def validate_distributions(n_mc=20_000, seed=99):
                 for s, t in ((0.5, 1.0), (2.0, 1.0))]
     for n, m, s, t in settings:
         pair = sf.DominancePair(alpha=n, beta=m, s_x=s, s_y=t)
-        freq = sf.dominance_frequency(
-            sf.GammaParams(n, s), sf.GammaParams(m, t), n_mc, rng
-        )
+        freq = sf.dominance_frequency(pair, n_mc, rng)
         ip = sf.prob_dominance(pair)
         se = math.sqrt(max(ip * (1 - ip), 1e-12) / n_mc)
         worst = max(worst, abs(freq - ip) / (3 * se))

@@ -30,7 +30,6 @@ __all__ = [
     "PosteriorVariances",
     "log_stiefel_volume",
     "posterior_variances",
-    "posterior_at_order",
     "map_order_pca",
     "map_order_scan",
     "aic_order",
@@ -47,7 +46,8 @@ class PosteriorVariances:
 @dataclass(frozen=True)
 class OrderPosterior:
     """Per-K log-scores, their bounds and energy splits, and the MAP order;
-    a caller that picks an order K gets its variances from posterior_at_order.
+    a caller that picks an order K gets its variances from
+    posterior_variances(stats_per_k[K], D).
 
     log_scores[K] is the exact score of every order the scan scored and NaN
     for an order it pruned; log_score_bounds[K] >= log_scores[K] for every
@@ -78,28 +78,25 @@ def log_stiefel_volume(d, k):
 
 
 def posterior_variances(stats: ProjectionStats, d):
-    """Posterior mean variances and the noise-to-signal percentage.
+    """Posterior mean variances and the noise-to-signal percentage at one order.
 
     The exact means are the first moments of the inverse-gamma pair
     X = D*ra, Y = sigma2 conditioned on X >= Y, so they need alpha > 1 and
-    beta > 1.
+    beta > 1.  K = 0 (alpha = 0) is the convention sigma^2 ~
+    inverse-gamma(DM, |Y|^2), tau = 1, no signal variance (nan).  None, a
+    scan's rank-deficient prefix, has no posterior.
     """
+    if stats is None:
+        raise ValueError("steering prefix is rank deficient: no posterior")
+    if stats.alpha == 0:
+        sigma2 = stats.t / (stats.beta - 1)
+        return PosteriorVariances(ra_mean=math.nan, sigma2_mean=sigma2,
+                                  tau_mean=1.0)
     pair = DominancePair(stats.alpha, stats.beta, stats.s, stats.t)
     ra = double_moment(pair, 1, "invgamma", "x") / d
     sigma2 = double_moment(pair, 1, "invgamma", "y")
     return PosteriorVariances(ra_mean=ra, sigma2_mean=sigma2,
                               tau_mean=sigma2 / d / ra)
-
-
-def posterior_at_order(stats: ProjectionStats, d):
-    """posterior_variances at a chosen order, with the K = 0 convention:
-    sigma^2 ~ inverse-gamma(DM, |Y|^2), tau = 1, no signal variance (nan)."""
-    if stats is None:  # a scan's rank-deficient prefix
-        raise ValueError("steering prefix is rank deficient: no posterior")
-    if stats.alpha > 0:
-        return posterior_variances(stats, d)
-    sigma2 = stats.t / (stats.beta - 1)
-    return PosteriorVariances(ra_mean=math.nan, sigma2_mean=sigma2, tau_mean=1.0)
 
 
 def _finish_posterior(stats_list, log_prior):

@@ -20,7 +20,7 @@ formula, so the results are bit-identical to it.  At paper degrees
 (n + m ~ 4.1e5) the table holds about 3.3 MB.
 
 The two sums split the work differently because their callers differ.
-The kernel sums rows of up to ~4e5 terms in place with numpy.  The gamma
+The kernel sums rows of up to ~4e5 terms with numpy.  The gamma
 series gets one scalar x and n <= 5 terms in the identity suite's ~15k pdf
 calls, so numpy's per-call dispatch would dominate: it builds the terms,
 their max, the count of maxima and the shift as Python floats (single IEEE
@@ -48,7 +48,6 @@ import numpy as np
 from scipy.special import betaln, gammaln
 
 __all__ = [
-    "GammaParams",
     "DominancePair",
     "reg_lower_inc_gamma",
     "reg_inc_beta",
@@ -67,20 +66,6 @@ _LOG_GAMMA = np.empty(0)
 # _term_window's grid size and margin; exp(x) is exactly 0 below -745.13
 _GRID = 256
 _MARGIN = 750.0
-
-
-@dataclass(frozen=True)
-class GammaParams:
-    """Integer-shape gamma distribution, density ~ x^(shape-1) exp(-rate*x)."""
-
-    shape: int
-    rate: float
-
-    def __post_init__(self):
-        if int(self.shape) != self.shape or self.shape < 1:
-            raise ValueError(f"shape must be a positive integer, got {self.shape}")
-        if not 0 < self.rate < math.inf:  # False for NaN
-            raise ValueError(f"rate must be finite and positive, got {self.rate}")
 
 
 @dataclass(frozen=True)
@@ -142,7 +127,7 @@ def _logsumexp(t, lo, size):
     terms are counted and set aside, the rest are shifted by the max and
     exponentiated, and the result is log1p(sum / count) + log(count) + max
     (Blanchard, Higham & Higham, IMA J. Numer. Anal. 41(4), 2021).  The
-    exps of a window go into a zeroed row of full length, so
+    exps of the window go into a zeroed row of full length, so
     `np.add.reduce` adds the very array the full-range sum would see, with
     the same pairwise tree, and the result keeps every bit.  The count is
     an exact integer, so dividing by it and taking its log give the bits
@@ -154,11 +139,8 @@ def _logsumexp(t, lo, size):
         count = np.count_nonzero(at_max, axis=-1)
         np.copyto(t, -np.inf, where=at_max)
         t -= t_max[..., None]
-        if size == t.shape[-1]:
-            e = np.exp(t, out=t)
-        else:
-            e = np.zeros(t.shape[:-1] + (size,))
-            np.exp(t, out=e[..., lo:lo + t.shape[-1]])
+        e = np.zeros(t.shape[:-1] + (size,))
+        np.exp(t, out=e[..., lo:lo + t.shape[-1]])
         out = np.log1p(np.add.reduce(e, axis=-1) / count) + np.log(count) + t_max
     if out.ndim:
         out[t_max == -np.inf] = -np.inf
@@ -215,8 +197,9 @@ def _log_terms(p, n, m, sl):
     gammaln(n) read from the module's log-gamma table.  Every index gets
     the same operands in the same order, whichever slice asks for it, so a
     term carries the same bits on a grid, in a window or over the full
-    range.  p = 0 or 1 hits log(0) and 0 * -inf; log_reg_inc_beta
-    overwrites both endpoints with their exact values.
+    range.  p = 0 or 1 hits log(0) and 0 * -inf: p = 0 gives a row of
+    -inf, which `_logsumexp` maps to -inf (I_0 = 0), and log_reg_inc_beta
+    overwrites p = 1 with its exact value.
     """
     log_gamma = _log_gamma_table(n + m)
     i = range(m)[sl]
@@ -280,7 +263,7 @@ def log_reg_inc_beta(p, n, m):
     lo, hi = _term_window(p_arr, n, m)
     log_terms = _log_terms(p_arr, n, m, slice(lo, hi))
     out = np.minimum(_logsumexp(log_terms, lo, m), 0.0)
-    # exact endpoints: I_0 = 0, I_1 = 1
+    # exact endpoint I_1 = 1; p = 0's row of -inf already gave log I_0 = -inf
     out = np.where(p_arr == 1.0, 0.0, out)
     if out.ndim == 0:
         return float(out)
@@ -305,16 +288,15 @@ def log_q_sum(alpha, beta, q):
       = I_p(alpha,beta) / (p * q * B_p(alpha,beta)),   p = 1 - q,
     evaluated through the second (cross) form as
     log I_p - alpha log p - beta log q + log B(alpha,beta): one kernel call.
-    alpha == 0 is the empty-subspace convention: Q = 1.
+    Both degrees must be positive, as in a `DominancePair`; the empty
+    subspace (alpha = 0) is scored by the order scan itself.
 
     The computed log I_p is at most 0.0, so `_log_q_from(0.0, ...)`, the
     same arithmetic without the kernel, bounds the result from above bit
     for bit: each IEEE operation rounds monotonically in its left operand.
     """
-    if int(alpha) != alpha or alpha < 0 or int(beta) != beta or beta < 1:
+    if int(alpha) != alpha or alpha < 1 or int(beta) != beta or beta < 1:
         raise ValueError(f"bad degrees alpha={alpha}, beta={beta}")
-    if alpha == 0:
-        return 0.0
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0, 1), got {q}")
     alpha, beta = int(alpha), int(beta)
@@ -397,8 +379,8 @@ def double_moment(pair: DominancePair, k, family, which):
     return plain * math.exp(log_reg_inc_beta(pair.p, a_k, b_k) - pair.log_ip)
 
 
-def dominance_frequency(params_x: GammaParams, params_y: GammaParams, n, rng):
+def dominance_frequency(pair: DominancePair, n, rng):
     """Empirical Pr[X <= Y] over n independent draws (Monte Carlo oracle)."""
-    x = rng.gamma(params_x.shape, 1.0 / params_x.rate, size=n)
-    y = rng.gamma(params_y.shape, 1.0 / params_y.rate, size=n)
+    x = rng.gamma(pair.alpha, 1.0 / pair.s_x, size=n)
+    y = rng.gamma(pair.beta, 1.0 / pair.s_y, size=n)
     return float(np.mean(x <= y))

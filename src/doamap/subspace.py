@@ -144,14 +144,14 @@ def projection_stats(y, v, m, *, norm2_y=None):
 
     Never forms (V^H V)^-1; rank deficiency (smallest singular value below
     1e-10 of the largest) is an error naming the offending column pair.
-    K = 0 is the pure-noise convention (s = 0, t = |Y|^2).  norm2_y is
-    |Y|^2 when the caller already has it (a scan passes the same value to
-    every prefix); None sums it here.
+    A D x 0 basis is K = 0, the pure-noise convention (s = 0, t = |Y|^2).
+    norm2_y is |Y|^2 when the caller already has it (a scan passes the
+    same value to every prefix); None sums it here.
     """
     d = y.shape[0]
     if norm2_y is None:
         norm2_y = float(np.sum(np.abs(y) ** 2))
-    k = 0 if v is None else v.shape[1]
+    k = v.shape[1]
     if k > d:
         raise ValueError(f"basis has more columns ({k}) than sensors ({d})")
     if k == 0:

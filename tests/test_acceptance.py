@@ -21,7 +21,6 @@ from doamap.metrics import DoaEstimate, err_doa, rmse_amplitude
 from doamap.ordermap import posterior_variances
 from doamap.specfun import (
     DominancePair,
-    GammaParams,
     dominance_frequency,
     double_gamma_pdf,
     double_invgamma_pdf,
@@ -84,8 +83,7 @@ class TestCriterion1:
         for n, m, s, t in sets:
             pair = DominancePair(alpha=n, beta=m, s_x=s, s_y=t)
             rng = np.random.default_rng([100, n, m])
-            freq = dominance_frequency(GammaParams(n, s), GammaParams(m, t),
-                                       100_000, rng)
+            freq = dominance_frequency(pair, 100_000, rng)
             ip = prob_dominance(pair)
             se = math.sqrt(max(ip * (1 - ip), 1e-12) / 100_000)
             worst = max(worst, abs(freq - ip) / (3 * se))

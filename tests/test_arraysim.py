@@ -125,19 +125,23 @@ class TestNoiseScaling:
     def test_full_band_snr_inversion(self):
         # K = 1 fills every bin: per-tone power 1, so sigma^2 = D * 10^(-SNR/10)
         sc = default_scenario(d=16, k=1, m=64, n=64, snr_db=0.0)
-        assert noise_variances(sc) == pytest.approx(16.0, rel=1e-12)
+        assert noise_variances(sc, amplitude_matrix(sc)) == pytest.approx(
+            16.0, rel=1e-12)
         sc = default_scenario(d=16, k=1, m=64, n=64, snr_db=10.0)
-        assert noise_variances(sc) == pytest.approx(1.6, rel=1e-12)
+        assert noise_variances(sc, amplitude_matrix(sc)) == pytest.approx(
+            1.6, rel=1e-12)
 
     def test_pure_noise_reference_power(self):
         sc = default_scenario(d=16, k=0, m=64, n=64, snr_db=0.0)
-        assert noise_variances(sc) == pytest.approx(16.0, rel=1e-12)
+        assert noise_variances(sc, amplitude_matrix(sc)) == pytest.approx(
+            16.0, rel=1e-12)
 
     def test_decay_does_not_change_peak_power(self):
         # the strongest band (k = 1) is undecayed, so sigma^2 is unchanged
         flat = default_scenario(d=16, k=3, m=60, n=60, snr_db=5.0)
         dec = default_scenario(d=16, k=3, m=60, n=60, snr_db=5.0, decay=0.9)
-        assert noise_variances(flat) == pytest.approx(noise_variances(dec))
+        assert noise_variances(flat, amplitude_matrix(flat)) == pytest.approx(
+            noise_variances(dec, amplitude_matrix(dec)))
 
     def test_empirical_noise_variance(self):
         sc = default_scenario(d=32, k=0, m=512, n=512, snr_db=0.0, seed=42)
@@ -175,7 +179,7 @@ class TestSynthesis:
         # reducing time noise of power N*var yields frequency noise of power var
         sc = default_scenario(d=32, k=0, m=64, n=256, snr_db=0.0, seed=9)
         td = synth_time(sc)
-        var_freq = noise_variances(sc)
+        var_freq = noise_variances(sc, amplitude_matrix(sc))
         fd = fft_reduce(td, tone_grid(sc.m, sc.n), noise_var_time=sc.n * var_freq)
         assert fd.noise_var_freq == pytest.approx(var_freq, rel=1e-12)
         emp = np.mean(np.abs(fd.y) ** 2)
@@ -194,6 +198,6 @@ class TestSynthesis:
         mean_f /= reps
         mean_t /= reps
         signal = steering_matrix(sc.doa_deg, 6) @ amplitude_matrix(sc)
-        sd = math.sqrt(noise_variances(sc) / reps)
+        sd = math.sqrt(noise_variances(sc, amplitude_matrix(sc)) / reps)
         assert np.max(np.abs(mean_f - signal)) <= 5 * sd
         assert np.max(np.abs(mean_t - signal)) <= 5 * sd

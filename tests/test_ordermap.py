@@ -18,7 +18,6 @@ from doamap.ordermap import (
     log_stiefel_volume,
     map_order_pca,
     map_order_scan,
-    posterior_at_order,
     posterior_variances,
 )
 from doamap.specfun import log_q_sum
@@ -91,7 +90,7 @@ class TestPosteriorVariances:
 
     def test_rank_deficient_prefix_has_no_posterior(self):
         with pytest.raises(ValueError, match="prefix"):
-            posterior_at_order(None, 4)
+            posterior_variances(None, 4)
 
     def test_rejects_degenerate_degrees(self):
         with pytest.raises(ValueError):
@@ -122,7 +121,7 @@ class TestMapOrderPca:
         post = map_order_pca(basis, _norm2(fd.y), k_max=10, m=sc.m)
         assert post.k_map == 3
         assert len(post.log_scores) == 11
-        pv = posterior_at_order(post.stats_per_k[post.k_map], sc.d)
+        pv = posterior_variances(post.stats_per_k[post.k_map], sc.d)
         assert 0.0 < pv.tau_mean < 1.0
 
     def test_pure_noise_stays_low_order(self):
@@ -142,7 +141,7 @@ class TestMapOrderPca:
         basis = eigendecompose(sample_covariance(fd.y))
         post = map_order_pca(basis, _norm2(fd.y), k_max=5, m=sc.m)
         if post.k_map == 0:
-            pv = posterior_at_order(post.stats_per_k[0], sc.d)
+            pv = posterior_variances(post.stats_per_k[0], sc.d)
             assert math.isnan(pv.ra_mean)
             assert pv.tau_mean == 1.0
             norm2 = float(np.sum(np.abs(fd.y) ** 2))
@@ -209,7 +208,7 @@ class TestMapOrderScan:
         post = map_order_scan(y, np.empty((0, 4), dtype=complex), 3, 2, 8.0)
         assert post.k_map == 0
         assert len(post.log_scores) == 1 and post.log_scores[0] == 0.0
-        pv = posterior_at_order(post.stats_per_k[0], 4)
+        pv = posterior_variances(post.stats_per_k[0], 4)
         assert pv.tau_mean == 1.0
         assert pv.sigma2_mean == pytest.approx(8.0 / (4 * 2 - 1))
 
@@ -233,10 +232,12 @@ def _scan_prior(k):
 
 
 def _check_pruned(post, log_prior):
-    """The pruned scan against every order's exact score (the oracle)."""
+    """The pruned scan against every order's exact score (the oracle);
+    K = 0 is the empty-subspace convention log Q = 0."""
     exact = np.array([
         -math.inf if st is None
-        else log_q_sum(st.alpha, st.beta, st.q) + log_prior(k)
+        else (0.0 if st.alpha == 0 else log_q_sum(st.alpha, st.beta, st.q))
+        + log_prior(k)
         for k, st in enumerate(post.stats_per_k)])
     assert post.k_map == int(np.argmax(exact))
     for k, (got, bound, want) in enumerate(

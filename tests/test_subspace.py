@@ -145,7 +145,7 @@ class TestPickPeaks:
 class TestProjectionStats:
     def test_k0_convention(self):
         y = np.ones((4, 3), dtype=complex)
-        st = projection_stats(y, None, 3)
+        st = projection_stats(y, np.empty((4, 0), dtype=complex), 3)
         assert st.s == 0.0 and st.t == pytest.approx(12.0)
         assert st.alpha == 0 and st.beta == 12
         assert st.q == 1.0
