@@ -33,6 +33,7 @@ from .ordermap import (
 )
 from .subspace import (
     dtft_spectrum,
+    eigen_projection,
     eigendecompose,
     music_pseudospectrum,
     pick_peaks,
@@ -227,19 +228,18 @@ def _fmt(x):
     return "nan" if (x is None or (isinstance(x, float) and math.isnan(x))) else f"{x:.10g}"
 
 
-def _peak_pipeline_metrics(fd, grid, steer, idx, tau, truth, true_amps):
-    """DOA and amplitude metrics for the spectrum peaks at grid indices idx
-    (highest first), fitted on their rows of the G x D steering table."""
-    if not idx.size:
+def _peak_pipeline_metrics(fd, angles, rows, tau, truth, true_amps):
+    """DOA and amplitude metrics for spectrum peaks at these angles (highest
+    first), fitted on their P x D steering rows."""
+    if not angles.size:
         err = err_doa(DoaEstimate(()), truth)
         zero = rmse_amplitude(None, (), true_amps, truth.angles_deg)
         return err, zero, zero
-    angles = grid[idx]
     order = np.argsort(angles, kind="stable")
     sorted_angles = tuple(angles[order].tolist())
     # pinv over the columns in peak order, then rows in angle order: a pinv
     # of angle-sorted columns would move a0 by a few ulps
-    a0 = (np.linalg.pinv(steer[idx].T) @ fd.y)[order]
+    a0 = (np.linalg.pinv(rows.T) @ fd.y)[order]
     err = err_doa(DoaEstimate(sorted_angles), truth)
     r0 = rmse_amplitude(a0, sorted_angles, true_amps, truth.angles_deg)
     rs = rmse_amplitude((1.0 - tau) * a0, sorted_angles, true_amps,
@@ -251,13 +251,14 @@ def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None)
     """Execute every requested pipeline on one data draw.
 
     A method is '<source>-<rule>'.  Each source (pca, or the peaks of the
-    music or dtft spectrum: grid indices into the one grid steering table
-    that the spectra, scans and amplitude fits read) runs its order scan
-    once; the rule only picks K: map the MAP order, aic the AIC
-    order, known-k the true count.  The posterior, amplitude fit and metrics
-    run once per (source, K), shared by every method picking it (a K past
-    the last peak reads the last prefix).  Returns dicts with the per-method
-    metric fields of RunRecord (run_sweep fills in the rest).
+    music or dtft spectrum, both read from one eigen-projection of the grid
+    steering table; the scans and amplitude fits read only the peaks'
+    rows) runs its order scan once; the rule only picks K: map the MAP
+    order, aic the AIC order, known-k the true count.  The posterior
+    (reusing the log I_p of an order the scan scored), amplitude fit and
+    metrics run once per (source, K), shared by every method picking it (a
+    K past the last peak reads the last prefix).  Returns dicts with the
+    per-method metric fields of RunRecord (run_sweep fills in the rest).
     """
     fd = synth_freq(scenario, rng=rng)
     sigma_true = math.sqrt(fd.noise_var_freq)
@@ -265,25 +266,28 @@ def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None)
     true_amps = amplitude_matrix(scenario)
 
     grid = np.arange(0.0, 180.0, grid_step_deg)
-    # every second-order stage reads this one covariance and its eigenbasis
-    cov = sample_covariance(fd.y)
-    basis = eigendecompose(cov)
+    # every second-order stage reads the eigenbasis of R = Y Y^H
+    basis = eigendecompose(sample_covariance(fd.y))
     norm2_y = float(np.sum(np.abs(fd.y) ** 2))
     pairs = [method.split("-", 1) for method in methods]  # (source, rule)
     sources = {source for source, _rule in pairs}
-    peaks, posts = {}, {}
+    peaks, posts = {}, {}  # peaks: source -> (angles, steering rows)
     if "pca" in sources:
         posts["pca"] = map_order_pca(basis, norm2_y, k_max, scenario.m)
     if sources & {"music", "dtft"}:
         steer = steering_matrix(grid, scenario.d).T  # G x D, row g: grid[g]
-    if "music" in sources:
-        peaks["music"] = pick_peaks(
-            music_pseudospectrum(basis, k_max, steer), k_max)
-    if "dtft" in sources:
-        peaks["dtft"] = pick_peaks(dtft_spectrum(cov, steer), k_max)
-    for source, idx in peaks.items():  # grid indices, highest peak first
-        posts[source] = map_order_scan(fd.y, steer[idx], k_max, scenario.m,
-                                       norm2_y)
+        w = eigen_projection(basis, steer)
+        spectra = {}
+        if "music" in sources:
+            spectra["music"] = music_pseudospectrum(w, k_max)
+        if "dtft" in sources:
+            spectra["dtft"] = dtft_spectrum(w, basis.eigvals)
+        for source, values in spectra.items():
+            idx = pick_peaks(values, k_max)  # grid indices, highest first
+            peaks[source] = grid[idx], steer[idx]
+        del steer, w  # freed before the scans' stacked products
+    for source, (_angles, rows) in peaks.items():
+        posts[source] = map_order_scan(fd.y, rows, k_max, scenario.m, norm2_y)
 
     fits = {}  # (source, k_hat) -> metric fields
     out = []
@@ -297,13 +301,15 @@ def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None)
             k_hat = scenario.k_true
         key = (source, k_hat)
         if key not in fits:
-            stats = post.stats_per_k[min(k_hat, len(post.stats_per_k) - 1)]
-            pv = posterior_variances(stats, scenario.d)
+            k = min(k_hat, len(post.stats_per_k) - 1)
+            pv = posterior_variances(post.stats_per_k[k], scenario.d,
+                                     post.log_ip[k])
             if source == "pca":
                 err = r0 = rs = math.nan  # eigenvector bases carry no DOAs
             else:
+                angles, rows = peaks[source]
                 err, r0, rs = _peak_pipeline_metrics(
-                    fd, grid, steer, peaks[source][:k_hat], pv.tau_mean,
+                    fd, angles[:k_hat], rows[:k_hat], pv.tau_mean,
                     truth, true_amps)
             fits[key] = dict(
                 err_doa=err, rmse_a0=r0, rmse_a_shrunk=rs,
@@ -494,7 +500,8 @@ def validate_distributions(n_mc=20_000, seed=99):
                 q = 1.0 - p
                 direct = float(logsumexp(_gl(b) + _gl(a + i) - _gl(i + 1)
                                          - _gl(a + b) - (b - i) * math.log(q)))
-                worst = max(worst, abs(math.expm1(sf.log_q_sum(a, b, q) - direct)))
+                log_q, _log_ip = sf.log_q_sum(a, b, q)
+                worst = max(worst, abs(math.expm1(log_q - direct)))
     checks.append(("dominance_sum_cross_form", worst, 1e-8))
 
     # pdf normalization and moment/quadrature agreement

@@ -12,7 +12,8 @@ log I_p <= 0, so the score's closed form with log I_p = 0 bounds it from
 above: the bound U_K runs the same floating-point operations on 0.0
 instead of the computed log I_p (itself clamped to <= 0.0), and rounding
 is monotone, so score <= U_K bit for bit.  The O(beta) kernel runs only
-for orders whose bound can still beat the best exact score so far.
+for orders whose bound can still beat the best exact score so far, and
+the log I_p each scored order computed is kept for its posterior moments.
 """
 
 from __future__ import annotations
@@ -47,17 +48,20 @@ class PosteriorVariances:
 class OrderPosterior:
     """Per-K log-scores, their bounds and energy splits, and the MAP order;
     a caller that picks an order K gets its variances from
-    posterior_variances(stats_per_k[K], D).
+    posterior_variances(stats_per_k[K], D, log_ip[K]).
 
     log_scores[K] is the exact score of every order the scan scored and NaN
     for an order it pruned; log_score_bounds[K] >= log_scores[K] for every
     K, so a pruned order lost to the MAP order by at least
     log_scores[k_map] - log_score_bounds[K].  Both are -inf at a
-    rank-deficient prefix.
+    rank-deficient prefix.  log_ip[K] is the log I_p(alpha, beta) that
+    scored order K computed, NaN where no kernel call scored it (a pruned
+    order, K = 0, a rank-deficient prefix).
     """
 
     log_scores: np.ndarray          # K = 0..K_max, up to a K-independent constant
     log_score_bounds: np.ndarray    # closed-form upper bound on each score
+    log_ip: np.ndarray              # log I_p(alpha, beta) of each scored order
     k_map: int
     stats_per_k: list
     rank_deficient_k: tuple = ()
@@ -77,14 +81,16 @@ def log_stiefel_volume(d, k):
     )
 
 
-def posterior_variances(stats: ProjectionStats, d):
+def posterior_variances(stats: ProjectionStats, d, log_ip=math.nan):
     """Posterior mean variances and the noise-to-signal percentage at one order.
 
     The exact means are the first moments of the inverse-gamma pair
     X = D*ra, Y = sigma2 conditioned on X >= Y, so they need alpha > 1 and
     beta > 1.  K = 0 (alpha = 0) is the convention sigma^2 ~
     inverse-gamma(DM, |Y|^2), tau = 1, no signal variance (nan).  None, a
-    scan's rank-deficient prefix, has no posterior.
+    scan's rank-deficient prefix, has no posterior.  log_ip is the order's
+    log I_p(alpha, beta) when its scan scored it (OrderPosterior.log_ip);
+    NaN, a pruned or unscanned order, computes it with one kernel call.
     """
     if stats is None:
         raise ValueError("steering prefix is rank deficient: no posterior")
@@ -92,7 +98,7 @@ def posterior_variances(stats: ProjectionStats, d):
         sigma2 = stats.t / (stats.beta - 1)
         return PosteriorVariances(ra_mean=math.nan, sigma2_mean=sigma2,
                                   tau_mean=1.0)
-    pair = DominancePair(stats.alpha, stats.beta, stats.s, stats.t)
+    pair = DominancePair(stats.alpha, stats.beta, stats.s, stats.t, log_ip)
     ra = double_moment(pair, 1, "invgamma", "x") / d
     sigma2 = double_moment(pair, 1, "invgamma", "y")
     return PosteriorVariances(ra_mean=ra, sigma2_mean=sigma2,
@@ -114,6 +120,7 @@ def _finish_posterior(stats_list, log_prior):
     priors = [log_prior(k) for k in range(n)]
     bounds = np.full(n, -math.inf)
     log_scores = np.full(n, math.nan)
+    log_ip = np.full(n, math.nan)
     for k, st in enumerate(stats_list):
         if st is None:
             log_scores[k] = -math.inf
@@ -127,11 +134,13 @@ def _finish_posterior(stats_list, log_prior):
             break
         if math.isnan(log_scores[k]):
             st = stats_list[k]
-            log_scores[k] = log_q_sum(st.alpha, st.beta, st.q) + priors[k]
+            log_q, log_ip[k] = log_q_sum(st.alpha, st.beta, st.q)
+            log_scores[k] = log_q + priors[k]
         best = max(best, log_scores[k])
     return OrderPosterior(
         log_scores=log_scores,
         log_score_bounds=bounds,
+        log_ip=log_ip,
         k_map=int(np.nanargmax(log_scores)),  # the smallest K on ties
         stats_per_k=stats_list,
         rank_deficient_k=tuple(k for k, st in enumerate(stats_list) if st is None),
@@ -159,17 +168,13 @@ def map_order_scan(y, steer_rows, k_max, m, norm2_y):
 
     steer_rows is P x D, row i the steering vector of the i-th highest
     spectrum peak; prefix K is the first K rows, transposed, and P = 0
-    scores K = 0 alone.  The DOA prior contributes -K*log(2*pi) for both the
-    MUSIC and DTFT spectra.  A rank-deficient prefix (coincident peaks)
-    scores -inf and is flagged.
+    scores K = 0 alone.  One projection_stats call splits the energy of
+    every prefix, reading Y in one product for K = 1 and one for the rest.
+    The DOA prior contributes -K*log(2*pi) for both the MUSIC and DTFT
+    spectra.  A rank-deficient prefix (coincident peaks) scores -inf and is
+    flagged.
     """
-    v = steer_rows[:k_max].T
-    stats_list = []
-    for k in range(v.shape[1] + 1):
-        try:
-            stats_list.append(projection_stats(y, v[:, :k], m, norm2_y=norm2_y))
-        except ValueError:
-            stats_list.append(None)
+    stats_list = projection_stats(y, steer_rows[:k_max].T, m, norm2_y=norm2_y)
     return _finish_posterior(stats_list, lambda k: -k * math.log(2.0 * math.pi))
 
 

@@ -9,7 +9,8 @@ counts (hundreds of thousands) never overflow.
 
 `log_reg_inc_beta` is the only O(beta) sum here.  The order score
 (`log_q_sum`), both conditional pdfs and every moment of a `DominancePair`
-are closed forms around it, and a pair computes its normaliser log I_p once.
+are closed forms around it.  A pair computes its normaliser log I_p once,
+or takes the one `log_q_sum` computed for the same degrees and q.
 
 Both finite sums (`log_reg_inc_beta` and the upper incomplete gamma series)
 read log Gamma(j) from one grow-only module table instead of calling
@@ -74,7 +75,9 @@ class DominancePair:
 
     alpha/beta are the integer signal/noise degrees, s_x/s_y the rates.
     q is stored as s_y/(s_x+s_y) and p as 1-q so that p + q == 1 exactly;
-    log_ip = log I_p(alpha, beta) is the log normaliser Pr[X <= Y].
+    log_ip = log I_p(alpha, beta) is the log normaliser Pr[X <= Y].  A
+    caller that already has log I_p at this p and these degrees (the
+    order score log_q_sum hands it back) passes it; NaN computes it.
     """
 
     alpha: int
@@ -83,7 +86,7 @@ class DominancePair:
     s_y: float
     p: float = field(init=False)
     q: float = field(init=False)
-    log_ip: float = field(init=False)
+    log_ip: float = math.nan
 
     def __post_init__(self):
         if int(self.alpha) != self.alpha or self.alpha < 1:
@@ -97,8 +100,9 @@ class DominancePair:
         q = self.s_y / (self.s_x + self.s_y)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", 1.0 - q)
-        object.__setattr__(self, "log_ip",
-                           log_reg_inc_beta(self.p, self.alpha, self.beta))
+        if math.isnan(self.log_ip):
+            object.__setattr__(self, "log_ip",
+                               log_reg_inc_beta(self.p, self.alpha, self.beta))
 
 
 def _log_gamma_table(top):
@@ -281,7 +285,8 @@ def prob_dominance(pair: DominancePair):
 
 
 def log_q_sum(alpha, beta, q):
-    """log of the finite dominance sum used by the order scores.
+    """log of the finite dominance sum used by the order scores, and the
+    log I_p(alpha, beta) it was computed from, as (log Q, log I_p).
 
     Q = sum_{i=0}^{beta-1} Gamma(beta) Gamma(alpha+i) / (i! Gamma(alpha+beta))
         * q^-(beta-i)
@@ -289,7 +294,9 @@ def log_q_sum(alpha, beta, q):
     evaluated through the second (cross) form as
     log I_p - alpha log p - beta log q + log B(alpha,beta): one kernel call.
     Both degrees must be positive, as in a `DominancePair`; the empty
-    subspace (alpha = 0) is scored by the order scan itself.
+    subspace (alpha = 0) is scored by the order scan itself.  log I_p is
+    that of a `DominancePair` with these degrees and q, so the posterior
+    moments at a scored order need no second kernel call for it.
 
     The computed log I_p is at most 0.0, so `_log_q_from(0.0, ...)`, the
     same arithmetic without the kernel, bounds the result from above bit
@@ -300,7 +307,8 @@ def log_q_sum(alpha, beta, q):
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0, 1), got {q}")
     alpha, beta = int(alpha), int(beta)
-    return _log_q_from(log_reg_inc_beta(1.0 - q, alpha, beta), alpha, beta, q)
+    log_ip = log_reg_inc_beta(1.0 - q, alpha, beta)
+    return _log_q_from(log_ip, alpha, beta, q), log_ip
 
 
 def _log_q_from(log_ip, alpha, beta, q):

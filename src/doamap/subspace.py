@@ -3,10 +3,16 @@
 The three estimators share one geometric fact: for a candidate basis V the
 data energy splits as |Y|^2 = |V A0|^2 + |H0|^2 with A0 the least-squares
 amplitudes and H0 the residual.  ProjectionStats.from_energy packages that
-split, plus the signal/noise degree counts, for the Bayesian order scores.
-Both spectra read one G x D grid steering table, built once per draw, whose
-row g is the steering vector of grid angle g; a spectrum peak is a grid
-index, so its steering vector is a row of that table.
+split, plus the signal/noise degree counts, for the Bayesian order scores;
+projection_stats computes it on every nested prefix of a steering basis,
+reading the D x M data in one product for K = 1 and one for all K >= 2.
+
+Both spectra are weightings of one eigen-projection W = |Q^H v_g|^2 of the
+G x D grid steering table (row g the steering vector of grid angle g) on
+the eigenbasis Q of R = Y Y^H (Schmidt, IEEE TAP 34(3), 1986): MUSIC sums
+W over the noise eigenvectors, the DTFT beamformer v^H R v weights W by
+the eigenvalues.  A spectrum peak is a grid index, so its steering vector
+is a row of the table.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ __all__ = [
     "ProjectionStats",
     "sample_covariance",
     "eigendecompose",
+    "eigen_projection",
     "dtft_spectrum",
     "music_pseudospectrum",
     "pick_peaks",
@@ -72,7 +79,8 @@ def eigendecompose(cov):
     """Descending eigenpairs of a Hermitian PSD matrix.
 
     Negative round-off eigenvalues are clamped to zero.  Eigenvector phases
-    are eigh's: MUSIC reads |Q^H v|^2 and PCA and AIC read only eigenvalues.
+    are eigh's: both spectra read |Q^H v|^2 and PCA and AIC read only
+    eigenvalues.
     """
     cov = np.asarray(cov)
     herm_err = np.max(np.abs(cov - cov.conj().T))
@@ -85,25 +93,26 @@ def eigendecompose(cov):
     return EigenBasis(eigvecs=vecs[:, ::-1].copy(), eigvals=vals)
 
 
-def dtft_spectrum(cov, steer):
-    """Power spectrum |v(pi*cos(phi))^H Y|^2 = v^H R v from R = Y Y^H, on the
-    rows of the G x D grid steering table."""
-    cov = np.asarray(cov)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ValueError(f"need a square covariance matrix, got shape {cov.shape}")
-    vg = steer.T
-    return np.real(np.einsum("dg,dg->g", vg.conj(), cov @ vg))
+def eigen_projection(basis: EigenBasis, steer):
+    """W = |Q^H v_g|^2, D x G: row j the energy of every grid steering
+    vector (row g of the G x D table) on eigenvector j.  Both spectra read
+    it, so the grid table is multiplied once per draw."""
+    return np.abs(basis.eigvecs.conj().T @ steer.T) ** 2
 
 
-def music_pseudospectrum(basis: EigenBasis, k_sub, steer):
+def dtft_spectrum(w, eigvals):
+    """Power spectrum |v(pi*cos(phi))^H Y|^2 = v^H R v = sum_j lambda_j W_jg
+    on the grid, from the eigen-projection W of R = Y Y^H."""
+    return eigvals @ w
+
+
+def music_pseudospectrum(w, k_sub):
     """Reciprocal noise-subspace projection 1 / |Q_noise^H v(phi)|^2 on the
-    rows of the G x D grid steering table."""
-    d = basis.eigvecs.shape[0]
+    grid: 1 / sum_{j >= k_sub} W_jg from the eigen-projection W."""
+    d = w.shape[0]
     if not 0 < k_sub < d:
         raise ValueError(f"signal subspace size must lie in (0, {d}), got {k_sub}")
-    noise = basis.eigvecs[:, k_sub:]
-    denom = np.sum(np.abs(noise.conj().T @ steer.T) ** 2, axis=0)
-    return 1.0 / np.maximum(denom, 1e-300)
+    return 1.0 / np.maximum(np.sum(w[k_sub:], axis=0), 1e-300)
 
 
 def pick_peaks(values, count):
@@ -129,38 +138,46 @@ def pick_peaks(values, count):
     return idx[np.argsort(-v[idx], kind="stable")][:count]
 
 
-def _name_dependent_columns(v):
-    """Most mutually coherent column pair, for the rank-deficiency error."""
-    norms = np.linalg.norm(v, axis=0)
-    norms[norms == 0] = 1.0
-    g = np.abs((v.conj().T @ v)) / np.outer(norms, norms)
-    np.fill_diagonal(g, 0.0)
-    i, j = np.unravel_index(np.argmax(g), g.shape)
-    return min(i, j), max(i, j)
-
-
 def projection_stats(y, v, m, *, norm2_y=None):
-    """Energy split of the D x M data Y on basis V via an SVD least-squares fit.
+    """Energy splits of the D x M data Y on the nested prefixes of basis V.
 
-    Never forms (V^H V)^-1; rank deficiency (smallest singular value below
-    1e-10 of the largest) is an error naming the offending column pair.
-    A D x 0 basis is K = 0, the pure-noise convention (s = 0, t = |Y|^2).
-    norm2_y is |Y|^2 when the caller already has it (a scan passes the
-    same value to every prefix); None sums it here.
+    Entry K of the returned list is the split on the first K columns of the
+    D x P basis V, K = 0..P; K = 0 is the pure-noise convention (s = 0,
+    t = |Y|^2).  Each prefix gets its own SVD least-squares fit, never
+    forming (V^H V)^-1; a prefix whose smallest singular value is below
+    1e-10 of its largest is rank deficient (coincident steering vectors)
+    and its entry is None.
+
+    Y is read twice: K = 1's row u^H times Y, and one product of the
+    stacked u^H blocks of every full-rank K >= 2 prefix; s_K sums the
+    squared magnitudes of its block.  BLAS sums each entry of a matrix
+    product the same way whichever rows share the product, so every s_K has
+    the bits of its own single-basis product u^H Y (the tests check it with
+    ==).  A 1 x D row times Y takes numpy's matrix-vector path, whose sums
+    differ, hence K = 1 alone.
+    norm2_y is |Y|^2 when the caller already has it; None sums it here.
     """
     d = y.shape[0]
     if norm2_y is None:
         norm2_y = float(np.sum(np.abs(y) ** 2))
-    k = v.shape[1]
-    if k > d:
-        raise ValueError(f"basis has more columns ({k}) than sensors ({d})")
-    if k == 0:
-        return ProjectionStats.from_energy(0.0, norm2_y, 0, d, m)
-    u, sv, _ = np.linalg.svd(v, full_matrices=False)
-    if sv[-1] < 1e-10 * sv[0]:
-        i, j = _name_dependent_columns(v)
-        raise ValueError(
-            f"basis is rank deficient: columns {i} and {j} are (near) parallel"
-        )
-    s = float(np.sum(np.abs(u.conj().T @ y) ** 2))
-    return ProjectionStats.from_energy(s, norm2_y, k, d, m)
+    p = v.shape[1]
+    if p > d:
+        raise ValueError(f"basis has more columns ({p}) than sensors ({d})")
+    s = {0: 0.0}  # captured energy of each full-rank prefix K
+    stacked = []  # (K, u^H) of each full-rank prefix K >= 2
+    for k in range(1, p + 1):
+        u, sv, _ = np.linalg.svd(v[:, :k], full_matrices=False)
+        if sv[-1] < 1e-10 * sv[0]:
+            continue
+        if k == 1:
+            s[1] = float(np.sum(np.abs(u.conj().T @ y) ** 2))
+        else:
+            stacked.append((k, u.conj().T))
+    if stacked:
+        blocks = np.concatenate([uh for _k, uh in stacked]) @ y
+        start = 0
+        for k, _uh in stacked:
+            s[k] = float(np.sum(np.abs(blocks[start:start + k]) ** 2))
+            start += k
+    return [ProjectionStats.from_energy(s[k], norm2_y, k, d, m) if k in s
+            else None for k in range(p + 1)]

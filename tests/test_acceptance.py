@@ -106,7 +106,7 @@ class TestCriterion2:
                 for p in np.arange(0.1, 0.95, 0.1):
                     q = 1.0 - float(p)
                     direct = float(logsumexp(log_coef - (b - i) * math.log(q)))
-                    worst = max(worst, abs(math.expm1(log_q_sum(a, b, q) - direct)))
+                    worst = max(worst, abs(math.expm1(log_q_sum(a, b, q)[0] - direct)))
         _report(2, worst <= 1e-8,
                 f"max relative gap {worst:.2e} over alpha,beta <= 30, "
                 f"p in 0.1..0.9 (tol 1e-8)")
@@ -155,7 +155,7 @@ class TestCriterion4:
             m = int(rng.integers(k, 24))
             v = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
             y = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
-            st = projection_stats(y, v, m)
+            st = projection_stats(y, v, m)[-1]
             norm2 = float(np.sum(np.abs(y) ** 2))
             worst = max(worst, abs(st.s + st.t - norm2) / norm2)
         _report(4, worst <= 1e-8,
@@ -171,11 +171,11 @@ class TestCriterion5:
         basis = eigendecompose(sample_covariance(y))
         worst = -np.inf
         for k in (1, 3, 5):
-            s_pca = projection_stats(y, basis.eigvecs[:, :k], m).s
+            s_pca = projection_stats(y, basis.eigvecs[:, :k], m)[-1].s
             for _ in range(34 if k == 1 else 33):
                 g = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
                 q, _ = np.linalg.qr(g)
-                excess = (projection_stats(y, q, m).s - s_pca) / s_pca
+                excess = (projection_stats(y, q, m)[-1].s - s_pca) / s_pca
                 worst = max(worst, excess)
         _report(5, worst <= 1e-8,
                 f"max captured-energy excess of 100 random frames over the "

@@ -385,14 +385,16 @@ class TestBenchmarkContract:
         return row["method"].split("-", 1)[0], row["k_hat"]
 
     def test_one_scan_per_source(self):
-        # every rule reads its source's one scan: each scored candidate is
-        # one projection, and the steering matrices are synthesis and the
-        # one grid table that both spectra, both scans and every amplitude
-        # fit read rows of
+        # every rule reads its source's one scan: one projection_stats call
+        # splits all of a scan's candidates, and the steering matrices are
+        # synthesis and the one grid table that both spectra read and whose
+        # peak rows both scans and every amplitude fit read
         _tracing, tracer, _rows = self._traced_six_method_draw()
         counts = tracer.counts
         scored = counts["ordermap.map_order_scan", "candidates_scored"]
-        assert counts["subspace.projection_stats", "calls"] == scored == 12
+        assert counts["ordermap.map_order_scan", "calls"] == 2
+        assert counts["subspace.projection_stats", "calls"] == 2
+        assert scored == 12
         assert counts["arraysim.steering_matrix", "calls"] == 2
 
     def test_scan_reads_peak_rows(self, monkeypatch):
@@ -449,20 +451,21 @@ class TestBenchmarkContract:
             1 for _source, k in groups if k >= 1) == 4
 
     def test_dtft_counts_read_the_grid_table(self, monkeypatch):
-        # _dtft_counts reads len() of the second argument as G and the
-        # covariance as D x D, so the spectra must get the G x D table
-        # (a D x G one would count D/G of the flops)
+        # _dtft_counts multiplies the first argument's two dimensions by
+        # len() of the second: the D x G eigen-projection of the grid table
+        # and the D eigenvalues count 8*G*D^2, the complex product that
+        # made the projection both spectra read
         from doamap import subspace
 
         tables = []
 
-        def spy(cov, steer):
-            tables.append(np.shape(steer))
-            return subspace.dtft_spectrum(cov, steer)  # traced under instrument
+        def spy(w, eigvals):
+            tables.append((np.shape(w), len(eigvals)))
+            return subspace.dtft_spectrum(w, eigvals)  # traced under instrument
 
         monkeypatch.setattr(bench, "dtft_spectrum", spy)
         tracing, tracer, _rows = self._traced_six_method_draw()
-        assert tables == [(90, 16)]
+        assert tables == [((16, 90), 16)]
         layers = tracing.layer_metrics([tracer], [1], 1)
         assert layers["subspace.dtft_spectrum.gflop_computed"] == (
             8 * 90 * 16**2 / 1e9)

@@ -11,7 +11,7 @@ from doamap.arraysim import (
     steering_matrix,
     synth_freq,
 )
-from doamap import ordermap
+from doamap import ordermap, specfun
 from doamap.ordermap import (
     _finish_posterior,
     aic_order,
@@ -24,6 +24,7 @@ from doamap.specfun import log_q_sum
 from doamap.subspace import (
     ProjectionStats,
     dtft_spectrum,
+    eigen_projection,
     eigendecompose,
     music_pseudospectrum,
     pick_peaks,
@@ -93,17 +94,60 @@ class TestPosteriorVariances:
             posterior_variances(None, 4)
 
     def test_rejects_degenerate_degrees(self):
-        with pytest.raises(ValueError):
-            posterior_variances(ProjectionStats(s=1.0, t=1.0, alpha=1, beta=9), 3)
-        with pytest.raises(ValueError):
-            posterior_variances(ProjectionStats(s=1.0, t=1.0, alpha=9, beta=1), 3)
+        # with or without a scan's log I_p
+        for log_ip in (math.nan, -0.5):
+            with pytest.raises(ValueError):
+                posterior_variances(
+                    ProjectionStats(s=1.0, t=1.0, alpha=1, beta=9), 3, log_ip)
+            with pytest.raises(ValueError):
+                posterior_variances(
+                    ProjectionStats(s=1.0, t=1.0, alpha=9, beta=1), 3, log_ip)
+
+    def test_scored_orders_reuse_the_scan_normaliser(self, monkeypatch):
+        # at an order the scan scored, the fit takes log I_p(alpha, beta)
+        # from the scan and calls the kernel only for the two moments; a
+        # pruned order computes it.  Either way the result is the bits of
+        # the fit that computes everything itself
+        kernel = specfun.log_reg_inc_beta
+        calls = []
+
+        def counting(p, n, m):
+            calls.append((n, m))
+            return kernel(p, n, m)
+
+        scored = 0
+        for seed, snr_db in enumerate((-5.0, 0.0, 10.0, 30.0)):
+            sc = default_scenario(d=32, k=3, m=512, n=512, snr_db=snr_db,
+                                  seed=seed)
+            fd = synth_freq(sc, rng=np.random.default_rng(seed))
+            basis = eigendecompose(sample_covariance(fd.y))
+            steer = steering_matrix(GRID, sc.d).T
+            w = eigen_projection(basis, steer)
+            rows = steer[pick_peaks(music_pseudospectrum(w, 10), 10)]
+            for post in (map_order_pca(basis, _norm2(fd.y), 10, sc.m),
+                         map_order_scan(fd.y, rows, 10, sc.m, _norm2(fd.y))):
+                for k in range(1, len(post.stats_per_k)):
+                    st = post.stats_per_k[k]
+                    want = posterior_variances(st, sc.d)
+                    is_scored = not math.isnan(post.log_scores[k])
+                    assert math.isnan(post.log_ip[k]) != is_scored, k
+                    calls.clear()
+                    with monkeypatch.context() as mp:
+                        mp.setattr(specfun, "log_reg_inc_beta", counting)
+                        got = posterior_variances(st, sc.d, post.log_ip[k])
+                    assert got == want, k
+                    moments = [(st.alpha - 1, st.beta), (st.alpha, st.beta - 1)]
+                    assert calls == (moments if is_scored
+                                     else [(st.alpha, st.beta)] + moments), k
+                    scored += is_scored
+        assert scored > 0
 
     def test_recovers_true_noise_variance(self):
         # K known, high degrees: sigma2_mean estimates the true noise power
         sc = default_scenario(d=32, k=3, m=512, n=512, snr_db=10.0, seed=77)
         fd = synth_freq(sc)
         v = steering_matrix(sc.doa_deg, sc.d)
-        st = projection_stats(fd.y, v, sc.m)
+        st = projection_stats(fd.y, v, sc.m)[-1]
         pv = posterior_variances(st, sc.d)
         assert pv.sigma2_mean == pytest.approx(fd.noise_var_freq, rel=0.05)
 
@@ -155,7 +199,8 @@ class TestMapOrderPca:
     def test_score_monotone_in_signal_fraction(self):
         # at fixed degrees, the dominance score grows with the signal share p
         for a, b in ((64, 448), (512, 1536)):
-            vals = [log_q_sum(a, b, 1.0 - p) for p in np.linspace(0.05, 0.95, 19)]
+            vals = [log_q_sum(a, b, 1.0 - p)[0]
+                    for p in np.linspace(0.05, 0.95, 19)]
             assert all(y > x for x, y in zip(vals, vals[1:]))
 
 
@@ -163,11 +208,12 @@ class TestMapOrderScan:
     def _peaks(self, fd, kind, k_max=10):
         """Grid indices of the spectrum's peaks and their steering rows."""
         steer = steering_matrix(GRID, fd.y.shape[0]).T
+        basis = eigendecompose(sample_covariance(fd.y))
+        w = eigen_projection(basis, steer)
         if kind == "dtft":
-            values = dtft_spectrum(sample_covariance(fd.y), steer)
+            values = dtft_spectrum(w, basis.eigvals)
         else:
-            basis = eigendecompose(sample_covariance(fd.y))
-            values = music_pseudospectrum(basis, k_max, steer)
+            values = music_pseudospectrum(w, k_max)
         idx = pick_peaks(values, k_max)
         return idx, steer[idx]
 
@@ -220,7 +266,7 @@ class TestMapOrderScan:
         post = map_order_scan(fd.y, rows, 5, sc.m, _norm2(fd.y))
         for k in range(1, len(post.stats_per_k)):
             v = steering_matrix(GRID[idx[:k]], sc.d)
-            assert post.stats_per_k[k] == projection_stats(fd.y, v, sc.m)
+            assert post.stats_per_k[k] == projection_stats(fd.y, v, sc.m)[-1]
 
 
 def _pca_prior(d):
@@ -236,7 +282,7 @@ def _check_pruned(post, log_prior):
     K = 0 is the empty-subspace convention log Q = 0."""
     exact = np.array([
         -math.inf if st is None
-        else (0.0 if st.alpha == 0 else log_q_sum(st.alpha, st.beta, st.q))
+        else (0.0 if st.alpha == 0 else log_q_sum(st.alpha, st.beta, st.q)[0])
         + log_prior(k)
         for k, st in enumerate(post.stats_per_k)])
     assert post.k_map == int(np.argmax(exact))
@@ -264,8 +310,9 @@ class TestPrunedScan:
                 map_order_pca(basis, _norm2(fd.y), 10, sc.m),
                 _pca_prior(sc.d))
             steer = steering_matrix(GRID, sc.d).T
-            for values in (music_pseudospectrum(basis, 10, steer),
-                           dtft_spectrum(sample_covariance(fd.y), steer)):
+            w = eigen_projection(basis, steer)
+            for values in (music_pseudospectrum(w, 10),
+                           dtft_spectrum(w, basis.eigvals)):
                 rows = steer[pick_peaks(values, 10)]
                 pruned += _check_pruned(
                     map_order_scan(fd.y, rows, 10, sc.m, _norm2(fd.y)),
@@ -341,7 +388,7 @@ class TestShrinkage:
                                   seed=seed)
             fd = synth_freq(sc)
             v = steering_matrix(sc.doa_deg, sc.d)
-            st = projection_stats(fd.y, v, sc.m)
+            st = projection_stats(fd.y, v, sc.m)[-1]
             pv = posterior_variances(st, sc.d)
             a0, *_ = np.linalg.lstsq(v, fd.y, rcond=None)
             truth = amplitude_matrix(sc)

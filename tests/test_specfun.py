@@ -276,7 +276,7 @@ class TestLogQSum:
 
     def test_hand_value(self):
         # (q^-2 + q^-1) / 2 = 3 at q = 1/2; equals 0.75 / (1 * 0.25) cross-form
-        assert log_q_sum(1, 2, 0.5) == pytest.approx(math.log(3.0), rel=1e-14)
+        assert log_q_sum(1, 2, 0.5)[0] == pytest.approx(math.log(3.0), rel=1e-14)
 
     def test_exact_rational_oracle(self):
         alpha, beta, q = 8, 24, Fraction(3, 10)
@@ -288,7 +288,7 @@ class TestLogQSum:
             )
             total += coef / q ** (beta - k)
         expected = math.log(total.numerator) - math.log(total.denominator)
-        assert log_q_sum(alpha, beta, 0.3) == pytest.approx(expected, rel=1e-12)
+        assert log_q_sum(alpha, beta, 0.3)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_cross_form_identity(self):
         # exp(log_q) * p * q * B_p(a,b) must equal I_p(a,b); scipy's betainc
@@ -301,7 +301,7 @@ class TestLogQSum:
                         (a - 1) * math.log(p) + (b - 1) * math.log(q)
                         - (math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
                     )
-                    lhs = log_q_sum(a, b, q) + math.log(p * q) + log_bp
+                    lhs = log_q_sum(a, b, q)[0] + math.log(p * q) + log_bp
                     rhs = math.log(betainc(a, b, p))
                     assert abs(math.expm1(lhs - rhs)) <= 1e-8, (a, b, p)
 
@@ -315,12 +315,12 @@ class TestLogQSum:
         direct = float(logsumexp(
             gammaln(beta) + gammaln(alpha + i) - gammaln(i + 1)
             - gammaln(alpha + beta) - (beta - i) * math.log(q)))
-        assert abs(log_q_sum(alpha, beta, q) - direct) <= 1e-14 * (alpha + beta)
+        assert abs(log_q_sum(alpha, beta, q)[0] - direct) <= 1e-14 * (alpha + beta)
 
     def test_monotone_in_p(self):
         # more signal energy can only raise the dominance score
         p_grid = np.linspace(0.05, 0.95, 37)
-        vals = [log_q_sum(6, 10, 1.0 - p) for p in p_grid]
+        vals = [log_q_sum(6, 10, 1.0 - p)[0] for p in p_grid]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_rejects_bad_q(self):
@@ -337,9 +337,11 @@ class TestLogQSum:
         # the score's arithmetic on 0.0 >= log I_p rounds to no less, bit
         # for bit, and to the same bits where log I_p is 0
         bound = specfun._log_q_from(0.0, alpha, beta, q)
-        score = log_q_sum(alpha, beta, q)
+        score, log_ip = log_q_sum(alpha, beta, q)
         assert score <= bound
-        if log_reg_inc_beta(1.0 - q, alpha, beta) == 0.0:
+        # the log I_p handed back is the kernel's, bit for bit
+        assert log_ip == log_reg_inc_beta(1.0 - q, alpha, beta)
+        if log_ip == 0.0:
             assert score == bound
 
 

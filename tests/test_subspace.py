@@ -12,7 +12,9 @@ from doamap.arraysim import (
     synth_freq,
 )
 from doamap.subspace import (
+    ProjectionStats,
     dtft_spectrum,
+    eigen_projection,
     eigendecompose,
     music_pseudospectrum,
     pick_peaks,
@@ -68,26 +70,44 @@ def _steer(grid, d):
     return steering_matrix(grid, d).T
 
 
+def _dtft(y, steer):
+    """The DTFT spectrum of data Y on the grid table's rows."""
+    basis = eigendecompose(sample_covariance(y))
+    return dtft_spectrum(eigen_projection(basis, steer), basis.eigvals)
+
+
+def _music(basis, k_sub, steer):
+    """The MUSIC pseudospectrum on the grid table's rows."""
+    return music_pseudospectrum(eigen_projection(basis, steer), k_sub)
+
+
+def _desk_draws():
+    """(data, eigenbasis, grid table) of desk-shape draws, -30 to 30 dB."""
+    steer = _steer(np.arange(0.0, 180.0, 0.5), 32)
+    for seed, snr_db in enumerate((-30.0, -10.0, 0.0, 10.0, 30.0)):
+        sc = default_scenario(d=32, k=3, m=512, n=512, snr_db=snr_db, seed=seed)
+        fd = synth_freq(sc, rng=np.random.default_rng(seed))
+        yield fd.y, eigendecompose(sample_covariance(fd.y)), steer
+
+
 class TestSpectra:
     GRID = np.arange(0.0, 180.0, 0.5)
 
     def test_dtft_peak_at_source(self):
         sc = default_scenario(d=32, k=1, m=64, n=64, snr_db=240.0, seed=0)
-        values = dtft_spectrum(sample_covariance(synth_freq(sc).y),
-                               _steer(self.GRID, 32))
+        values = _dtft(synth_freq(sc).y, _steer(self.GRID, 32))
         best = self.GRID[np.argmax(values)]
         assert abs(best - sc.doa_deg[0]) <= 0.5
 
     def test_dtft_zero_data(self):
-        values = dtft_spectrum(sample_covariance(np.zeros((8, 4), dtype=complex)),
-                               _steer(self.GRID, 8))
+        values = _dtft(np.zeros((8, 4), dtype=complex), _steer(self.GRID, 8))
         assert np.all(values == 0.0)
 
     def test_music_sharp_at_source(self):
         sc = default_scenario(d=32, k=1, m=64, n=64, snr_db=240.0, seed=0)
         fd = synth_freq(sc)
         basis = eigendecompose(sample_covariance(fd.y))
-        values = music_pseudospectrum(basis, 1, _steer(self.GRID, 32))
+        values = _music(basis, 1, _steer(self.GRID, 32))
         best = self.GRID[np.argmax(values)]
         assert abs(best - sc.doa_deg[0]) <= 0.5
         # noiseless: on-peak pseudospectrum exceeds the median by orders of magnitude
@@ -97,19 +117,39 @@ class TestSpectra:
         sc = default_scenario(d=32, k=0, m=512, n=512, snr_db=0.0, seed=123)
         fd = synth_freq(sc)
         basis = eigendecompose(sample_covariance(fd.y))
-        values = music_pseudospectrum(basis, 3, _steer(self.GRID, 32))
+        values = _music(basis, 3, _steer(self.GRID, 32))
         assert np.max(values) / np.median(values) <= 10.0
 
     def test_music_rejects_bad_subspace_size(self):
         basis = eigendecompose(np.eye(4))
         for k in (0, 4, 5):
             with pytest.raises(ValueError):
-                music_pseudospectrum(basis, k, _steer(self.GRID, 4))
+                _music(basis, k, _steer(self.GRID, 4))
+
+    def test_music_from_projection_is_noise_subspace_sum(self):
+        # 1 / sum over the noise eigenvectors of |Q^H v|^2, bit for bit
+        for _y, basis, steer in _desk_draws():
+            w = eigen_projection(basis, steer)
+            for k_sub in (1, 3, 10):
+                noise = basis.eigvecs[:, k_sub:]
+                denom = np.sum(np.abs(noise.conj().T @ steer.T) ** 2, axis=0)
+                assert np.array_equal(music_pseudospectrum(w, k_sub),
+                                      1.0 / np.maximum(denom, 1e-300))
+
+    def test_dtft_from_projection_is_quadratic_form(self):
+        # sum_j lambda_j |q_j^H v|^2 against v^H R v: 1e-12 relative, and
+        # the same peaks
+        for y, basis, steer in _desk_draws():
+            r = sample_covariance(y)
+            want = np.real(np.einsum("gd,gd->g", steer.conj(), steer @ r.T))
+            got = dtft_spectrum(eigen_projection(basis, steer), basis.eigvals)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            assert np.array_equal(pick_peaks(got, 10), pick_peaks(want, 10))
 
     def test_spectrum_matches_direct_projection(self):
         rng = np.random.default_rng(3)
         y = rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))
-        values = dtft_spectrum(sample_covariance(y), _steer([33.0, 90.0], 8))
+        values = _dtft(y, _steer([33.0, 90.0], 8))
         v = steering_matrix([33.0, 90.0], 8)
         expect = np.sum(np.abs(v.conj().T @ y) ** 2, axis=1)
         np.testing.assert_allclose(values, expect, rtol=1e-12)
@@ -145,7 +185,7 @@ class TestPickPeaks:
 class TestProjectionStats:
     def test_k0_convention(self):
         y = np.ones((4, 3), dtype=complex)
-        st = projection_stats(y, np.empty((4, 0), dtype=complex), 3)
+        (st,) = projection_stats(y, np.empty((4, 0), dtype=complex), 3)
         assert st.s == 0.0 and st.t == pytest.approx(12.0)
         assert st.alpha == 0 and st.beta == 12
         assert st.q == 1.0
@@ -155,7 +195,7 @@ class TestProjectionStats:
         v = _random_unitary_columns(rng, 6, 2)
         a = rng.standard_normal((2, 10)) + 1j * rng.standard_normal((2, 10))
         y = v @ a
-        st = projection_stats(y, v, 10)
+        st = projection_stats(y, v, 10)[-1]
         norm2 = float(np.sum(np.abs(y) ** 2))
         assert st.t == pytest.approx(1e-12 * norm2)
         assert st.s == pytest.approx(norm2, rel=1e-10)
@@ -169,7 +209,7 @@ class TestProjectionStats:
             m = int(rng.integers(k, 20))
             v = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
             y = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
-            st = projection_stats(y, v, m)
+            st = projection_stats(y, v, m)[-1]
             norm2 = float(np.sum(np.abs(y) ** 2))
             assert abs(st.s + st.t - norm2) <= 1e-8 * norm2
             assert st.alpha == k * m and st.beta == (d - k) * m
@@ -178,7 +218,7 @@ class TestProjectionStats:
         rng = np.random.default_rng(6)
         v = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
         y = rng.standard_normal((7, 9)) + 1j * rng.standard_normal((7, 9))
-        st = projection_stats(y, v, 9)
+        st = projection_stats(y, v, 9)[-1]
         a0, *_ = np.linalg.lstsq(v, y, rcond=None)
         resid = float(np.sum(np.abs(y - v @ a0) ** 2))
         fit = float(np.sum(np.abs(v @ a0) ** 2))
@@ -190,7 +230,7 @@ class TestProjectionStats:
         rng = np.random.default_rng(7)
         v = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
         y = rng.standard_normal((6, 8)) + 1j * rng.standard_normal((6, 8))
-        st = projection_stats(y, v, 8)
+        st = projection_stats(y, v, 8)[-1]
         p = v @ np.linalg.solve(v.conj().T @ v, v.conj().T)
         expect = float(np.real(np.trace(p @ (y @ y.conj().T))))
         assert st.s == pytest.approx(expect, rel=1e-10)
@@ -202,21 +242,47 @@ class TestProjectionStats:
         y = rng.standard_normal((8, 40)) + 1j * rng.standard_normal((8, 40))
         basis = eigendecompose(sample_covariance(y))
         for k in (1, 2, 4):
-            s_pca = projection_stats(y, basis.eigvecs[:, :k], 40).s
+            s_pca = projection_stats(y, basis.eigvecs[:, :k], 40)[-1].s
             for _ in range(50):
                 w = _random_unitary_columns(rng, 8, k)
-                assert projection_stats(y, w, 40).s <= s_pca + 1e-8 * s_pca
+                assert projection_stats(y, w, 40)[-1].s <= s_pca + 1e-8 * s_pca
             # and it equals the sum of the top-k eigenvalues
             assert s_pca == pytest.approx(float(np.sum(basis.eigvals[:k])),
                                           rel=1e-10)
 
-    def test_rank_deficient_names_columns(self):
+    def test_rank_deficient_prefixes_flagged(self):
+        # column 1 is parallel to column 0: every prefix holding both has no
+        # split, the prefixes before it keep theirs
         v = np.ones((5, 3), dtype=complex)
         v[:, 1] = 2.0 * v[:, 0]
         v[:, 2] = np.exp(1j * np.arange(5))
         y = np.ones((5, 4), dtype=complex)
-        with pytest.raises(ValueError, match="columns 0 and 1"):
-            projection_stats(y, v, 4)
+        stats = projection_stats(y, v, 4)
+        assert [st is None for st in stats] == [False, False, True, True]
+        assert stats[1].s == pytest.approx(20.0)
+
+    def test_prefixes_match_single_basis_products(self):
+        # each prefix's energy equals that of its own SVD basis times Y, bit
+        # for bit, whether it is K = 1's product or a block of the stacked
+        # K >= 2 product; rank-deficient prefixes (coincident peaks) are None
+        checked = 0
+        for y, basis, steer in _desk_draws():
+            values = _music(basis, 10, steer)
+            idx = pick_peaks(values, 10)
+            for rows in (steer[idx], steer[np.r_[idx[:3], idx[1], idx[3:6]]]):
+                v = rows.T
+                stats = projection_stats(y, v, 512)
+                for k, st in enumerate(stats[1:], 1):
+                    u, sv, _ = np.linalg.svd(v[:, :k], full_matrices=False)
+                    if sv[-1] < 1e-10 * sv[0]:
+                        assert st is None, k
+                        continue
+                    s = float(np.sum(np.abs(u.conj().T @ y) ** 2))
+                    assert st == ProjectionStats.from_energy(
+                        s, float(np.sum(np.abs(y) ** 2)), k, 32, 512), k
+                    checked += 1
+            assert [st is None for st in stats] == [False] * 4 + [True] * 4
+        assert checked == 5 * (10 + 3)
 
     def test_too_many_columns(self):
         y = np.ones((3, 4), dtype=complex)
@@ -229,9 +295,9 @@ class TestProjectionStats:
         fd = synth_freq(sc)
         grid = np.arange(0.0, 180.0, 0.5)
         steer = _steer(grid, 32)
-        d_peaks = pick_peaks(dtft_spectrum(sample_covariance(fd.y), steer), 3)
+        d_peaks = pick_peaks(_dtft(fd.y, steer), 3)
         basis = eigendecompose(sample_covariance(fd.y))
-        m_peaks = pick_peaks(music_pseudospectrum(basis, 3, steer), 3)
+        m_peaks = pick_peaks(_music(basis, 3, steer), 3)
         d_ang = sorted(grid[d_peaks])
         m_ang = sorted(grid[m_peaks])
         for est, true in zip(d_ang, sorted(sc.doa_deg)):
