@@ -8,7 +8,7 @@ from .arraysim import (
     steering_matrix,
     synth_freq,
 )
-from .metrics import DoaEstimate, err_doa, rmse_amplitude
+from .metrics import err_doa, rmse_amplitude
 from .ordermap import (
     OrderPosterior,
     aic_order,

@@ -24,7 +24,7 @@ from .arraysim import (
     steering_matrix,
     synth_freq,
 )
-from .metrics import DoaEstimate, err_doa, rmse_amplitude
+from .metrics import err_doa, rmse_amplitude
 from .ordermap import (
     aic_order,
     map_order_pca,
@@ -49,6 +49,7 @@ __all__ = [
     "run_single",
     "run_sweep",
     "write_results",
+    "write_aggregates",
     "read_results",
     "aggregate",
     "emit_curves",
@@ -228,23 +229,13 @@ def _fmt(x):
     return "nan" if (x is None or (isinstance(x, float) and math.isnan(x))) else f"{x:.10g}"
 
 
-def _peak_pipeline_metrics(fd, angles, rows, tau, truth, true_amps):
-    """DOA and amplitude metrics for spectrum peaks at these angles (highest
-    first), fitted on their P x D steering rows."""
-    if not angles.size:
-        err = err_doa(DoaEstimate(()), truth)
-        zero = rmse_amplitude(None, (), true_amps, truth.angles_deg)
-        return err, zero, zero
-    order = np.argsort(angles, kind="stable")
-    sorted_angles = tuple(angles[order].tolist())
-    # pinv over the columns in peak order, then rows in angle order: a pinv
-    # of angle-sorted columns would move a0 by a few ulps
-    a0 = (np.linalg.pinv(rows.T) @ fd.y)[order]
-    err = err_doa(DoaEstimate(sorted_angles), truth)
-    r0 = rmse_amplitude(a0, sorted_angles, true_amps, truth.angles_deg)
-    rs = rmse_amplitude((1.0 - tau) * a0, sorted_angles, true_amps,
-                        truth.angles_deg)
-    return err, r0, rs
+def _peak_pipeline_metrics(fd, angles, rows, tau, true_doas, true_amps):
+    """DOA and amplitude metrics for spectrum peaks at these angles, fitted
+    on their P x D steering rows (P may be 0): one amplitude row per peak."""
+    a0 = np.linalg.pinv(rows.T) @ fd.y
+    return (err_doa(angles, true_doas),
+            rmse_amplitude(a0, angles, true_amps, true_doas),
+            rmse_amplitude((1.0 - tau) * a0, angles, true_amps, true_doas))
 
 
 def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None):
@@ -262,7 +253,6 @@ def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None)
     """
     fd = synth_freq(scenario, rng=rng)
     sigma_true = math.sqrt(fd.noise_var_freq)
-    truth = DoaEstimate(tuple(sorted(scenario.doa_deg)))
     true_amps = amplitude_matrix(scenario)
 
     grid = np.arange(0.0, 180.0, grid_step_deg)
@@ -310,7 +300,7 @@ def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None)
                 angles, rows = peaks[source]
                 err, r0, rs = _peak_pipeline_metrics(
                     fd, angles[:k_hat], rows[:k_hat], pv.tau_mean,
-                    truth, true_amps)
+                    scenario.doa_deg, true_amps)
             fits[key] = dict(
                 err_doa=err, rmse_a0=r0, rmse_a_shrunk=rs,
                 rmse_sigma=abs(math.sqrt(pv.sigma2_mean) - sigma_true),

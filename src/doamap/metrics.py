@@ -1,51 +1,44 @@
-"""Evaluation metrics: the DOA error rate and the amplitude RMSE."""
+"""Evaluation metrics: the DOA error rate and the amplitude RMSE.
+
+Both take plain angle sequences in any order; `rmse_amplitude` pairs each
+angle with the amplitude row at the same index.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "DoaEstimate",
     "err_doa",
     "rmse_amplitude",
 ]
 
 
-@dataclass(frozen=True)
-class DoaEstimate:
-    """Ascending arrival angles in [0, 180); may be empty (no sources found)."""
-
-    angles_deg: tuple
-
-    def __post_init__(self):
-        angles = tuple(float(a) for a in self.angles_deg)
-        for a in angles:
-            if not 0.0 <= a < 180.0:
-                raise ValueError(f"angle {a} outside [0, 180)")
-        if any(b < a for a, b in zip(angles, angles[1:])):
-            raise ValueError("angles must be nondecreasing")
-        object.__setattr__(self, "angles_deg", angles)
-
-    def __len__(self):
-        return len(self.angles_deg)
+def _angles(doas):
+    """Arrival angles as a float array, each checked to lie in [0, 180)."""
+    angles = np.asarray(doas, dtype=float).reshape(-1)
+    bad = angles[~((angles >= 0.0) & (angles < 180.0))]
+    if bad.size:
+        raise ValueError(f"DOA {bad[0]} outside [0, 180)")
+    return angles
 
 
-def err_doa(est: DoaEstimate, truth: DoaEstimate):
+def err_doa(est_doas, true_doas):
     """Mean nearest-truth angular error, normalized by 180 degrees.
 
     Returns 1.0 when no sources were detected.  Each estimated angle is
     charged its distance to the closest true angle, so extra estimates near a
     true DOA lower the score; that asymmetry is deliberate (documented caveat).
     """
-    if len(truth) == 0:
+    # sorted so that the mean's summation order, and so its bits, do not
+    # depend on the order the estimates come in
+    e, t = np.sort(_angles(est_doas)), _angles(true_doas)
+    if t.size == 0:
         raise ValueError("truth must contain at least one DOA")
-    if len(est) == 0:
+    if e.size == 0:
         return 1.0
-    e = np.asarray(est.angles_deg)
-    t = np.asarray(truth.angles_deg)
     nearest = np.min(np.abs(e[:, None] - t[None, :]), axis=1)
     return float(np.mean(nearest) / 180.0)
 
@@ -53,6 +46,7 @@ def err_doa(est: DoaEstimate, truth: DoaEstimate):
 def rmse_amplitude(est_amps, est_doas, true_amps, true_doas):
     """RMSE between cumulative power spectra of true and estimated sources.
 
+    Row k of each amplitude matrix belongs to angle k of its DOA sequence.
     Each tone m defines a right-continuous step function of angle
     accumulating |a_{k,m}|^2 at each DOA; the squared difference is
     integrated exactly over [0, 180] by summing over the merged breakpoint
@@ -60,20 +54,15 @@ def rmse_amplitude(est_amps, est_doas, true_amps, true_doas):
     estimate (no sources) scores against the full true spectrum.
     """
     true_amps = np.atleast_2d(np.asarray(true_amps))
-    m = true_amps.shape[1]
-    if len(true_doas) != true_amps.shape[0]:
-        raise ValueError("true amplitude rows must match true DOA count")
-    if est_amps is None or np.size(est_amps) == 0:
-        est_amps = np.zeros((0, m))
-        est_doas = ()
     est_amps = np.atleast_2d(np.asarray(est_amps))
+    true_doas, est_doas = _angles(true_doas), _angles(est_doas)
+    m = true_amps.shape[1]
+    if true_doas.size != true_amps.shape[0]:
+        raise ValueError("true amplitude rows must match true DOA count")
     if est_amps.shape[1] != m:
         raise ValueError("estimated amplitudes must have the same tone count")
-    if len(est_doas) != est_amps.shape[0]:
+    if est_doas.size != est_amps.shape[0]:
         raise ValueError("estimated amplitude rows must match estimated DOA count")
-    for a in tuple(true_doas) + tuple(est_doas):
-        if not 0.0 <= a < 180.0:
-            raise ValueError(f"DOA {a} outside [0, 180)")
 
     events = [(float(a), np.abs(true_amps[k]) ** 2) for k, a in enumerate(true_doas)]
     events += [(float(a), -np.abs(est_amps[k]) ** 2) for k, a in enumerate(est_doas)]

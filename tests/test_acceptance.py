@@ -17,7 +17,7 @@ from scipy.stats import spearmanr
 
 from doamap.arraysim import amplitude_matrix, default_scenario, synth_freq
 from doamap.bench import run_single
-from doamap.metrics import DoaEstimate, err_doa, rmse_amplitude
+from doamap.metrics import err_doa, rmse_amplitude
 from doamap.ordermap import posterior_variances
 from doamap.specfun import (
     DominancePair,
@@ -266,10 +266,10 @@ class TestCriterion9:
 
 class TestCriterion10:
     def test_criterion_10_metric_fixtures(self):
-        e = err_doa(DoaEstimate((50.0,)), DoaEstimate((40.0,)))
+        e = err_doa((50.0,), (40.0,))
         r_shift = rmse_amplitude(np.array([[1.0]]), (90.0,),
                                  np.array([[1.0]]), (80.0,))
-        r_miss = rmse_amplitude(None, (), np.array([[1.0]]), (90.0,))
+        r_miss = rmse_amplitude(np.empty((0, 1)), (), np.array([[1.0]]), (90.0,))
         errs = (
             abs(e - 10.0 / 180.0),
             abs(r_shift - math.sqrt(10.0)),

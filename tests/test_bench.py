@@ -292,6 +292,22 @@ class TestRunSingle:
                           rng=np.random.default_rng(1))
         assert all(r["k_hat"] == 2 for r in rows)
 
+    @pytest.mark.parametrize("doas", [(20.0, 80.0, 140.0), (140.0, 20.0, 80.0)])
+    def test_known_k_fit_is_exact_in_any_doa_order(self, doas):
+        # noiseless on-grid draw: the i-th DOA carries band i and amplitude
+        # 1 - decay*i/K in whatever order doa_deg lists it, and the peak
+        # fit keeps each amplitude row with its own angle
+        from doamap.arraysim import ArrayScenario
+
+        sc = ArrayScenario(d=16, k_true=3, m=64, n=64, doa_deg=doas,
+                           decay=0.5, snr_db=math.inf)
+        rows = run_single(sc, 5, 1.0, ("music-known-k", "dtft-known-k"),
+                          rng=np.random.default_rng(0))
+        for row in rows:
+            assert row["k_hat"] == 3
+            assert row["err_doa"] == 0.0
+            assert row["rmse_a0"] < 1e-12, row
+
     def test_coincident_peaks(self, monkeypatch):
         # map flags the rank-deficient prefix K = 2 and picks below it;
         # known-k at K = 2 has no posterior there and raises
@@ -368,16 +384,16 @@ class TestBenchmarkContract:
         assert layers["specfun.log_reg_inc_beta.terms"] > 0
         assert layers["subspace.dtft_spectrum.gflop_computed"] > 0
 
-    def _traced_six_method_draw(self):
+    def _traced_six_method_draw(self, snr_db=20.0, rng_seed=0):
         """(tracing module, tracer, rows) of one traced FAST-shape draw."""
         from doamap.arraysim import default_scenario
 
         tracing = _load_tracing()
-        sc = default_scenario(d=16, k=2, m=64, n=64, snr_db=20.0, seed=0)
+        sc = default_scenario(d=16, k=2, m=64, n=64, snr_db=snr_db, seed=0)
         tracer = tracing.Tracer()
         with tracing.instrument(tracer):
             rows = bench.run_single(sc, 5, 2.0, self.METHODS,
-                                    rng=np.random.default_rng(0))
+                                    rng=np.random.default_rng(rng_seed))
         return tracing, tracer, rows
 
     @staticmethod
@@ -435,20 +451,33 @@ class TestBenchmarkContract:
         assert tracer.counts["ordermap.map_order_scan", "candidates_scored"] == (
             sum(idx.size + 1 for idx in picked))
 
-    def test_one_posterior_per_source_and_order(self):
-        # rules only pick K: the methods that pick the same (source, K) share
-        # one posterior and one fit, so their rows differ only in the method
-        _tracing, tracer, rows = self._traced_six_method_draw()
+    def _fits(self, snr_db, rng_seed):
+        """(source, K) -> the traced draw's rows picking it, and the number
+        of posterior_variances calls the draw made."""
+        _tracing, tracer, rows = self._traced_six_method_draw(snr_db, rng_seed)
         groups = {}
         for row in rows:
             rest = {f: v for f, v in row.items() if f != "method"}
             groups.setdefault(self._source_and_k(row), []).append(repr(rest))
+        return groups, tracer.counts["ordermap.posterior_variances", "calls"]
+
+    def test_one_posterior_per_source_and_order(self):
+        # rules only pick K: the methods that pick the same (source, K) share
+        # one posterior and one fit, so their rows differ only in the method
+        groups, calls = self._fits(20.0, 0)
         assert len(groups["music", 2]) == 3  # map, aic and known-k agree here
         for reprs in groups.values():
             assert len(set(reprs)) == 1
-        # K = 0 takes the closed-form convention, not posterior_variances
-        assert tracer.counts["ordermap.posterior_variances", "calls"] == sum(
-            1 for _source, k in groups if k >= 1) == 4
+        assert calls == len(groups) == 4
+
+    def test_one_posterior_per_fit_at_k0(self):
+        # a fit at K = 0 reads posterior_variances like any other order:
+        # at -10 dB three of the draw's five fits are at K = 0
+        groups, calls = self._fits(-10.0, 11)
+        for reprs in groups.values():
+            assert len(set(reprs)) == 1
+        assert sum(1 for _source, k in groups if k == 0) == 3
+        assert calls == len(groups) == 5
 
     def test_dtft_counts_read_the_grid_table(self, monkeypatch):
         # _dtft_counts multiplies the first argument's two dimensions by

@@ -5,52 +5,56 @@ import math
 import numpy as np
 import pytest
 
-from doamap.metrics import DoaEstimate, err_doa, rmse_amplitude
+from doamap.metrics import err_doa, rmse_amplitude
 
 
-class TestDoaEstimate:
-    def test_accepts_sorted_angles(self):
-        est = DoaEstimate((10.0, 20.0, 170.0))
-        assert len(est) == 3
-
-    def test_accepts_empty(self):
-        assert len(DoaEstimate(())) == 0
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            DoaEstimate((20.0, 10.0))
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            DoaEstimate((180.0,))
-        with pytest.raises(ValueError):
-            DoaEstimate((-1.0,))
+class TestAnyOrder:
+    def test_permutation_leaves_metrics_unchanged(self):
+        # angles travel with their amplitude rows; the order of either
+        # sequence is not part of the estimate or the truth
+        rng = np.random.default_rng(5)
+        d_est, d_true = np.array([95.0, 12.0, 40.0]), np.array([170.0, 10.0, 90.0])
+        a_est, a_true = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+        err = err_doa(d_est, d_true)
+        rmse = rmse_amplitude(a_est, d_est, a_true, d_true)
+        for p_est in ([1, 2, 0], [2, 1, 0]):
+            for p_true in ([0, 1, 2], [1, 0, 2]):
+                assert err_doa(d_est[p_est], d_true[p_true]) == err
+                assert rmse_amplitude(a_est[p_est], d_est[p_est],
+                                      a_true[p_true], d_true[p_true]) == rmse
 
 
 class TestErrDoa:
     def test_exact_match_is_zero(self):
-        t = DoaEstimate((10.0, 90.0))
+        t = (10.0, 90.0)
         assert err_doa(t, t) == 0.0
 
     def test_single_offset_fixture(self):
         # one source, estimate off by 10 degrees: 10/180
-        assert err_doa(DoaEstimate((50.0,)), DoaEstimate((40.0,))) == pytest.approx(
+        assert err_doa((50.0,), (40.0,)) == pytest.approx(
             10.0 / 180.0, abs=1e-12
         )
 
     def test_nearest_truth_assignment(self):
         # each estimate charged against its closest true angle
-        est = DoaEstimate((12.0, 95.0))
-        truth = DoaEstimate((10.0, 90.0, 170.0))
+        est = (12.0, 95.0)
+        truth = (10.0, 90.0, 170.0)
         assert err_doa(est, truth) == pytest.approx((2.0 + 5.0) / 2.0 / 180.0,
                                                     abs=1e-12)
 
     def test_empty_estimate_scores_one(self):
-        assert err_doa(DoaEstimate(()), DoaEstimate((40.0,))) == 1.0
+        assert err_doa((), (40.0,)) == 1.0
 
     def test_requires_nonempty_truth(self):
         with pytest.raises(ValueError):
-            err_doa(DoaEstimate((40.0,)), DoaEstimate(()))
+            err_doa((40.0,), ())
+
+    def test_rejects_out_of_range(self):
+        for bad in (180.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="outside"):
+                err_doa((bad,), (40.0,))
+            with pytest.raises(ValueError, match="outside"):
+                err_doa((40.0,), (bad,))
 
 
 class TestRmseAmplitude:
@@ -62,7 +66,7 @@ class TestRmseAmplitude:
     def test_missing_unit_source_fixture(self):
         # true: one unit-amplitude source at 90; estimate: nothing.
         # cumulative power differs by 1 over (90, 180], integral 90, sqrt -> sqrt(90)
-        val = rmse_amplitude(None, (), np.array([[1.0]]), (90.0,))
+        val = rmse_amplitude(np.empty((0, 1)), (), np.array([[1.0]]), (90.0,))
         assert val == pytest.approx(math.sqrt(90.0), abs=1e-12)
 
     def test_shifted_source_fixture(self):
@@ -80,7 +84,7 @@ class TestRmseAmplitude:
     def test_multi_tone_averaging(self):
         # per-tone squared integrals are averaged before the square root
         true_amps = np.array([[1.0, 0.0]])
-        val = rmse_amplitude(None, (), true_amps, (90.0,))
+        val = rmse_amplitude(np.empty((0, 2)), (), true_amps, (90.0,))
         assert val == pytest.approx(math.sqrt(90.0 / 2.0), abs=1e-12)
 
     def test_complex_amplitudes_use_power(self):
@@ -123,3 +127,10 @@ class TestRmseAmplitude:
         with pytest.raises(ValueError):
             rmse_amplitude(np.ones((2, 3)), (10.0,), np.ones((1, 3)), (10.0,))
 
+    def test_rejects_out_of_range(self):
+        one = np.ones((1, 1))
+        for bad in (180.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="outside"):
+                rmse_amplitude(one, (bad,), one, (40.0,))
+            with pytest.raises(ValueError, match="outside"):
+                rmse_amplitude(one, (40.0,), one, (bad,))
