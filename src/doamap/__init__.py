@@ -19,8 +19,7 @@ from .ordermap import (
 )
 from .specfun import (
     DominancePair,
-    double_gamma_pdf,
-    double_invgamma_pdf,
+    double_pdf,
     double_moment,
     log_q_sum,
     log_reg_inc_beta,

@@ -134,6 +134,12 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must not be empty")
             if len(set(values)) != len(values):  # aggregate() would merge them
                 raise ConfigError(f"{name} has duplicate entries: {values}")
+        for name in ("snr_grid_db", "overlap", "decay"):
+            # read back from the CSVs, entries that print alike would merge
+            printed = [_grid_str(v) for v in getattr(self, name)]
+            if len(set(printed)) != len(printed):
+                raise ConfigError(f"{name} has entries that print alike in the "
+                                  f"CSVs: {', '.join(printed)}")
         for grid_idx, point in enumerate(self.grid_points()):
             try:  # ArrayScenario checks m <= n, the DOAs, overlap, decay, SNR
                 self.scenario(grid_idx)
@@ -220,13 +226,16 @@ class RunRecord:
     tau_mean: float
 
     def csv_row(self):
-        return (f"{self.method},{self.snr_db:g},{self.overlap:g},{self.decay:g},"
+        return (f"{self.method},{_grid_str(self.snr_db)},"
+                f"{_grid_str(self.overlap)},{_grid_str(self.decay)},"
                 f"{self.run},{self.k_hat},"
-                + ",".join(_fmt(getattr(self, col)) for col in METRICS))
+                + ",".join(f"{getattr(self, col):.10g}" for col in METRICS))
 
 
-def _fmt(x):
-    return "nan" if (x is None or (isinstance(x, float) and math.isnan(x))) else f"{x:.10g}"
+def _grid_str(value):
+    """A grid value (snr_db, overlap or decay) as the CSVs and curve file
+    names print it; values that print alike are one group once read back."""
+    return f"{value:g}"
 
 
 def _peak_pipeline_metrics(fd, angles, rows, tau, true_doas, true_amps):
@@ -403,9 +412,9 @@ def write_aggregates(records, path, k_true=None):
         fh.write(",".join(("method", "snr_db", "overlap", "decay", "n_runs",
                            "k_hat_mean", "k_correct_rate") + METRICS) + "\n")
         for (key, n, means) in agg:
-            fh.write(f"{key[0]},{key[1]:g},{key[2]:g},{key[3]:g},{n},"
-                     f"{means['k_hat_mean']:.6g},{_fmt(means['k_correct_rate'])},"
-                     + ",".join(_fmt(means[col]) for col in METRICS) + "\n")
+            fh.write(f"{key[0]},{','.join(map(_grid_str, key[1:]))},{n},"
+                     f"{means['k_hat_mean']:.6g},{means['k_correct_rate']:.10g},"
+                     + ",".join(f"{means[col]:.10g}" for col in METRICS) + "\n")
 
 
 def emit_curves(records, quantity, out_dir):
@@ -425,12 +434,12 @@ def emit_curves(records, quantity, out_dir):
             (snr, means[column]))
     paths = []
     for (method, overlap, decay), points in sorted(curves.items()):
-        path = out_dir / (f"curve_{quantity}_{method}_overlap{overlap:g}"
-                          f"_decay{decay:g}.csv")
+        path = out_dir / (f"curve_{quantity}_{method}_overlap{_grid_str(overlap)}"
+                          f"_decay{_grid_str(decay)}.csv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"snr_db,mean_{quantity}\n")
             for snr, mean in points:
-                fh.write(f"{snr:g},{mean:.10g}\n")
+                fh.write(f"{_grid_str(snr)},{mean:.10g}\n")
         paths.append(path)
     return paths
 
@@ -508,19 +517,12 @@ def validate_distributions(n_mc=20_000, seed=99):
     worst_norm, worst_mom = 0.0, 0.0
     for (a, b, s, t) in ((2, 3, 1.0, 1.0), (1, 4, 0.5, 2.0), (5, 2, 2.0, 1.0)):
         pair = sf.DominancePair(alpha=a, beta=b, s_x=s, s_y=t)
-        for family, which in (("gamma", "lower"), ("gamma", "upper"),
-                              ("invgamma", "upper"), ("invgamma", "lower")):
-            pdf = (sf.double_gamma_pdf if family == "gamma"
-                   else sf.double_invgamma_pdf)
-            total = _quad(lambda x: pdf(x, pair, which))
+        for family, which in product(("gamma", "invgamma"), ("x", "y")):
+            total = _quad(lambda x: sf.double_pdf(x, pair, family, which))
             worst_norm = max(worst_norm, abs(total - 1.0))
-            mean_q = _quad(lambda x: x * pdf(x, pair, which))
-            if family == "gamma":
-                var = "x" if which == "lower" else "y"
-            else:
-                var = "x" if which == "upper" else "y"
+            mean_q = _quad(lambda x: x * sf.double_pdf(x, pair, family, which))
             try:
-                mom = sf.double_moment(pair, 1, family, var)
+                mom = sf.double_moment(pair, 1, family, which)
             except ValueError:
                 continue  # first inverse moment undefined for shape <= 2
             worst_mom = max(worst_mom, abs(mom - mean_q) / abs(mean_q))

@@ -8,8 +8,10 @@ negative-binomial sum evaluated in log domain via log-sum-exp, so large degree
 counts (hundreds of thousands) never overflow.
 
 `log_reg_inc_beta` is the only O(beta) sum here.  The order score
-(`log_q_sum`), both conditional pdfs and every moment of a `DominancePair`
-are closed forms around it.  A pair computes its normaliser log I_p once,
+(`log_q_sum`), the conditional density `double_pdf` and every moment
+`double_moment` of a `DominancePair` are closed forms around it; both take
+the same (family, which) selector of the gamma or inverse-gamma pair and
+its variate X or Y.  A pair computes its normaliser log I_p once,
 or takes the one `log_q_sum` computed for the same degrees and q.
 
 Both finite sums (`log_reg_inc_beta` and the upper incomplete gamma series)
@@ -55,8 +57,7 @@ __all__ = [
     "log_reg_inc_beta",
     "prob_dominance",
     "log_q_sum",
-    "double_gamma_pdf",
-    "double_invgamma_pdf",
+    "double_pdf",
     "double_moment",
     "dominance_frequency",
 ]
@@ -324,40 +325,37 @@ def _log_gamma_pdf(x, n, s):
     return n * math.log(s) + (n - 1) * math.log(x) - s * x - log_gamma_n
 
 
-def double_gamma_pdf(x, pair: DominancePair, which):
-    """Density of one member of a gamma pair (X, Y) conditioned on X <= Y.
+def _check_selector(family, which):
+    if family not in ("gamma", "invgamma"):
+        raise ValueError(f"family must be 'gamma' or 'invgamma', got {family!r}")
+    if which not in ("x", "y"):
+        raise ValueError(f"which must be 'x' or 'y', got {which!r}")
 
-    which='lower' is the marginal of X (the dominated variate),
-    which='upper' the marginal of Y.
+
+def double_pdf(x, pair: DominancePair, family, which):
+    """Density of X or Y in a pair conditioned on its order.
+
+    family='gamma' conditions the gamma pair on X <= Y; 'invgamma' the
+    inverse-gamma pair on X >= Y.  which='x' or 'y' picks the variate.
+    Inverse-gamma X is 1/(gamma X) and the order flips with it, so its
+    density is the gamma density of the same variate at 1/x times the
+    Jacobian 1/x^2.
     """
+    _check_selector(family, which)
     if not x > 0:
         raise ValueError(f"x must be positive, got {x}")
+    if family == "invgamma":
+        return double_pdf(1.0 / x, pair, "gamma", which) / x / x
     a, b, sx, sy = pair.alpha, pair.beta, pair.s_x, pair.s_y
-    if which == "lower":
+    if which == "x":
         log_pdf = (_log_upper_series(b, sy * x) + _log_gamma_pdf(x, a, sx)
                    - pair.log_ip)
-    elif which == "upper":
+    else:
         lower = reg_lower_inc_gamma(a, sx * x)
         if lower <= 0:
             return 0.0
         log_pdf = math.log(lower) + _log_gamma_pdf(x, b, sy) - pair.log_ip
-    else:
-        raise ValueError(f"which must be 'lower' or 'upper', got {which!r}")
     return math.exp(log_pdf) if log_pdf > -745 else 0.0
-
-
-def double_invgamma_pdf(x, pair: DominancePair, which):
-    """Density of one member of an inverse-gamma pair (X, Y) given X >= Y.
-
-    which='upper' is the marginal of X (the dominating variate),
-    which='lower' the marginal of Y.  X >= Y for the inverse-gammas is
-    1/X <= 1/Y for the gamma pair, so this is the mirrored gamma density
-    at 1/x times the Jacobian 1/x^2.
-    """
-    if not x > 0:
-        raise ValueError(f"x must be positive, got {x}")
-    mirrored = {"upper": "lower", "lower": "upper"}.get(which, which)
-    return double_gamma_pdf(1.0 / x, pair, mirrored) / x / x
 
 
 def double_moment(pair: DominancePair, k, family, which):
@@ -371,10 +369,7 @@ def double_moment(pair: DominancePair, k, family, which):
     """
     if int(k) != k or k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
-    if family not in ("gamma", "invgamma"):
-        raise ValueError(f"family must be 'gamma' or 'invgamma', got {family!r}")
-    if which not in ("x", "y"):
-        raise ValueError(f"which must be 'x' or 'y', got {which!r}")
+    _check_selector(family, which)
     k, a, b = int(k), pair.alpha, pair.beta
     name, shape, rate = ("alpha", a, pair.s_x) if which == "x" else ("beta", b, pair.s_y)
     shifted = shape + k if family == "gamma" else shape - k

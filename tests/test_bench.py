@@ -109,12 +109,19 @@ class TestConfig:
         dict(snr_grid_db=(0.0, 10.0, 0.0)),
         dict(overlap=(0.5, 0.5)),
         dict(decay=(0.0, 0.0)),
+        dict(snr_grid_db=(0.0, -0.0)),
+        # distinct values that the CSVs print alike ("%g")
+        dict(snr_grid_db=(10.0, 10.0000001)),
+        dict(overlap=(0.5, 0.5000001)),
+        dict(decay=(0.25, 0.2500001)),
         dict(d=8, k_true=5, k_max=3, methods=("music-known-k",)),
     ], ids=["grid-step-0", "grid-step-inf", "grid-step-180", "grid-step-tiny",
             "overlap-1.5", "decay-neg", "doa-200", "m-1", "empty-snr",
             "k-true-0", "k-max-0",
             "seed-neg", "snr-nan", "snr-neg-inf", "dup-method", "dup-snr",
-            "dup-overlap", "dup-decay", "known-k-past-k-max"])
+            "dup-overlap", "dup-decay", "dup-signed-zero", "snr-prints-alike",
+            "overlap-prints-alike", "decay-prints-alike",
+            "known-k-past-k-max"])
     def test_rejects_values_that_fail_in_a_worker(self, fields, tmp_path, capsys):
         with pytest.raises(ConfigError):
             ExperimentConfig(**fields)

@@ -18,9 +18,8 @@ from doamap.ordermap import posterior_variances
 from doamap.specfun import (
     DominancePair,
     dominance_frequency,
-    double_gamma_pdf,
-    double_invgamma_pdf,
     double_moment,
+    double_pdf,
     log_q_sum,
     log_reg_inc_beta,
     prob_dominance,
@@ -345,6 +344,11 @@ class TestLogQSum:
             assert score == bound
 
 
+# an unknown family or variate; 'lower' and 'upper' name no variate
+BAD_SELECTORS = [("beta", "x"), ("gamma", "z"), ("gamma", "lower"),
+                 ("invgamma", "upper"), ("invgamma", "lower"), ("gamma", "upper")]
+
+
 def _joint_marginal_oracle(x, pair, family, which):
     """Marginal density built by numerically integrating the joint density."""
     if family == "gamma":
@@ -355,14 +359,14 @@ def _joint_marginal_oracle(x, pair, family, which):
         fy = invgamma_dist(pair.beta, scale=pair.s_y).pdf
     norm = prob_dominance(pair)
     if family == "gamma":
-        if which == "lower":  # X marginal on {X <= Y}
+        if which == "x":  # X marginal on {X <= Y}
             val, _ = quad(lambda y: fx(x) * fy(y), x, np.inf)
-        else:                 # Y marginal
+        else:             # Y marginal
             val, _ = quad(lambda u: fx(u) * fy(x), 0.0, x)
     else:
-        if which == "upper":  # X marginal on {X >= Y}
+        if which == "x":  # X marginal on {X >= Y}
             val, _ = quad(lambda y: fx(x) * fy(y), 0.0, x)
-        else:                 # Y marginal
+        else:             # Y marginal
             val, _ = quad(lambda u: fx(u) * fy(x), x, np.inf)
     return val / norm
 
@@ -370,29 +374,29 @@ def _joint_marginal_oracle(x, pair, family, which):
 class TestDoublePdfs:
     PAIR = DominancePair(alpha=2, beta=3, s_x=1.0, s_y=1.0)
 
-    @pytest.mark.parametrize("which", ["lower", "upper"])
+    @pytest.mark.parametrize("which", ["x", "y"])
     def test_gamma_normalization(self, which):
-        total, _ = quad(lambda x: double_gamma_pdf(x, self.PAIR, which),
+        total, _ = quad(lambda x: double_pdf(x, self.PAIR, "gamma", which),
                         0.0, np.inf, limit=300)
         assert total == pytest.approx(1.0, abs=1e-6)
 
-    @pytest.mark.parametrize("which", ["lower", "upper"])
+    @pytest.mark.parametrize("which", ["x", "y"])
     def test_invgamma_normalization(self, which):
-        total, _ = quad(lambda x: double_invgamma_pdf(x, self.PAIR, which),
+        total, _ = quad(lambda x: double_pdf(x, self.PAIR, "invgamma", which),
                         0.0, np.inf, limit=300)
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_gamma_point_value_vs_joint_oracle(self):
-        for which in ("lower", "upper"):
+        for which in ("x", "y"):
             expected = _joint_marginal_oracle(0.7, self.PAIR, "gamma", which)
-            assert double_gamma_pdf(0.7, self.PAIR, which) == pytest.approx(
+            assert double_pdf(0.7, self.PAIR, "gamma", which) == pytest.approx(
                 expected, rel=1e-8
             )
 
     def test_invgamma_point_value_vs_joint_oracle(self):
-        for which in ("upper", "lower"):
+        for which in ("x", "y"):
             expected = _joint_marginal_oracle(1.3, self.PAIR, "invgamma", which)
-            assert double_invgamma_pdf(1.3, self.PAIR, which) == pytest.approx(
+            assert double_pdf(1.3, self.PAIR, "invgamma", which) == pytest.approx(
                 expected, rel=1e-8
             )
 
@@ -401,7 +405,7 @@ class TestDoublePdfs:
         pair = DominancePair(alpha=3, beta=2, s_x=1.5, s_y=1e-9)
         plain = gamma_dist(3, scale=1.0 / 1.5).pdf
         for x in (0.2, 1.0, 3.5):
-            assert double_gamma_pdf(x, pair, "lower") == pytest.approx(
+            assert double_pdf(x, pair, "gamma", "x") == pytest.approx(
                 plain(x), rel=1e-6
             )
 
@@ -410,16 +414,28 @@ class TestDoublePdfs:
         pair = DominancePair(alpha=3, beta=2, s_x=1.5, s_y=1e-9)
         plain = invgamma_dist(3, scale=1.5).pdf
         for x in (0.2, 1.0, 3.5):
-            assert double_invgamma_pdf(x, pair, "upper") == pytest.approx(
+            assert double_pdf(x, pair, "invgamma", "x") == pytest.approx(
                 plain(x), rel=1e-6
             )
 
     def test_invgamma_is_reciprocal_transform(self):
         # X >= Y for inverse-gammas is 1/X <= 1/Y for the gamma pair
         for x in (0.4, 1.0, 2.7):
-            lhs = double_invgamma_pdf(x, self.PAIR, "upper")
-            rhs = double_gamma_pdf(1.0 / x, self.PAIR, "lower") / x**2
+            lhs = double_pdf(x, self.PAIR, "invgamma", "x")
+            rhs = double_pdf(1.0 / x, self.PAIR, "gamma", "x") / x**2
             assert lhs == pytest.approx(rhs, rel=1e-10)
+
+    @pytest.mark.parametrize("family, which", BAD_SELECTORS)
+    def test_rejects_unknown_selector(self, family, which):
+        with pytest.raises(ValueError, match="family must|which must"):
+            double_pdf(1.0, self.PAIR, family, which)
+
+    @pytest.mark.parametrize("family", ["gamma", "invgamma"])
+    @pytest.mark.parametrize("x", [0.0, -1.0, math.nan])
+    def test_rejects_nonpositive_x(self, family, x):
+        for which in ("x", "y"):
+            with pytest.raises(ValueError, match="x must be positive"):
+                double_pdf(x, self.PAIR, family, which)
 
 
 class TestDoubleMoments:
@@ -431,7 +447,7 @@ class TestDoubleMoments:
 
     def test_gamma_mean_vs_quadrature(self):
         pair = DominancePair(alpha=2, beta=2, s_x=1.0, s_y=1.0)
-        expected, _ = quad(lambda x: x * double_gamma_pdf(x, pair, "lower"),
+        expected, _ = quad(lambda x: x * double_pdf(x, pair, "gamma", "x"),
                            0.0, np.inf, limit=300)
         assert double_moment(pair, 1, "gamma", "x") == pytest.approx(
             expected, rel=1e-6
@@ -460,6 +476,12 @@ class TestDoubleMoments:
         pair = DominancePair(alpha=2, beta=3, s_x=1.0, s_y=1.0)
         with pytest.raises(ValueError):
             double_moment(pair, 2, "invgamma", "x")
+
+    @pytest.mark.parametrize("family, which", BAD_SELECTORS)
+    def test_rejects_unknown_selector(self, family, which):
+        pair = DominancePair(alpha=2, beta=3, s_x=1.0, s_y=1.0)
+        with pytest.raises(ValueError, match="family must|which must"):
+            double_moment(pair, 1, family, which)
 
 
 class TestSampler:
