@@ -2,7 +2,6 @@
 
 from .arraysim import (
     ArrayScenario,
-    FreqData,
     amplitude_matrix,
     default_scenario,
     steering_matrix,

@@ -20,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "ArrayScenario",
-    "FreqData",
     "steering_matrix",
     "amplitude_matrix",
     "default_doas",
@@ -58,12 +57,6 @@ class ArrayScenario:
             raise ValueError("overlap and decay must lie in [0, 1]")
         if not self.snr_db > -math.inf:  # +inf is the noiseless limit
             raise ValueError(f"snr_db must be a number above -inf, got {self.snr_db}")
-
-
-@dataclass(frozen=True)
-class FreqData:
-    y: np.ndarray          # complex D x M normalized DFT output
-    noise_var_freq: float  # per-entry complex noise variance in y
 
 
 def steering_matrix(doa_deg, d):
@@ -136,13 +129,14 @@ def _complex_awgn(rng, shape, var):
 
 
 def synth_freq(scenario: ArrayScenario, rng=None):
-    """Frequency-domain data Y = V A + Z with circular complex AWGN Z."""
+    """Frequency-domain data Y = V A + Z (complex D x M) with circular
+    complex AWGN Z of per-entry variance noise_variances(scenario, A)."""
     if rng is None:
         rng = np.random.default_rng(scenario.seed)
     amps = amplitude_matrix(scenario)
     var = noise_variances(scenario, amps)
     z = _complex_awgn(rng, (scenario.d, scenario.m), var)
     if scenario.k_true == 0:
-        return FreqData(y=z, noise_var_freq=var)
+        return z
     v = steering_matrix(scenario.doa_deg, scenario.d)
-    return FreqData(y=v @ amps.astype(complex) + z, noise_var_freq=var)
+    return v @ amps.astype(complex) + z

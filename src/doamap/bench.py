@@ -21,6 +21,7 @@ from .arraysim import (
     ArrayScenario,
     amplitude_matrix,
     default_doas,
+    noise_variances,
     steering_matrix,
     synth_freq,
 )
@@ -140,20 +141,23 @@ class ExperimentConfig:
             if len(set(printed)) != len(printed):
                 raise ConfigError(f"{name} has entries that print alike in the "
                                   f"CSVs: {', '.join(printed)}")
-        for grid_idx, point in enumerate(self.grid_points()):
-            try:  # ArrayScenario checks m <= n, the DOAs, overlap, decay, SNR
-                self.scenario(grid_idx)
+        self.scenarios()  # each ArrayScenario checks m <= n, DOAs, overlap, SNR
+
+    def scenarios(self):
+        """The ArrayScenario of every grid point, in grid_points order; a
+        point ArrayScenario rejects is a ConfigError naming it."""
+        doas = self.resolved_doas()
+        out = []
+        for point in self.grid_points():
+            snr, overlap, decay = point
+            try:
+                out.append(ArrayScenario(
+                    d=self.d, k_true=self.k_true, m=self.m, n=self.n,
+                    doa_deg=doas, overlap=overlap, decay=decay,
+                    snr_db=snr, seed=self.master_seed))
             except ValueError as exc:
                 raise ConfigError(f"grid point {point}: {exc}") from exc
-
-    def scenario(self, grid_idx):
-        """The ArrayScenario of grid point `grid_idx` (see grid_points)."""
-        snr, overlap, decay = self.grid_points()[grid_idx]
-        return ArrayScenario(
-            d=self.d, k_true=self.k_true, m=self.m, n=self.n,
-            doa_deg=self.resolved_doas(), overlap=overlap, decay=decay,
-            snr_db=snr, seed=self.master_seed,
-        )
+        return out
 
     def resolved_doas(self):
         return tuple(self.doa_deg) or default_doas(self.k_true)
@@ -238,10 +242,10 @@ def _grid_str(value):
     return f"{value:g}"
 
 
-def _peak_pipeline_metrics(fd, angles, rows, tau, true_doas, true_amps):
+def _peak_pipeline_metrics(y, angles, rows, tau, true_doas, true_amps):
     """DOA and amplitude metrics for spectrum peaks at these angles, fitted
     on their P x D steering rows (P may be 0): one amplitude row per peak."""
-    a0 = np.linalg.pinv(rows.T) @ fd.y
+    a0 = np.linalg.pinv(rows.T) @ y
     return (err_doa(angles, true_doas),
             rmse_amplitude(a0, angles, true_amps, true_doas),
             rmse_amplitude((1.0 - tau) * a0, angles, true_amps, true_doas))
@@ -260,14 +264,14 @@ def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None)
     K past the last peak reads the last prefix).  Returns dicts with the
     per-method metric fields of RunRecord (run_sweep fills in the rest).
     """
-    fd = synth_freq(scenario, rng=rng)
-    sigma_true = math.sqrt(fd.noise_var_freq)
+    y = synth_freq(scenario, rng=rng)
     true_amps = amplitude_matrix(scenario)
+    sigma_true = math.sqrt(noise_variances(scenario, true_amps))
 
     grid = np.arange(0.0, 180.0, grid_step_deg)
     # every second-order stage reads the eigenbasis of R = Y Y^H
-    basis = eigendecompose(sample_covariance(fd.y))
-    norm2_y = float(np.sum(np.abs(fd.y) ** 2))
+    basis = eigendecompose(sample_covariance(y))
+    norm2_y = float(np.sum(np.abs(y) ** 2))
     pairs = [method.split("-", 1) for method in methods]  # (source, rule)
     sources = {source for source, _rule in pairs}
     peaks, posts = {}, {}  # peaks: source -> (angles, steering rows)
@@ -286,7 +290,7 @@ def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None)
             peaks[source] = grid[idx], steer[idx]
         del steer, w  # freed before the scans' stacked products
     for source, (_angles, rows) in peaks.items():
-        posts[source] = map_order_scan(fd.y, rows, k_max, scenario.m, norm2_y)
+        posts[source] = map_order_scan(y, rows, k_max, scenario.m, norm2_y)
 
     fits = {}  # (source, k_hat) -> metric fields
     out = []
@@ -308,7 +312,7 @@ def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None)
             else:
                 angles, rows = peaks[source]
                 err, r0, rs = _peak_pipeline_metrics(
-                    fd, angles[:k_hat], rows[:k_hat], pv.tau_mean,
+                    y, angles[:k_hat], rows[:k_hat], pv.tau_mean,
                     scenario.doa_deg, true_amps)
             fits[key] = dict(
                 err_doa=err, rmse_a0=r0, rmse_a_shrunk=rs,
@@ -319,13 +323,13 @@ def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None)
 
 
 def _run_task(args):
-    config, grid_idx, run_idx = args
-    snr, overlap, decay = config.grid_points()[grid_idx]
+    config, scenario, grid_idx, run_idx = args
     rng = np.random.default_rng([config.master_seed, grid_idx, run_idx])
-    rows = run_single(config.scenario(grid_idx), config.k_max,
-                      config.grid_step_deg, config.methods, rng=rng)
+    rows = run_single(scenario, config.k_max, config.grid_step_deg,
+                      config.methods, rng=rng)
     return [
-        RunRecord(snr_db=snr, overlap=overlap, decay=decay, run=run_idx, **row)
+        RunRecord(snr_db=scenario.snr_db, overlap=scenario.overlap,
+                  decay=scenario.decay, run=run_idx, **row)
         for row in rows
     ]
 
@@ -333,8 +337,8 @@ def _run_task(args):
 def run_sweep(config: ExperimentConfig, jobs=1):
     """Run the whole sweep; returns records in deterministic task order."""
     tasks = [
-        (config, gi, ri)
-        for gi in range(len(config.grid_points()))
+        (config, scenario, gi, ri)
+        for gi, scenario in enumerate(config.scenarios())
         for ri in range(config.n_runs)
     ]
     if jobs > 1:

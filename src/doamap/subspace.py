@@ -138,7 +138,7 @@ def pick_peaks(values, count):
     return idx[np.argsort(-v[idx], kind="stable")][:count]
 
 
-def projection_stats(y, v, m, *, norm2_y=None):
+def projection_stats(y, v, m, *, norm2_y):
     """Energy splits of the D x M data Y on the nested prefixes of basis V.
 
     Entry K of the returned list is the split on the first K columns of the
@@ -155,11 +155,9 @@ def projection_stats(y, v, m, *, norm2_y=None):
     the bits of its own single-basis product u^H Y (the tests check it with
     ==).  A 1 x D row times Y takes numpy's matrix-vector path, whose sums
     differ, hence K = 1 alone.
-    norm2_y is |Y|^2 when the caller already has it; None sums it here.
+    norm2_y is |Y|^2, which the caller sums once per draw.
     """
     d = y.shape[0]
-    if norm2_y is None:
-        norm2_y = float(np.sum(np.abs(y) ** 2))
     p = v.shape[1]
     if p > d:
         raise ValueError(f"basis has more columns ({p}) than sensors ({d})")

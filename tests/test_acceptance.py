@@ -149,8 +149,8 @@ class TestCriterion4:
             m = int(rng.integers(k, 24))
             v = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
             y = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
-            st = projection_stats(y, v, m)[-1]
             norm2 = float(np.sum(np.abs(y) ** 2))
+            st = projection_stats(y, v, m, norm2_y=norm2)[-1]
             worst = max(worst, abs(st.s + st.t - norm2) / norm2)
         _report(4, worst <= 1e-8,
                 f"max relative residual {worst:.2e} over 100 instances "
@@ -163,13 +163,16 @@ class TestCriterion5:
         d, m = 16, 40
         y = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
         basis = eigendecompose(sample_covariance(y))
+        norm2 = float(np.sum(np.abs(y) ** 2))
         worst = -np.inf
         for k in (1, 3, 5):
-            s_pca = projection_stats(y, basis.eigvecs[:, :k], m)[-1].s
+            s_pca = projection_stats(y, basis.eigvecs[:, :k], m,
+                                     norm2_y=norm2)[-1].s
             for _ in range(34 if k == 1 else 33):
                 g = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
                 q, _ = np.linalg.qr(g)
-                excess = (projection_stats(y, q, m)[-1].s - s_pca) / s_pca
+                s = projection_stats(y, q, m, norm2_y=norm2)[-1].s
+                excess = (s - s_pca) / s_pca
                 worst = max(worst, excess)
         _report(5, worst <= 1e-8,
                 f"max captured-energy excess of 100 random frames over the "

@@ -85,10 +85,36 @@ class TestConfig:
 
     def test_scenario_per_grid_point(self):
         cfg = ExperimentConfig(snr_grid_db=(0.0, math.inf), decay=(0.0, 0.5))
-        sc = cfg.scenario(3)
+        scenarios = cfg.scenarios()
+        assert [(sc.snr_db, sc.overlap, sc.decay)
+                for sc in scenarios] == cfg.grid_points()
+        sc = scenarios[3]
         assert (sc.snr_db, sc.overlap, sc.decay) == cfg.grid_points()[3]
         assert (sc.d, sc.k_true, sc.m, sc.n) == (32, 3, 512, 512)
         assert sc.doa_deg == cfg.resolved_doas() and sc.seed == cfg.master_seed
+
+    def test_bad_grid_point_named(self):
+        with pytest.raises(ConfigError, match=r"grid point \(-inf, 0\.0, 0\.0\)"):
+            ExperimentConfig(snr_grid_db=(0.0, -math.inf))
+
+    def test_load_and_sweep_are_linear_in_the_grid(self, monkeypatch):
+        # one pass over the grid at load and one scenario per grid point in
+        # the sweep, however many runs share it
+        grid_calls, built = [], []
+        grid_points = ExperimentConfig.grid_points
+        monkeypatch.setattr(ExperimentConfig, "grid_points",
+                            lambda self: grid_calls.append(1) or grid_points(self))
+        cfg = ExperimentConfig(**dict(FAST, n_runs=3, methods=("music-map",),
+                                      snr_grid_db=(0.0, 20.0),
+                                      overlap=(0.0, 0.5), decay=(0.0, 0.5)))
+        g = len(grid_points(cfg))
+        assert (g, len(grid_calls)) == (8, 1)
+        scenario = bench.ArrayScenario
+        monkeypatch.setattr(bench, "ArrayScenario",
+                            lambda **kw: built.append(1) or scenario(**kw))
+        records = run_sweep(cfg)
+        assert len(built) == g
+        assert len(records) == 3 * g
 
     @pytest.mark.parametrize("fields", [
         dict(grid_step_deg=0.0),

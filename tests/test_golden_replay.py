@@ -49,8 +49,8 @@ def paper_golden():
 
 def _replay(gi, ri, config=CONFIG):
     rng = np.random.default_rng([config.master_seed, gi, ri])
-    return run_single(config.scenario(gi), config.k_max, config.grid_step_deg,
-                      config.methods, rng=rng)
+    return run_single(config.scenarios()[gi], config.k_max,
+                      config.grid_step_deg, config.methods, rng=rng)
 
 
 def _close(got, want):

@@ -8,6 +8,7 @@ import pytest
 from doamap.arraysim import (
     amplitude_matrix,
     default_scenario,
+    noise_variances,
     steering_matrix,
     synth_freq,
 )
@@ -119,13 +120,13 @@ class TestPosteriorVariances:
         for seed, snr_db in enumerate((-5.0, 0.0, 10.0, 30.0)):
             sc = default_scenario(d=32, k=3, m=512, n=512, snr_db=snr_db,
                                   seed=seed)
-            fd = synth_freq(sc, rng=np.random.default_rng(seed))
-            basis = eigendecompose(sample_covariance(fd.y))
+            y = synth_freq(sc, rng=np.random.default_rng(seed))
+            basis = eigendecompose(sample_covariance(y))
             steer = steering_matrix(GRID, sc.d).T
             w = eigen_projection(basis, steer)
             rows = steer[pick_peaks(music_pseudospectrum(w, 10), 10)]
-            for post in (map_order_pca(basis, _norm2(fd.y), 10, sc.m),
-                         map_order_scan(fd.y, rows, 10, sc.m, _norm2(fd.y))):
+            for post in (map_order_pca(basis, _norm2(y), 10, sc.m),
+                         map_order_scan(y, rows, 10, sc.m, _norm2(y))):
                 for k in range(1, len(post.stats_per_k)):
                     st = post.stats_per_k[k]
                     want = posterior_variances(st, sc.d)
@@ -145,11 +146,12 @@ class TestPosteriorVariances:
     def test_recovers_true_noise_variance(self):
         # K known, high degrees: sigma2_mean estimates the true noise power
         sc = default_scenario(d=32, k=3, m=512, n=512, snr_db=10.0, seed=77)
-        fd = synth_freq(sc)
+        y = synth_freq(sc)
         v = steering_matrix(sc.doa_deg, sc.d)
-        st = projection_stats(fd.y, v, sc.m)[-1]
+        st = projection_stats(y, v, sc.m, norm2_y=_norm2(y))[-1]
         pv = posterior_variances(st, sc.d)
-        assert pv.sigma2_mean == pytest.approx(fd.noise_var_freq, rel=0.05)
+        assert pv.sigma2_mean == pytest.approx(
+            noise_variances(sc, amplitude_matrix(sc)), rel=0.05)
 
 
 def _norm2(y):
@@ -160,9 +162,9 @@ def _norm2(y):
 class TestMapOrderPca:
     def test_recovers_k_on_clean_data(self):
         sc = default_scenario(d=32, k=3, m=512, n=512, snr_db=20.0, seed=0)
-        fd = synth_freq(sc)
-        basis = eigendecompose(sample_covariance(fd.y))
-        post = map_order_pca(basis, _norm2(fd.y), k_max=10, m=sc.m)
+        y = synth_freq(sc)
+        basis = eigendecompose(sample_covariance(y))
+        post = map_order_pca(basis, _norm2(y), k_max=10, m=sc.m)
         assert post.k_map == 3
         assert len(post.log_scores) == 11
         pv = posterior_variances(post.stats_per_k[post.k_map], sc.d)
@@ -173,22 +175,22 @@ class TestMapOrderPca:
         hats = []
         for seed in range(10):
             sc = default_scenario(d=32, k=0, m=512, n=512, snr_db=0.0, seed=seed)
-            fd = synth_freq(sc)
-            basis = eigendecompose(sample_covariance(fd.y))
-            post = map_order_pca(basis, _norm2(fd.y), k_max=10, m=sc.m)
+            y = synth_freq(sc)
+            basis = eigendecompose(sample_covariance(y))
+            post = map_order_pca(basis, _norm2(y), k_max=10, m=sc.m)
             hats.append(post.k_map)
         assert max(hats) <= 1
 
     def test_k0_posterior_conventions(self):
         sc = default_scenario(d=16, k=0, m=256, n=256, snr_db=0.0, seed=1)
-        fd = synth_freq(sc)
-        basis = eigendecompose(sample_covariance(fd.y))
-        post = map_order_pca(basis, _norm2(fd.y), k_max=5, m=sc.m)
+        y = synth_freq(sc)
+        basis = eigendecompose(sample_covariance(y))
+        post = map_order_pca(basis, _norm2(y), k_max=5, m=sc.m)
         if post.k_map == 0:
             pv = posterior_variances(post.stats_per_k[0], sc.d)
             assert math.isnan(pv.ra_mean)
             assert pv.tau_mean == 1.0
-            norm2 = float(np.sum(np.abs(fd.y) ** 2))
+            norm2 = float(np.sum(np.abs(y) ** 2))
             assert pv.sigma2_mean == pytest.approx(norm2 / (16 * 256 - 1))
 
     def test_rejects_k_max_ge_d(self):
@@ -205,10 +207,10 @@ class TestMapOrderPca:
 
 
 class TestMapOrderScan:
-    def _peaks(self, fd, kind, k_max=10):
+    def _peaks(self, y, kind, k_max=10):
         """Grid indices of the spectrum's peaks and their steering rows."""
-        steer = steering_matrix(GRID, fd.y.shape[0]).T
-        basis = eigendecompose(sample_covariance(fd.y))
+        steer = steering_matrix(GRID, y.shape[0]).T
+        basis = eigendecompose(sample_covariance(y))
         w = eigen_projection(basis, steer)
         if kind == "dtft":
             values = dtft_spectrum(w, basis.eigvals)
@@ -219,32 +221,32 @@ class TestMapOrderScan:
 
     def test_k0_score_is_zero(self):
         sc = default_scenario(d=16, k=1, m=128, n=128, snr_db=10.0, seed=2)
-        fd = synth_freq(sc)
-        post = map_order_scan(fd.y, self._peaks(fd, "dtft")[1], 5, sc.m,
-                              _norm2(fd.y))
+        y = synth_freq(sc)
+        post = map_order_scan(y, self._peaks(y, "dtft")[1], 5, sc.m,
+                              _norm2(y))
         assert post.log_scores[0] == 0.0
 
     def test_single_source_selected(self):
         sc = default_scenario(d=32, k=1, m=256, n=256, snr_db=15.0, seed=3)
-        fd = synth_freq(sc)
+        y = synth_freq(sc)
         for kind in ("music", "dtft"):
-            post = map_order_scan(fd.y, self._peaks(fd, kind)[1], 8, sc.m,
-                                  _norm2(fd.y))
+            post = map_order_scan(y, self._peaks(y, kind)[1], 8, sc.m,
+                                  _norm2(y))
             assert post.k_map == 1
             assert post.log_scores[1] > post.log_scores[0]
 
     def test_k_max_capped_by_peak_count(self):
         sc = default_scenario(d=16, k=1, m=64, n=64, snr_db=240.0, seed=5)
-        fd = synth_freq(sc)
-        post = map_order_scan(fd.y, steering_matrix(sc.doa_deg, sc.d).T, 10,
-                              sc.m, _norm2(fd.y))
+        y = synth_freq(sc)
+        post = map_order_scan(y, steering_matrix(sc.doa_deg, sc.d).T, 10,
+                              sc.m, _norm2(y))
         assert len(post.log_scores) == 2  # K in {0, 1} only
 
     def test_coincident_peaks_flagged(self):
         sc = default_scenario(d=16, k=1, m=64, n=64, snr_db=20.0, seed=6)
-        fd = synth_freq(sc)
+        y = synth_freq(sc)
         rows = steering_matrix([50.0, 50.0], sc.d).T
-        post = map_order_scan(fd.y, rows, 2, sc.m, _norm2(fd.y))
+        post = map_order_scan(y, rows, 2, sc.m, _norm2(y))
         assert post.rank_deficient_k == (2,)
         assert post.log_scores[2] == -math.inf
         assert post.k_map in (0, 1)
@@ -261,12 +263,13 @@ class TestMapOrderScan:
     def test_prefixes_are_slices_of_one_matrix(self):
         # each prefix's stats equal those of its own steering matrix, bit for bit
         sc = default_scenario(d=16, k=3, m=64, n=64, snr_db=5.0, seed=7)
-        fd = synth_freq(sc)
-        idx, rows = self._peaks(fd, "music", k_max=5)
-        post = map_order_scan(fd.y, rows, 5, sc.m, _norm2(fd.y))
+        y = synth_freq(sc)
+        idx, rows = self._peaks(y, "music", k_max=5)
+        post = map_order_scan(y, rows, 5, sc.m, _norm2(y))
         for k in range(1, len(post.stats_per_k)):
             v = steering_matrix(GRID[idx[:k]], sc.d)
-            assert post.stats_per_k[k] == projection_stats(fd.y, v, sc.m)[-1]
+            assert post.stats_per_k[k] == projection_stats(
+                y, v, sc.m, norm2_y=_norm2(y))[-1]
 
 
 def _pca_prior(d):
@@ -304,10 +307,10 @@ class TestPrunedScan:
         for seed, snr_db in enumerate((-30.0, -15.0, -5.0, 0.0, 10.0, 30.0)):
             sc = default_scenario(d=32, k=3, m=512, n=512, snr_db=snr_db,
                                   seed=seed)
-            fd = synth_freq(sc, rng=np.random.default_rng(seed))
-            basis = eigendecompose(sample_covariance(fd.y))
+            y = synth_freq(sc, rng=np.random.default_rng(seed))
+            basis = eigendecompose(sample_covariance(y))
             pruned += _check_pruned(
-                map_order_pca(basis, _norm2(fd.y), 10, sc.m),
+                map_order_pca(basis, _norm2(y), 10, sc.m),
                 _pca_prior(sc.d))
             steer = steering_matrix(GRID, sc.d).T
             w = eigen_projection(basis, steer)
@@ -315,7 +318,7 @@ class TestPrunedScan:
                            dtft_spectrum(w, basis.eigvals)):
                 rows = steer[pick_peaks(values, 10)]
                 pruned += _check_pruned(
-                    map_order_scan(fd.y, rows, 10, sc.m, _norm2(fd.y)),
+                    map_order_scan(y, rows, 10, sc.m, _norm2(y)),
                     _scan_prior)
         assert pruned > 0  # the bound did cut kernel calls
 
@@ -328,9 +331,9 @@ class TestPrunedScan:
 
         monkeypatch.setattr(ordermap, "log_q_sum", counting)
         sc = default_scenario(d=32, k=3, m=512, n=512, snr_db=10.0, seed=4)
-        fd = synth_freq(sc)
-        post = map_order_pca(eigendecompose(sample_covariance(fd.y)),
-                             _norm2(fd.y), 10, sc.m)
+        y = synth_freq(sc)
+        post = map_order_pca(eigendecompose(sample_covariance(y)),
+                             _norm2(y), 10, sc.m)
         scored = [k for k in range(1, 11) if not math.isnan(post.log_scores[k])]
         assert sorted(calls) == [k * sc.m for k in scored]
         assert post.k_map in scored and len(scored) < 10
@@ -386,11 +389,11 @@ class TestShrinkage:
         for seed in range(n_runs):
             sc = default_scenario(d=32, k=3, m=512, n=512, snr_db=-20.0,
                                   seed=seed)
-            fd = synth_freq(sc)
+            y = synth_freq(sc)
             v = steering_matrix(sc.doa_deg, sc.d)
-            st = projection_stats(fd.y, v, sc.m)[-1]
+            st = projection_stats(y, v, sc.m, norm2_y=_norm2(y))[-1]
             pv = posterior_variances(st, sc.d)
-            a0, *_ = np.linalg.lstsq(v, fd.y, rcond=None)
+            a0, *_ = np.linalg.lstsq(v, y, rcond=None)
             truth = amplitude_matrix(sc)
             e0 = float(np.sum(np.abs(a0 - truth) ** 2))
             es = float(np.sum(np.abs((1 - pv.tau_mean) * a0 - truth) ** 2))
@@ -423,6 +426,6 @@ class TestAic:
 
     def test_recovers_k_on_clean_data(self):
         sc = default_scenario(d=32, k=3, m=512, n=512, snr_db=20.0, seed=8)
-        fd = synth_freq(sc)
-        basis = eigendecompose(sample_covariance(fd.y))
+        y = synth_freq(sc)
+        basis = eigendecompose(sample_covariance(y))
         assert aic_order(basis.eigvals, sc.m, 10) == 3

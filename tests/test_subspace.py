@@ -65,6 +65,11 @@ class TestCovarianceAndEigen:
             eigendecompose(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+def _norm2(y):
+    """|Y|^2, the energy projection_stats takes from its caller."""
+    return float(np.sum(np.abs(y) ** 2))
+
+
 def _steer(grid, d):
     """The G x D grid steering table the spectra read."""
     return steering_matrix(grid, d).T
@@ -86,8 +91,8 @@ def _desk_draws():
     steer = _steer(np.arange(0.0, 180.0, 0.5), 32)
     for seed, snr_db in enumerate((-30.0, -10.0, 0.0, 10.0, 30.0)):
         sc = default_scenario(d=32, k=3, m=512, n=512, snr_db=snr_db, seed=seed)
-        fd = synth_freq(sc, rng=np.random.default_rng(seed))
-        yield fd.y, eigendecompose(sample_covariance(fd.y)), steer
+        y = synth_freq(sc, rng=np.random.default_rng(seed))
+        yield y, eigendecompose(sample_covariance(y)), steer
 
 
 class TestSpectra:
@@ -95,7 +100,7 @@ class TestSpectra:
 
     def test_dtft_peak_at_source(self):
         sc = default_scenario(d=32, k=1, m=64, n=64, snr_db=240.0, seed=0)
-        values = _dtft(synth_freq(sc).y, _steer(self.GRID, 32))
+        values = _dtft(synth_freq(sc), _steer(self.GRID, 32))
         best = self.GRID[np.argmax(values)]
         assert abs(best - sc.doa_deg[0]) <= 0.5
 
@@ -105,8 +110,8 @@ class TestSpectra:
 
     def test_music_sharp_at_source(self):
         sc = default_scenario(d=32, k=1, m=64, n=64, snr_db=240.0, seed=0)
-        fd = synth_freq(sc)
-        basis = eigendecompose(sample_covariance(fd.y))
+        y = synth_freq(sc)
+        basis = eigendecompose(sample_covariance(y))
         values = _music(basis, 1, _steer(self.GRID, 32))
         best = self.GRID[np.argmax(values)]
         assert abs(best - sc.doa_deg[0]) <= 0.5
@@ -115,8 +120,8 @@ class TestSpectra:
 
     def test_music_flat_on_white_noise(self):
         sc = default_scenario(d=32, k=0, m=512, n=512, snr_db=0.0, seed=123)
-        fd = synth_freq(sc)
-        basis = eigendecompose(sample_covariance(fd.y))
+        y = synth_freq(sc)
+        basis = eigendecompose(sample_covariance(y))
         values = _music(basis, 3, _steer(self.GRID, 32))
         assert np.max(values) / np.median(values) <= 10.0
 
@@ -185,7 +190,8 @@ class TestPickPeaks:
 class TestProjectionStats:
     def test_k0_convention(self):
         y = np.ones((4, 3), dtype=complex)
-        (st,) = projection_stats(y, np.empty((4, 0), dtype=complex), 3)
+        (st,) = projection_stats(y, np.empty((4, 0), dtype=complex), 3,
+                                 norm2_y=_norm2(y))
         assert st.s == 0.0 and st.t == pytest.approx(12.0)
         assert st.alpha == 0 and st.beta == 12
         assert st.q == 1.0
@@ -195,8 +201,8 @@ class TestProjectionStats:
         v = _random_unitary_columns(rng, 6, 2)
         a = rng.standard_normal((2, 10)) + 1j * rng.standard_normal((2, 10))
         y = v @ a
-        st = projection_stats(y, v, 10)[-1]
-        norm2 = float(np.sum(np.abs(y) ** 2))
+        norm2 = _norm2(y)
+        st = projection_stats(y, v, 10, norm2_y=norm2)[-1]
         assert st.t == pytest.approx(1e-12 * norm2)
         assert st.s == pytest.approx(norm2, rel=1e-10)
 
@@ -209,8 +215,8 @@ class TestProjectionStats:
             m = int(rng.integers(k, 20))
             v = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
             y = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
-            st = projection_stats(y, v, m)[-1]
-            norm2 = float(np.sum(np.abs(y) ** 2))
+            norm2 = _norm2(y)
+            st = projection_stats(y, v, m, norm2_y=norm2)[-1]
             assert abs(st.s + st.t - norm2) <= 1e-8 * norm2
             assert st.alpha == k * m and st.beta == (d - k) * m
 
@@ -218,7 +224,7 @@ class TestProjectionStats:
         rng = np.random.default_rng(6)
         v = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
         y = rng.standard_normal((7, 9)) + 1j * rng.standard_normal((7, 9))
-        st = projection_stats(y, v, 9)[-1]
+        st = projection_stats(y, v, 9, norm2_y=_norm2(y))[-1]
         a0, *_ = np.linalg.lstsq(v, y, rcond=None)
         resid = float(np.sum(np.abs(y - v @ a0) ** 2))
         fit = float(np.sum(np.abs(v @ a0) ** 2))
@@ -230,7 +236,7 @@ class TestProjectionStats:
         rng = np.random.default_rng(7)
         v = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
         y = rng.standard_normal((6, 8)) + 1j * rng.standard_normal((6, 8))
-        st = projection_stats(y, v, 8)[-1]
+        st = projection_stats(y, v, 8, norm2_y=_norm2(y))[-1]
         p = v @ np.linalg.solve(v.conj().T @ v, v.conj().T)
         expect = float(np.real(np.trace(p @ (y @ y.conj().T))))
         assert st.s == pytest.approx(expect, rel=1e-10)
@@ -241,11 +247,14 @@ class TestProjectionStats:
         rng = np.random.default_rng(8)
         y = rng.standard_normal((8, 40)) + 1j * rng.standard_normal((8, 40))
         basis = eigendecompose(sample_covariance(y))
+        norm2 = _norm2(y)
         for k in (1, 2, 4):
-            s_pca = projection_stats(y, basis.eigvecs[:, :k], 40)[-1].s
+            s_pca = projection_stats(y, basis.eigvecs[:, :k], 40,
+                                     norm2_y=norm2)[-1].s
             for _ in range(50):
                 w = _random_unitary_columns(rng, 8, k)
-                assert projection_stats(y, w, 40)[-1].s <= s_pca + 1e-8 * s_pca
+                s = projection_stats(y, w, 40, norm2_y=norm2)[-1].s
+                assert s <= s_pca + 1e-8 * s_pca
             # and it equals the sum of the top-k eigenvalues
             assert s_pca == pytest.approx(float(np.sum(basis.eigvals[:k])),
                                           rel=1e-10)
@@ -257,7 +266,7 @@ class TestProjectionStats:
         v[:, 1] = 2.0 * v[:, 0]
         v[:, 2] = np.exp(1j * np.arange(5))
         y = np.ones((5, 4), dtype=complex)
-        stats = projection_stats(y, v, 4)
+        stats = projection_stats(y, v, 4, norm2_y=_norm2(y))
         assert [st is None for st in stats] == [False, False, True, True]
         assert stats[1].s == pytest.approx(20.0)
 
@@ -271,7 +280,7 @@ class TestProjectionStats:
             idx = pick_peaks(values, 10)
             for rows in (steer[idx], steer[np.r_[idx[:3], idx[1], idx[3:6]]]):
                 v = rows.T
-                stats = projection_stats(y, v, 512)
+                stats = projection_stats(y, v, 512, norm2_y=_norm2(y))
                 for k, st in enumerate(stats[1:], 1):
                     u, sv, _ = np.linalg.svd(v[:, :k], full_matrices=False)
                     if sv[-1] < 1e-10 * sv[0]:
@@ -279,7 +288,7 @@ class TestProjectionStats:
                         continue
                     s = float(np.sum(np.abs(u.conj().T @ y) ** 2))
                     assert st == ProjectionStats.from_energy(
-                        s, float(np.sum(np.abs(y) ** 2)), k, 32, 512), k
+                        s, _norm2(y), k, 32, 512), k
                     checked += 1
             assert [st is None for st in stats] == [False] * 4 + [True] * 4
         assert checked == 5 * (10 + 3)
@@ -287,16 +296,17 @@ class TestProjectionStats:
     def test_too_many_columns(self):
         y = np.ones((3, 4), dtype=complex)
         with pytest.raises(ValueError):
-            projection_stats(y, np.ones((3, 4), dtype=complex), 4)
+            projection_stats(y, np.ones((3, 4), dtype=complex), 4,
+                             norm2_y=_norm2(y))
 
     def test_music_and_dtft_agree_noiseless_on_grid(self):
         # distinct far-apart sources: both spectra put peaks on the true DOAs
         sc = default_scenario(d=32, k=3, m=96, n=96, snr_db=240.0, seed=0)
-        fd = synth_freq(sc)
+        y = synth_freq(sc)
         grid = np.arange(0.0, 180.0, 0.5)
         steer = _steer(grid, 32)
-        d_peaks = pick_peaks(_dtft(fd.y, steer), 3)
-        basis = eigendecompose(sample_covariance(fd.y))
+        d_peaks = pick_peaks(_dtft(y, steer), 3)
+        basis = eigendecompose(sample_covariance(y))
         m_peaks = pick_peaks(_music(basis, 3, steer), 3)
         d_ang = sorted(grid[d_peaks])
         m_ang = sorted(grid[m_peaks])

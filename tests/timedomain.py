@@ -13,7 +13,6 @@ import numpy as np
 
 from doamap.arraysim import (
     ArrayScenario,
-    FreqData,
     _complex_awgn,
     amplitude_matrix,
     noise_variances,
@@ -51,13 +50,12 @@ def synth_time(scenario: ArrayScenario, rng=None):
     return TimeData(x=v @ (amps.astype(complex) @ w) + e)
 
 
-def fft_reduce(data: TimeData, tone_freqs, noise_var_time=0.0):
-    """Project time data onto the tone bins: Y = X W^H / N.
+def fft_reduce(data: TimeData, tone_freqs):
+    """Project time data onto the tone bins: Y = X W^H / N (D x M).
 
     With on-bin tones W W^H = N*I, so a noiseless round trip through
     synth_time reproduces V A exactly.
     """
     n = data.x.shape[1]
     w = _tone_matrix(tone_freqs, n)
-    y = data.x @ w.conj().T / n
-    return FreqData(y=y, noise_var_freq=noise_var_time / n)
+    return data.x @ w.conj().T / n
