@@ -696,6 +696,48 @@ class TestValidateDistributions:
         failed = {name for name, *_rest, ok in checks if not ok}
         assert "complement_identity" in failed
 
+    def test_check_result_types(self):
+        passed, checks = validate_distributions(n_mc=2000)
+        assert type(passed) is bool
+        for name, err, _tol, ok in checks:
+            assert type(err) is float, name
+            assert type(ok) is bool, name
+
+    def test_integrates_only_what_the_checks_read(self, monkeypatch):
+        import scipy.integrate
+
+        import doamap.specfun as sf
+
+        counts = {"integrals": 0, "evaluations": 0}
+        real_quad = scipy.integrate.quad
+
+        def counting_quad(fn, *args, **kwargs):
+            counts["integrals"] += 1
+
+            def counted(x):
+                counts["evaluations"] += 1
+                return fn(x)
+            return real_quad(counted, *args, **kwargs)
+
+        undefined = []
+        real_moment = sf.double_moment
+
+        def recording_moment(pair, k, family, which):
+            try:
+                return real_moment(pair, k, family, which)
+            except ValueError:
+                undefined.append(((pair.alpha, pair.beta), family, which))
+                raise
+
+        monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
+        monkeypatch.setattr(sf, "double_moment", recording_moment)
+        passed, _checks = validate_distributions(n_mc=2000)
+        assert passed
+        # 12 pdf normalizations and 11 moments: the shape-1 inverse-gamma X
+        # of pair (1, 4) has no mean, so its divergent x*pdf integral is skipped
+        assert undefined == [((1, 4), "invgamma", "x")]
+        assert counts == {"integrals": 23, "evaluations": 3135}
+
 
 class TestCli:
     def test_sweep_writes_outputs(self, tmp_path, capsys):
