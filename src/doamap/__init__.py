@@ -24,7 +24,6 @@ from .specfun import (
     log_reg_inc_beta,
     prob_dominance,
     reg_inc_beta,
-    reg_lower_inc_gamma,
 )
 from .subspace import (
     EigenBasis,

@@ -14,21 +14,12 @@ the same (family, which) selector of the gamma or inverse-gamma pair and
 its variate X or Y.  A pair computes its normaliser log I_p once,
 or takes the one `log_q_sum` computed for the same degrees and q.
 
-Both finite sums (`log_reg_inc_beta` and the upper incomplete gamma series)
-read log Gamma(j) from one grow-only module table instead of calling
-`gammaln` per term, and take the log-sum-exp with the exact
+`log_reg_inc_beta` reads log Gamma(j) from a grow-only module table instead
+of calling `gammaln` per term, and takes the log-sum-exp with the exact
 operations of scipy's `logsumexp` (Blanchard, Higham & Higham, IMA J. Numer.
 Anal. 41(4), 2021).  Operands and operation order are those of the per-term
 formula, so the results are bit-identical to it.  At paper degrees
 (n + m ~ 4.1e5) the table holds about 3.3 MB.
-
-The two sums split the work differently because their callers differ.
-The kernel sums rows of up to ~4e5 terms with numpy.  The gamma
-series gets one scalar x and n <= 5 terms in the identity suite's ~15k pdf
-calls, so numpy's per-call dispatch would dominate: it builds the terms,
-their max, the count of maxima and the shift as Python floats (single IEEE
-operations, the same bits as numpy's) and keeps numpy only for exp, log1p,
-log and the sum, whose SIMD loops `math` need not reproduce bit for bit.
 
 `log_reg_inc_beta` computes only a window of its m terms.  Its log-terms
 are concave in the index, so a coarse grid of at most 256 of them bounds
@@ -37,6 +28,13 @@ where exp (zero below -745.13) returns exactly 0.  The window's exps are
 summed in a zeroed row of all m entries, so `np.sum` adds the same array
 in the same pairwise order as the full-range sum and the result keeps
 every bit.  At paper degrees the window holds about a fifth of the terms.
+
+The conditional densities take their tail factor from scipy's regularized
+incomplete gamma functions, `gammaincc` for X and `gammainc` for Y.  Each
+is computed directly, never as one minus the other, so the lower function
+keeps its relative accuracy at small x, where 1 - Q(n, x) cancels (DiDonato
+& Morris, ACM TOMS 12(4), 1986).  The trade: a density whose tail factor
+underflows below ~1e-308 reads 0.
 
 Shapes are restricted to positive integers throughout: the finite-sum
 identities rely on Gamma(n) = (n-1)!.
@@ -48,11 +46,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaln, gammaln
+from scipy.special import betaln, gammainc, gammaincc, gammaln
 
 __all__ = [
     "DominancePair",
-    "reg_lower_inc_gamma",
     "reg_inc_beta",
     "log_reg_inc_beta",
     "prob_dominance",
@@ -152,47 +149,6 @@ def _logsumexp(t, lo, size):
     elif t_max == -np.inf:
         out = -np.inf
     return out
-
-
-def _log_upper_series(n, x):
-    """log of Gamma(n,x)/Gamma(n) = log sum_{k=0}^{n-1} x^k e^{-x} / k!, scalar x.
-
-    Python floats carry the log-terms k*log(x) - x - log Gamma(k+1) (the
-    per-term formula's operands, in its order), their max, the count of
-    maxima and the shift; each is one IEEE operation with numpy's bits.
-    numpy keeps the exp over the shifted row, with the maxima at -inf so
-    they add exactly 0 in place, the `np.add.reduce` over that whole row
-    (scipy's array, summed in scipy's order), log1p and log.  The result
-    is bit-identical to the formula with scipy's `logsumexp`.
-    """
-    if x == 0:
-        return 0.0
-    if x == math.inf:
-        return -math.inf
-    x = float(x)
-    lx = math.log(x)
-    log_gamma = _log_gamma_table(n + 1)[1:n + 1].tolist()
-    t = [k * lx - x - g for k, g in enumerate(log_gamma)]
-    t_max = max(t)
-    count = t.count(t_max)
-    s = np.add.reduce(np.exp([u - t_max if u != t_max else -math.inf for u in t]))
-    out = np.log1p(s / count) + np.log(float(count)) + t_max
-    return min(float(out), 0.0)
-
-
-def reg_lower_inc_gamma(n, x):
-    """Regularized lower incomplete gamma gamma(n,x)/Gamma(n), integer n >= 1.
-
-    Uses the finite series 1 - sum_{k<n} x^k e^{-x}/k!, with the sum taken in
-    log domain so large x does not overflow; x = inf gives 1.
-    """
-    if int(n) != n or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    if not x >= 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    if x == 0:
-        return 0.0
-    return float(-np.expm1(_log_upper_series(int(n), x)))
 
 
 def _log_terms(p, n, m, sl):
@@ -320,9 +276,7 @@ def _log_q_from(log_ip, alpha, beta, q):
 
 
 def _log_gamma_pdf(x, n, s):
-    # log Gamma(n) from the table carries the bits of gammaln(float(n))
-    log_gamma_n = float(_log_gamma_table(n + 1)[n])
-    return n * math.log(s) + (n - 1) * math.log(x) - s * x - log_gamma_n
+    return n * math.log(s) + (n - 1) * math.log(x) - s * x - math.lgamma(n)
 
 
 def _check_selector(family, which):
@@ -340,6 +294,10 @@ def double_pdf(x, pair: DominancePair, family, which):
     Inverse-gamma X is 1/(gamma X) and the order flips with it, so its
     density is the gamma density of the same variate at 1/x times the
     Jacobian 1/x^2.
+
+    The gamma density of the variate is multiplied by the other's tail
+    probability at x, scipy's gammaincc (X) or gammainc (Y).  Where that
+    factor underflows below ~1e-308 the density reads 0.
     """
     _check_selector(family, which)
     if not x > 0:
@@ -347,15 +305,14 @@ def double_pdf(x, pair: DominancePair, family, which):
     if family == "invgamma":
         return double_pdf(1.0 / x, pair, "gamma", which) / x / x
     a, b, sx, sy = pair.alpha, pair.beta, pair.s_x, pair.s_y
-    if which == "x":
-        log_pdf = (_log_upper_series(b, sy * x) + _log_gamma_pdf(x, a, sx)
-                   - pair.log_ip)
-    else:
-        lower = reg_lower_inc_gamma(a, sx * x)
-        if lower <= 0:
-            return 0.0
-        log_pdf = math.log(lower) + _log_gamma_pdf(x, b, sy) - pair.log_ip
-    return math.exp(log_pdf) if log_pdf > -745 else 0.0
+    if which == "x":  # X <= Y: Y's upper tail beyond x
+        tail, shape, rate = gammaincc(b, sy * x), a, sx
+    else:             # X <= Y: X's lower tail below x
+        tail, shape, rate = gammainc(a, sx * x), b, sy
+    # at x = inf the gamma density's log reads inf - inf; the density is 0
+    if tail == 0 or x == math.inf:
+        return 0.0
+    return math.exp(math.log(tail) + _log_gamma_pdf(x, shape, rate) - pair.log_ip)
 
 
 def double_moment(pair: DominancePair, k, family, which):

@@ -7,13 +7,21 @@ digits sums the negative-binomial series of I_p(alpha, beta),
 I_p(alpha - 1, beta) and I_p(alpha, beta - 1), p = s / (s + t), term by
 term: t_0 = p^alpha, t_{i+1} = t_i * q * (alpha + i) / (i + 1).
 (`mpmath.betainc` does not converge at these degrees.)  The package's
-log I_p, ra, sigma^2 and tau are compared with the oracle's.  K = 0 has no
-I_p and is not fitted here.
+log I_p, ra, sigma^2 and tau are compared with the oracle's.  So is every
+order K that a scan scored: its log score minus its prior against the
+40-digit log I_p - alpha log p - beta log q + log B(alpha, beta).  K = 0
+has no I_p and is not fitted or scored here.
 
 The bounds were fixed above the kernel's errors when this module was
 written: log I_p off by up to 7.6e-12 (absolute), ra and tau by up to
 7.0e-12 relative (0:6 music, K = 10), sigma^2 by up to 8.9e-16 relative.
+The log score bound was fixed later, above a measured worst of 2.4e-11
+absolute (0:6 music, K = 10); scores near 6.4e4 (30 dB) are off by
+1.7e-11, about two ulps.
 """
+
+import functools
+import math
 
 import mpmath
 import numpy as np
@@ -21,7 +29,12 @@ import pytest
 
 from doamap.arraysim import steering_matrix, synth_freq
 from doamap.bench import ExperimentConfig
-from doamap.ordermap import map_order_pca, map_order_scan, posterior_variances
+from doamap.ordermap import (
+    log_stiefel_volume,
+    map_order_pca,
+    map_order_scan,
+    posterior_variances,
+)
 from doamap.specfun import DominancePair
 from doamap.subspace import (
     dtft_spectrum,
@@ -38,11 +51,13 @@ DRAWS = ((0, 6), (12, 3), (24, 6), (24, 9))
 LOG_IP_ABS = 2e-11
 RA_TAU_REL = 2e-11
 SIGMA2_REL = 1e-14
+LOG_SCORE_ABS = 5e-11
 
 
-def _fits(gi, ri):
-    """{(source, K): ProjectionStats} at each scan's MAP order and at K = 3,
-    from the draw, spectra and scans of that sweep task's run_single."""
+@functools.cache
+def _posteriors(gi, ri):
+    """{source: OrderPosterior} of the pca, music and dtft scans, from the
+    draw, spectra and scans of that sweep task's run_single."""
     cfg = CONFIG
     scenario = cfg.scenarios()[gi]
     y = synth_freq(scenario, rng=np.random.default_rng([cfg.master_seed, gi, ri]))
@@ -51,7 +66,7 @@ def _fits(gi, ri):
     grid = np.arange(0.0, 180.0, cfg.grid_step_deg)
     steer = steering_matrix(grid, scenario.d).T
     w = eigen_projection(basis, steer)
-    posts = {
+    return {
         "pca": map_order_pca(basis, norm2_y, cfg.k_max, scenario.m),
         "music": map_order_scan(
             y, steer[pick_peaks(music_pseudospectrum(w, cfg.k_max), cfg.k_max)],
@@ -60,13 +75,34 @@ def _fits(gi, ri):
             y, steer[pick_peaks(dtft_spectrum(w, basis.eigvals), cfg.k_max)],
             cfg.k_max, scenario.m, norm2_y),
     }
+
+
+def _fits(gi, ri):
+    """{(source, K): ProjectionStats} at each scan's MAP order and at K = 3."""
     return {(source, k): post.stats_per_k[k]
-            for source, post in posts.items() for k in (post.k_map, 3)
-            if k > 0}
+            for source, post in _posteriors(gi, ri).items()
+            for k in (post.k_map, 3) if k > 0}
 
 
+def _scored(gi, ri):
+    """{(source, K): (log score - log prior, ProjectionStats)} of every
+    order K > 0 that a scan scored (a pruned order's score is NaN)."""
+    d = CONFIG.d
+    prior = {"pca": lambda k: -log_stiefel_volume(d, k),
+             "music": lambda k: -k * math.log(2.0 * math.pi),
+             "dtft": lambda k: -k * math.log(2.0 * math.pi)}
+    return {(source, k): (float(post.log_scores[k]) - prior[source](k),
+                          post.stats_per_k[k])
+            for source, post in _posteriors(gi, ri).items()
+            for k in range(1, len(post.log_scores))
+            if not math.isnan(post.log_scores[k])}
+
+
+@functools.cache
 def _oracle(s, t, alpha, beta):
-    """(log I_p, D*ra, sigma^2) from 40-digit sums of the three series."""
+    """(log I_p, D*ra, sigma^2, log Q) from 40-digit sums of the three
+    series; log Q = log I_p - alpha log p - beta log q + log B(alpha, beta)
+    is the order score without its prior."""
     with mpmath.workdps(40):
         s, t = mpmath.mpf(s), mpmath.mpf(t)
         p, q = s / (s + t), t / (s + t)
@@ -83,14 +119,17 @@ def _oracle(s, t, alpha, beta):
             term_a *= step * (alpha - 1 + i)
         d_ra = s / (alpha - 1) * ip_a / ip
         sigma2 = t / (beta - 1) * ip_b / ip
-        return float(mpmath.log(ip)), d_ra, sigma2
+        log_q = (mpmath.log(ip) - alpha * mpmath.log(p) - beta * mpmath.log(q)
+                 + mpmath.loggamma(alpha) + mpmath.loggamma(beta)
+                 - mpmath.loggamma(alpha + beta))
+        return float(mpmath.log(ip)), d_ra, sigma2, log_q
 
 
 @pytest.mark.parametrize("draw", DRAWS, ids=[f"{gi}:{ri}" for gi, ri in DRAWS])
 def test_posterior_matches_40_digit_sums(draw):
     d = CONFIG.d
     for (source, k), st in _fits(*draw).items():
-        log_ip, d_ra, sigma2 = _oracle(st.s, st.t, st.alpha, st.beta)
+        log_ip, d_ra, sigma2, _ = _oracle(st.s, st.t, st.alpha, st.beta)
         where = f"{source} K={k}"
         got_log_ip = DominancePair(st.alpha, st.beta, st.s, st.t).log_ip
         assert abs(got_log_ip - log_ip) <= LOG_IP_ABS, where
@@ -100,3 +139,12 @@ def test_posterior_matches_40_digit_sums(draw):
         assert abs(mpmath.mpf(pv.ra_mean) / ra - 1) <= RA_TAU_REL, where
         assert abs(mpmath.mpf(pv.tau_mean) / tau - 1) <= RA_TAU_REL, where
         assert abs(mpmath.mpf(pv.sigma2_mean) / sigma2 - 1) <= SIGMA2_REL, where
+
+
+@pytest.mark.parametrize("draw", DRAWS, ids=[f"{gi}:{ri}" for gi, ri in DRAWS])
+def test_map_log_scores_match_40_digit_sums(draw):
+    scored = _scored(*draw)
+    assert scored
+    for (source, k), (got, st) in scored.items():
+        log_q = _oracle(st.s, st.t, st.alpha, st.beta)[3]
+        assert abs(got - log_q) <= LOG_SCORE_ABS, f"{source} K={k}"

@@ -1,8 +1,10 @@
 """Oracle and identity tests for the special-function layer."""
 
 import math
+import sys
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -13,7 +15,6 @@ from scipy.stats import gamma as gamma_dist
 from scipy.stats import invgamma as invgamma_dist
 
 from doamap import specfun
-from doamap.bench import validate_distributions
 from doamap.ordermap import posterior_variances
 from doamap.specfun import (
     DominancePair,
@@ -24,7 +25,6 @@ from doamap.specfun import (
     log_reg_inc_beta,
     prob_dominance,
     reg_inc_beta,
-    reg_lower_inc_gamma,
 )
 from doamap.subspace import ProjectionStats
 
@@ -51,43 +51,6 @@ def _oracle_log_reg_inc_beta(p, n, m):
     out = np.minimum(logsumexp(log_terms, axis=-1), 0.0)
     out = np.where(p_arr == 1.0, 0.0, out)
     return float(out) if out.ndim == 0 else out
-
-
-def _oracle_log_upper_series(n, x):
-    """Per-term log Gamma(n,x)/Gamma(n) with scipy's logsumexp."""
-    if x == 0:
-        return 0.0
-    k = np.arange(n)
-    return min(float(logsumexp(k * math.log(x) - x - gammaln(k + 1))), 0.0)
-
-
-class TestRegLowerIncGamma:
-    def test_exponential_cdf(self):
-        assert reg_lower_inc_gamma(1, 0.0) == 0.0
-        for x in (0.3, 1.0, 5.0, 50.0):
-            assert reg_lower_inc_gamma(1, x) == pytest.approx(-math.expm1(-x), rel=1e-13)
-
-    def test_quadrature_oracle_n3_x2(self):
-        # independent oracle: integrate the gamma(3, 1) density directly
-        expected, _ = quad(lambda t: t**2 * math.exp(-t) / 2.0, 0.0, 2.0)
-        assert reg_lower_inc_gamma(3, 2.0) == pytest.approx(expected, rel=1e-10)
-
-    def test_large_x_saturates(self):
-        assert reg_lower_inc_gamma(4, 800.0) == pytest.approx(1.0, abs=1e-15)
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            reg_lower_inc_gamma(0, 1.0)
-        with pytest.raises(ValueError):
-            reg_lower_inc_gamma(2, -1.0)
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError, match="x must be nonnegative"):
-            reg_lower_inc_gamma(3, math.nan)
-
-    def test_infinite_x_is_one(self):
-        for n in (1, 4, 500):
-            assert reg_lower_inc_gamma(n, math.inf) == 1.0
 
 
 class TestRegIncBeta:
@@ -144,29 +107,6 @@ class TestKernelBitIdentity:
             assert got.shape == grid.shape
             assert np.array_equal(got, _oracle_log_reg_inc_beta(grid, n, m))
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 30, 200, 3000])
-    @pytest.mark.parametrize("x", [1e-300, 1e-6, 0.4, 3.0, 45.0, 800.0, 1e6])
-    def test_upper_series_and_lower_gamma(self, n, x):
-        expected = _oracle_log_upper_series(n, x)
-        assert specfun._log_upper_series(n, x) == expected
-        assert reg_lower_inc_gamma(n, x) == float(-np.expm1(expected))
-
-    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 127, 128, 129])
-    @pytest.mark.parametrize("x", [1e-300, 0.4, 1.0, 45.0, 800.0, 1e6])
-    def test_upper_series_summation_boundaries(self, n, x):
-        # numpy's sum changes its grouping around 8 and 128 terms; at x = 1 the
-        # first two terms are both -1, so two maxima are set aside
-        expected = _oracle_log_upper_series(n, x)
-        assert specfun._log_upper_series(n, x) == expected
-        assert reg_lower_inc_gamma(n, x) == float(-np.expm1(expected))
-
-    def test_identity_suite_matches_oracle_series(self, monkeypatch):
-        # every pdf and quadrature of the suite reads the series, so equal
-        # checks mean equal bits through the whole suite
-        fast = validate_distributions(n_mc=2000)
-        monkeypatch.setattr(specfun, "_log_upper_series", _oracle_log_upper_series)
-        assert validate_distributions(n_mc=2000) == fast
-
     def test_table_growth_order(self):
         # large, then small, then larger than any table so far: growing the
         # table must not change the bits of entries it already held
@@ -186,10 +126,6 @@ class TestKernelBitIdentity:
            p=st.floats(0.0, 1.0))
     def test_property_matches_oracle(self, n, m, p):
         assert log_reg_inc_beta(p, n, m) == _oracle_log_reg_inc_beta(p, n, m)
-
-    @given(n=st.integers(1, 2000), x=st.floats(0.0, 1e5))
-    def test_property_upper_series(self, n, x):
-        assert specfun._log_upper_series(n, x) == _oracle_log_upper_series(n, x)
 
 
 # (n, m, p) of a paper-draw kernel call, captured from a traced draw
@@ -371,8 +307,61 @@ def _joint_marginal_oracle(x, pair, family, which):
     return val / norm
 
 
+def _mp_double_pdf(x, pair, family, which):
+    """40-digit closed form: the variate's (inverse-)gamma density times the
+    other variate's tail probability at x, over the normaliser I_p."""
+    with mpmath.workdps(40):
+        a, b = pair.alpha, pair.beta
+        sx, sy, x = mpmath.mpf(pair.s_x), mpmath.mpf(pair.s_y), mpmath.mpf(x)
+        ip = mpmath.betainc(a, b, 0, sx / (sx + sy), regularized=True)
+        shape, rate = (a, sx) if which == "x" else (b, sy)
+        if family == "gamma":
+            f = rate**shape * x**(shape - 1) * mpmath.exp(-rate * x)
+            u = x
+        else:
+            f = rate**shape * x**(-shape - 1) * mpmath.exp(-rate / x)
+            u = 1 / x
+        f /= mpmath.gamma(shape)
+        # gamma X <= gamma Y (inverse-gamma X >= Y) at u: Y's upper tail for
+        # the X density, X's lower tail for the Y density
+        if which == "x":
+            tail = mpmath.gammainc(b, sy * u, mpmath.inf, regularized=True)
+        else:
+            tail = mpmath.gammainc(a, 0, sx * u, regularized=True)
+        return f * tail / ip
+
+
+# the (alpha, beta, s_x, s_y) pairs of validate_distributions' pdf checks
+SUITE_PAIRS = [(2, 3, 1.0, 1.0), (1, 4, 0.5, 2.0), (5, 2, 2.0, 1.0)]
+PDF_REL = 1e-12
+
+
 class TestDoublePdfs:
     PAIR = DominancePair(alpha=2, beta=3, s_x=1.0, s_y=1.0)
+
+    @pytest.mark.parametrize("pair", SUITE_PAIRS, ids=[f"{a}-{b}" for a, b, *_ in SUITE_PAIRS])
+    @pytest.mark.parametrize("family", ["gamma", "invgamma"])
+    @pytest.mark.parametrize("which", ["x", "y"])
+    def test_matches_40_digit_closed_form(self, pair, family, which):
+        # deep lower to deep upper tail; below the smallest normal float the
+        # density may read 0
+        pair = DominancePair(*pair)
+        for x in np.logspace(-6, 6, 49).tolist():
+            got = double_pdf(x, pair, family, which)
+            want = _mp_double_pdf(x, pair, family, which)
+            if want < sys.float_info.min:
+                assert got < sys.float_info.min, x
+            else:
+                assert abs(got / want - 1) <= PDF_REL, x
+
+    @pytest.mark.parametrize("which", ["x", "y"])
+    def test_far_tails_are_zero(self, which):
+        # the inverse-gamma density at 5e-324 is the gamma density at
+        # 1/x = inf; warnings are errors here, so inf - inf would fail
+        for x in (1e300, math.inf):
+            assert double_pdf(x, self.PAIR, "gamma", which) == 0.0
+        for x in (1e300, 5e-324):
+            assert double_pdf(x, self.PAIR, "invgamma", which) == 0.0
 
     @pytest.mark.parametrize("which", ["x", "y"])
     def test_gamma_normalization(self, which):
