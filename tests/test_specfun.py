@@ -53,6 +53,15 @@ def _oracle_log_reg_inc_beta(p, n, m):
     return float(out) if out.ndim == 0 else out
 
 
+def _oracle_gamma_tails(n, x):
+    """40-digit regularized upper and lower incomplete gamma Q(n, x), P(n, x),
+    each integrated directly."""
+    with mpmath.workdps(40):
+        upper = mpmath.gammainc(n, x, mpmath.inf, regularized=True)
+        lower = mpmath.gammainc(n, 0, x, regularized=True)
+    return upper, lower
+
+
 class TestRegIncBeta:
     def test_uniform_cdf(self):
         for p in (0.0, 0.25, 0.5, 0.9, 1.0):
@@ -93,7 +102,8 @@ class TestRegIncBeta:
 
 
 class TestKernelBitIdentity:
-    """The table-and-in-place kernel returns the per-term formula's bits."""
+    """The table-and-in-place kernel returns the per-term formula's bits;
+    the densities' incomplete gamma tail factors are held to an oracle."""
 
     @pytest.mark.parametrize("n, m", [(40960, 368640), (2048, 407552), (512, 15872)])
     @pytest.mark.parametrize("p", [0.0, 1e-300, 0.5, 1.0 - 1e-16, 1.0])
@@ -106,6 +116,21 @@ class TestKernelBitIdentity:
             got = log_reg_inc_beta(grid, n, m)
             assert got.shape == grid.shape
             assert np.array_equal(got, _oracle_log_reg_inc_beta(grid, n, m))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 30, 200, 3000])
+    @pytest.mark.parametrize("x", [1e-300, 1e-6, 0.4, 3.0, 45.0, 800.0, 1e6])
+    def test_upper_series_and_lower_gamma(self, n, x):
+        # the densities' tail factors are held to a 40-digit oracle rather
+        # than to bits: the upper tail for X, the lower for Y, each within
+        # 1e-12 relative (worst on this grid 6.9e-14, P(200, 45)), and
+        # exactly 0 where the true value is below the smallest normal float.
+        # The lower tail at x = 1e-300 and 1e-6 is where 1 - Q cancels.
+        for got, want in zip((specfun.gammaincc(n, x), specfun.gammainc(n, x)),
+                             _oracle_gamma_tails(n, x)):
+            if want < sys.float_info.min:
+                assert got == 0.0
+            else:
+                assert abs(got / want - 1) <= 1e-12
 
     def test_table_growth_order(self):
         # large, then small, then larger than any table so far: growing the
