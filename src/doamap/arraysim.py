@@ -123,20 +123,29 @@ def noise_variances(scenario: ArrayScenario, amps):
     return scenario.d * sigma0_sq
 
 
-def _complex_awgn(rng, shape, var):
-    scale = math.sqrt(var / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-
-
 def synth_freq(scenario: ArrayScenario, rng=None):
     """Frequency-domain data Y = V A + Z (complex D x M) with circular
-    complex AWGN Z of per-entry variance noise_variances(scenario, A)."""
+    complex AWGN Z of per-entry variance noise_variances(scenario, A).
+
+    Y is written in place: its real plane, then its imaginary plane (the
+    stream order), each gains one scaled standard-normal draw made in a
+    single D x M float buffer.  Per component that is the IEEE arithmetic
+    of V A + sqrt(var/2) * (a + 1j*b), so Y has that expression's bits
+    without its draw-sized complex temporaries.
+    """
     if rng is None:
         rng = np.random.default_rng(scenario.seed)
     amps = amplitude_matrix(scenario)
     var = noise_variances(scenario, amps)
-    z = _complex_awgn(rng, (scenario.d, scenario.m), var)
+    shape = (scenario.d, scenario.m)
     if scenario.k_true == 0:
-        return z
-    v = steering_matrix(scenario.doa_deg, scenario.d)
-    return v @ amps.astype(complex) + z
+        y = np.zeros(shape, dtype=complex)
+    else:
+        y = steering_matrix(scenario.doa_deg, scenario.d) @ amps.astype(complex)
+    scale = math.sqrt(var / 2.0)
+    noise = np.empty(shape)
+    for part in (y.real, y.imag):
+        rng.standard_normal(out=noise)
+        noise *= scale
+        part += noise
+    return y

@@ -271,7 +271,9 @@ def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None)
     grid = np.arange(0.0, 180.0, grid_step_deg)
     # every second-order stage reads the eigenbasis of R = Y Y^H
     basis = eigendecompose(sample_covariance(y))
-    norm2_y = float(np.sum(np.abs(y) ** 2))
+    abs_y = np.abs(y)  # squared in place, then freed: one D x M temporary
+    norm2_y = float(np.sum(np.square(abs_y, out=abs_y)))
+    del abs_y
     pairs = [method.split("-", 1) for method in methods]  # (source, rule)
     sources = {source for source, _rule in pairs}
     peaks, posts = {}, {}  # peaks: source -> (angles, steering rows)

@@ -70,10 +70,11 @@ def rmse_amplitude(est_amps, est_doas, true_amps, true_doas):
 
     total = 0.0
     diff = np.zeros(m)
+    sq = np.empty(m)  # scratch row for diff**2
     prev = 0.0
     for angle, delta in events:
-        total += (angle - prev) * float(np.sum(diff**2))
-        diff = diff + delta
+        total += (angle - prev) * float(np.sum(np.square(diff, out=sq)))
+        diff += delta
         prev = angle
-    total += (180.0 - prev) * float(np.sum(diff**2))
+    total += (180.0 - prev) * float(np.sum(np.square(diff, out=sq)))
     return math.sqrt(total / m)

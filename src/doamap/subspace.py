@@ -97,7 +97,8 @@ def eigen_projection(basis: EigenBasis, steer):
     """W = |Q^H v_g|^2, D x G: row j the energy of every grid steering
     vector (row g of the G x D table) on eigenvector j.  Both spectra read
     it, so the grid table is multiplied once per draw."""
-    return np.abs(basis.eigvecs.conj().T @ steer.T) ** 2
+    w = np.abs(basis.eigvecs.conj().T @ steer.T)
+    return np.square(w, out=w)
 
 
 def dtft_spectrum(w, eigvals):

@@ -1,6 +1,7 @@
 """Tests for the synthetic uniform-linear-array data model."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,11 @@ from doamap.arraysim import (
     steering_matrix,
     synth_freq,
 )
-from timedomain import fft_reduce, synth_time, tone_grid
+from timedomain import complex_awgn, fft_reduce, synth_time, tone_grid
+
+# (d, k, m, n) of the benchmark's desk and paper shapes
+DESK = (32, 3, 512, 512)
+PAPER = (100, 5, 4096, 4096)
 
 
 class TestGeometry:
@@ -158,6 +163,39 @@ class TestSynthesis:
         y1 = synth_freq(sc)
         y2 = synth_freq(sc)
         np.testing.assert_array_equal(y1, y2)
+
+    @pytest.mark.parametrize("shape", [DESK, PAPER], ids=["desk", "paper"])
+    @pytest.mark.parametrize("pure_noise", [False, True])
+    @pytest.mark.parametrize("snr_db", [-20.0, 20.0, math.inf])
+    @pytest.mark.parametrize("default_rng", [False, True], ids=["rng", "seed"])
+    def test_freq_matches_reference_expression(self, shape, pure_noise, snr_db,
+                                               default_rng):
+        # Y is written in place, yet has the bits of V A + Z with Z built
+        # as one complex expression from the same stream
+        d, k, m, n = shape
+        k = 0 if pure_noise else k
+        sc = default_scenario(d=d, k=k, m=m, n=n, snr_db=snr_db, seed=21)
+        y = synth_freq(sc, rng=None if default_rng else np.random.default_rng(21))
+        amps = amplitude_matrix(sc)
+        z = complex_awgn(np.random.default_rng(21), (d, m),
+                         noise_variances(sc, amps))
+        if k > 0:
+            z = steering_matrix(sc.doa_deg, d) @ amps.astype(complex) + z
+        assert y.dtype == z.dtype and y.shape == z.shape
+        assert np.array_equal(y.view(float), z.view(float))
+
+    @pytest.mark.parametrize("shape", [DESK, PAPER], ids=["desk", "paper"])
+    def test_freq_peak_memory(self, shape):
+        # one noise buffer (half of Y) is the only draw-sized temporary
+        d, k, m, n = shape
+        sc = default_scenario(d=d, k=k, m=m, n=n, snr_db=0.0, seed=4)
+        tracemalloc.start()
+        try:
+            y = synth_freq(sc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * y.nbytes
 
     def test_freq_noiseless_limit(self):
         sc = default_scenario(d=8, k=2, m=32, n=32, snr_db=240.0, seed=3)

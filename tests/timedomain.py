@@ -7,13 +7,13 @@ statistically identical to `doamap.arraysim.synth_freq`'s Y = V A + Z,
 which the package draws directly.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from doamap.arraysim import (
     ArrayScenario,
-    _complex_awgn,
     amplitude_matrix,
     noise_variances,
     steering_matrix,
@@ -23,6 +23,13 @@ from doamap.arraysim import (
 @dataclass(frozen=True)
 class TimeData:
     x: np.ndarray          # complex D x N sensor output
+
+
+def complex_awgn(rng, shape, var):
+    """Circular complex AWGN of per-entry variance var: all real parts are
+    drawn first, then all imaginary parts."""
+    scale = math.sqrt(var / 2.0)
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 def _tone_matrix(tone_freqs, n):
@@ -43,7 +50,7 @@ def synth_time(scenario: ArrayScenario, rng=None):
     amps = amplitude_matrix(scenario)
     var_freq = noise_variances(scenario, amps)
     w = _tone_matrix(tone_grid(scenario.m, scenario.n), scenario.n)
-    e = _complex_awgn(rng, (scenario.d, scenario.n), scenario.n * var_freq)
+    e = complex_awgn(rng, (scenario.d, scenario.n), scenario.n * var_freq)
     if scenario.k_true == 0:
         return TimeData(x=e)
     v = steering_matrix(scenario.doa_deg, scenario.d)
