@@ -15,19 +15,16 @@ its variate X or Y.  A pair computes its normaliser log I_p once,
 or takes the one `log_q_sum` computed for the same degrees and q.
 
 `log_reg_inc_beta` reads log Gamma(j) from a grow-only module table instead
-of calling `gammaln` per term, and takes the log-sum-exp with the exact
-operations of scipy's `logsumexp` (Blanchard, Higham & Higham, IMA J. Numer.
-Anal. 41(4), 2021).  Operands and operation order are those of the per-term
-formula, so the results are bit-identical to it.  At paper degrees
+of calling `gammaln` per term, and sums the terms with a log-sum-exp
+shifted by each row's max, accurate to a few ulps of that max (Blanchard,
+Higham & Higham, IMA J. Numer. Anal. 41(4), 2021).  At paper degrees
 (n + m ~ 4.1e5) the table holds about 3.3 MB.
 
 `log_reg_inc_beta` computes only a window of its m terms.  Its log-terms
 are concave in the index, so a coarse grid of at most 256 of them bounds
-the indices within 750 of the max; every term outside lies further below,
-where exp (zero below -745.13) returns exactly 0.  The window's exps are
-summed in a zeroed row of all m entries, so `np.sum` adds the same array
-in the same pairwise order as the full-range sum and the result keeps
-every bit.  At paper degrees the window holds about a fifth of the terms.
+the indices within 64 of the max; every term outside lies further below
+and adds under 2^-60 relative to the sum.  At paper degrees the window
+holds about an eighth of the terms.
 
 The conditional densities take their tail factor from scipy's regularized
 incomplete gamma functions, `gammaincc` for X and `gammainc` for Y.  Each
@@ -62,9 +59,11 @@ __all__ = [
 # gammaln(float(j)) for j = 0 .. len-1; replaced by longer tables only
 _LOG_GAMMA = np.empty(0)
 
-# _term_window's grid size and margin; exp(x) is exactly 0 below -745.13
+# _term_window's grid size and margin.  A term more than 64 below its row
+# max is under e^-64 of it, so fewer than 2^32 such terms move the sum by
+# under 2^-60 relative; a row that fits in memory has m < 2^32.
 _GRID = 256
-_MARGIN = 750.0
+_MARGIN = 64.0
 
 
 @dataclass(frozen=True)
@@ -117,38 +116,13 @@ def _log_gamma_table(top):
     return _LOG_GAMMA
 
 
-def _logsumexp(t, lo, size):
-    """log sum exp over the last axis of rows of `size` terms; t is overwritten.
-
-    t holds the terms at [lo, lo + w) of each row, w = t.shape[-1]; every
-    term outside that window must lie more than 745.13 below the row's max,
-    where its shifted exp rounds to exactly 0.  A window of full length is
-    the whole row.
-
-    The operations of scipy's `logsumexp` without its copies: the maximal
-    terms are counted and set aside, the rest are shifted by the max and
-    exponentiated, and the result is log1p(sum / count) + log(count) + max
-    (Blanchard, Higham & Higham, IMA J. Numer. Anal. 41(4), 2021).  The
-    exps of the window go into a zeroed row of full length, so
-    `np.add.reduce` adds the very array the full-range sum would see, with
-    the same pairwise tree, and the result keeps every bit.  The count is
-    an exact integer, so dividing by it and taking its log give the bits
-    of scipy's float count.  A row of -inf gives -inf.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_max = np.maximum.reduce(t, axis=-1)
-        at_max = t == t_max[..., None]
-        count = np.count_nonzero(at_max, axis=-1)
-        np.copyto(t, -np.inf, where=at_max)
-        t -= t_max[..., None]
-        e = np.zeros(t.shape[:-1] + (size,))
-        np.exp(t, out=e[..., lo:lo + t.shape[-1]])
-        out = np.log1p(np.add.reduce(e, axis=-1) / count) + np.log(count) + t_max
-    if out.ndim:
-        out[t_max == -np.inf] = -np.inf
-    elif t_max == -np.inf:
-        out = -np.inf
-    return out
+def _logsumexp(t):
+    """log sum exp over the last axis, each row shifted by its max; a row
+    of -inf gives -inf."""
+    t_max = np.max(t, axis=-1)
+    with np.errstate(invalid="ignore"):  # -inf - -inf in a row of -inf
+        out = np.log(np.sum(np.exp(t - t_max[..., None]), axis=-1)) + t_max
+    return np.where(t_max == -np.inf, -np.inf, out)
 
 
 def _log_terms(p, n, m, sl):
@@ -174,19 +148,17 @@ def _log_terms(p, n, m, sl):
 
 
 def _term_window(p, n, m):
-    """[lo, hi): the indices of log_reg_inc_beta's sum whose exp can be nonzero.
+    """[lo, hi): the indices of log_reg_inc_beta's sum within _MARGIN of the max.
 
     Each row of terms is the log of a negative-binomial pmf in i, a concave
     sequence.  The terms on a grid of at most _GRID indices, one every
     `stride`, are the exact terms of the full range.  Let a and b be the
-    first and last grid points within _MARGIN = 750 of the grid max.  By
+    first and last grid points within _MARGIN of the grid max.  By
     concavity every index up to the grid point before a, or from the grid
     point after b, has a term no larger than that grid point's, which is
-    more than 750 below the grid max and so more than 750 below the row
-    max.  exp underflows to 0 below -745.13, and the 4.9 left over covers
-    the rounding of the terms (below 1e-6 at paper degrees).  An array p
-    takes the union of its rows' windows.  m <= _GRID, or no finite term
-    (p = 1), gives [0, m).
+    more than _MARGIN below the grid max and so more than _MARGIN below
+    the row max.  An array p takes the union of its rows' windows.
+    m <= _GRID, or no finite term (p = 1), gives [0, m).
     """
     stride = -(-m // _GRID)
     if stride == 1:
@@ -207,13 +179,10 @@ def log_reg_inc_beta(p, n, m):
     terms, so the log-sum-exp evaluation keeps full relative accuracy even
     when I_p underflows.  Accepts scalar or array p.
 
-    Only the terms of `_term_window`, those within 750 of their row's max,
-    are computed and exponentiated; at paper degrees that is about a
-    fifth of the m terms.  The rest would round to exactly 0 in exp, and
-    the window's exps are summed in a zero-padded row of length m, so the
-    result is bit-identical to the per-term formula with scipy's
-    `logsumexp` over all m terms.  The log-gamma table grows to n + m
-    entries, about 3.3 MB at paper degrees.
+    Only the terms of `_term_window`, those within _MARGIN = 64 of their
+    row's max, are computed and summed; at paper degrees that is about an
+    eighth of the m terms.  The log-gamma table grows to n + m entries,
+    about 3.3 MB at paper degrees.
     """
     if int(n) != n or n < 1 or int(m) != m or m < 1:
         raise ValueError(f"shapes must be positive integers, got n={n}, m={m}")
@@ -223,7 +192,7 @@ def log_reg_inc_beta(p, n, m):
     n, m = int(n), int(m)
     lo, hi = _term_window(p_arr, n, m)
     log_terms = _log_terms(p_arr, n, m, slice(lo, hi))
-    out = np.minimum(_logsumexp(log_terms, lo, m), 0.0)
+    out = np.minimum(_logsumexp(log_terms), 0.0)
     # exact endpoint I_1 = 1; p = 0's row of -inf already gave log I_0 = -inf
     out = np.where(p_arr == 1.0, 0.0, out)
     if out.ndim == 0:

@@ -1,4 +1,7 @@
-"""Oracle and identity tests for the special-function layer."""
+"""Oracle and identity tests for the special-function layer.
+
+The incomplete-beta kernel is held to the per-term formula within a bound
+fixed in advance, not to its bits; see `_assert_matches_oracle`."""
 
 import math
 import sys
@@ -43,14 +46,36 @@ def _oracle_log_terms(p_arr, n, m):
 
 
 def _oracle_log_reg_inc_beta(p, n, m):
-    """The per-term formula the kernel replaced: gammaln per term plus
-    scipy's logsumexp over all m terms.  The kernel must return its bits
-    exactly."""
+    """The per-term formula: gammaln per term plus scipy's logsumexp over
+    all m terms.  `_assert_matches_oracle` holds the kernel to it."""
     p_arr = np.asarray(p, dtype=float)
     log_terms = _oracle_log_terms(p_arr, n, m)
     out = np.minimum(logsumexp(log_terms, axis=-1), 0.0)
     out = np.where(p_arr == 1.0, 0.0, out)
     return float(out) if out.ndim == 0 else out
+
+
+# the kernel's bound against the per-term formula, in units of
+# eps * max(1, |row max|); worst seen 1.85 over the paper degree pairs x 10
+# edge p, 3,000 random (n, m, p) and the array-p grids
+ORACLE_ULPS = 8
+
+
+def _assert_matches_oracle(got, p, n, m):
+    """The kernel's log I_p equals the per-term formula's at +-inf and at
+    p = 0 and 1, and is elsewhere within ORACLE_ULPS * eps * max(1, |row
+    max|) of it, the row max taken over the formula's m log-terms: a
+    max-shifted log-sum-exp is accurate to a few ulps of that max
+    (Blanchard, Higham & Higham, IMA J. Numer. Anal. 41(4), 2021)."""
+    p_arr = np.asarray(p, dtype=float)
+    got = np.asarray(got)
+    want = np.asarray(_oracle_log_reg_inc_beta(p_arr, n, m))
+    assert got.shape == want.shape
+    exact = np.isinf(want) | (p_arr == 0.0) | (p_arr == 1.0)
+    assert np.array_equal(got[exact], want[exact])
+    row_max = np.max(_oracle_log_terms(p_arr[~exact], n, m), axis=-1)
+    tol = ORACLE_ULPS * np.finfo(float).eps * np.maximum(1.0, np.abs(row_max))
+    assert np.all(np.abs(got[~exact] - want[~exact]) <= tol)
 
 
 def _oracle_gamma_tails(n, x):
@@ -102,20 +127,21 @@ class TestRegIncBeta:
 
 
 class TestKernelBitIdentity:
-    """The table-and-in-place kernel returns the per-term formula's bits;
-    the densities' incomplete gamma tail factors are held to an oracle."""
+    """The table-and-window kernel is held to the per-term formula by
+    `_assert_matches_oracle`; the densities' incomplete gamma tail factors
+    are held to a 40-digit oracle."""
 
     @pytest.mark.parametrize("n, m", [(40960, 368640), (2048, 407552), (512, 15872)])
     @pytest.mark.parametrize("p", [0.0, 1e-300, 0.5, 1.0 - 1e-16, 1.0])
     def test_paper_degrees(self, n, m, p):
-        assert log_reg_inc_beta(p, n, m) == _oracle_log_reg_inc_beta(p, n, m)
+        _assert_matches_oracle(log_reg_inc_beta(p, n, m), p, n, m)
 
     @pytest.mark.parametrize("n, m", [(1, 1), (8, 2), (13, 64), (64, 7), (512, 15872)])
     def test_array_p(self, n, m):
         for grid in (P_GRID, 1.0 - P_GRID, np.array([0.0, 0.4, 1.0])):
             got = log_reg_inc_beta(grid, n, m)
             assert got.shape == grid.shape
-            assert np.array_equal(got, _oracle_log_reg_inc_beta(grid, n, m))
+            _assert_matches_oracle(got, grid, n, m)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 30, 200, 3000])
     @pytest.mark.parametrize("x", [1e-300, 1e-6, 0.4, 3.0, 45.0, 800.0, 1e6])
@@ -141,16 +167,16 @@ class TestKernelBitIdentity:
         n, m = 1000, before + 5000
         grown = log_reg_inc_beta(0.999, n, m)
         assert len(specfun._LOG_GAMMA) > before
-        assert grown == _oracle_log_reg_inc_beta(0.999, n, m)
+        _assert_matches_oracle(grown, 0.999, n, m)
         assert log_reg_inc_beta(0.3, 40960, 368640) == large
         assert log_reg_inc_beta(0.3, 5, 9) == small
-        assert large == _oracle_log_reg_inc_beta(0.3, 40960, 368640)
-        assert small == _oracle_log_reg_inc_beta(0.3, 5, 9)
+        _assert_matches_oracle(large, 0.3, 40960, 368640)
+        _assert_matches_oracle(small, 0.3, 5, 9)
 
     @given(n=st.integers(1, 40_000), m=st.integers(1, 400_000),
            p=st.floats(0.0, 1.0))
     def test_property_matches_oracle(self, n, m, p):
-        assert log_reg_inc_beta(p, n, m) == _oracle_log_reg_inc_beta(p, n, m)
+        _assert_matches_oracle(log_reg_inc_beta(p, n, m), p, n, m)
 
 
 # (n, m, p) of a paper-draw kernel call, captured from a traced draw
@@ -158,12 +184,12 @@ PAPER_CALL = (20480, 389120, 0.0647)
 
 
 class TestKernelWindow:
-    """The kernel exponentiates only `_term_window`'s terms, bit-identically."""
+    """The kernel sums only `_term_window`'s terms, held to the oracle."""
 
     @pytest.mark.parametrize("p", [0.0, 1.0, 5e-324, 1e-300, 1.0 - 2.0**-53])
     @pytest.mark.parametrize("n, m", [(20480, 389120), (1, 400_000)])
     def test_extreme_p(self, n, m, p):
-        assert log_reg_inc_beta(p, n, m) == _oracle_log_reg_inc_beta(p, n, m)
+        _assert_matches_oracle(log_reg_inc_beta(p, n, m), p, n, m)
 
     @pytest.mark.parametrize("m", [specfun._GRID - 1, specfun._GRID, specfun._GRID + 1])
     @pytest.mark.parametrize("n, p", [(1, 1.0 - 2.0**-53), (3, 0.5), (200, 0.02)])
@@ -175,7 +201,7 @@ class TestKernelWindow:
             assert (lo, hi) == (0, m)
         elif n == 1:
             assert hi - lo < m // 4
-        assert log_reg_inc_beta(p, n, m) == _oracle_log_reg_inc_beta(p, n, m)
+        _assert_matches_oracle(log_reg_inc_beta(p, n, m), p, n, m)
 
     def test_array_p_disjoint_windows(self):
         n, m, _ = PAPER_CALL
@@ -183,21 +209,20 @@ class TestKernelWindow:
         (lo0, hi0), (lo1, hi1) = (specfun._term_window(np.asarray(x), n, m) for x in p)
         assert hi0 < lo1
         assert specfun._term_window(p, n, m) == (lo0, hi1)
-        assert np.array_equal(log_reg_inc_beta(p, n, m),
-                              _oracle_log_reg_inc_beta(p, n, m))
+        _assert_matches_oracle(log_reg_inc_beta(p, n, m), p, n, m)
 
     def test_underflow_regime(self):
         # I_p ~ exp(-2e5): every term underflows, only the log domain holds it
         n, m, _ = PAPER_CALL
         got = log_reg_inc_beta(1e-6, n, m)
         assert -2.1e5 < got < -1.9e5
-        assert got == _oracle_log_reg_inc_beta(1e-6, n, m)
+        _assert_matches_oracle(got, 1e-6, n, m)
 
     def test_paper_call_skips_most_terms(self):
         # guards the work saving: a kernel back on the full range fails here
         n, m, p = PAPER_CALL
         lo, hi = specfun._term_window(np.asarray(p), n, m)
-        assert hi - lo < m / 2
+        assert hi - lo < m / 4
 
     @given(n=st.integers(1, 40_000), m=st.integers(1, 400_000),
            p=st.floats(0.0, 1.0))
@@ -206,7 +231,7 @@ class TestKernelWindow:
         assert 0 <= lo < hi <= m
         t = _oracle_log_terms(np.asarray(p), n, m)
         outside = np.concatenate([t[:lo], t[hi:]])
-        assert np.all(outside - np.max(t) < -745.2)
+        assert np.all(outside - np.max(t) < -specfun._MARGIN)
 
 
 class TestProbDominance:
