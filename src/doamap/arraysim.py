@@ -44,8 +44,8 @@ class ArrayScenario:
     seed: int = 0
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("need at least one sensor")
+        if self.d < 1 or self.m < 1:
+            raise ValueError("need at least one sensor and one tone")
         if self.m > self.n:
             raise ValueError(f"tone count M={self.m} exceeds time samples N={self.n}")
         if self.k_true < 0 or len(self.doa_deg) != self.k_true:
@@ -57,6 +57,13 @@ class ArrayScenario:
             raise ValueError("overlap and decay must lie in [0, 1]")
         if not self.snr_db > -math.inf:  # +inf is the noiseless limit
             raise ValueError(f"snr_db must be a number above -inf, got {self.snr_db}")
+        # noise energy D*M*sigma^2 <= D^2*M*10^(-SNR/10) (peak power <= 1)
+        # must be a finite float; compared in log10 so the check cannot overflow
+        snr_floor = 10.0 * (math.log10(self.d ** 2 * self.m)
+                            - math.log10(np.finfo(float).max))
+        if self.snr_db <= snr_floor:
+            raise ValueError(f"snr_db {self.snr_db:g} overflows the noise energy; "
+                             f"it must exceed {snr_floor:.6g} at d={self.d}, m={self.m}")
 
 
 def steering_matrix(doa_deg, d):
@@ -137,13 +144,10 @@ def synth_freq(scenario: ArrayScenario, rng=None):
         rng = np.random.default_rng(scenario.seed)
     amps = amplitude_matrix(scenario)
     var = noise_variances(scenario, amps)
-    shape = (scenario.d, scenario.m)
-    if scenario.k_true == 0:
-        y = np.zeros(shape, dtype=complex)
-    else:
-        y = steering_matrix(scenario.doa_deg, scenario.d) @ amps.astype(complex)
+    # K = 0 is a D x 0 times 0 x M product: the zero matrix
+    y = steering_matrix(scenario.doa_deg, scenario.d) @ amps.astype(complex)
     scale = math.sqrt(var / 2.0)
-    noise = np.empty(shape)
+    noise = np.empty(y.shape)
     for part in (y.real, y.imag):
         rng.standard_normal(out=noise)
         noise *= scale

@@ -124,7 +124,8 @@ class ExperimentConfig:
                               f"<= k_max ({self.k_max})")
         if self.m < 2:
             raise ConfigError("m must be >= 2 (posterior means need K*M > 1)")
-        # the grid has ceil(180 / step) points: two or more, an intp count
+        # arange makes ceil(180 / step) points, an intp count; run_single
+        # drops a last point whose cosine rounds to -1, keeping one or more
         if not (0 < self.grid_step_deg < 180
                 and 180 / self.grid_step_deg <= np.iinfo(np.intp).max):
             raise ConfigError("grid_step_deg must be in (0, 180) with an "
@@ -269,6 +270,9 @@ def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None)
     sigma_true = math.sqrt(noise_variances(scenario, true_amps))
 
     grid = np.arange(0.0, 180.0, grid_step_deg)
+    # rounding can put the last point at 180 degrees (cos = -1), which is the
+    # direction of 0 degrees; keep each direction once
+    grid = grid[np.cos(np.deg2rad(grid)) > -1.0]
     # every second-order stage reads the eigenbasis of R = Y Y^H
     basis = eigendecompose(sample_covariance(y))
     abs_y = np.abs(y)  # squared in place, then freed: one D x M temporary

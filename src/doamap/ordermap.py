@@ -169,7 +169,7 @@ def map_order_scan(y, steer_rows, k_max, m, norm2_y):
     steer_rows is P x D, row i the steering vector of the i-th highest
     spectrum peak; prefix K is the first K rows, transposed, and P = 0
     scores K = 0 alone.  One projection_stats call splits the energy of
-    every prefix, reading Y in one product for K = 1 and one for the rest.
+    every prefix, reading Y in one product.
     The DOA prior contributes -K*log(2*pi) for both the MUSIC and DTFT
     spectra.  A rank-deficient prefix (coincident peaks) scores -inf and is
     flagged.

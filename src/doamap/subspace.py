@@ -5,7 +5,7 @@ data energy splits as |Y|^2 = |V A0|^2 + |H0|^2 with A0 the least-squares
 amplitudes and H0 the residual.  ProjectionStats.from_energy packages that
 split, plus the signal/noise degree counts, for the Bayesian order scores;
 projection_stats computes it on every nested prefix of a steering basis,
-reading the D x M data in one product for K = 1 and one for all K >= 2.
+reading the D x M data in one product for every prefix.
 
 Both spectra are weightings of one eigen-projection W = |Q^H v_g|^2 of the
 G x D grid steering table (row g the steering vector of grid angle g) on
@@ -120,21 +120,15 @@ def pick_peaks(values, count):
     """Grid indices of a spectrum's local maxima, height-descending, ties
     toward the smaller index.
 
-    Interior points must strictly exceed both neighbors; boundary points get a
-    one-sided test.  Returns up to `count` indices, fewer when the curve has
-    fewer maxima.
+    A point must strictly exceed both neighbors, with -inf beyond either
+    end, so an end point gets a one-sided test.  Returns up to `count`
+    indices, fewer when the curve has fewer maxima.
     """
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         raise ValueError("empty spectrum curve")
-    if v.size == 1:
-        idx = np.array([0])
-    else:
-        is_peak = np.zeros(v.size, dtype=bool)
-        is_peak[1:-1] = (v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])
-        is_peak[0] = v[0] > v[1]
-        is_peak[-1] = v[-1] > v[-2]
-        idx = np.nonzero(is_peak)[0]
+    pad = np.concatenate(([-np.inf], v, [-np.inf]))
+    idx = np.flatnonzero((v > pad[:-2]) & (v > pad[2:]))
     # stable sort on -height keeps the smaller index first on ties
     return idx[np.argsort(-v[idx], kind="stable")][:count]
 
@@ -149,34 +143,29 @@ def projection_stats(y, v, m, *, norm2_y):
     1e-10 of its largest is rank deficient (coincident steering vectors)
     and its entry is None.
 
-    Y is read twice: K = 1's row u^H times Y, and one product of the
-    stacked u^H blocks of every full-rank K >= 2 prefix; s_K sums the
-    squared magnitudes of its block.  BLAS sums each entry of a matrix
-    product the same way whichever rows share the product, so every s_K has
-    the bits of its own single-basis product u^H Y (the tests check it with
-    ==).  A 1 x D row times Y takes numpy's matrix-vector path, whose sums
-    differ, hence K = 1 alone.
-    norm2_y is |Y|^2, which the caller sums once per draw.
+    Y is read once: one product of the stacked u^H blocks of every
+    full-rank prefix, and s_K sums the squared magnitudes of its block.
+    BLAS sums each entry of a matrix product the same way whichever rows
+    share the product, so every s_K has the bits of its own u^H block in
+    any product of two or more rows (the tests check it with ==); when K = 1
+    is the only full-rank prefix, its lone row takes numpy's matrix-vector
+    path.  norm2_y is |Y|^2, which the caller sums once per draw.
     """
     d = y.shape[0]
     p = v.shape[1]
     if p > d:
         raise ValueError(f"basis has more columns ({p}) than sensors ({d})")
     s = {0: 0.0}  # captured energy of each full-rank prefix K
-    stacked = []  # (K, u^H) of each full-rank prefix K >= 2
+    stacked = {}  # u^H of each full-rank prefix K >= 1
     for k in range(1, p + 1):
         u, sv, _ = np.linalg.svd(v[:, :k], full_matrices=False)
         if sv[-1] < 1e-10 * sv[0]:
             continue
-        if k == 1:
-            s[1] = float(np.sum(np.abs(u.conj().T @ y) ** 2))
-        else:
-            stacked.append((k, u.conj().T))
+        stacked[k] = u.conj().T
     if stacked:
-        blocks = np.concatenate([uh for _k, uh in stacked]) @ y
-        start = 0
-        for k, _uh in stacked:
-            s[k] = float(np.sum(np.abs(blocks[start:start + k]) ** 2))
-            start += k
+        blocks = np.concatenate(list(stacked.values())) @ y
+        ends = np.cumsum(list(stacked))
+        for k, block in zip(stacked, np.split(blocks, ends[:-1])):
+            s[k] = float(np.sum(np.abs(block) ** 2))
     return [ProjectionStats.from_energy(s[k], norm2_y, k, d, m) if k in s
             else None for k in range(p + 1)]

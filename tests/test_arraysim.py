@@ -124,6 +124,13 @@ class TestScenarioLayout:
                 default_scenario(d=4, k=1, m=8, n=8, snr_db=snr)
         # +inf is the noiseless limit
         assert default_scenario(d=4, k=1, m=8, n=8, snr_db=math.inf).snr_db == math.inf
+        with pytest.raises(ValueError):
+            ArrayScenario(d=4, k_true=0, m=0, n=8, doa_deg=())
+        # the noise energy D*M*sigma^2 <= D^2*M*10^(-SNR/10) must be a finite
+        # float: at D = 4, M = 8 the floor is about -3061.5 dB
+        with pytest.raises(ValueError):
+            default_scenario(d=4, k=1, m=8, n=8, snr_db=-3062.0)
+        assert default_scenario(d=4, k=1, m=8, n=8, snr_db=-3061.0).snr_db == -3061.0
 
 
 class TestNoiseScaling:

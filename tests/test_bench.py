@@ -131,6 +131,10 @@ class TestConfig:
         dict(master_seed=-1),
         dict(snr_grid_db=(0.0, math.nan)),
         dict(snr_grid_db=(-math.inf,)),
+        # noise energy past the float range: 10**400 overflows in the draw
+        dict(snr_grid_db=(-4000.0,)),
+        # sigma^2 = inf at this shape, and eigh fails to converge
+        dict(d=8, k_true=2, m=8, n=8, k_max=5, snr_grid_db=(-3080.0,)),
         dict(methods=("pca-map", "music-map", "pca-map")),
         dict(snr_grid_db=(0.0, 10.0, 0.0)),
         dict(overlap=(0.5, 0.5)),
@@ -144,7 +148,8 @@ class TestConfig:
     ], ids=["grid-step-0", "grid-step-inf", "grid-step-180", "grid-step-tiny",
             "overlap-1.5", "decay-neg", "doa-200", "m-1", "empty-snr",
             "k-true-0", "k-max-0",
-            "seed-neg", "snr-nan", "snr-neg-inf", "dup-method", "dup-snr",
+            "seed-neg", "snr-nan", "snr-neg-inf", "snr-minus-4000",
+            "snr-minus-3080", "dup-method", "dup-snr",
             "dup-overlap", "dup-decay", "dup-signed-zero", "snr-prints-alike",
             "overlap-prints-alike", "decay-prints-alike",
             "known-k-past-k-max"])
@@ -340,6 +345,29 @@ class TestRunSingle:
             assert row["k_hat"] == 3
             assert row["err_doa"] == 0.0
             assert row["rmse_a0"] < 1e-12, row
+
+    @pytest.mark.parametrize("n", [227, 161])
+    def test_grid_holds_each_direction_once(self, n, monkeypatch):
+        # a step of 180/227 rounds so that the last grid point is 180.0, and
+        # 180/161 so that the last point's cosine rounds to -1: both are the
+        # direction of 0 degrees.  At 180/227 this draw (task 0:6 of a sweep
+        # at its first grid point) picked the 180.0 peak, and its DOA
+        # metric raised
+        from doamap.arraysim import ArrayScenario, steering_matrix
+
+        grids = []
+        monkeypatch.setattr(bench, "steering_matrix", lambda doa_deg, d: (
+            grids.append(doa_deg) or steering_matrix(doa_deg, d)))
+        sc = ArrayScenario(d=8, k_true=2, m=16, n=16, doa_deg=(40.0, 120.0),
+                           snr_db=-10.0)
+        rows = run_single(sc, 5, 180.0 / n, bench.KNOWN_METHODS,
+                          rng=np.random.default_rng([0, 0, 6]))
+        assert len(rows) == len(bench.KNOWN_METHODS)
+        (grid,) = grids
+        assert grid.size == n and grid.max() < 180.0
+        omegas = np.pi * np.cos(np.deg2rad(grid))
+        omegas = np.where(omegas >= np.pi, omegas - 2 * np.pi, omegas)
+        assert np.unique(omegas).size == n
 
     def test_coincident_peaks(self, monkeypatch):
         # map flags the rank-deficient prefix K = 2 and picks below it;

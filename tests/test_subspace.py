@@ -65,6 +65,19 @@ class TestCovarianceAndEigen:
             eigendecompose(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+class _MatmulCounter(np.ndarray):
+    """A view of the data that counts the matrix products reading it."""
+
+    matmuls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.matmuls += 1
+        inputs = [x.view(np.ndarray) if isinstance(x, _MatmulCounter) else x
+                  for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
 def _norm2(y):
     """|Y|^2, the energy projection_stats takes from its caller."""
     return float(np.sum(np.abs(y) ** 2))
@@ -173,6 +186,7 @@ class TestPickPeaks:
         ramp = np.arange(5.0)
         assert pick_peaks(ramp, 3).tolist() == [4]
         assert pick_peaks(ramp[::-1].copy(), 3).tolist() == [0]
+        assert pick_peaks(np.array([2.0]), 3).tolist() == [0]
 
     def test_tie_prefers_smaller_angle(self):
         vals = np.array([0.0, 2.0, 0.0, 2.0, 0.0])
@@ -271,9 +285,11 @@ class TestProjectionStats:
         assert stats[1].s == pytest.approx(20.0)
 
     def test_prefixes_match_single_basis_products(self):
-        # each prefix's energy equals that of its own SVD basis times Y, bit
-        # for bit, whether it is K = 1's product or a block of the stacked
-        # K >= 2 product; rank-deficient prefixes (coincident peaks) are None
+        # each prefix's energy, a block of the one stacked product, equals
+        # that of its own SVD basis times Y bit for bit; a 1 x D row alone
+        # takes numpy's matrix-vector path, so K = 1's reference is its row
+        # in a two-row product; rank-deficient prefixes (coincident peaks)
+        # are None
         checked = 0
         for y, basis, steer in _desk_draws():
             values = _music(basis, 10, steer)
@@ -286,12 +302,23 @@ class TestProjectionStats:
                     if sv[-1] < 1e-10 * sv[0]:
                         assert st is None, k
                         continue
-                    s = float(np.sum(np.abs(u.conj().T @ y) ** 2))
+                    uh = u.conj().T
+                    prod = (np.vstack([uh, uh]) @ y)[:1] if k == 1 else uh @ y
+                    s = float(np.sum(np.abs(prod) ** 2))
                     assert st == ProjectionStats.from_energy(
                         s, _norm2(y), k, 32, 512), k
                     checked += 1
             assert [st is None for st in stats] == [False] * 4 + [True] * 4
         assert checked == 5 * (10 + 3)
+
+    @pytest.mark.parametrize("p, products", [(0, 0), (1, 1), (10, 1)])
+    def test_one_data_product_per_call(self, p, products):
+        # every full-rank prefix, K = 1 included, is a block of one product
+        y, basis, steer = next(_desk_draws())
+        rows = steer[pick_peaks(_music(basis, 10, steer), 10)[:p]]
+        counted = y.view(_MatmulCounter)
+        stats = projection_stats(counted, rows.T, 512, norm2_y=_norm2(y))
+        assert len(stats) == p + 1 and counted.matmuls == products
 
     def test_too_many_columns(self):
         y = np.ones((3, 4), dtype=complex)
