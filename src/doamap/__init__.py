@@ -29,7 +29,6 @@ from .subspace import (
     EigenBasis,
     ProjectionStats,
     dtft_spectrum,
-    eigen_projection,
     eigendecompose,
     music_pseudospectrum,
     pick_peaks,

@@ -20,6 +20,7 @@ import numpy as np
 
 __all__ = [
     "ArrayScenario",
+    "spatial_frequency",
     "steering_matrix",
     "amplitude_matrix",
     "default_doas",
@@ -57,24 +58,33 @@ class ArrayScenario:
             raise ValueError("overlap and decay must lie in [0, 1]")
         if not self.snr_db > -math.inf:  # +inf is the noiseless limit
             raise ValueError(f"snr_db must be a number above -inf, got {self.snr_db}")
-        # noise energy D*M*sigma^2 <= D^2*M*10^(-SNR/10) (peak power <= 1)
-        # must be a finite float; compared in log10 so the check cannot overflow
-        snr_floor = 10.0 * (math.log10(self.d ** 2 * self.m)
+        # |Y|^2 is about the noise energy D*M*sigma^2 <= D^2*M*10^(-SNR/10)
+        # (peak power <= 1), and the DTFT spectrum and its lag polynomial's
+        # partial sums are at most (2D+1)|Y|^2: with 16x room for the noise
+        # draw's spread that bound must be a finite float (compared in log10,
+        # so the check cannot overflow)
+        snr_floor = 10.0 * (math.log10(16 * (2 * self.d + 1) * self.d ** 2 * self.m)
                             - math.log10(np.finfo(float).max))
         if self.snr_db <= snr_floor:
-            raise ValueError(f"snr_db {self.snr_db:g} overflows the noise energy; "
+            raise ValueError(f"snr_db {self.snr_db:g} overflows the draw's spectra; "
                              f"it must exceed {snr_floor:.6g} at d={self.d}, m={self.m}")
+
+
+def spatial_frequency(doa_deg):
+    """omega = pi*cos(phi) of arrival angles in degrees, mapped into
+    [-pi, pi): 0 degrees and 180 degrees are both omega = -pi."""
+    angles = np.atleast_1d(np.asarray(doa_deg, dtype=float))
+    omegas = np.pi * np.cos(np.deg2rad(angles))
+    return np.where(omegas >= np.pi, omegas - 2 * np.pi, omegas)
 
 
 def steering_matrix(doa_deg, d):
     """D x K steering matrix for arrival angles in degrees.
 
-    Column k is exp(j*omega_k*d), d = 1..D, with omega_k = pi*cos(phi_k)
-    mapped into [-pi, pi); each column has squared norm D.
+    Column k is exp(j*omega_k*d), d = 1..D, with omega_k the
+    spatial_frequency of phi_k; each column has squared norm D.
     """
-    angles = np.atleast_1d(np.asarray(doa_deg, dtype=float))
-    omegas = np.pi * np.cos(np.deg2rad(angles))
-    omegas = np.where(omegas >= np.pi, omegas - 2 * np.pi, omegas)
+    omegas = spatial_frequency(doa_deg)
     return np.exp(1j * np.outer(np.arange(1, d + 1), omegas))
 
 

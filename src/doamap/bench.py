@@ -22,6 +22,7 @@ from .arraysim import (
     amplitude_matrix,
     default_doas,
     noise_variances,
+    spatial_frequency,
     steering_matrix,
     synth_freq,
 )
@@ -34,8 +35,9 @@ from .ordermap import (
 )
 from .subspace import (
     dtft_spectrum,
-    eigen_projection,
     eigendecompose,
+    music_candidates,
+    music_exact,
     music_pseudospectrum,
     pick_peaks,
     sample_covariance,
@@ -48,6 +50,7 @@ __all__ = [
     "CSV_HEADER",
     "METRICS",
     "run_single",
+    "spectrum_peaks",
     "run_sweep",
     "write_results",
     "write_aggregates",
@@ -252,14 +255,43 @@ def _peak_pipeline_metrics(y, angles, rows, tau, true_doas, true_amps):
             rmse_amplitude((1.0 - tau) * a0, angles, true_amps, true_doas))
 
 
+def spectrum_peaks(cov, basis, grid, k_max, sources):
+    """{source: (angles, steering rows)} of the peaks of the music and dtft
+    spectra among `sources`, highest first, rows P x D, P <= k_max.
+
+    cov is R = Y Y^H and basis its eigenbasis.  The DTFT peaks are those
+    of its lag polynomial.  MUSIC's polynomial only locates candidates:
+    its peaks are picked on the exact pseudospectrum at each candidate and
+    its two neighbours, NaN elsewhere, so no other point can peak.  One
+    steering_matrix call gives every row that is read.
+    """
+    d = cov.shape[0]
+    omega = spatial_frequency(grid)
+    idx, near = {}, np.empty(0, dtype=np.intp)  # near: sorted grid indices
+    if "dtft" in sources:
+        idx["dtft"] = pick_peaks(dtft_spectrum(cov, omega), k_max)
+        near = np.sort(idx["dtft"])
+    if "music" in sources:
+        near = np.union1d(near, music_candidates(
+            music_pseudospectrum(basis.eigvecs, k_max, omega), d, k_max))
+    steer = steering_matrix(grid[near], d).T  # row i steers toward grid[near[i]]
+    if "music" in sources:
+        exact = np.full(grid.size, np.nan)
+        exact[near] = music_exact(basis.eigvecs, k_max, steer)
+        idx["music"] = pick_peaks(exact, k_max)
+    return {source: (grid[i], steer[np.searchsorted(near, i)])
+            for source, i in idx.items()}
+
+
 def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None):
     """Execute every requested pipeline on one data draw.
 
     A method is '<source>-<rule>'.  Each source (pca, or the peaks of the
-    music or dtft spectrum, both read from one eigen-projection of the grid
-    steering table; the scans and amplitude fits read only the peaks'
-    rows) runs its order scan once; the rule only picks K: map the MAP
-    order, aic the AIC order, known-k the true count.  The posterior
+    music or dtft spectrum, lag polynomials of R = Y Y^H and of the noise
+    projector, MUSIC's ranked by its exact pseudospectrum; see
+    spectrum_peaks) runs its order scan once; the rule only picks K: map
+    the MAP order, aic the AIC order, known-k the true count.  The scans
+    and amplitude fits read only the peaks' steering rows.  The posterior
     (reusing the log I_p of an order the scan scored), amplitude fit and
     metrics run once per (source, K), shared by every method picking it (a
     K past the last peak reads the last prefix).  Returns dicts with the
@@ -273,28 +305,20 @@ def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None)
     # rounding can put the last point at 180 degrees (cos = -1), which is the
     # direction of 0 degrees; keep each direction once
     grid = grid[np.cos(np.deg2rad(grid)) > -1.0]
-    # every second-order stage reads the eigenbasis of R = Y Y^H
-    basis = eigendecompose(sample_covariance(y))
+    # every second-order stage reads R = Y Y^H or its eigenbasis
+    cov = sample_covariance(y)
+    basis = eigendecompose(cov)
     abs_y = np.abs(y)  # squared in place, then freed: one D x M temporary
     norm2_y = float(np.sum(np.square(abs_y, out=abs_y)))
     del abs_y
     pairs = [method.split("-", 1) for method in methods]  # (source, rule)
     sources = {source for source, _rule in pairs}
-    peaks, posts = {}, {}  # peaks: source -> (angles, steering rows)
+    posts = {}
     if "pca" in sources:
         posts["pca"] = map_order_pca(basis, norm2_y, k_max, scenario.m)
-    if sources & {"music", "dtft"}:
-        steer = steering_matrix(grid, scenario.d).T  # G x D, row g: grid[g]
-        w = eigen_projection(basis, steer)
-        spectra = {}
-        if "music" in sources:
-            spectra["music"] = music_pseudospectrum(w, k_max)
-        if "dtft" in sources:
-            spectra["dtft"] = dtft_spectrum(w, basis.eigvals)
-        for source, values in spectra.items():
-            idx = pick_peaks(values, k_max)  # grid indices, highest first
-            peaks[source] = grid[idx], steer[idx]
-        del steer, w  # freed before the scans' stacked products
+    # peaks: source -> (angles, steering rows)
+    peaks = (spectrum_peaks(cov, basis, grid, k_max, sources)
+             if sources & {"music", "dtft"} else {})
     for source, (_angles, rows) in peaks.items():
         posts[source] = map_order_scan(y, rows, k_max, scenario.m, norm2_y)
 

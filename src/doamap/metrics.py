@@ -64,8 +64,16 @@ def rmse_amplitude(est_amps, est_doas, true_amps, true_doas):
     if est_doas.size != est_amps.shape[0]:
         raise ValueError("estimated amplitude rows must match estimated DOA count")
 
-    events = [(float(a), np.abs(true_amps[k]) ** 2) for k, a in enumerate(true_doas)]
-    events += [(float(a), -np.abs(est_amps[k]) ** 2) for k, a in enumerate(est_doas)]
+    true_pow, est_pow = (np.abs(a).astype(float, copy=False)
+                         for a in (true_amps, est_amps))
+    # every power |a|^2 is taken at scale 2^-2e, e the exponent of the
+    # largest |a|, so neither it nor a squared difference can overflow; a
+    # power-of-two scale rounds as the unscaled arithmetic would
+    exp = math.frexp(max(true_pow.max(initial=0.0), est_pow.max(initial=0.0)))[1]
+    for x in (true_pow, est_pow):
+        np.square(np.ldexp(x, -exp, out=x), out=x)
+    events = list(zip(true_doas.tolist(), true_pow))
+    events += [(a, -p) for a, p in zip(est_doas.tolist(), est_pow)]
     events.sort(key=lambda e: e[0])
 
     total = 0.0
@@ -77,4 +85,4 @@ def rmse_amplitude(est_amps, est_doas, true_amps, true_doas):
         diff += delta
         prev = angle
     total += (180.0 - prev) * float(np.sum(np.square(diff, out=sq)))
-    return math.sqrt(total / m)
+    return math.ldexp(math.sqrt(total / m), 2 * exp)

@@ -7,12 +7,23 @@ split, plus the signal/noise degree counts, for the Bayesian order scores;
 projection_stats computes it on every nested prefix of a steering basis,
 reading the D x M data in one product for every prefix.
 
-Both spectra are weightings of one eigen-projection W = |Q^H v_g|^2 of the
-G x D grid steering table (row g the steering vector of grid angle g) on
-the eigenbasis Q of R = Y Y^H (Schmidt, IEEE TAP 34(3), 1986): MUSIC sums
-W over the noise eigenvectors, the DTFT beamformer v^H R v weights W by
-the eigenvalues.  A spectrum peak is a grid index, so its steering vector
-is a row of the table.
+Both spectra are quadratic forms v^H H v of a D x D Hermitian H at the
+grid steering vectors v_a = e^{i omega a}, and any such form is a
+trigonometric polynomial in the lags of H:
+
+    v^H H v = c_0 + 2 Re sum_{l >= 1} c_l e^{-i omega l},
+
+c_l the sum of H's l-th subdiagonal.  The lags take O(D^2) and Horner in
+z = e^{-i omega} evaluates the polynomial over the grid in O(G D), with no
+G x D steering table.  The DTFT beamformer takes H = R = Y Y^H, the spatial
+correlogram (Stoica & Moses, Spectral Analysis of Signals, 2005, ch. 2 and
+6).  MUSIC (Schmidt, IEEE TAP 34(3), 1986) takes the noise projector
+H = Q_n Q_n^H, the polynomial root-MUSIC roots (Barabell, ICASSP 1983),
+here only evaluated on the grid.  Its error is absolute, within
+NOISE_POLY_ERR * D of the noise energy, and near a deep null that is far
+more than the energy itself, so it only locates MUSIC's candidate peaks:
+the peak test and the ranking read the exact sum_{j >= k} |q_j^H v|^2 at
+each candidate and its two grid neighbours (music_exact).
 """
 
 from __future__ import annotations
@@ -26,15 +37,19 @@ __all__ = [
     "ProjectionStats",
     "sample_covariance",
     "eigendecompose",
-    "eigen_projection",
     "dtft_spectrum",
     "music_pseudospectrum",
+    "music_candidates",
+    "music_exact",
     "pick_peaks",
     "projection_stats",
 ]
 
 # residual-energy floor, relative to |Y|^2: keeps q > 0 for noiseless inputs
 T_CLAMP_REL = 1e-12
+# |MUSIC lag polynomial - sum_{j >= k} |q_j^H v|^2| <= NOISE_POLY_ERR * D,
+# the tests' bound (measured at worst 14.7 D eps, at paper shape)
+NOISE_POLY_ERR = 64 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -79,8 +94,8 @@ def eigendecompose(cov):
     """Descending eigenpairs of a Hermitian PSD matrix.
 
     Negative round-off eigenvalues are clamped to zero.  Eigenvector phases
-    are eigh's: both spectra read |Q^H v|^2 and PCA and AIC read only
-    eigenvalues.
+    are eigh's: MUSIC reads Q_n Q_n^H and |Q^H v|^2, and PCA and AIC read
+    only eigenvalues.
     """
     cov = np.asarray(cov)
     herm_err = np.max(np.abs(cov - cov.conj().T))
@@ -93,27 +108,83 @@ def eigendecompose(cov):
     return EigenBasis(eigvecs=vecs[:, ::-1].copy(), eigvals=vals)
 
 
-def eigen_projection(basis: EigenBasis, steer):
-    """W = |Q^H v_g|^2, D x G: row j the energy of every grid steering
-    vector (row g of the G x D table) on eigenvector j.  Both spectra read
-    it, so the grid table is multiplied once per draw."""
-    w = np.abs(basis.eigvecs.conj().T @ steer.T)
-    return np.square(w, out=w)
+def _lags(h):
+    """c_l, the sum of the l-th subdiagonal of the D x D matrix h, l < D."""
+    d = h.shape[0]
+    lag = np.subtract.outer(np.arange(d), np.arange(d)).ravel() + (d - 1)
+    sums = (np.bincount(lag, weights=h.real.ravel())
+            + 1j * np.bincount(lag, weights=h.imag.ravel()))
+    return sums[d - 1:]  # the upper diagonals, lags 1 - d..-1, are dropped
 
 
-def dtft_spectrum(w, eigvals):
-    """Power spectrum |v(pi*cos(phi))^H Y|^2 = v^H R v = sum_j lambda_j W_jg
-    on the grid, from the eigen-projection W of R = Y Y^H."""
-    return eigvals @ w
+def _hermitian_form(h, omega):
+    """v^H h v on the grid omega for a Hermitian h: its lag polynomial
+    c_0 + 2 Re sum_{l >= 1} c_l z^l, the sum by Horner in z = e^{-i omega}."""
+    lags = _lags(h)
+    z = np.exp(-1j * np.asarray(omega, dtype=float))
+    acc = np.zeros(z.shape, dtype=complex)
+    for c in lags[:0:-1].tolist():
+        acc += c
+        acc *= z
+    return lags[0].real + 2.0 * acc.real
 
 
-def music_pseudospectrum(w, k_sub):
-    """Reciprocal noise-subspace projection 1 / |Q_noise^H v(phi)|^2 on the
-    grid: 1 / sum_{j >= k_sub} W_jg from the eigen-projection W."""
-    d = w.shape[0]
+def _check_subspace(d, k_sub):
     if not 0 < k_sub < d:
         raise ValueError(f"signal subspace size must lie in (0, {d}), got {k_sub}")
+
+
+def dtft_spectrum(cov, omega):
+    """Power spectrum |v(omega)^H Y|^2 = v^H R v on the grid of spatial
+    frequencies omega, from the lags of R = Y Y^H."""
+    return _hermitian_form(cov, omega)
+
+
+def music_pseudospectrum(eigvecs, k_sub, omega):
+    """MUSIC pseudospectrum 1 / |Q_n^H v|^2 on the grid, located only: the
+    noise energy is the lag polynomial of Q_n Q_n^H, Q_n = eigvecs[:, k_sub:],
+    within NOISE_POLY_ERR * D absolute (see music_candidates)."""
+    _check_subspace(eigvecs.shape[0], k_sub)
+    q_n = eigvecs[:, k_sub:]
+    energy = _hermitian_form(q_n @ q_n.conj().T, omega)
+    return 1.0 / np.maximum(energy, 1e-300)
+
+
+def music_exact(eigvecs, k_sub, rows):
+    """MUSIC pseudospectrum 1 / sum_{j >= k_sub} |q_j^H v|^2 at each of the
+    P x D steering rows v, summed over the noise eigenvectors q_j.
+
+    Every eigenvector's energy is computed and the signal ones dropped, so
+    a one-column Q_n takes the same matrix product as a wider one.
+    """
+    _check_subspace(eigvecs.shape[0], k_sub)
+    w = np.abs(eigvecs.conj().T @ rows.T)
+    np.square(w, out=w)
     return 1.0 / np.maximum(np.sum(w[k_sub:], axis=0), 1e-300)
+
+
+def music_candidates(values, d, count):
+    """Sorted grid indices at which the exact MUSIC pseudospectrum can have
+    one of its `count` highest local maxima, given its located curve
+    `values` at D sensors, and the in-range neighbours of each.
+
+    With e the noise energy 1 / values and tol = NOISE_POLY_ERR * D its
+    error bound, an exact local maximum has e below both neighbours' plus
+    2 tol (beyond either end counts as +inf), and a point below both by
+    more than 2 tol surely is one.  A point whose e exceeds the count-th
+    lowest sure maximum's by more than 3 tol is lower, exactly, than count
+    maxima, so it is dropped.
+    """
+    energy = 1.0 / values
+    tol = NOISE_POLY_ERR * d
+    pad = np.concatenate(([np.inf], energy, [np.inf]))
+    below = np.minimum(pad[:-2], pad[2:]) - energy
+    idx = np.flatnonzero(below > -2 * tol)
+    sure = energy[below > 2 * tol]
+    if sure.size >= count:
+        idx = idx[energy[idx] <= np.partition(sure, count - 1)[count - 1] + 3 * tol]
+    near = np.concatenate((idx - 1, idx, idx + 1))
+    return np.unique(near[(near >= 0) & (near < energy.size)])
 
 
 def pick_peaks(values, count):
@@ -121,8 +192,9 @@ def pick_peaks(values, count):
     toward the smaller index.
 
     A point must strictly exceed both neighbors, with -inf beyond either
-    end, so an end point gets a one-sided test.  Returns up to `count`
-    indices, fewer when the curve has fewer maxima.
+    end, so an end point gets a one-sided test; a NaN point, or one next
+    to a NaN, is no peak (a curve known only in places).  Returns up to
+    `count` indices, fewer when the curve has fewer maxima.
     """
     v = np.asarray(values, dtype=float)
     if v.size == 0:

@@ -126,11 +126,12 @@ class TestScenarioLayout:
         assert default_scenario(d=4, k=1, m=8, n=8, snr_db=math.inf).snr_db == math.inf
         with pytest.raises(ValueError):
             ArrayScenario(d=4, k_true=0, m=0, n=8, doa_deg=())
-        # the noise energy D*M*sigma^2 <= D^2*M*10^(-SNR/10) must be a finite
-        # float: at D = 4, M = 8 the floor is about -3061.5 dB
+        # 16 (2D+1) times the noise energy bound D^2*M*10^(-SNR/10), which
+        # bounds the DTFT spectrum with room for the noise draw, must be a
+        # finite float: at D = 4, M = 8 the floor is about -3039.9 dB
         with pytest.raises(ValueError):
-            default_scenario(d=4, k=1, m=8, n=8, snr_db=-3062.0)
-        assert default_scenario(d=4, k=1, m=8, n=8, snr_db=-3061.0).snr_db == -3061.0
+            default_scenario(d=4, k=1, m=8, n=8, snr_db=-3040.0)
+        assert default_scenario(d=4, k=1, m=8, n=8, snr_db=-3039.8).snr_db == -3039.8
 
 
 class TestNoiseScaling:

@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import importlib.util
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +136,9 @@ class TestConfig:
         dict(snr_grid_db=(-4000.0,)),
         # sigma^2 = inf at this shape, and eigh fails to converge
         dict(d=8, k_true=2, m=8, n=8, k_max=5, snr_grid_db=(-3080.0,)),
+        # a finite noise energy whose DTFT spectrum, up to (2D+1)|Y|^2,
+        # overflowed in task 0:0 of a dtft-map sweep on a 1-degree grid
+        dict(d=16, k_true=2, m=4, n=4, k_max=2, snr_grid_db=(-3050.0,)),
         dict(methods=("pca-map", "music-map", "pca-map")),
         dict(snr_grid_db=(0.0, 10.0, 0.0)),
         dict(overlap=(0.5, 0.5)),
@@ -149,7 +153,7 @@ class TestConfig:
             "overlap-1.5", "decay-neg", "doa-200", "m-1", "empty-snr",
             "k-true-0", "k-max-0",
             "seed-neg", "snr-nan", "snr-neg-inf", "snr-minus-4000",
-            "snr-minus-3080", "dup-method", "dup-snr",
+            "snr-minus-3080", "snr-dtft-overflow", "dup-method", "dup-snr",
             "dup-overlap", "dup-decay", "dup-signed-zero", "snr-prints-alike",
             "overlap-prints-alike", "decay-prints-alike",
             "known-k-past-k-max"])
@@ -346,6 +350,19 @@ class TestRunSingle:
             assert row["err_doa"] == 0.0
             assert row["rmse_a0"] < 1e-12, row
 
+    def test_far_below_the_noise_floor_runs_clean(self):
+        # desk task 0:1 at -2000 dB: dtft-map picks K = 6, and its amplitude
+        # differences (~1e201) overflowed when squared, so the RMSE read inf
+        cfg = ExperimentConfig(snr_grid_db=(-2000.0,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = run_single(cfg.scenarios()[0], cfg.k_max, cfg.grid_step_deg,
+                              cfg.methods, rng=np.random.default_rng([0, 0, 1]))
+        (dtft,) = [row for row in rows if row["method"] == "dtft-map"]
+        assert dtft["k_hat"] == 6
+        assert all(math.isfinite(dtft[f]) for f in METRICS)
+        assert dtft["rmse_a0"] > 1e200
+
     @pytest.mark.parametrize("n", [227, 161])
     def test_grid_holds_each_direction_once(self, n, monkeypatch):
         # a step of 180/227 rounds so that the last grid point is 180.0, and
@@ -353,11 +370,11 @@ class TestRunSingle:
         # direction of 0 degrees.  At 180/227 this draw (task 0:6 of a sweep
         # at its first grid point) picked the 180.0 peak, and its DOA
         # metric raised
-        from doamap.arraysim import ArrayScenario, steering_matrix
+        from doamap.arraysim import ArrayScenario, spatial_frequency
 
         grids = []
-        monkeypatch.setattr(bench, "steering_matrix", lambda doa_deg, d: (
-            grids.append(doa_deg) or steering_matrix(doa_deg, d)))
+        monkeypatch.setattr(bench, "spatial_frequency", lambda doa_deg: (
+            grids.append(doa_deg) or spatial_frequency(doa_deg)))
         sc = ArrayScenario(d=8, k_true=2, m=16, n=16, doa_deg=(40.0, 120.0),
                            snr_db=-10.0)
         rows = run_single(sc, 5, 180.0 / n, bench.KNOWN_METHODS,
@@ -464,8 +481,9 @@ class TestBenchmarkContract:
     def test_one_scan_per_source(self):
         # every rule reads its source's one scan: one projection_stats call
         # splits all of a scan's candidates, and the steering matrices are
-        # synthesis and the one grid table that both spectra read and whose
-        # peak rows both scans and every amplitude fit read
+        # synthesis and the one set of peak rows (MUSIC's candidates and
+        # their neighbours with the DTFT peaks) that MUSIC's ranking, both
+        # scans and every amplitude fit read
         _tracing, tracer, _rows = self._traced_six_method_draw()
         counts = tracer.counts
         scored = counts["ordermap.map_order_scan", "candidates_scored"]
@@ -542,20 +560,19 @@ class TestBenchmarkContract:
 
     def test_dtft_counts_read_the_grid_table(self, monkeypatch):
         # _dtft_counts multiplies the first argument's two dimensions by
-        # len() of the second: the D x G eigen-projection of the grid table
-        # and the D eigenvalues count 8*G*D^2, the complex product that
-        # made the projection both spectra read
+        # len() of the second: R (D x D) and the G spatial frequencies of
+        # the grid count 8*G*D^2
         from doamap import subspace
 
         tables = []
 
-        def spy(w, eigvals):
-            tables.append((np.shape(w), len(eigvals)))
-            return subspace.dtft_spectrum(w, eigvals)  # traced under instrument
+        def spy(cov, omega):
+            tables.append((np.shape(cov), len(omega)))
+            return subspace.dtft_spectrum(cov, omega)  # traced under instrument
 
         monkeypatch.setattr(bench, "dtft_spectrum", spy)
         tracing, tracer, _rows = self._traced_six_method_draw()
-        assert tables == [((16, 90), 16)]
+        assert tables == [((16, 16), 90)]
         layers = tracing.layer_metrics([tracer], [1], 1)
         assert layers["subspace.dtft_spectrum.gflop_computed"] == (
             8 * 90 * 16**2 / 1e9)

@@ -121,6 +121,24 @@ class TestRmseAmplitude:
         exact = rmse_amplitude(a_est, d_est, a_true, d_true)
         assert exact == pytest.approx(approx, rel=1e-3)
 
+    @pytest.mark.parametrize("j", [-400, -1, 0, 1, 400])
+    def test_power_of_two_scale_is_exact(self, j):
+        # amplitudes times 2^j scale every power, so the RMSE, by 4^j bit
+        # for bit: at 2^400 the differences' squares pass 2^1600 and at
+        # 2^-400 they fall below 2^-1600, past overflow and underflow
+        rng = np.random.default_rng(9)
+        a_est, a_true = rng.standard_normal((3, 6)), rng.standard_normal((2, 6))
+        d_est, d_true = (15.0, 70.0, 71.0), (20.0, 90.0)
+        want = rmse_amplitude(a_est, d_est, a_true, d_true)
+        got = rmse_amplitude(np.ldexp(a_est, j), d_est, np.ldexp(a_true, j), d_true)
+        assert got == math.ldexp(want, 2 * j)
+
+    def test_integer_amplitudes(self):
+        # one unit source against one unit estimate 10 degrees off, per
+        # tone: a unit step over 10 degrees of 180
+        assert rmse_amplitude([[1, 1]], [20.0], [[1, 1]], [30.0]) == (
+            pytest.approx(math.sqrt(10.0)))
+
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError):
             rmse_amplitude(np.ones((1, 2)), (10.0,), np.ones((1, 3)), (10.0,))

@@ -13,6 +13,7 @@ from doamap.arraysim import (
     synth_freq,
 )
 from doamap import ordermap, specfun
+from doamap.bench import spectrum_peaks
 from doamap.ordermap import (
     _finish_posterior,
     aic_order,
@@ -24,11 +25,7 @@ from doamap.ordermap import (
 from doamap.specfun import log_q_sum
 from doamap.subspace import (
     ProjectionStats,
-    dtft_spectrum,
-    eigen_projection,
     eigendecompose,
-    music_pseudospectrum,
-    pick_peaks,
     projection_stats,
     sample_covariance,
 )
@@ -121,10 +118,9 @@ class TestPosteriorVariances:
             sc = default_scenario(d=32, k=3, m=512, n=512, snr_db=snr_db,
                                   seed=seed)
             y = synth_freq(sc, rng=np.random.default_rng(seed))
-            basis = eigendecompose(sample_covariance(y))
-            steer = steering_matrix(GRID, sc.d).T
-            w = eigen_projection(basis, steer)
-            rows = steer[pick_peaks(music_pseudospectrum(w, 10), 10)]
+            cov = sample_covariance(y)
+            basis = eigendecompose(cov)
+            _angles, rows = spectrum_peaks(cov, basis, GRID, 10, {"music"})["music"]
             for post in (map_order_pca(basis, _norm2(y), 10, sc.m),
                          map_order_scan(y, rows, 10, sc.m, _norm2(y))):
                 for k in range(1, len(post.stats_per_k)):
@@ -208,16 +204,9 @@ class TestMapOrderPca:
 
 class TestMapOrderScan:
     def _peaks(self, y, kind, k_max=10):
-        """Grid indices of the spectrum's peaks and their steering rows."""
-        steer = steering_matrix(GRID, y.shape[0]).T
-        basis = eigendecompose(sample_covariance(y))
-        w = eigen_projection(basis, steer)
-        if kind == "dtft":
-            values = dtft_spectrum(w, basis.eigvals)
-        else:
-            values = music_pseudospectrum(w, k_max)
-        idx = pick_peaks(values, k_max)
-        return idx, steer[idx]
+        """Angles of the spectrum's peaks and their steering rows."""
+        cov = sample_covariance(y)
+        return spectrum_peaks(cov, eigendecompose(cov), GRID, k_max, {kind})[kind]
 
     def test_k0_score_is_zero(self):
         sc = default_scenario(d=16, k=1, m=128, n=128, snr_db=10.0, seed=2)
@@ -264,10 +253,10 @@ class TestMapOrderScan:
         # each prefix's stats equal those of its own steering matrix, bit for bit
         sc = default_scenario(d=16, k=3, m=64, n=64, snr_db=5.0, seed=7)
         y = synth_freq(sc)
-        idx, rows = self._peaks(y, "music", k_max=5)
+        angles, rows = self._peaks(y, "music", k_max=5)
         post = map_order_scan(y, rows, 5, sc.m, _norm2(y))
         for k in range(1, len(post.stats_per_k)):
-            v = steering_matrix(GRID[idx[:k]], sc.d)
+            v = steering_matrix(angles[:k], sc.d)
             assert post.stats_per_k[k] == projection_stats(
                 y, v, sc.m, norm2_y=_norm2(y))[-1]
 
@@ -308,15 +297,13 @@ class TestPrunedScan:
             sc = default_scenario(d=32, k=3, m=512, n=512, snr_db=snr_db,
                                   seed=seed)
             y = synth_freq(sc, rng=np.random.default_rng(seed))
-            basis = eigendecompose(sample_covariance(y))
+            cov = sample_covariance(y)
+            basis = eigendecompose(cov)
             pruned += _check_pruned(
                 map_order_pca(basis, _norm2(y), 10, sc.m),
                 _pca_prior(sc.d))
-            steer = steering_matrix(GRID, sc.d).T
-            w = eigen_projection(basis, steer)
-            for values in (music_pseudospectrum(w, 10),
-                           dtft_spectrum(w, basis.eigvals)):
-                rows = steer[pick_peaks(values, 10)]
+            peaks = spectrum_peaks(cov, basis, GRID, 10, {"music", "dtft"})
+            for _angles, rows in peaks.values():
                 pruned += _check_pruned(
                     map_order_scan(y, rows, 10, sc.m, _norm2(y)),
                     _scan_prior)

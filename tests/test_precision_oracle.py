@@ -27,8 +27,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from doamap.arraysim import steering_matrix, synth_freq
-from doamap.bench import ExperimentConfig
+from doamap.arraysim import synth_freq
+from doamap.bench import ExperimentConfig, spectrum_peaks
 from doamap.ordermap import (
     log_stiefel_volume,
     map_order_pca,
@@ -36,14 +36,7 @@ from doamap.ordermap import (
     posterior_variances,
 )
 from doamap.specfun import DominancePair
-from doamap.subspace import (
-    dtft_spectrum,
-    eigen_projection,
-    eigendecompose,
-    music_pseudospectrum,
-    pick_peaks,
-    sample_covariance,
-)
+from doamap.subspace import eigendecompose, sample_covariance
 
 # the desk-sweep draws (grid index, run index): -30, 0 and 30 dB, overlap 0
 CONFIG = ExperimentConfig(overlap=(0.0, 0.999))
@@ -61,19 +54,15 @@ def _posteriors(gi, ri):
     cfg = CONFIG
     scenario = cfg.scenarios()[gi]
     y = synth_freq(scenario, rng=np.random.default_rng([cfg.master_seed, gi, ri]))
-    basis = eigendecompose(sample_covariance(y))
+    cov = sample_covariance(y)
+    basis = eigendecompose(cov)
     norm2_y = float(np.sum(np.abs(y) ** 2))
     grid = np.arange(0.0, 180.0, cfg.grid_step_deg)
-    steer = steering_matrix(grid, scenario.d).T
-    w = eigen_projection(basis, steer)
+    peaks = spectrum_peaks(cov, basis, grid, cfg.k_max, {"music", "dtft"})
     return {
         "pca": map_order_pca(basis, norm2_y, cfg.k_max, scenario.m),
-        "music": map_order_scan(
-            y, steer[pick_peaks(music_pseudospectrum(w, cfg.k_max), cfg.k_max)],
-            cfg.k_max, scenario.m, norm2_y),
-        "dtft": map_order_scan(
-            y, steer[pick_peaks(dtft_spectrum(w, basis.eigvals), cfg.k_max)],
-            cfg.k_max, scenario.m, norm2_y),
+        **{source: map_order_scan(y, rows, cfg.k_max, scenario.m, norm2_y)
+           for source, (_angles, rows) in peaks.items()},
     }
 
 

@@ -8,19 +8,24 @@ import pytest
 from doamap.arraysim import (
     amplitude_matrix,
     default_scenario,
+    spatial_frequency,
     steering_matrix,
     synth_freq,
 )
+from doamap.bench import spectrum_peaks
 from doamap.subspace import (
     ProjectionStats,
     dtft_spectrum,
-    eigen_projection,
     eigendecompose,
+    music_candidates,
+    music_exact,
     music_pseudospectrum,
     pick_peaks,
     projection_stats,
     sample_covariance,
 )
+
+EPS = np.finfo(float).eps
 
 
 def _random_unitary_columns(rng, d, k):
@@ -84,26 +89,43 @@ def _norm2(y):
 
 
 def _steer(grid, d):
-    """The G x D grid steering table the spectra read."""
+    """The G x D grid steering table, row g the steering vector of grid[g]."""
     return steering_matrix(grid, d).T
 
 
-def _dtft(y, steer):
-    """The DTFT spectrum of data Y on the grid table's rows."""
-    basis = eigendecompose(sample_covariance(y))
-    return dtft_spectrum(eigen_projection(basis, steer), basis.eigvals)
+def _eigen_projection(basis, steer):
+    """The oracle's W = |Q^H v_g|^2, D x G, on the rows of the grid table."""
+    w = np.abs(basis.eigvecs.conj().T @ steer.T)
+    return np.square(w, out=w)
 
 
-def _music(basis, k_sub, steer):
-    """The MUSIC pseudospectrum on the grid table's rows."""
-    return music_pseudospectrum(eigen_projection(basis, steer), k_sub)
+def _oracle_dtft(basis, steer):
+    """The DTFT spectrum sum_j lambda_j W_jg from the eigen-projection."""
+    return basis.eigvals @ _eigen_projection(basis, steer)
 
 
-def _desk_draws():
-    """(data, eigenbasis, grid table) of desk-shape draws, -30 to 30 dB."""
+def _oracle_music(basis, k_sub, steer):
+    """The MUSIC pseudospectrum 1 / sum_{j >= k_sub} W_jg."""
+    w = _eigen_projection(basis, steer)
+    return 1.0 / np.maximum(np.sum(w[k_sub:], axis=0), 1e-300)
+
+
+def _dtft(y, grid):
+    """The DTFT spectrum of data Y on the grid angles."""
+    return dtft_spectrum(sample_covariance(y), spatial_frequency(grid))
+
+
+def _music(basis, k_sub, grid):
+    """The located MUSIC pseudospectrum on the grid angles."""
+    return music_pseudospectrum(basis.eigvecs, k_sub, spatial_frequency(grid))
+
+
+def _desk_draws(snrs=(-30.0, -10.0, 0.0, 10.0, 30.0), overlap=0.0):
+    """(data, eigenbasis, grid table) of desk-shape draws, seed i at snrs[i]."""
     steer = _steer(np.arange(0.0, 180.0, 0.5), 32)
-    for seed, snr_db in enumerate((-30.0, -10.0, 0.0, 10.0, 30.0)):
-        sc = default_scenario(d=32, k=3, m=512, n=512, snr_db=snr_db, seed=seed)
+    for seed, snr_db in enumerate(snrs):
+        sc = default_scenario(d=32, k=3, m=512, n=512, overlap=overlap,
+                              snr_db=snr_db, seed=seed)
         y = synth_freq(sc, rng=np.random.default_rng(seed))
         yield y, eigendecompose(sample_covariance(y)), steer
 
@@ -113,19 +135,19 @@ class TestSpectra:
 
     def test_dtft_peak_at_source(self):
         sc = default_scenario(d=32, k=1, m=64, n=64, snr_db=240.0, seed=0)
-        values = _dtft(synth_freq(sc), _steer(self.GRID, 32))
+        values = _dtft(synth_freq(sc), self.GRID)
         best = self.GRID[np.argmax(values)]
         assert abs(best - sc.doa_deg[0]) <= 0.5
 
     def test_dtft_zero_data(self):
-        values = _dtft(np.zeros((8, 4), dtype=complex), _steer(self.GRID, 8))
+        values = _dtft(np.zeros((8, 4), dtype=complex), self.GRID)
         assert np.all(values == 0.0)
 
     def test_music_sharp_at_source(self):
         sc = default_scenario(d=32, k=1, m=64, n=64, snr_db=240.0, seed=0)
         y = synth_freq(sc)
         basis = eigendecompose(sample_covariance(y))
-        values = _music(basis, 1, _steer(self.GRID, 32))
+        values = _music(basis, 1, self.GRID)
         best = self.GRID[np.argmax(values)]
         assert abs(best - sc.doa_deg[0]) <= 0.5
         # noiseless: on-peak pseudospectrum exceeds the median by orders of magnitude
@@ -135,42 +157,89 @@ class TestSpectra:
         sc = default_scenario(d=32, k=0, m=512, n=512, snr_db=0.0, seed=123)
         y = synth_freq(sc)
         basis = eigendecompose(sample_covariance(y))
-        values = _music(basis, 3, _steer(self.GRID, 32))
+        values = _music(basis, 3, self.GRID)
         assert np.max(values) / np.median(values) <= 10.0
 
     def test_music_rejects_bad_subspace_size(self):
         basis = eigendecompose(np.eye(4))
         for k in (0, 4, 5):
             with pytest.raises(ValueError):
-                _music(basis, k, _steer(self.GRID, 4))
+                _music(basis, k, self.GRID)
+            with pytest.raises(ValueError):
+                music_exact(basis.eigvecs, k, _steer(self.GRID, 4))
 
-    def test_music_from_projection_is_noise_subspace_sum(self):
-        # 1 / sum over the noise eigenvectors of |Q^H v|^2, bit for bit
-        for _y, basis, steer in _desk_draws():
-            w = eigen_projection(basis, steer)
-            for k_sub in (1, 3, 10):
+    def test_music_polynomial_is_noise_subspace_sum(self):
+        # the lag polynomial of Q_n Q_n^H is within 64 D eps, absolute, of
+        # sum_{j >= k} |q_j^H v|^2, and the ranked MUSIC peaks are the
+        # oracle's, up to the noiseless limit where a true DOA's noise
+        # energy is rounding error alone
+        high = (60.0, 90.0, 120.0, 200.0, math.inf)
+        draws = [*_desk_draws(), *_desk_draws(high), *_desk_draws(high, 0.999)]
+        for y, basis, steer in draws:
+            for k_sub in (1, 3, 10, 31):
                 noise = basis.eigvecs[:, k_sub:]
-                denom = np.sum(np.abs(noise.conj().T @ steer.T) ** 2, axis=0)
-                assert np.array_equal(music_pseudospectrum(w, k_sub),
-                                      1.0 / np.maximum(denom, 1e-300))
+                energy = np.sum(np.abs(noise.conj().T @ steer.T) ** 2, axis=0)
+                poly = 1.0 / _music(basis, k_sub, self.GRID)
+                assert np.max(np.abs(poly - np.maximum(energy, 1e-300))) <= (
+                    64 * 32 * EPS), k_sub
+                assert np.array_equal(
+                    music_exact(basis.eigvecs, k_sub, steer),
+                    _oracle_music(basis, k_sub, steer))
+            for k_max in (3, 10):
+                angles, rows = spectrum_peaks(
+                    sample_covariance(y), basis, self.GRID, k_max,
+                    {"music"})["music"]
+                idx = pick_peaks(_oracle_music(basis, k_max, steer), k_max)
+                assert np.array_equal(angles, self.GRID[idx])
+                assert np.array_equal(rows, steer[idx])
 
-    def test_dtft_from_projection_is_quadratic_form(self):
-        # sum_j lambda_j |q_j^H v|^2 against v^H R v: 1e-12 relative, and
-        # the same peaks
+    def test_dtft_polynomial_is_quadratic_form(self):
+        # the lag polynomial of R against v^H R v: 1e-12 relative, and the
+        # same peaks, which are also the eigen-projection oracle's
         for y, basis, steer in _desk_draws():
             r = sample_covariance(y)
             want = np.real(np.einsum("gd,gd->g", steer.conj(), steer @ r.T))
-            got = dtft_spectrum(eigen_projection(basis, steer), basis.eigvals)
+            got = dtft_spectrum(r, spatial_frequency(self.GRID))
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-            assert np.array_equal(pick_peaks(got, 10), pick_peaks(want, 10))
+            idx = pick_peaks(got, 10)
+            assert np.array_equal(idx, pick_peaks(want, 10))
+            assert np.array_equal(idx, pick_peaks(_oracle_dtft(basis, steer), 10))
+            angles, rows = spectrum_peaks(r, basis, self.GRID, 10,
+                                          {"dtft"})["dtft"]
+            assert np.array_equal(angles, self.GRID[idx])
+            assert np.array_equal(rows, steer[idx])
 
     def test_spectrum_matches_direct_projection(self):
         rng = np.random.default_rng(3)
         y = rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))
-        values = _dtft(y, _steer([33.0, 90.0], 8))
+        values = _dtft(y, [33.0, 90.0])
         v = steering_matrix([33.0, 90.0], 8)
         expect = np.sum(np.abs(v.conj().T @ y) ** 2, axis=1)
         np.testing.assert_allclose(values, expect, rtol=1e-12)
+
+
+class TestMusicCandidates:
+    def test_every_local_maximum_and_its_neighbours(self):
+        # a noise energy with sure minima at 1 and 5, and points 3 and 4
+        # tol apart, within the error bound, so either may be the minimum
+        d = 4
+        tol = 64 * EPS * d
+        energy = np.array([2.0, 0.5, 1.0, 0.7, 0.7 + tol, 0.1, 3.0])
+        near = music_candidates(1.0 / energy, d, 5)
+        assert near.tolist() == [0, 1, 2, 3, 4, 5, 6]
+        assert music_candidates(1.0 / energy[:3], d, 5).tolist() == [0, 1, 2]
+
+    def test_drops_points_below_count_sure_maxima(self):
+        # the minima at 1, 3 and 5 are sure: with count 1 only the lowest
+        # (5) stays, with count 3 all three
+        energy = np.array([2.0, 0.5, 1.0, 0.7, 0.9, 0.1, 3.0])
+        assert music_candidates(1.0 / energy, 4, 1).tolist() == [4, 5, 6]
+        assert music_candidates(1.0 / energy, 4, 3).tolist() == [0, 1, 2, 3, 4, 5, 6]
+
+    def test_edge_grids(self):
+        # one point is its own maximum; two points keep the lower
+        assert music_candidates(np.array([5.0]), 2, 1).tolist() == [0]
+        assert music_candidates(np.array([1.0, 2.0]), 2, 1).tolist() == [0, 1]
 
 
 class TestPickPeaks:
@@ -292,8 +361,7 @@ class TestProjectionStats:
         # are None
         checked = 0
         for y, basis, steer in _desk_draws():
-            values = _music(basis, 10, steer)
-            idx = pick_peaks(values, 10)
+            idx = pick_peaks(_oracle_music(basis, 10, steer), 10)
             for rows in (steer[idx], steer[np.r_[idx[:3], idx[1], idx[3:6]]]):
                 v = rows.T
                 stats = projection_stats(y, v, 512, norm2_y=_norm2(y))
@@ -315,7 +383,7 @@ class TestProjectionStats:
     def test_one_data_product_per_call(self, p, products):
         # every full-rank prefix, K = 1 included, is a block of one product
         y, basis, steer = next(_desk_draws())
-        rows = steer[pick_peaks(_music(basis, 10, steer), 10)[:p]]
+        rows = steer[pick_peaks(_oracle_music(basis, 10, steer), 10)[:p]]
         counted = y.view(_MatmulCounter)
         stats = projection_stats(counted, rows.T, 512, norm2_y=_norm2(y))
         assert len(stats) == p + 1 and counted.matmuls == products
@@ -331,12 +399,11 @@ class TestProjectionStats:
         sc = default_scenario(d=32, k=3, m=96, n=96, snr_db=240.0, seed=0)
         y = synth_freq(sc)
         grid = np.arange(0.0, 180.0, 0.5)
-        steer = _steer(grid, 32)
-        d_peaks = pick_peaks(_dtft(y, steer), 3)
-        basis = eigendecompose(sample_covariance(y))
-        m_peaks = pick_peaks(_music(basis, 3, steer), 3)
-        d_ang = sorted(grid[d_peaks])
-        m_ang = sorted(grid[m_peaks])
+        cov = sample_covariance(y)
+        peaks = spectrum_peaks(cov, eigendecompose(cov), grid, 3,
+                               {"music", "dtft"})
+        d_ang = sorted(peaks["dtft"][0])
+        m_ang = sorted(peaks["music"][0])
         for est, true in zip(d_ang, sorted(sc.doa_deg)):
             assert abs(est - true) <= 0.5
         for est, true in zip(m_ang, sorted(sc.doa_deg)):
