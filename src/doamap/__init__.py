@@ -26,6 +26,7 @@ from .specfun import (
     reg_inc_beta,
 )
 from .subspace import (
+    DrawData,
     EigenBasis,
     ProjectionStats,
     dtft_spectrum,

@@ -8,8 +8,11 @@ result CSV is byte-identical no matter how many workers execute the sweep.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -34,6 +37,7 @@ from .ordermap import (
     posterior_variances,
 )
 from .subspace import (
+    DrawData,
     dtft_spectrum,
     eigendecompose,
     music_candidates,
@@ -319,8 +323,9 @@ def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None)
     # peaks: source -> (angles, steering rows)
     peaks = (spectrum_peaks(cov, basis, grid, k_max, sources)
              if sources & {"music", "dtft"} else {})
+    data = DrawData(y, cov, norm2_y)
     for source, (_angles, rows) in peaks.items():
-        posts[source] = map_order_scan(y, rows, k_max, scenario.m, norm2_y)
+        posts[source] = map_order_scan(data, rows, k_max, scenario.m)
 
     fits = {}  # (source, k_hat) -> metric fields
     out = []
@@ -364,6 +369,27 @@ def _run_task(args):
     ]
 
 
+# the thread-count variables of OpenBLAS, OpenMP and MKL
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextmanager
+def _worker_blas_env():
+    """One BLAS thread for the processes started inside; the caller's
+    os.environ is restored on exit.  This process's BLAS, loaded with
+    numpy, keeps its thread count."""
+    saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+
+
 def run_sweep(config: ExperimentConfig, jobs=1):
     """Run the whole sweep; returns records in deterministic task order."""
     tasks = [
@@ -372,8 +398,11 @@ def run_sweep(config: ExperimentConfig, jobs=1):
         for ri in range(config.n_runs)
     ]
     if jobs > 1:
-        # a fork start method forks every worker up front
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        # spawned workers read the environment when they start, so each
+        # gets one BLAS thread and jobs workers share the cores
+        with _worker_blas_env(), ProcessPoolExecutor(
+                max_workers=min(jobs, len(tasks)),
+                mp_context=multiprocessing.get_context("spawn")) as pool:
             chunks = list(pool.map(_run_task, tasks, chunksize=8))
     else:
         chunks = [_run_task(t) for t in tasks]

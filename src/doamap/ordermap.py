@@ -14,17 +14,41 @@ instead of the computed log I_p (itself clamped to <= 0.0), and rounding
 is monotone, so score <= U_K bit for bit.  The O(beta) kernel runs only
 for orders whose bound can still beat the best exact score so far, and
 the log I_p each scored order computed is kept for its posterior moments.
+
+A spectrum scan visits its orders by bounds it reads from the covariance R
+instead of Y.  Each prefix's captured energy from R, s~_K, lies within
+delta_K = 4 eps K (2M + 4D + 8) |Y|^2 of the energy s_K it captures of Y
+(an a-priori rounding bound, derived at subspace.energy_margin), and U is
+convex in q, which is monotone in s, so U at the ends of
+[s~_K - delta_K, s~_K + delta_K], plus a rounding allowance, bounds U_K
+from above (_interval_bound).  Only an order the scan visits reads Y, for
+its exact split; its U_K and score are then bit-exact, those of a scan
+that splits every prefix of Y.  A pruned order keeps its bound from the R
+interval, >= its exact U_K, and its split is computed from Y when first
+read (stats_per_k).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import betaln
 
 from .specfun import DominancePair, _log_q_from, double_moment, log_q_sum
-from .subspace import EigenBasis, ProjectionStats, projection_stats
+from .subspace import (
+    DrawData,
+    EigenBasis,
+    ProjectionStats,
+    covariance_energies,
+    energy_margin,
+    prefix_bases,
+    projection_stats,
+)
+
+_EPS = float(np.finfo(float).eps)
 
 __all__ = [
     "OrderPosterior",
@@ -53,17 +77,22 @@ class OrderPosterior:
     log_scores[K] is the exact score of every order the scan scored and NaN
     for an order it pruned; log_score_bounds[K] >= log_scores[K] for every
     K, so a pruned order lost to the MAP order by at least
-    log_scores[k_map] - log_score_bounds[K].  Both are -inf at a
+    log_scores[k_map] - log_score_bounds[K].  The bound is the exact
+    closed form U_K, bit for bit, at every order whose split the scan read
+    (every scored order, every PCA order); a spectrum scan's pruned order
+    has its bound from the R interval instead, >= U_K.  Both are -inf at a
     rank-deficient prefix.  log_ip[K] is the log I_p(alpha, beta) that
     scored order K computed, NaN where no kernel call scored it (a pruned
-    order, K = 0, a rank-deficient prefix).
+    order, K = 0, a rank-deficient prefix).  A spectrum scan's stats_per_k
+    computes a prefix's split from Y the first time it is read and keeps
+    it; PCA's is a list.
     """
 
     log_scores: np.ndarray          # K = 0..K_max, up to a K-independent constant
     log_score_bounds: np.ndarray    # closed-form upper bound on each score
     log_ip: np.ndarray              # log I_p(alpha, beta) of each scored order
     k_map: int
-    stats_per_k: list
+    stats_per_k: Sequence
     rank_deficient_k: tuple = ()
 
 
@@ -106,34 +135,46 @@ def posterior_variances(stats: ProjectionStats, d, log_ip=math.nan):
 
 
 def _finish_posterior(stats_list, log_prior):
-    """MAP order over log Q(alpha, beta, q) + log_prior(K), branch and bound.
+    """MAP order over log Q(alpha, beta, q) + log_prior(K), branch and bound
+    on each order's exact bound `_log_q_from(0.0, ...)` + log_prior(K)."""
+    priors = [log_prior(k) for k in range(len(stats_list))]
+    bounds = [None if st is None
+              else _log_q_from(0.0, st.alpha, st.beta, st.q) + priors[k]
+              if st.alpha else 0.0 + priors[k]
+              for k, st in enumerate(stats_list)]
+    return _branch_and_bound(stats_list, priors, bounds)
 
-    Each order's bound is `_log_q_from(0.0, ...)` + log_prior(K).  K = 0
-    (log Q = 0) scores exactly its bound and a None stats entry
-    (rank-deficient prefix) scores -inf and is flagged, neither with a
-    kernel call.  The rest are scored by log_q_sum in descending bound
+
+def _branch_and_bound(stats_list, priors, bounds):
+    """MAP order over log Q(alpha, beta, q) + priors[K], given upper bounds
+    on each order's exact bound (None: a rank-deficient prefix).
+
+    Entry 0 is the empty subspace (log Q = 0), whose bound 0.0 + priors[0]
+    is its score; a rank-deficient prefix scores -inf and is flagged;
+    neither takes a kernel call.  The rest are visited in descending bound
     order (ties to smaller K) until a bound falls below the best score so
-    far.  A pruned order scores at most its bound, below that best, so the
-    MAP order is the argmax over all exact scores, smallest K on ties.
+    far.  A visited order reads its split from stats_list, and its bound
+    becomes the exact one; log_q_sum scores it unless that too is below
+    the best.  An order left unscored scores at most its bound, below that
+    best, so the MAP order is the argmax over all exact scores, smallest K
+    on ties.
     """
-    n = len(stats_list)
-    priors = [log_prior(k) for k in range(n)]
-    bounds = np.full(n, -math.inf)
+    n = len(bounds)
+    deficient = tuple(k for k, b in enumerate(bounds) if b is None)
+    bounds = np.array([-math.inf if b is None else b for b in bounds])
     log_scores = np.full(n, math.nan)
     log_ip = np.full(n, math.nan)
-    for k, st in enumerate(stats_list):
-        if st is None:
-            log_scores[k] = -math.inf
-        elif st.alpha == 0:
-            bounds[k] = log_scores[k] = 0.0 + priors[k]
-        else:
-            bounds[k] = _log_q_from(0.0, st.alpha, st.beta, st.q) + priors[k]
+    log_scores[list(deficient)] = -math.inf
+    log_scores[0] = bounds[0]
     best = -math.inf
     for k in sorted(range(n), key=lambda k: (-bounds[k], k)):
         if bounds[k] < best:
             break
         if math.isnan(log_scores[k]):
             st = stats_list[k]
+            bounds[k] = _log_q_from(0.0, st.alpha, st.beta, st.q) + priors[k]
+            if bounds[k] < best:
+                continue
             log_q, log_ip[k] = log_q_sum(st.alpha, st.beta, st.q)
             log_scores[k] = log_q + priors[k]
         best = max(best, log_scores[k])
@@ -143,8 +184,68 @@ def _finish_posterior(stats_list, log_prior):
         log_ip=log_ip,
         k_map=int(np.nanargmax(log_scores)),  # the smallest K on ties
         stats_per_k=stats_list,
-        rank_deficient_k=tuple(k for k, st in enumerate(stats_list) if st is None),
+        rank_deficient_k=deficient,
     )
+
+
+def _interval_bound(s, delta, norm2_y, k, d, m):
+    """An upper bound on `_log_q_from(0.0, ...)` at order K >= 1 over every
+    captured energy within delta of s, as ProjectionStats.from_energy
+    computes q from it.
+
+    U(q) = -alpha log(1 - q) - beta log q + log B(alpha, beta) is convex
+    on (0, 1) and q is monotone in s, so U's maximum over the interval is
+    at an end.  The ends' q are widened by 4 eps, more than the rounding
+    of any q computed from an energy inside; the result is raised by
+    8 eps (|U| + 2 |log B| + alpha), more than twice the rounding of U
+    (log(1 - q) is off by eps/2 absolute, hence alpha).  +inf where the
+    interval reaches q = 1.
+    """
+    q_lo, q_hi = (ProjectionStats.from_energy(e, norm2_y, k, d, m).q
+                  for e in (s + delta, s - delta))
+    q_lo *= 1.0 - 4.0 * _EPS
+    q_hi *= 1.0 + 4.0 * _EPS
+    if not q_hi < 1.0:
+        return math.inf
+    alpha, beta = k * m, (d - k) * m
+    log_b = float(betaln(alpha, beta))
+    # _log_q_from(0.0, alpha, beta, q) at both ends, log B computed once
+    top = max(0.0 - alpha * math.log(1.0 - q) - beta * math.log(q) + log_b
+              for q in (q_lo, q_hi))
+    return top + 8.0 * _EPS * (abs(top) + 2.0 * abs(log_b) + alpha)
+
+
+def _scan_bounds(data: DrawData, v, m, priors):
+    """Each prefix K's upper bound on its exact score bound, None where
+    rank deficient, from the captured energies of covariance_energies."""
+    d = v.shape[0]
+    bases = prefix_bases(v)
+    energies = covariance_energies(data.cov, bases)
+    bounds = [0.0 + priors[0]] + [None] * v.shape[1]
+    for k, s in energies.items():
+        delta = energy_margin(k, d, m, data.norm2_y)
+        bounds[k] = _interval_bound(s, delta, data.norm2_y, k, d, m) + priors[k]
+    return bounds
+
+
+class _PrefixSplits(Sequence):
+    """stats_per_k of a spectrum scan: prefix K's projection_stats split
+    of Y, computed the first time it is read and kept."""
+
+    def __init__(self, data: DrawData, v, m):
+        self._data, self._v, self._m = data, v, m
+        self._splits = {}
+
+    def __len__(self):
+        return self._v.shape[1] + 1
+
+    def __getitem__(self, k):
+        k = range(len(self))[k]
+        if k not in self._splits:
+            (self._splits[k],) = projection_stats(
+                self._data.y, self._v, self._m, norm2_y=self._data.norm2_y,
+                ks=(k,))
+        return self._splits[k]
 
 
 def map_order_pca(basis: EigenBasis, norm2_y, k_max, m):
@@ -162,20 +263,24 @@ def map_order_pca(basis: EigenBasis, norm2_y, k_max, m):
     return _finish_posterior(stats_list, lambda k: -log_stiefel_volume(d, k))
 
 
-def map_order_scan(y, steer_rows, k_max, m, norm2_y):
-    """MAP order for spectrum pipelines on the D x M data Y, of energy
-    norm2_y = |Y|^2: nested top-K steering prefixes.
+def map_order_scan(data: DrawData, steer_rows, k_max, m):
+    """MAP order for spectrum pipelines on one draw's data: nested top-K
+    steering prefixes.
 
     steer_rows is P x D, row i the steering vector of the i-th highest
     spectrum peak; prefix K is the first K rows, transposed, and P = 0
-    scores K = 0 alone.  One projection_stats call splits the energy of
-    every prefix, reading Y in one product.
+    scores K = 0 alone.  Every prefix's bound comes from the covariance
+    R (see _scan_bounds), and only the orders the branch and bound visits
+    read Y, each through its own projection_stats split; stats_per_k
+    splits any other prefix when it is first read.
     The DOA prior contributes -K*log(2*pi) for both the MUSIC and DTFT
     spectra.  A rank-deficient prefix (coincident peaks) scores -inf and is
     flagged.
     """
-    stats_list = projection_stats(y, steer_rows[:k_max].T, m, norm2_y=norm2_y)
-    return _finish_posterior(stats_list, lambda k: -k * math.log(2.0 * math.pi))
+    v = steer_rows[:k_max].T
+    priors = [-k * math.log(2.0 * math.pi) for k in range(v.shape[1] + 1)]
+    return _branch_and_bound(_PrefixSplits(data, v, m), priors,
+                             _scan_bounds(data, v, m, priors))
 
 
 def aic_order(eigvals, m, k_max):

@@ -4,8 +4,10 @@ The three estimators share one geometric fact: for a candidate basis V the
 data energy splits as |Y|^2 = |V A0|^2 + |H0|^2 with A0 the least-squares
 amplitudes and H0 the residual.  ProjectionStats.from_energy packages that
 split, plus the signal/noise degree counts, for the Bayesian order scores;
-projection_stats computes it on every nested prefix of a steering basis,
-reading the D x M data in one product for every prefix.
+projection_stats computes it on the nested prefixes of a steering basis it
+is asked for, reading the D x M data in one product.  covariance_energies
+computes the same captured energies from R = Y Y^H (D x D) instead, within
+energy_margin of projection_stats' bits, for the order scan's bounds.
 
 Both spectra are quadratic forms v^H H v of a D x D Hermitian H at the
 grid steering vectors v_a = e^{i omega a}, and any such form is a
@@ -42,14 +44,19 @@ __all__ = [
     "music_candidates",
     "music_exact",
     "pick_peaks",
+    "prefix_bases",
     "projection_stats",
+    "covariance_energies",
+    "energy_margin",
+    "DrawData",
 ]
 
+EPS = float(np.finfo(float).eps)
 # residual-energy floor, relative to |Y|^2: keeps q > 0 for noiseless inputs
 T_CLAMP_REL = 1e-12
 # |MUSIC lag polynomial - sum_{j >= k} |q_j^H v|^2| <= NOISE_POLY_ERR * D,
 # the tests' bound (measured at worst 14.7 D eps, at paper shape)
-NOISE_POLY_ERR = 64 * np.finfo(float).eps
+NOISE_POLY_ERR = 64 * EPS
 
 
 @dataclass(frozen=True)
@@ -205,39 +212,114 @@ def pick_peaks(values, count):
     return idx[np.argsort(-v[idx], kind="stable")][:count]
 
 
-def projection_stats(y, v, m, *, norm2_y):
+def prefix_bases(v, ks=None):
+    """{K: u^H} for the full-rank prefixes among ks (default 1..P) of the
+    D x P basis V: u the left singular vectors of its first K columns.
+
+    A prefix whose smallest singular value is below 1e-10 of its largest
+    is rank deficient (coincident steering vectors) and left out.  Each
+    prefix gets its own SVD, never forming (V^H V)^-1, so the same V and K
+    give the same u^H bits wherever it is asked for.
+    """
+    d, p = v.shape
+    if p > d:
+        raise ValueError(f"basis has more columns ({p}) than sensors ({d})")
+    bases = {}
+    for k in range(1, p + 1) if ks is None else ks:
+        u, sv, _ = np.linalg.svd(v[:, :k], full_matrices=False)
+        if not sv[-1] < 1e-10 * sv[0]:
+            bases[k] = u.conj().T
+    return bases
+
+
+def projection_stats(y, v, m, *, norm2_y, ks=None):
     """Energy splits of the D x M data Y on the nested prefixes of basis V.
 
     Entry K of the returned list is the split on the first K columns of the
-    D x P basis V, K = 0..P; K = 0 is the pure-noise convention (s = 0,
-    t = |Y|^2).  Each prefix gets its own SVD least-squares fit, never
-    forming (V^H V)^-1; a prefix whose smallest singular value is below
-    1e-10 of its largest is rank deficient (coincident steering vectors)
-    and its entry is None.
+    D x P basis V, K = 0..P; given ks, the list holds the entries of those
+    prefixes only, in that order.  K = 0 is the pure-noise convention
+    (s = 0, t = |Y|^2); a rank-deficient prefix (see prefix_bases) has no
+    split and its entry is None.
 
     Y is read once: one product of the stacked u^H blocks of every
-    full-rank prefix, and s_K sums the squared magnitudes of its block.
-    BLAS sums each entry of a matrix product the same way whichever rows
-    share the product, so every s_K has the bits of its own u^H block in
-    any product of two or more rows (the tests check it with ==); when K = 1
-    is the only full-rank prefix, its lone row takes numpy's matrix-vector
-    path.  norm2_y is |Y|^2, which the caller sums once per draw.
+    full-rank prefix asked for, and s_K sums the squared magnitudes of its
+    block.  BLAS sums each entry of a matrix product the same way whichever
+    rows share the product, so every s_K has the bits of its own u^H block
+    in any product of two or more rows (the tests check it with ==).  A
+    lone row would take numpy's matrix-vector path, which sums otherwise,
+    so K = 1 asked for alone is multiplied as two rows.  norm2_y is |Y|^2,
+    which the caller sums once per draw.
     """
     d = y.shape[0]
-    p = v.shape[1]
-    if p > d:
-        raise ValueError(f"basis has more columns ({p}) than sensors ({d})")
+    ks = range(v.shape[1] + 1) if ks is None else ks
+    bases = prefix_bases(v, [k for k in ks if k > 0])
     s = {0: 0.0}  # captured energy of each full-rank prefix K
-    stacked = {}  # u^H of each full-rank prefix K >= 1
-    for k in range(1, p + 1):
-        u, sv, _ = np.linalg.svd(v[:, :k], full_matrices=False)
-        if sv[-1] < 1e-10 * sv[0]:
-            continue
-        stacked[k] = u.conj().T
-    if stacked:
-        blocks = np.concatenate(list(stacked.values())) @ y
-        ends = np.cumsum(list(stacked))
-        for k, block in zip(stacked, np.split(blocks, ends[:-1])):
+    if bases:
+        rows = np.concatenate(list(bases.values()))
+        if len(rows) == 1:
+            blocks = (np.concatenate((rows, rows)) @ y)[:1]
+        else:
+            blocks = rows @ y
+        ends = np.cumsum(list(bases))
+        for k, block in zip(bases, np.split(blocks, ends[:-1])):
             s[k] = float(np.sum(np.abs(block) ** 2))
     return [ProjectionStats.from_energy(s[k], norm2_y, k, d, m) if k in s
-            else None for k in range(p + 1)]
+            else None for k in ks]
+
+
+def covariance_energies(cov, bases):
+    """{K: s~_K} for each u^H block of bases (prefix_bases), with
+    s~_K = sum over the block's rows u^H of Re(u^H R u), from one product
+    of the stacked blocks with the D x D covariance R = Y Y^H.
+
+    In exact arithmetic s~_K is projection_stats' s_K; the two computed
+    values differ by at most energy_margin(K, ...).
+    """
+    if not bases:
+        return {}
+    rows = np.concatenate(list(bases.values()))
+    # row u^H times R, times u = conj(u^H): the sum of (u^H R) conj(u^H)
+    e = np.sum((rows @ cov * rows.conj()).real, axis=1)
+    ends = np.cumsum(list(bases))
+    return {k: float(np.sum(part)) for k, part in zip(bases, np.split(e, ends[:-1]))}
+
+
+def energy_margin(k, d, m, norm2_y):
+    """delta_K = 4 eps K (2M + 4D + 8) |Y|^2, a bound fixed beforehand on
+    |s_K - s~_K|: projection_stats' s_K from Y against covariance_energies'
+    s~_K from R = sample_covariance(Y), both on the same K x D block u^H.
+
+    With unit roundoff u = eps/2, gamma_n = n u / (1 - n u) and a_jm =
+    |u_j|^T |y_m| (moduli entrywise), sum_{j<K, m} a_jm^2 <= K |Y|^2 by
+    Cauchy-Schwarz.  A complex inner product of length n is off by at most
+    sqrt(2) gamma_{n+2} times the same product of moduli, in any summation
+    order, FMA or not (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, sections 3.1 and 3.6).  To first order in u:
+
+    - From Y: each entry of u^H Y is off by sqrt(2) gamma_{D+2} a_jm, its
+      squared modulus by 2 sqrt(2) (D+2) u a_jm^2 + 4 u a_jm^2, and the
+      sum of the K M squares by K M u s_K <= K M u |Y|^2.  In all,
+      K u |Y|^2 (M + 2 sqrt(2) D + 10).
+    - From R: each entry of R is off by (sqrt(2) (M+2) + 1) u (|Y||Y|^T)_ab
+      (product and symmetrising sum), which moves u^H R u by that factor
+      times sum_m a_jm^2; u^H R and its product with u add
+      ((sqrt(2) + 1) D + 6) u |u|^T|R||u|, and the sum over the K rows K u
+      times the same, K <= D.  In all, K u |Y|^2 (sqrt(2) M + (2 + sqrt(2))
+      D + 10).
+
+    The sum is under eps K |Y|^2 (1.21 M + 3.13 D + 10), and delta_K =
+    eps K |Y|^2 (8 M + 16 D + 32) is over three times that, which covers
+    the second-order terms, columns of u whose norm is 1 within D eps, and
+    the rounding of s~_K +- delta_K.
+    """
+    return 4.0 * EPS * k * (2 * m + 4 * d + 8) * norm2_y
+
+
+@dataclass(frozen=True)
+class DrawData:
+    """One draw's D x M data Y, its covariance R = sample_covariance(Y) and
+    its energy norm2_y = |Y|^2, made once per draw for the order scans."""
+
+    y: np.ndarray
+    cov: np.ndarray
+    norm2_y: float

@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import importlib.util
 import math
+import os
 import warnings
 from pathlib import Path
 
@@ -479,16 +480,19 @@ class TestBenchmarkContract:
         return row["method"].split("-", 1)[0], row["k_hat"]
 
     def test_one_scan_per_source(self):
-        # every rule reads its source's one scan: one projection_stats call
-        # splits all of a scan's candidates, and the steering matrices are
-        # synthesis and the one set of peak rows (MUSIC's candidates and
-        # their neighbours with the DTFT peaks) that MUSIC's ranking, both
-        # scans and every amplitude fit read
-        _tracing, tracer, _rows = self._traced_six_method_draw()
+        # every rule reads its source's one scan, and Y is split once per
+        # prefix a scan scores or a rule picks: music K = 2 (scored; map,
+        # aic and known-k pick it), dtft K = 3 (scored; map) and K = 2
+        # (known-k).  The steering matrices are synthesis and the one set
+        # of peak rows (MUSIC's candidates and their neighbours with the
+        # DTFT peaks) that MUSIC's ranking, both scans and every amplitude
+        # fit read
+        _tracing, tracer, rows = self._traced_six_method_draw()
         counts = tracer.counts
         scored = counts["ordermap.map_order_scan", "candidates_scored"]
+        assert [row["k_hat"] for row in rows[1:]] == [2, 3, 2, 2, 2]
         assert counts["ordermap.map_order_scan", "calls"] == 2
-        assert counts["subspace.projection_stats", "calls"] == 2
+        assert counts["subspace.projection_stats", "calls"] == 3
         assert scored == 12
         assert counts["arraysim.steering_matrix", "calls"] == 2
 
@@ -510,9 +514,9 @@ class TestBenchmarkContract:
                 picked.append(traced_pick(values, count))
                 return picked[-1]
 
-            def scan_spy(y, steer_rows, k_max, m, norm2_y):
+            def scan_spy(data, steer_rows, k_max, m):
                 scanned.append(steer_rows)
-                return traced_scan(y, steer_rows, k_max, m, norm2_y)
+                return traced_scan(data, steer_rows, k_max, m)
 
             mp.setattr(bench, "pick_peaks", pick_spy)
             mp.setattr(bench, "map_order_scan", scan_spy)
@@ -584,7 +588,7 @@ class TestSweep:
         pools = []
 
         class SerialPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **kwargs):
                 pools.append(max_workers)
 
             def __enter__(self):
@@ -618,6 +622,22 @@ class TestSweep:
         write_results(serial, p1)
         write_results(parallel, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_jobs_leave_the_callers_environment(self, tmp_path, monkeypatch):
+        # workers start with one BLAS thread each; the caller's variables,
+        # set or unset, are as they were after the sweep
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        with bench._worker_blas_env():
+            assert all(os.environ[var] == "1" for var in bench.BLAS_THREAD_VARS)
+        assert dict(os.environ) == before
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("d = 16\nk_true = 2\nm = 64\nn = 64\nk_max = 5\n"
+                       "snr_grid_db = 20\ngrid_step_deg = 2.0\n")
+        assert cli_main(["sweep", "--config", str(cfg), "--runs", "2",
+                         "--jobs", "2", "--out", str(tmp_path / "r.csv")]) == 0
+        assert dict(os.environ) == before
 
     def test_seed_changes_data(self):
         cfg = ExperimentConfig(**FAST, methods=("music-map",))

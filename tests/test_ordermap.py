@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from doamap.arraysim import (
+    ArrayScenario,
     amplitude_matrix,
     default_scenario,
     noise_variances,
@@ -13,7 +16,7 @@ from doamap.arraysim import (
     synth_freq,
 )
 from doamap import ordermap, specfun
-from doamap.bench import spectrum_peaks
+from doamap.bench import ExperimentConfig, spectrum_peaks
 from doamap.ordermap import (
     _finish_posterior,
     aic_order,
@@ -24,8 +27,12 @@ from doamap.ordermap import (
 )
 from doamap.specfun import log_q_sum
 from doamap.subspace import (
+    DrawData,
     ProjectionStats,
+    covariance_energies,
     eigendecompose,
+    energy_margin,
+    prefix_bases,
     projection_stats,
     sample_covariance,
 )
@@ -122,7 +129,7 @@ class TestPosteriorVariances:
             basis = eigendecompose(cov)
             _angles, rows = spectrum_peaks(cov, basis, GRID, 10, {"music"})["music"]
             for post in (map_order_pca(basis, _norm2(y), 10, sc.m),
-                         map_order_scan(y, rows, 10, sc.m, _norm2(y))):
+                         map_order_scan(_data(y), rows, 10, sc.m)):
                 for k in range(1, len(post.stats_per_k)):
                     st = post.stats_per_k[k]
                     want = posterior_variances(st, sc.d)
@@ -153,6 +160,11 @@ class TestPosteriorVariances:
 def _norm2(y):
     """|Y|^2, the energy the MAP scans take from their caller."""
     return float(np.sum(np.abs(y) ** 2))
+
+
+def _data(y):
+    """The DrawData record a spectrum scan reads, as run_single makes it."""
+    return DrawData(y, sample_covariance(y), _norm2(y))
 
 
 class TestMapOrderPca:
@@ -211,38 +223,37 @@ class TestMapOrderScan:
     def test_k0_score_is_zero(self):
         sc = default_scenario(d=16, k=1, m=128, n=128, snr_db=10.0, seed=2)
         y = synth_freq(sc)
-        post = map_order_scan(y, self._peaks(y, "dtft")[1], 5, sc.m,
-                              _norm2(y))
+        post = map_order_scan(_data(y), self._peaks(y, "dtft")[1], 5, sc.m)
         assert post.log_scores[0] == 0.0
 
     def test_single_source_selected(self):
         sc = default_scenario(d=32, k=1, m=256, n=256, snr_db=15.0, seed=3)
         y = synth_freq(sc)
         for kind in ("music", "dtft"):
-            post = map_order_scan(y, self._peaks(y, kind)[1], 8, sc.m,
-                                  _norm2(y))
+            post = map_order_scan(_data(y), self._peaks(y, kind)[1], 8, sc.m)
             assert post.k_map == 1
             assert post.log_scores[1] > post.log_scores[0]
 
     def test_k_max_capped_by_peak_count(self):
         sc = default_scenario(d=16, k=1, m=64, n=64, snr_db=240.0, seed=5)
         y = synth_freq(sc)
-        post = map_order_scan(y, steering_matrix(sc.doa_deg, sc.d).T, 10,
-                              sc.m, _norm2(y))
+        post = map_order_scan(_data(y), steering_matrix(sc.doa_deg, sc.d).T,
+                              10, sc.m)
         assert len(post.log_scores) == 2  # K in {0, 1} only
 
     def test_coincident_peaks_flagged(self):
         sc = default_scenario(d=16, k=1, m=64, n=64, snr_db=20.0, seed=6)
         y = synth_freq(sc)
         rows = steering_matrix([50.0, 50.0], sc.d).T
-        post = map_order_scan(y, rows, 2, sc.m, _norm2(y))
+        post = map_order_scan(_data(y), rows, 2, sc.m)
         assert post.rank_deficient_k == (2,)
         assert post.log_scores[2] == -math.inf
         assert post.k_map in (0, 1)
 
     def test_empty_peaks_score_k0_alone(self):
         y = np.ones((4, 2), dtype=complex)
-        post = map_order_scan(y, np.empty((0, 4), dtype=complex), 3, 2, 8.0)
+        post = map_order_scan(DrawData(y, sample_covariance(y), 8.0),
+                              np.empty((0, 4), dtype=complex), 3, 2)
         assert post.k_map == 0
         assert len(post.log_scores) == 1 and post.log_scores[0] == 0.0
         pv = posterior_variances(post.stats_per_k[0], 4)
@@ -254,7 +265,7 @@ class TestMapOrderScan:
         sc = default_scenario(d=16, k=3, m=64, n=64, snr_db=5.0, seed=7)
         y = synth_freq(sc)
         angles, rows = self._peaks(y, "music", k_max=5)
-        post = map_order_scan(y, rows, 5, sc.m, _norm2(y))
+        post = map_order_scan(_data(y), rows, 5, sc.m)
         for k in range(1, len(post.stats_per_k)):
             v = steering_matrix(angles[:k], sc.d)
             assert post.stats_per_k[k] == projection_stats(
@@ -305,7 +316,7 @@ class TestPrunedScan:
             peaks = spectrum_peaks(cov, basis, GRID, 10, {"music", "dtft"})
             for _angles, rows in peaks.values():
                 pruned += _check_pruned(
-                    map_order_scan(y, rows, 10, sc.m, _norm2(y)),
+                    map_order_scan(_data(y), rows, 10, sc.m),
                     _scan_prior)
         assert pruned > 0  # the bound did cut kernel calls
 
@@ -365,6 +376,109 @@ class TestPrunedScan:
         for k in deficient:
             assert post.log_scores[k] == post.log_score_bounds[k] == -math.inf
         _check_pruned(post, _scan_prior)
+
+
+def _scan_draw(sc, seed, k_max, step):
+    """(data, {source: P x D peak rows}) of one draw, as run_single makes
+    them."""
+    y = synth_freq(sc, rng=np.random.default_rng(seed))
+    cov = sample_covariance(y)
+    grid = np.arange(0.0, 180.0, step)
+    grid = grid[np.cos(np.deg2rad(grid)) > -1.0]
+    peaks = spectrum_peaks(cov, eigendecompose(cov), grid, k_max,
+                           {"music", "dtft"})
+    return (DrawData(y, cov, _norm2(y)),
+            {source: rows for source, (_angles, rows) in peaks.items()})
+
+
+def _check_against_full_scan(data, rows, k_max, m):
+    """The R-bounded scan against the unpruned scan on Y's exact splits."""
+    v = rows[:k_max].T
+    post = map_order_scan(data, rows, k_max, m)
+    exact = projection_stats(data.y, v, m, norm2_y=data.norm2_y)
+    priors = [_scan_prior(k) for k in range(len(exact))]
+    full = [None if st is None
+            else (0.0, math.nan) if st.alpha == 0
+            else log_q_sum(st.alpha, st.beta, st.q) for st in exact]
+    scores = [-math.inf if f is None else f[0] + priors[k]
+              for k, f in enumerate(full)]
+    assert post.k_map == int(np.argmax(scores))
+    exact_bounds = _finish_posterior(exact, _scan_prior).log_score_bounds
+    interval = ordermap._scan_bounds(data, v, m, priors)
+    for k, st in enumerate(exact):
+        assert (interval[k] is None) == (st is None), k
+        if st is None:
+            continue
+        assert interval[k] >= exact_bounds[k], k
+        assert post.log_score_bounds[k] >= exact_bounds[k], k
+        if not math.isnan(post.log_scores[k]):
+            assert post.log_scores[k] == scores[k], k
+            assert post.log_score_bounds[k] == exact_bounds[k], k
+            if k:
+                assert post.log_ip[k] == full[k][1], k
+        alone = projection_stats(data.y, v[:, :k], m, norm2_y=data.norm2_y)[-1]
+        assert post.stats_per_k[k] == alone, k
+
+
+_angle = hst.floats(0.0, 180.0, exclude_max=True)
+
+
+@hst.composite
+def _scan_cases(draw):
+    """(scenario, seed, k_max, grid step) on small shapes."""
+    d = draw(hst.integers(2, 8))
+    k_true = draw(hst.integers(1, 3))
+    m = draw(hst.integers(2, 16))
+    doas = draw(hst.one_of(
+        hst.lists(_angle, min_size=k_true, max_size=k_true).map(tuple),
+        _angle.map(lambda a: (a,) * k_true)))  # coincident sources
+    snr_db = draw(hst.one_of(hst.floats(-30.0, 200.0), hst.just(math.inf)))
+    sc = ArrayScenario(d=d, k_true=k_true, m=m, n=m, doa_deg=doas,
+                       overlap=draw(hst.floats(0.0, 1.0)), snr_db=snr_db)
+    return (sc, draw(hst.integers(0, 2**32)), draw(hst.integers(1, d - 1)),
+            draw(hst.sampled_from((0.5, 2.0, 15.0))))
+
+
+class TestCovarianceBounds:
+    """Every prefix's bound from R against the scan on Y's exact splits."""
+
+    @settings(max_examples=150)
+    @given(case=_scan_cases())
+    @example(case=(ArrayScenario(d=4, k_true=2, m=8, n=8, doa_deg=(50.0, 50.0),
+                                 snr_db=math.inf), 0, 3, 0.5))
+    @example(case=(ArrayScenario(d=8, k_true=3, m=16, n=16,
+                                 doa_deg=(20.0, 90.0, 140.0), snr_db=200.0),
+                   1, 7, 0.5))
+    def test_scan_matches_full_scan(self, case):
+        sc, seed, k_max, step = case
+        data, peaks = _scan_draw(sc, seed, k_max, step)
+        for rows in peaks.values():
+            _check_against_full_scan(data, rows, k_max, sc.m)
+
+    @pytest.mark.parametrize("pool", ["desk", "paper"])
+    def test_r_energies_within_a_hundredth_of_the_margin(self, pool):
+        # on the benchmark's golden pools, |s_K - s~_K| <= delta_K / 100
+        # for every full-rank prefix of both scans; the worst measured
+        # when the margin was fixed was 1.1e-4 delta_K (desk)
+        if pool == "desk":
+            cfg, runs = ExperimentConfig(overlap=(0.0, 0.999)), 10
+        else:
+            cfg, runs = ExperimentConfig.paper_scale(
+                snr_grid_db=(-20.0, 0.0, 20.0)), 4
+        worst = 0.0
+        for gi, sc in enumerate(cfg.scenarios()):
+            for ri in range(runs):
+                data, peaks = _scan_draw(sc, [cfg.master_seed, gi, ri],
+                                         cfg.k_max, cfg.grid_step_deg)
+                for rows in peaks.values():
+                    v = rows[:cfg.k_max].T
+                    bases = prefix_bases(v)
+                    exact = projection_stats(data.y, v, sc.m,
+                                             norm2_y=data.norm2_y)
+                    for k, s in covariance_energies(data.cov, bases).items():
+                        delta = energy_margin(k, sc.d, sc.m, data.norm2_y)
+                        worst = max(worst, abs(exact[k].s - s) / delta)
+        assert worst <= 1e-2
 
 
 class TestShrinkage:

@@ -36,7 +36,7 @@ from doamap.ordermap import (
     posterior_variances,
 )
 from doamap.specfun import DominancePair
-from doamap.subspace import eigendecompose, sample_covariance
+from doamap.subspace import DrawData, eigendecompose, sample_covariance
 
 # the desk-sweep draws (grid index, run index): -30, 0 and 30 dB, overlap 0
 CONFIG = ExperimentConfig(overlap=(0.0, 0.999))
@@ -59,9 +59,10 @@ def _posteriors(gi, ri):
     norm2_y = float(np.sum(np.abs(y) ** 2))
     grid = np.arange(0.0, 180.0, cfg.grid_step_deg)
     peaks = spectrum_peaks(cov, basis, grid, cfg.k_max, {"music", "dtft"})
+    data = DrawData(y, cov, norm2_y)
     return {
         "pca": map_order_pca(basis, norm2_y, cfg.k_max, scenario.m),
-        **{source: map_order_scan(y, rows, cfg.k_max, scenario.m, norm2_y)
+        **{source: map_order_scan(data, rows, cfg.k_max, scenario.m)
            for source, (_angles, rows) in peaks.items()},
     }
 

@@ -13,7 +13,9 @@ from doamap.arraysim import (
     synth_freq,
 )
 from doamap.bench import spectrum_peaks
+from doamap.ordermap import map_order_scan
 from doamap.subspace import (
+    DrawData,
     ProjectionStats,
     dtft_spectrum,
     eigendecompose,
@@ -71,13 +73,16 @@ class TestCovarianceAndEigen:
 
 
 class _MatmulCounter(np.ndarray):
-    """A view of the data that counts the matrix products reading it."""
+    """A view of the data that counts the matrix products reading it and
+    the rows of the left factors."""
 
     matmuls = 0
+    rows = 0
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if ufunc is np.matmul:
             self.matmuls += 1
+            self.rows += np.shape(inputs[0])[0]
         inputs = [x.view(np.ndarray) if isinstance(x, _MatmulCounter) else x
                   for x in inputs]
         return getattr(ufunc, method)(*inputs, **kwargs)
@@ -387,6 +392,23 @@ class TestProjectionStats:
         counted = y.view(_MatmulCounter)
         stats = projection_stats(counted, rows.T, 512, norm2_y=_norm2(y))
         assert len(stats) == p + 1 and counted.matmuls == products
+
+    def test_scan_multiplies_y_only_for_read_prefixes(self):
+        # the order scan bounds every prefix from R, and multiplies Y by
+        # the K rows of u^H of each order it scores or a caller reads
+        # (here K = 3 again and K = 1, which is multiplied as two rows);
+        # splitting every prefix would multiply 1 + 2 + ... + 10 = 55
+        ((y, basis, steer),) = _desk_draws(snrs=(10.0,))
+        rows = steer[pick_peaks(_oracle_music(basis, 10, steer), 10)]
+        counted = y.view(_MatmulCounter)
+        data = DrawData(counted, sample_covariance(y), _norm2(y))
+        post = map_order_scan(data, rows, 10, 512)
+        scored = {k for k in range(1, 11) if not math.isnan(post.log_scores[k])}
+        assert scored == {3} and (counted.matmuls, counted.rows) == (1, 3)
+        for k in (3, 1, 3, 1):
+            assert post.stats_per_k[k] == projection_stats(
+                y, rows[:k].T, 512, norm2_y=_norm2(y))[-1]
+        assert (counted.matmuls, counted.rows) == (2, 3 + 2)
 
     def test_too_many_columns(self):
         y = np.ones((3, 4), dtype=complex)
