@@ -33,6 +33,7 @@ from .subspace import (
     eigendecompose,
     music_pseudospectrum,
     pick_peaks,
+    prefix_bases,
     projection_stats,
     sample_covariance,
 )

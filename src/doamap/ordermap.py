@@ -15,17 +15,19 @@ is monotone, so score <= U_K bit for bit.  The O(beta) kernel runs only
 for orders whose bound can still beat the best exact score so far, and
 the log I_p each scored order computed is kept for its posterior moments.
 
-A spectrum scan visits its orders by bounds it reads from the covariance R
-instead of Y.  Each prefix's captured energy from R, s~_K, lies within
+A spectrum scan runs one SVD per steering prefix, for its basis u^H
+(subspace.prefix_bases), which both the prefix's bound and its split read.
+It visits its orders by bounds it reads from the covariance R instead of
+Y.  Each prefix's captured energy from R, s~_K, lies within
 delta_K = 4 eps K (2M + 4D + 8) |Y|^2 of the energy s_K it captures of Y
 (an a-priori rounding bound, derived at subspace.energy_margin), and U is
 convex in q, which is monotone in s, so U at the ends of
 [s~_K - delta_K, s~_K + delta_K], plus a rounding allowance, bounds U_K
 from above (_interval_bound).  Only an order the scan visits reads Y, for
-its exact split; its U_K and score are then bit-exact, those of a scan
-that splits every prefix of Y.  A pruned order keeps its bound from the R
-interval, >= its exact U_K, and its split is computed from Y when first
-read (stats_per_k).
+its exact split on the same u^H; its U_K and score are then bit-exact,
+those of a scan that splits every prefix of Y.  A pruned order keeps its
+bound from the R interval, >= its exact U_K, and its split is computed
+from Y, on the u^H the scan already holds, when first read (stats_per_k).
 """
 
 from __future__ import annotations
@@ -84,8 +86,8 @@ class OrderPosterior:
     rank-deficient prefix.  log_ip[K] is the log I_p(alpha, beta) that
     scored order K computed, NaN where no kernel call scored it (a pruned
     order, K = 0, a rank-deficient prefix).  A spectrum scan's stats_per_k
-    computes a prefix's split from Y the first time it is read and keeps
-    it; PCA's is a list.
+    splits Y on a prefix's u^H block, the one its bound read, the first
+    time the prefix is read, and keeps it; PCA's is a list.
     """
 
     log_scores: np.ndarray          # K = 0..K_max, up to a K-independent constant
@@ -215,36 +217,39 @@ def _interval_bound(s, delta, norm2_y, k, d, m):
     return top + 8.0 * _EPS * (abs(top) + 2.0 * abs(log_b) + alpha)
 
 
-def _scan_bounds(data: DrawData, v, m, priors):
+def _scan_bounds(data: DrawData, bases, m, priors):
     """Each prefix K's upper bound on its exact score bound, None where
-    rank deficient, from the captured energies of covariance_energies."""
-    d = v.shape[0]
-    bases = prefix_bases(v)
-    energies = covariance_energies(data.cov, bases)
-    bounds = [0.0 + priors[0]] + [None] * v.shape[1]
-    for k, s in energies.items():
+    rank deficient (K missing from bases), from the captured energies of
+    covariance_energies; priors has one entry per order K = 0..P."""
+    d = data.cov.shape[0]
+    bounds = [0.0 + priors[0]] + [None] * (len(priors) - 1)
+    for k, s in covariance_energies(data.cov, bases).items():
         delta = energy_margin(k, d, m, data.norm2_y)
         bounds[k] = _interval_bound(s, delta, data.norm2_y, k, d, m) + priors[k]
     return bounds
 
 
 class _PrefixSplits(Sequence):
-    """stats_per_k of a spectrum scan: prefix K's projection_stats split
-    of Y, computed the first time it is read and kept."""
+    """stats_per_k of a spectrum scan over orders K = 0..n - 1: prefix K's
+    projection_stats split of Y on its u^H block in bases (K = 0 a 0 x D
+    block), computed the first time it is read and kept; None for a prefix
+    missing from bases, a rank-deficient one."""
 
-    def __init__(self, data: DrawData, v, m):
-        self._data, self._v, self._m = data, v, m
+    def __init__(self, data: DrawData, bases, m, n):
+        empty = np.empty((0, data.y.shape[0]), dtype=complex)
+        self._data, self._m, self._n = data, m, n
+        self._bases = {0: empty, **bases}
         self._splits = {}
 
     def __len__(self):
-        return self._v.shape[1] + 1
+        return self._n
 
     def __getitem__(self, k):
         k = range(len(self))[k]
         if k not in self._splits:
-            (self._splits[k],) = projection_stats(
-                self._data.y, self._v, self._m, norm2_y=self._data.norm2_y,
-                ks=(k,))
+            uh = self._bases.get(k)
+            self._splits[k] = None if uh is None else projection_stats(
+                self._data.y, uh, self._m, norm2_y=self._data.norm2_y)
         return self._splits[k]
 
 
@@ -269,18 +274,20 @@ def map_order_scan(data: DrawData, steer_rows, k_max, m):
 
     steer_rows is P x D, row i the steering vector of the i-th highest
     spectrum peak; prefix K is the first K rows, transposed, and P = 0
-    scores K = 0 alone.  Every prefix's bound comes from the covariance
-    R (see _scan_bounds), and only the orders the branch and bound visits
-    read Y, each through its own projection_stats split; stats_per_k
-    splits any other prefix when it is first read.
+    scores K = 0 alone.  Each prefix's u^H comes from one SVD
+    (prefix_bases), which both its bound from the covariance R (see
+    _scan_bounds) and its split of Y read.  Only the orders the branch and
+    bound visits read Y, each through its own projection_stats split;
+    stats_per_k splits any other prefix when it is first read.
     The DOA prior contributes -K*log(2*pi) for both the MUSIC and DTFT
     spectra.  A rank-deficient prefix (coincident peaks) scores -inf and is
     flagged.
     """
     v = steer_rows[:k_max].T
     priors = [-k * math.log(2.0 * math.pi) for k in range(v.shape[1] + 1)]
-    return _branch_and_bound(_PrefixSplits(data, v, m), priors,
-                             _scan_bounds(data, v, m, priors))
+    bases = prefix_bases(v)
+    return _branch_and_bound(_PrefixSplits(data, bases, m, len(priors)),
+                             priors, _scan_bounds(data, bases, m, priors))
 
 
 def aic_order(eigvals, m, k_max):

@@ -3,11 +3,13 @@
 The three estimators share one geometric fact: for a candidate basis V the
 data energy splits as |Y|^2 = |V A0|^2 + |H0|^2 with A0 the least-squares
 amplitudes and H0 the residual.  ProjectionStats.from_energy packages that
-split, plus the signal/noise degree counts, for the Bayesian order scores;
-projection_stats computes it on the nested prefixes of a steering basis it
-is asked for, reading the D x M data in one product.  covariance_energies
-computes the same captured energies from R = Y Y^H (D x D) instead, within
-energy_margin of projection_stats' bits, for the order scan's bounds.
+split, plus the signal/noise degree counts, for the Bayesian order scores.
+prefix_bases gives each full-rank prefix of a steering basis its K x D
+orthonormal block u^H, one SVD each, and both energy paths read those
+blocks: projection_stats splits the D x M data on one block, and
+covariance_energies computes the same captured energies from R = Y Y^H
+(D x D) instead, within energy_margin of projection_stats' bits, for the
+order scan's bounds.
 
 Both spectra are quadratic forms v^H H v of a D x D Hermitian H at the
 grid steering vectors v_a = e^{i omega a}, and any such form is a
@@ -212,59 +214,40 @@ def pick_peaks(values, count):
     return idx[np.argsort(-v[idx], kind="stable")][:count]
 
 
-def prefix_bases(v, ks=None):
-    """{K: u^H} for the full-rank prefixes among ks (default 1..P) of the
-    D x P basis V: u the left singular vectors of its first K columns.
+def prefix_bases(v):
+    """{K: u^H} for the full-rank prefixes K = 1..P of the D x P basis V:
+    u the left singular vectors of its first K columns, so u^H is a K x D
+    block with orthonormal rows spanning them.
 
     A prefix whose smallest singular value is below 1e-10 of its largest
     is rank deficient (coincident steering vectors) and left out.  Each
-    prefix gets its own SVD, never forming (V^H V)^-1, so the same V and K
-    give the same u^H bits wherever it is asked for.
+    prefix gets its own SVD, never forming (V^H V)^-1.
     """
     d, p = v.shape
     if p > d:
         raise ValueError(f"basis has more columns ({p}) than sensors ({d})")
     bases = {}
-    for k in range(1, p + 1) if ks is None else ks:
+    for k in range(1, p + 1):
         u, sv, _ = np.linalg.svd(v[:, :k], full_matrices=False)
         if not sv[-1] < 1e-10 * sv[0]:
             bases[k] = u.conj().T
     return bases
 
 
-def projection_stats(y, v, m, *, norm2_y, ks=None):
-    """Energy splits of the D x M data Y on the nested prefixes of basis V.
+def projection_stats(y, uh, m, *, norm2_y):
+    """Energy split of the D x M data Y on the row space of the K x D
+    block u^H with orthonormal rows (a prefix_bases entry).
 
-    Entry K of the returned list is the split on the first K columns of the
-    D x P basis V, K = 0..P; given ks, the list holds the entries of those
-    prefixes only, in that order.  K = 0 is the pure-noise convention
-    (s = 0, t = |Y|^2); a rank-deficient prefix (see prefix_bases) has no
-    split and its entry is None.
-
-    Y is read once: one product of the stacked u^H blocks of every
-    full-rank prefix asked for, and s_K sums the squared magnitudes of its
-    block.  BLAS sums each entry of a matrix product the same way whichever
-    rows share the product, so every s_K has the bits of its own u^H block
-    in any product of two or more rows (the tests check it with ==).  A
-    lone row would take numpy's matrix-vector path, which sums otherwise,
-    so K = 1 asked for alone is multiplied as two rows.  norm2_y is |Y|^2,
-    which the caller sums once per draw.
+    s sums the squared magnitudes of u^H Y.  K = 0 is a 0 x D block, the
+    pure-noise convention s = 0, t = |Y|^2.  A lone row would take numpy's
+    matrix-vector path, which sums otherwise, so K = 1 is multiplied as
+    two rows and every s has the bits of a matrix product.  norm2_y is
+    |Y|^2, which the caller sums once per draw.
     """
-    d = y.shape[0]
-    ks = range(v.shape[1] + 1) if ks is None else ks
-    bases = prefix_bases(v, [k for k in ks if k > 0])
-    s = {0: 0.0}  # captured energy of each full-rank prefix K
-    if bases:
-        rows = np.concatenate(list(bases.values()))
-        if len(rows) == 1:
-            blocks = (np.concatenate((rows, rows)) @ y)[:1]
-        else:
-            blocks = rows @ y
-        ends = np.cumsum(list(bases))
-        for k, block in zip(bases, np.split(blocks, ends[:-1])):
-            s[k] = float(np.sum(np.abs(block) ** 2))
-    return [ProjectionStats.from_energy(s[k], norm2_y, k, d, m) if k in s
-            else None for k in ks]
+    k = uh.shape[0]
+    block = (np.concatenate((uh, uh)) @ y)[:1] if k == 1 else uh @ y
+    s = float(np.sum(np.abs(block) ** 2))
+    return ProjectionStats.from_energy(s, norm2_y, k, y.shape[0], m)
 
 
 def covariance_energies(cov, bases):

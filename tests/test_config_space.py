@@ -7,15 +7,21 @@ float fields are finite, or NaN where the schema puts it (PCA's DOA
 fields).  The shapes are small (D 2-8, M 2-16), so a grid point is a few
 milliseconds; they reach the spectra's edge shapes: D = 2, a one-column
 noise subspace (k_max = D - 1) and one- or two-point grids.
+
+The same space, written to a config file, drives `doamap sweep`: it exits
+1 exactly where the config raises ConfigError, else 0, and never 2.
 """
 
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from doamap import cli
 from doamap.bench import (
     KNOWN_METHODS,
     METRICS,
@@ -101,3 +107,34 @@ def test_config_loads_and_runs_clean_or_is_rejected(fields):
                         assert math.isnan(value), (row["method"], f)
                     else:
                         assert math.isfinite(value), (row["method"], f, value)
+
+
+def _config_text(fields):
+    """The fields as a flat key = value config file; tuple entries are
+    comma separated, floats printed by repr, which reads back exactly."""
+    lines = []
+    for key, value in fields.items():
+        if isinstance(value, tuple):
+            value = ", ".join(map(str, value))
+        lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=30)
+@given(fields=configs())
+# an empty DOA list and an infinite SNR read back from the file; k_max = D
+# is a config error
+@example(fields=_small(math.inf, d=2, k_true=1, k_max=1, grid_step_deg=90.0))
+@example(fields=_small(10.0, k_max=8))
+def test_sweep_on_a_written_config_exits_clean_or_config_error(fields):
+    try:
+        ExperimentConfig(**fields)
+        expected = cli.EXIT_OK
+    except ConfigError:
+        expected = cli.EXIT_CONFIG
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sweep.cfg"
+        path.write_text(_config_text(fields))
+        status = cli.main(["sweep", "--config", str(path), "--runs", "1",
+                           "--out", str(Path(tmp) / "r.csv")])
+    assert status == expected

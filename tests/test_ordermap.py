@@ -151,7 +151,7 @@ class TestPosteriorVariances:
         sc = default_scenario(d=32, k=3, m=512, n=512, snr_db=10.0, seed=77)
         y = synth_freq(sc)
         v = steering_matrix(sc.doa_deg, sc.d)
-        st = projection_stats(y, v, sc.m, norm2_y=_norm2(y))[-1]
+        st = projection_stats(y, prefix_bases(v)[3], sc.m, norm2_y=_norm2(y))
         pv = posterior_variances(st, sc.d)
         assert pv.sigma2_mean == pytest.approx(
             noise_variances(sc, amplitude_matrix(sc)), rel=0.05)
@@ -269,7 +269,7 @@ class TestMapOrderScan:
         for k in range(1, len(post.stats_per_k)):
             v = steering_matrix(angles[:k], sc.d)
             assert post.stats_per_k[k] == projection_stats(
-                y, v, sc.m, norm2_y=_norm2(y))[-1]
+                y, prefix_bases(v)[k], sc.m, norm2_y=_norm2(y))
 
 
 def _pca_prior(d):
@@ -395,7 +395,10 @@ def _check_against_full_scan(data, rows, k_max, m):
     """The R-bounded scan against the unpruned scan on Y's exact splits."""
     v = rows[:k_max].T
     post = map_order_scan(data, rows, k_max, m)
-    exact = projection_stats(data.y, v, m, norm2_y=data.norm2_y)
+    bases = prefix_bases(v)
+    blocks = {0: np.empty((0, v.shape[0]), complex), **bases}
+    exact = [projection_stats(data.y, blocks[k], m, norm2_y=data.norm2_y)
+             if k in blocks else None for k in range(v.shape[1] + 1)]
     priors = [_scan_prior(k) for k in range(len(exact))]
     full = [None if st is None
             else (0.0, math.nan) if st.alpha == 0
@@ -404,7 +407,7 @@ def _check_against_full_scan(data, rows, k_max, m):
               for k, f in enumerate(full)]
     assert post.k_map == int(np.argmax(scores))
     exact_bounds = _finish_posterior(exact, _scan_prior).log_score_bounds
-    interval = ordermap._scan_bounds(data, v, m, priors)
+    interval = ordermap._scan_bounds(data, bases, m, priors)
     for k, st in enumerate(exact):
         assert (interval[k] is None) == (st is None), k
         if st is None:
@@ -416,8 +419,7 @@ def _check_against_full_scan(data, rows, k_max, m):
             assert post.log_score_bounds[k] == exact_bounds[k], k
             if k:
                 assert post.log_ip[k] == full[k][1], k
-        alone = projection_stats(data.y, v[:, :k], m, norm2_y=data.norm2_y)[-1]
-        assert post.stats_per_k[k] == alone, k
+        assert post.stats_per_k[k] == st, k
 
 
 _angle = hst.floats(0.0, 180.0, exclude_max=True)
@@ -473,11 +475,11 @@ class TestCovarianceBounds:
                 for rows in peaks.values():
                     v = rows[:cfg.k_max].T
                     bases = prefix_bases(v)
-                    exact = projection_stats(data.y, v, sc.m,
-                                             norm2_y=data.norm2_y)
                     for k, s in covariance_energies(data.cov, bases).items():
+                        exact = projection_stats(data.y, bases[k], sc.m,
+                                                 norm2_y=data.norm2_y)
                         delta = energy_margin(k, sc.d, sc.m, data.norm2_y)
-                        worst = max(worst, abs(exact[k].s - s) / delta)
+                        worst = max(worst, abs(exact.s - s) / delta)
         assert worst <= 1e-2
 
 
@@ -492,7 +494,8 @@ class TestShrinkage:
                                   seed=seed)
             y = synth_freq(sc)
             v = steering_matrix(sc.doa_deg, sc.d)
-            st = projection_stats(y, v, sc.m, norm2_y=_norm2(y))[-1]
+            st = projection_stats(y, prefix_bases(v)[3], sc.m,
+                                  norm2_y=_norm2(y))
             pv = posterior_variances(st, sc.d)
             a0, *_ = np.linalg.lstsq(v, y, rcond=None)
             truth = amplitude_matrix(sc)

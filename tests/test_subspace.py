@@ -23,6 +23,7 @@ from doamap.subspace import (
     music_exact,
     music_pseudospectrum,
     pick_peaks,
+    prefix_bases,
     projection_stats,
     sample_covariance,
 )
@@ -278,8 +279,8 @@ class TestPickPeaks:
 class TestProjectionStats:
     def test_k0_convention(self):
         y = np.ones((4, 3), dtype=complex)
-        (st,) = projection_stats(y, np.empty((4, 0), dtype=complex), 3,
-                                 norm2_y=_norm2(y))
+        st = projection_stats(y, np.empty((0, 4), dtype=complex), 3,
+                              norm2_y=_norm2(y))
         assert st.s == 0.0 and st.t == pytest.approx(12.0)
         assert st.alpha == 0 and st.beta == 12
         assert st.q == 1.0
@@ -290,7 +291,7 @@ class TestProjectionStats:
         a = rng.standard_normal((2, 10)) + 1j * rng.standard_normal((2, 10))
         y = v @ a
         norm2 = _norm2(y)
-        st = projection_stats(y, v, 10, norm2_y=norm2)[-1]
+        st = projection_stats(y, prefix_bases(v)[2], 10, norm2_y=norm2)
         assert st.t == pytest.approx(1e-12 * norm2)
         assert st.s == pytest.approx(norm2, rel=1e-10)
 
@@ -304,7 +305,7 @@ class TestProjectionStats:
             v = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
             y = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
             norm2 = _norm2(y)
-            st = projection_stats(y, v, m, norm2_y=norm2)[-1]
+            st = projection_stats(y, prefix_bases(v)[k], m, norm2_y=norm2)
             assert abs(st.s + st.t - norm2) <= 1e-8 * norm2
             assert st.alpha == k * m and st.beta == (d - k) * m
 
@@ -312,7 +313,7 @@ class TestProjectionStats:
         rng = np.random.default_rng(6)
         v = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
         y = rng.standard_normal((7, 9)) + 1j * rng.standard_normal((7, 9))
-        st = projection_stats(y, v, 9, norm2_y=_norm2(y))[-1]
+        st = projection_stats(y, prefix_bases(v)[3], 9, norm2_y=_norm2(y))
         a0, *_ = np.linalg.lstsq(v, y, rcond=None)
         resid = float(np.sum(np.abs(y - v @ a0) ** 2))
         fit = float(np.sum(np.abs(v @ a0) ** 2))
@@ -324,7 +325,7 @@ class TestProjectionStats:
         rng = np.random.default_rng(7)
         v = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
         y = rng.standard_normal((6, 8)) + 1j * rng.standard_normal((6, 8))
-        st = projection_stats(y, v, 8, norm2_y=_norm2(y))[-1]
+        st = projection_stats(y, prefix_bases(v)[2], 8, norm2_y=_norm2(y))
         p = v @ np.linalg.solve(v.conj().T @ v, v.conj().T)
         expect = float(np.real(np.trace(p @ (y @ y.conj().T))))
         assert st.s == pytest.approx(expect, rel=1e-10)
@@ -337,11 +338,12 @@ class TestProjectionStats:
         basis = eigendecompose(sample_covariance(y))
         norm2 = _norm2(y)
         for k in (1, 2, 4):
-            s_pca = projection_stats(y, basis.eigvecs[:, :k], 40,
-                                     norm2_y=norm2)[-1].s
+            s_pca = projection_stats(y, prefix_bases(basis.eigvecs[:, :k])[k],
+                                     40, norm2_y=norm2).s
             for _ in range(50):
                 w = _random_unitary_columns(rng, 8, k)
-                s = projection_stats(y, w, 40, norm2_y=norm2)[-1].s
+                s = projection_stats(y, prefix_bases(w)[k], 40,
+                                     norm2_y=norm2).s
                 assert s <= s_pca + 1e-8 * s_pca
             # and it equals the sum of the top-k eigenvalues
             assert s_pca == pytest.approx(float(np.sum(basis.eigvals[:k])),
@@ -349,49 +351,41 @@ class TestProjectionStats:
 
     def test_rank_deficient_prefixes_flagged(self):
         # column 1 is parallel to column 0: every prefix holding both has no
-        # split, the prefixes before it keep theirs
+        # basis, so no split; the prefixes before it keep theirs
         v = np.ones((5, 3), dtype=complex)
         v[:, 1] = 2.0 * v[:, 0]
         v[:, 2] = np.exp(1j * np.arange(5))
         y = np.ones((5, 4), dtype=complex)
-        stats = projection_stats(y, v, 4, norm2_y=_norm2(y))
-        assert [st is None for st in stats] == [False, False, True, True]
-        assert stats[1].s == pytest.approx(20.0)
+        bases = prefix_bases(v)
+        assert [k in bases for k in (1, 2, 3)] == [True, False, False]
+        st = projection_stats(y, bases[1], 4, norm2_y=_norm2(y))
+        assert st.s == pytest.approx(20.0)
 
     def test_prefixes_match_single_basis_products(self):
-        # each prefix's energy, a block of the one stacked product, equals
-        # that of its own SVD basis times Y bit for bit; a 1 x D row alone
-        # takes numpy's matrix-vector path, so K = 1's reference is its row
-        # in a two-row product; rank-deficient prefixes (coincident peaks)
-        # are None
+        # each prefix's energy equals that of its own SVD basis times Y
+        # bit for bit; a 1 x D row alone takes numpy's matrix-vector path,
+        # so K = 1's reference is its row in a two-row product;
+        # rank-deficient prefixes (coincident peaks) have no basis
         checked = 0
         for y, basis, steer in _desk_draws():
             idx = pick_peaks(_oracle_music(basis, 10, steer), 10)
             for rows in (steer[idx], steer[np.r_[idx[:3], idx[1], idx[3:6]]]):
                 v = rows.T
-                stats = projection_stats(y, v, 512, norm2_y=_norm2(y))
-                for k, st in enumerate(stats[1:], 1):
+                bases = prefix_bases(v)
+                for k in range(1, v.shape[1] + 1):
                     u, sv, _ = np.linalg.svd(v[:, :k], full_matrices=False)
                     if sv[-1] < 1e-10 * sv[0]:
-                        assert st is None, k
+                        assert k not in bases, k
                         continue
                     uh = u.conj().T
                     prod = (np.vstack([uh, uh]) @ y)[:1] if k == 1 else uh @ y
                     s = float(np.sum(np.abs(prod) ** 2))
+                    st = projection_stats(y, bases[k], 512, norm2_y=_norm2(y))
                     assert st == ProjectionStats.from_energy(
                         s, _norm2(y), k, 32, 512), k
                     checked += 1
-            assert [st is None for st in stats] == [False] * 4 + [True] * 4
+            assert [k in bases for k in range(1, 8)] == [True] * 3 + [False] * 4
         assert checked == 5 * (10 + 3)
-
-    @pytest.mark.parametrize("p, products", [(0, 0), (1, 1), (10, 1)])
-    def test_one_data_product_per_call(self, p, products):
-        # every full-rank prefix, K = 1 included, is a block of one product
-        y, basis, steer = next(_desk_draws())
-        rows = steer[pick_peaks(_oracle_music(basis, 10, steer), 10)[:p]]
-        counted = y.view(_MatmulCounter)
-        stats = projection_stats(counted, rows.T, 512, norm2_y=_norm2(y))
-        assert len(stats) == p + 1 and counted.matmuls == products
 
     def test_scan_multiplies_y_only_for_read_prefixes(self):
         # the order scan bounds every prefix from R, and multiplies Y by
@@ -407,14 +401,31 @@ class TestProjectionStats:
         assert scored == {3} and (counted.matmuls, counted.rows) == (1, 3)
         for k in (3, 1, 3, 1):
             assert post.stats_per_k[k] == projection_stats(
-                y, rows[:k].T, 512, norm2_y=_norm2(y))[-1]
+                y, prefix_bases(rows[:k].T)[k], 512, norm2_y=_norm2(y))
         assert (counted.matmuls, counted.rows) == (2, 3 + 2)
 
+    def test_one_svd_per_prefix_per_scan(self, monkeypatch):
+        # the scan takes each prefix's u^H from one SVD, which both its
+        # bound from R and its split of Y read: reading every split after
+        # the scan runs no SVD again
+        ((y, basis, steer),) = _desk_draws(snrs=(10.0,))
+        rows = steer[pick_peaks(_oracle_music(basis, 10, steer), 10)]
+        assert rows.shape == (10, 32)
+        data = DrawData(y, sample_covariance(y), _norm2(y))
+        svd, shapes = np.linalg.svd, []
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        post = map_order_scan(data, rows, 10, 512)
+        assert sum(st is not None for st in post.stats_per_k) == 11
+        assert shapes == [(32, k) for k in range(1, 11)]
+
     def test_too_many_columns(self):
-        y = np.ones((3, 4), dtype=complex)
         with pytest.raises(ValueError):
-            projection_stats(y, np.ones((3, 4), dtype=complex), 4,
-                             norm2_y=_norm2(y))
+            prefix_bases(np.ones((3, 4), dtype=complex))
 
     def test_music_and_dtft_agree_noiseless_on_grid(self):
         # distinct far-apart sources: both spectra put peaks on the true DOAs
