@@ -298,8 +298,9 @@ def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None)
     and amplitude fits read only the peaks' steering rows.  The posterior
     (reusing the log I_p of an order the scan scored), amplitude fit and
     metrics run once per (source, K), shared by every method picking it (a
-    K past the last peak reads the last prefix).  Returns dicts with the
-    per-method metric fields of RunRecord (run_sweep fills in the rest).
+    K past the last full-rank prefix reads that prefix's posterior).
+    Returns dicts with the per-method metric fields of RunRecord (run_sweep
+    fills in the rest).
     """
     y = synth_freq(scenario, rng=rng)
     true_amps = amplitude_matrix(scenario)

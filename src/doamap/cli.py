@@ -112,20 +112,16 @@ def _cmd_curves(args):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    command = {"sweep": _cmd_sweep, "validate-dist": _cmd_validate,
+               "curves": _cmd_curves}[args.command]
     try:
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "validate-dist":
-            return _cmd_validate(args)
-        if args.command == "curves":
-            return _cmd_curves(args)
+        return command(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - map anything else to runtime failure
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    return EXIT_OK
 
 
 if __name__ == "__main__":

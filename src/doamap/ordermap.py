@@ -15,26 +15,28 @@ is monotone, so score <= U_K bit for bit.  The O(beta) kernel runs only
 for orders whose bound can still beat the best exact score so far, and
 the log I_p each scored order computed is kept for its posterior moments.
 
-A spectrum scan runs one SVD per steering prefix, for its basis u^H
-(subspace.prefix_bases), which both the prefix's bound and its split read.
-It visits its orders by bounds it reads from the covariance R instead of
-Y.  Each prefix's captured energy from R, s~_K, lies within
-delta_K = 4 eps K (2M + 4D + 8) |Y|^2 of the energy s_K it captures of Y
-(an a-priori rounding bound, derived at subspace.energy_margin), and U is
-convex in q, which is monotone in s, so U at the ends of
-[s~_K - delta_K, s~_K + delta_K], plus a rounding allowance, bounds U_K
-from above (_interval_bound).  Only an order the scan visits reads Y, for
-its exact split on the same u^H; its U_K and score are then bit-exact,
-those of a scan that splits every prefix of Y.  A pruned order keeps its
-bound from the R interval, >= its exact U_K, and its split is computed
-from Y, on the u^H the scan already holds, when first read (stats_per_k).
+A spectrum scan scores the orders 0..P', P' its steering prefixes before
+the first rank-deficient one (coincident peaks), and runs one SVD per
+prefix, for its basis u^H (subspace.prefix_bases), which both the prefix's
+bound and its split read.  It visits its orders by bounds it reads from
+the covariance R instead of Y.  Each prefix's captured energy from R,
+s~_K, lies within delta_K = 4 eps K (2M + 4D + 8) |Y|^2 of the energy s_K
+it captures of Y (an a-priori rounding bound, derived at
+subspace.energy_margin), and U is convex in q, which is monotone in s, so
+U at the ends of [s~_K - delta_K, s~_K + delta_K], plus a rounding
+allowance, bounds U_K from above (_interval_bound).  Only an order the
+scan visits reads Y, for its exact split on the same u^H; its U_K and
+score are then bit-exact, those of a scan that splits every prefix of Y.
+A pruned order keeps its bound from the R interval, >= its exact U_K, and
+its split is computed from Y, on the u^H the scan already holds, when
+first read (stats_per_k).
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import betaln
@@ -82,15 +84,16 @@ class OrderPosterior:
     log_scores[k_map] - log_score_bounds[K].  The bound is the exact
     closed form U_K, bit for bit, at every order whose split the scan read
     (every scored order, every PCA order); a spectrum scan's pruned order
-    has its bound from the R interval instead, >= U_K.  Both are -inf at a
-    rank-deficient prefix.  log_ip[K] is the log I_p(alpha, beta) that
-    scored order K computed, NaN where no kernel call scored it (a pruned
-    order, K = 0, a rank-deficient prefix).  A spectrum scan's stats_per_k
+    has its bound from the R interval instead, >= U_K.  log_ip[K] is the
+    log I_p(alpha, beta) that scored order K computed, NaN where no kernel
+    call scored it (a pruned order, K = 0).  A spectrum scan's stats_per_k
     splits Y on a prefix's u^H block, the one its bound read, the first
-    time the prefix is read, and keeps it; PCA's is a list.
+    time the prefix is read, and keeps it; PCA's is a list.  A spectrum
+    scan ends at its last full-rank prefix P' and lists the orders
+    P' + 1..min(K_max, P) in rank_deficient_k.
     """
 
-    log_scores: np.ndarray          # K = 0..K_max, up to a K-independent constant
+    log_scores: np.ndarray          # per order K, up to a K-independent constant
     log_score_bounds: np.ndarray    # closed-form upper bound on each score
     log_ip: np.ndarray              # log I_p(alpha, beta) of each scored order
     k_map: int
@@ -118,13 +121,11 @@ def posterior_variances(stats: ProjectionStats, d, log_ip=math.nan):
     The exact means are the first moments of the inverse-gamma pair
     X = D*ra, Y = sigma2 conditioned on X >= Y, so they need alpha > 1 and
     beta > 1.  K = 0 (alpha = 0) is the convention sigma^2 ~
-    inverse-gamma(DM, |Y|^2), tau = 1, no signal variance (nan).  None, a
-    scan's rank-deficient prefix, has no posterior.  log_ip is the order's
-    log I_p(alpha, beta) when its scan scored it (OrderPosterior.log_ip);
-    NaN, a pruned or unscanned order, computes it with one kernel call.
+    inverse-gamma(DM, |Y|^2), tau = 1, no signal variance (nan).  log_ip is
+    the order's log I_p(alpha, beta) when its scan scored it
+    (OrderPosterior.log_ip); NaN, a pruned or unscanned order, computes it
+    with one kernel call.
     """
-    if stats is None:
-        raise ValueError("steering prefix is rank deficient: no posterior")
     if stats.alpha == 0:
         sigma2 = stats.t / (stats.beta - 1)
         return PosteriorVariances(ra_mean=math.nan, sigma2_mean=sigma2,
@@ -140,8 +141,7 @@ def _finish_posterior(stats_list, log_prior):
     """MAP order over log Q(alpha, beta, q) + log_prior(K), branch and bound
     on each order's exact bound `_log_q_from(0.0, ...)` + log_prior(K)."""
     priors = [log_prior(k) for k in range(len(stats_list))]
-    bounds = [None if st is None
-              else _log_q_from(0.0, st.alpha, st.beta, st.q) + priors[k]
+    bounds = [_log_q_from(0.0, st.alpha, st.beta, st.q) + priors[k]
               if st.alpha else 0.0 + priors[k]
               for k, st in enumerate(stats_list)]
     return _branch_and_bound(stats_list, priors, bounds)
@@ -149,24 +149,21 @@ def _finish_posterior(stats_list, log_prior):
 
 def _branch_and_bound(stats_list, priors, bounds):
     """MAP order over log Q(alpha, beta, q) + priors[K], given upper bounds
-    on each order's exact bound (None: a rank-deficient prefix).
+    on each order's exact bound.
 
     Entry 0 is the empty subspace (log Q = 0), whose bound 0.0 + priors[0]
-    is its score; a rank-deficient prefix scores -inf and is flagged;
-    neither takes a kernel call.  The rest are visited in descending bound
-    order (ties to smaller K) until a bound falls below the best score so
-    far.  A visited order reads its split from stats_list, and its bound
-    becomes the exact one; log_q_sum scores it unless that too is below
-    the best.  An order left unscored scores at most its bound, below that
-    best, so the MAP order is the argmax over all exact scores, smallest K
-    on ties.
+    is its score, with no kernel call.  The rest are visited in descending
+    bound order (ties to smaller K) until a bound falls below the best
+    score so far.  A visited order reads its split from stats_list, and
+    its bound becomes the exact one; log_q_sum scores it unless that too
+    is below the best.  An order left unscored scores at most its bound,
+    below that best, so the MAP order is the argmax over all exact scores,
+    smallest K on ties.
     """
     n = len(bounds)
-    deficient = tuple(k for k, b in enumerate(bounds) if b is None)
-    bounds = np.array([-math.inf if b is None else b for b in bounds])
+    bounds = np.array(bounds)
     log_scores = np.full(n, math.nan)
     log_ip = np.full(n, math.nan)
-    log_scores[list(deficient)] = -math.inf
     log_scores[0] = bounds[0]
     best = -math.inf
     for k in sorted(range(n), key=lambda k: (-bounds[k], k)):
@@ -186,7 +183,6 @@ def _branch_and_bound(stats_list, priors, bounds):
         log_ip=log_ip,
         k_map=int(np.nanargmax(log_scores)),  # the smallest K on ties
         stats_per_k=stats_list,
-        rank_deficient_k=deficient,
     )
 
 
@@ -218,38 +214,36 @@ def _interval_bound(s, delta, norm2_y, k, d, m):
 
 
 def _scan_bounds(data: DrawData, bases, m, priors):
-    """Each prefix K's upper bound on its exact score bound, None where
-    rank deficient (K missing from bases), from the captured energies of
-    covariance_energies; priors has one entry per order K = 0..P."""
+    """Each order K's upper bound on its exact score bound, K = 0's exact
+    and each prefix's from the captured energies of covariance_energies;
+    priors has one entry per order K = 0..P'."""
     d = data.cov.shape[0]
-    bounds = [0.0 + priors[0]] + [None] * (len(priors) - 1)
-    for k, s in covariance_energies(data.cov, bases).items():
-        delta = energy_margin(k, d, m, data.norm2_y)
-        bounds[k] = _interval_bound(s, delta, data.norm2_y, k, d, m) + priors[k]
-    return bounds
+    return [0.0 + priors[0]] + [
+        _interval_bound(s, energy_margin(k, d, m, data.norm2_y),
+                        data.norm2_y, k, d, m) + priors[k]
+        for k, s in covariance_energies(data.cov, bases).items()]
 
 
 class _PrefixSplits(Sequence):
-    """stats_per_k of a spectrum scan over orders K = 0..n - 1: prefix K's
+    """stats_per_k of a spectrum scan over orders K = 0..P': prefix K's
     projection_stats split of Y on its u^H block in bases (K = 0 a 0 x D
-    block), computed the first time it is read and kept; None for a prefix
-    missing from bases, a rank-deficient one."""
+    block), computed the first time it is read and kept."""
 
-    def __init__(self, data: DrawData, bases, m, n):
+    def __init__(self, data: DrawData, bases, m):
         empty = np.empty((0, data.y.shape[0]), dtype=complex)
-        self._data, self._m, self._n = data, m, n
-        self._bases = {0: empty, **bases}
+        self._data, self._m = data, m
+        self._bases = [empty, *bases.values()]
         self._splits = {}
 
     def __len__(self):
-        return self._n
+        return len(self._bases)
 
     def __getitem__(self, k):
         k = range(len(self))[k]
         if k not in self._splits:
-            uh = self._bases.get(k)
-            self._splits[k] = None if uh is None else projection_stats(
-                self._data.y, uh, self._m, norm2_y=self._data.norm2_y)
+            self._splits[k] = projection_stats(
+                self._data.y, self._bases[k], self._m,
+                norm2_y=self._data.norm2_y)
         return self._splits[k]
 
 
@@ -280,14 +274,16 @@ def map_order_scan(data: DrawData, steer_rows, k_max, m):
     bound visits read Y, each through its own projection_stats split;
     stats_per_k splits any other prefix when it is first read.
     The DOA prior contributes -K*log(2*pi) for both the MUSIC and DTFT
-    spectra.  A rank-deficient prefix (coincident peaks) scores -inf and is
-    flagged.
+    spectra.  The orders past the last full-rank prefix (coincident peaks)
+    are not scored, only listed in rank_deficient_k.
     """
     v = steer_rows[:k_max].T
-    priors = [-k * math.log(2.0 * math.pi) for k in range(v.shape[1] + 1)]
     bases = prefix_bases(v)
-    return _branch_and_bound(_PrefixSplits(data, bases, m, len(priors)),
-                             priors, _scan_bounds(data, bases, m, priors))
+    priors = [-k * math.log(2.0 * math.pi) for k in range(len(bases) + 1)]
+    post = _branch_and_bound(_PrefixSplits(data, bases, m), priors,
+                             _scan_bounds(data, bases, m, priors))
+    return replace(post, rank_deficient_k=tuple(
+        range(len(bases) + 1, v.shape[1] + 1)))
 
 
 def aic_order(eigvals, m, k_max):

@@ -4,8 +4,8 @@ The three estimators share one geometric fact: for a candidate basis V the
 data energy splits as |Y|^2 = |V A0|^2 + |H0|^2 with A0 the least-squares
 amplitudes and H0 the residual.  ProjectionStats.from_energy packages that
 split, plus the signal/noise degree counts, for the Bayesian order scores.
-prefix_bases gives each full-rank prefix of a steering basis its K x D
-orthonormal block u^H, one SVD each, and both energy paths read those
+prefix_bases gives each steering prefix before the first rank-deficient
+one its K x D orthonormal block u^H, and both energy paths read those
 blocks: projection_stats splits the D x M data on one block, and
 covariance_energies computes the same captured energies from R = Y Y^H
 (D x D) instead, within energy_margin of projection_stats' bits, for the
@@ -215,13 +215,15 @@ def pick_peaks(values, count):
 
 
 def prefix_bases(v):
-    """{K: u^H} for the full-rank prefixes K = 1..P of the D x P basis V:
-    u the left singular vectors of its first K columns, so u^H is a K x D
-    block with orthonormal rows spanning them.
+    """{K: u^H} for the prefixes K = 1..P' of the D x P basis V before its
+    first rank-deficient one: u the left singular vectors of its first K
+    columns, one SVD each, never forming (V^H V)^-1.
 
-    A prefix whose smallest singular value is below 1e-10 of its largest
-    is rank deficient (coincident steering vectors) and left out.  Each
-    prefix gets its own SVD, never forming (V^H V)^-1.
+    A prefix is rank deficient (coincident steering vectors) when its
+    smallest singular value is below 1e-10 of its largest.  A column more
+    never lowers the largest nor raises the smallest (interlacing; Horn &
+    Johnson, Topics in Matrix Analysis, 1991, section 3.1), so no prefix
+    past the first deficient one is full rank.
     """
     d, p = v.shape
     if p > d:
@@ -229,8 +231,9 @@ def prefix_bases(v):
     bases = {}
     for k in range(1, p + 1):
         u, sv, _ = np.linalg.svd(v[:, :k], full_matrices=False)
-        if not sv[-1] < 1e-10 * sv[0]:
-            bases[k] = u.conj().T
+        if sv[-1] < 1e-10 * sv[0]:
+            break
+        bases[k] = u.conj().T
     return bases
 
 

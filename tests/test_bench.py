@@ -28,7 +28,7 @@ from doamap.bench import (
     write_results,
 )
 from doamap.cli import main as cli_main
-from doamap.ordermap import map_order_scan
+from doamap.ordermap import map_order_scan, posterior_variances
 
 FAST = dict(d=16, k_true=2, m=64, n=64, k_max=5, n_runs=2,
             snr_grid_db=(20.0,), grid_step_deg=2.0)
@@ -388,8 +388,9 @@ class TestRunSingle:
         assert np.unique(omegas).size == n
 
     def test_coincident_peaks(self, monkeypatch):
-        # map flags the rank-deficient prefix K = 2 and picks below it;
-        # known-k at K = 2 has no posterior there and raises
+        # both spectra's two peaks coincide, so each scan ends at the
+        # full-rank prefix K = 1 and flags K = 2; map picks K = 0, and aic
+        # and known-k at K = 2 read the posterior of K = 1
         from doamap.arraysim import default_scenario
 
         # grid index 25 of the 2-degree grid is 50 degrees
@@ -403,13 +404,20 @@ class TestRunSingle:
 
         monkeypatch.setattr(bench, "map_order_scan", spy)
         sc = default_scenario(d=16, k=2, m=64, n=64, snr_db=20.0, seed=0)
-        (row,) = run_single(sc, 5, 2.0, ("music-map",),
-                            rng=np.random.default_rng(0))
-        assert [post.rank_deficient_k for post in scans] == [(2,)]
-        assert row["k_hat"] == scans[0].k_map <= 1
-        with pytest.raises(ValueError, match="rank deficient"):
-            run_single(sc, 5, 2.0, ("music-known-k",),
-                       rng=np.random.default_rng(0))
+        rows = run_single(sc, 5, 2.0, bench.KNOWN_METHODS,
+                          rng=np.random.default_rng(0))
+        assert [row["method"] for row in rows] == list(bench.KNOWN_METHODS)
+        assert [post.rank_deficient_k for post in scans] == [(2,), (2,)]
+        assert [post.k_map for post in scans] == [0, 0]
+        k_hat = {row["method"]: row["k_hat"] for row in rows}
+        assert k_hat == {"pca-map": 2, "music-map": 0, "dtft-map": 0,
+                         "music-aic": 2, "music-known-k": 2,
+                         "dtft-known-k": 2}
+        post = scans[0]
+        tau = posterior_variances(post.stats_per_k[1], sc.d,
+                                  post.log_ip[1]).tau_mean
+        for row in rows[3:]:
+            assert row["tau_mean"] == tau, row["method"]
 
 
 def _load_tracing():
@@ -659,6 +667,18 @@ class TestSweep:
         for a, b in zip(records, back):
             assert a.method == b.method and a.k_hat == b.k_hat
             assert b.rmse_a0 == pytest.approx(a.rmse_a0, rel=1e-9, nan_ok=True)
+
+
+    def test_read_results_skips_blank_lines(self, tmp_path):
+        records = [RunRecord(
+            method="music-map", snr_db=0.0, overlap=0.0, decay=0.0, run=run,
+            k_hat=2, err_doa=0.1, rmse_a0=1.0, rmse_a_shrunk=0.5,
+            rmse_sigma=0.2, tau_mean=0.3) for run in (0, 1)]
+        path = tmp_path / "out.csv"
+        write_results(records, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:3] + ["", "  "] + lines[3:] + [""]))
+        assert read_results(path) == records
 
 
 class TestAggregation:
@@ -933,6 +953,29 @@ class TestCli:
         assert cli_main(["sweep", "--runs", "1",
                          "--out", str(tmp_path / "res.csv")]) == 1
         assert "is a directory" in capsys.readouterr().err
+
+    def test_sweep_write_failure_exit_code(self, tmp_path, capsys,
+                                           monkeypatch):
+        # the results are written, then the aggregates hit a full disk
+        def full_disk(records, path, k_true=None):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "run_sweep", lambda config, jobs: [])
+        monkeypatch.setattr(cli, "write_aggregates", full_disk)
+        out = tmp_path / "res.csv"
+        assert cli_main(["sweep", "--runs", "1", "--out", str(out)]) == 2
+        assert out.is_file()
+        assert "partial output" in capsys.readouterr().err
+
+    def test_sweep_runtime_failure_exit_code(self, tmp_path, capsys,
+                                             monkeypatch):
+        def broken(config, jobs):
+            raise RuntimeError("worker died")
+
+        monkeypatch.setattr(cli, "run_sweep", broken)
+        assert cli_main(["sweep", "--runs", "1",
+                         "--out", str(tmp_path / "res.csv")]) == 2
+        assert "runtime failure: worker died" in capsys.readouterr().err
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_sweep_bad_jobs_exit_code(self, jobs, tmp_path, capsys, monkeypatch):

@@ -94,10 +94,6 @@ class TestPosteriorVariances:
             )
             assert 0.0 < pv.tau_mean < 1.0
 
-    def test_rank_deficient_prefix_has_no_posterior(self):
-        with pytest.raises(ValueError, match="prefix"):
-            posterior_variances(None, 4)
-
     def test_rejects_degenerate_degrees(self):
         # with or without a scan's log I_p
         for log_ip in (math.nan, -0.5):
@@ -242,12 +238,13 @@ class TestMapOrderScan:
         assert len(post.log_scores) == 2  # K in {0, 1} only
 
     def test_coincident_peaks_flagged(self):
+        # the prefixes end at K = 1: K = 2 is flagged and never scored
         sc = default_scenario(d=16, k=1, m=64, n=64, snr_db=20.0, seed=6)
         y = synth_freq(sc)
         rows = steering_matrix([50.0, 50.0], sc.d).T
         post = map_order_scan(_data(y), rows, 2, sc.m)
         assert post.rank_deficient_k == (2,)
-        assert post.log_scores[2] == -math.inf
+        assert len(post.log_scores) == len(post.stats_per_k) == 2
         assert post.k_map in (0, 1)
 
     def test_empty_peaks_score_k0_alone(self):
@@ -284,8 +281,7 @@ def _check_pruned(post, log_prior):
     """The pruned scan against every order's exact score (the oracle);
     K = 0 is the empty-subspace convention log Q = 0."""
     exact = np.array([
-        -math.inf if st is None
-        else (0.0 if st.alpha == 0 else log_q_sum(st.alpha, st.beta, st.q)[0])
+        (0.0 if st.alpha == 0 else log_q_sum(st.alpha, st.beta, st.q)[0])
         + log_prior(k)
         for k, st in enumerate(post.stats_per_k)])
     assert post.k_map == int(np.argmax(exact))
@@ -366,15 +362,53 @@ class TestPrunedScan:
         assert np.isnan(post.log_scores[1:]).all()
         _check_pruned(post, prior)
 
-    @pytest.mark.parametrize("deficient", [(1,), (2, 3), (1, 2, 3)])
-    def test_rank_deficient_prefixes(self, deficient):
+    def test_loose_bounds_prune_on_the_exact_bound(self, monkeypatch):
+        # bounds 300 above the exact ones (as the R interval raises a
+        # spectrum scan's) visit every order, but an order whose exact
+        # bound falls below the best score takes no kernel call: the scan
+        # scores only K = 2, as it does on the exact bounds
+        calls = []
+
+        def counting(alpha, beta, q):
+            calls.append(alpha)
+            return log_q_sum(alpha, beta, q)
+
+        monkeypatch.setattr(ordermap, "log_q_sum", counting)
         stats = [ProjectionStats.from_energy(s, 1000.0, k, 16, 64)
-                 for k, s in enumerate((0.0, 600.0, 700.0, 720.0))]
-        stats = [None if k in deficient else st for k, st in enumerate(stats)]
-        post = _finish_posterior(stats, _scan_prior)
-        assert post.rank_deficient_k == deficient
-        for k in deficient:
-            assert post.log_scores[k] == post.log_score_bounds[k] == -math.inf
+                 for k, s in enumerate((0.0, 600.0, 700.0, 720.0, 730.0))]
+        exact = _finish_posterior(stats, _scan_prior)
+        assert calls == [2 * 64]
+        loose = [b + 300.0 * (k > 0)
+                 for k, b in enumerate(exact.log_score_bounds)]
+        post = ordermap._branch_and_bound(
+            stats, [_scan_prior(k) for k in range(len(stats))], loose)
+        assert calls == [2 * 64] * 2
+        assert post.k_map == exact.k_map == 2
+        np.testing.assert_array_equal(post.log_scores, exact.log_scores)
+        # every order was visited, so every bound is the exact one
+        np.testing.assert_array_equal(post.log_score_bounds,
+                                      exact.log_score_bounds)
+        _check_pruned(post, _scan_prior)
+
+    @pytest.mark.parametrize("deficient", [(4,), (3, 4), (2, 3, 4)])
+    def test_rank_deficient_prefixes(self, deficient):
+        # the first deficient prefix repeats peak 1; every later one holds
+        # both copies too, so the scan is that of the full-rank prefixes
+        # alone, bit for bit, with the rest flagged
+        sc = default_scenario(d=16, k=3, m=64, n=64, snr_db=10.0, seed=8)
+        data = _data(synth_freq(sc))
+        angles = [30.0, 75.0, 120.0, 150.0]
+        angles[deficient[0] - 1] = angles[0]
+        rows = steering_matrix(angles, sc.d).T
+        post = map_order_scan(data, rows, 4, sc.m)
+        full = map_order_scan(data, rows[:deficient[0] - 1], 4, sc.m)
+        assert post.rank_deficient_k == deficient and not full.rank_deficient_k
+        assert post.k_map == full.k_map
+        for got, want in ((post.log_scores, full.log_scores),
+                          (post.log_score_bounds, full.log_score_bounds),
+                          (post.log_ip, full.log_ip)):
+            np.testing.assert_array_equal(got, want)
+        assert list(post.stats_per_k) == list(full.stats_per_k)
         _check_pruned(post, _scan_prior)
 
 
@@ -396,22 +430,20 @@ def _check_against_full_scan(data, rows, k_max, m):
     v = rows[:k_max].T
     post = map_order_scan(data, rows, k_max, m)
     bases = prefix_bases(v)
-    blocks = {0: np.empty((0, v.shape[0]), complex), **bases}
-    exact = [projection_stats(data.y, blocks[k], m, norm2_y=data.norm2_y)
-             if k in blocks else None for k in range(v.shape[1] + 1)]
+    assert post.rank_deficient_k == tuple(range(len(bases) + 1,
+                                                v.shape[1] + 1))
+    blocks = [np.empty((0, v.shape[0]), complex), *bases.values()]
+    exact = [projection_stats(data.y, uh, m, norm2_y=data.norm2_y)
+             for uh in blocks]
     priors = [_scan_prior(k) for k in range(len(exact))]
-    full = [None if st is None
-            else (0.0, math.nan) if st.alpha == 0
+    full = [(0.0, math.nan) if st.alpha == 0
             else log_q_sum(st.alpha, st.beta, st.q) for st in exact]
-    scores = [-math.inf if f is None else f[0] + priors[k]
-              for k, f in enumerate(full)]
+    scores = [f[0] + priors[k] for k, f in enumerate(full)]
     assert post.k_map == int(np.argmax(scores))
     exact_bounds = _finish_posterior(exact, _scan_prior).log_score_bounds
     interval = ordermap._scan_bounds(data, bases, m, priors)
+    assert len(interval) == len(post.stats_per_k) == len(exact)
     for k, st in enumerate(exact):
-        assert (interval[k] is None) == (st is None), k
-        if st is None:
-            continue
         assert interval[k] >= exact_bounds[k], k
         assert post.log_score_bounds[k] >= exact_bounds[k], k
         if not math.isnan(post.log_scores[k]):
@@ -456,6 +488,13 @@ class TestCovarianceBounds:
         data, peaks = _scan_draw(sc, seed, k_max, step)
         for rows in peaks.values():
             _check_against_full_scan(data, rows, k_max, sc.m)
+
+    def test_interval_reaching_q_one_bounds_nothing(self):
+        # once s - delta <= 0 the residual holds all of |Y|^2, q = 1, where
+        # U has no upper bound
+        for s in (0.0, 0.5, 1.0):
+            assert ordermap._interval_bound(s, 1.0, 100.0, 1, 4, 2) == math.inf
+        assert ordermap._interval_bound(50.0, 1.0, 100.0, 1, 4, 2) < math.inf
 
     @pytest.mark.parametrize("pool", ["desk", "paper"])
     def test_r_energies_within_a_hundredth_of_the_margin(self, pool):

@@ -18,6 +18,7 @@ from scipy.stats import gamma as gamma_dist
 from scipy.stats import invgamma as invgamma_dist
 
 from doamap import specfun
+from doamap.metrics import rmse_amplitude
 from doamap.ordermap import posterior_variances
 from doamap.specfun import (
     DominancePair,
@@ -539,6 +540,23 @@ class TestValidation:
             DominancePair(alpha=0, beta=1, s_x=1.0, s_y=1.0)
         with pytest.raises(ValueError):
             DominancePair(alpha=1, beta=1, s_x=-1.0, s_y=1.0)
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda: rmse_amplitude(np.ones((1, 2)), [30.0], np.ones((2, 2)),
+                                [30.0]), "true amplitude rows"),
+        (lambda: DominancePair(alpha=3, beta=2.5, s_x=1.0, s_y=1.0), "beta"),
+        (lambda: DominancePair(alpha=3, beta=0, s_x=1.0, s_y=1.0), "beta"),
+        (lambda: log_reg_inc_beta(0.5, 2.5, 3), "shapes"),
+        (lambda: log_reg_inc_beta(0.5, 2, 0), "shapes"),
+        (lambda: double_moment(DominancePair(4, 9, 0.3, 1.7), 1.5, "gamma",
+                               "x"), "k must"),
+        (lambda: double_moment(DominancePair(4, 9, 0.3, 1.7), 0, "gamma",
+                               "x"), "k must"),
+    ], ids=["true-rows", "beta-fraction", "beta-zero", "n-fraction",
+            "m-zero", "k-fraction", "k-zero"])
+    def test_rejects_bad_arguments(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_rates_must_be_finite(self, bad):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from doamap.arraysim import (
     amplitude_matrix,
@@ -276,6 +278,22 @@ class TestPickPeaks:
             pick_peaks(np.array([]), 1)
 
 
+@hst.composite
+def _clustered_vandermonde(draw):
+    """A D x P unit-circle Vandermonde basis, column j = e^{i w_j a}, whose
+    nodes w_j cluster: gaps of 1e-9 to 1e-1 rad or 0 (a repeated node),
+    shuffled, so near-coincident columns need not be adjacent."""
+    d = draw(hst.integers(2, 32))
+    p = draw(hst.integers(1, d))
+    gaps = draw(hst.lists(
+        hst.one_of(hst.just(0.0), hst.floats(-9.0, -1.0).map(lambda e: 10**e)),
+        min_size=p - 1, max_size=p - 1))
+    start = draw(hst.floats(-math.pi, math.pi))
+    nodes = draw(hst.permutations(start + np.concatenate(([0.0],
+                                                           np.cumsum(gaps)))))
+    return np.exp(1j * np.outer(np.arange(d), nodes))
+
+
 class TestProjectionStats:
     def test_k0_convention(self):
         y = np.ones((4, 3), dtype=complex)
@@ -350,14 +368,14 @@ class TestProjectionStats:
                                           rel=1e-10)
 
     def test_rank_deficient_prefixes_flagged(self):
-        # column 1 is parallel to column 0: every prefix holding both has no
-        # basis, so no split; the prefixes before it keep theirs
+        # column 1 is parallel to column 0: the prefixes end before the
+        # first holding both, though column 2 is independent of column 0
         v = np.ones((5, 3), dtype=complex)
         v[:, 1] = 2.0 * v[:, 0]
         v[:, 2] = np.exp(1j * np.arange(5))
         y = np.ones((5, 4), dtype=complex)
         bases = prefix_bases(v)
-        assert [k in bases for k in (1, 2, 3)] == [True, False, False]
+        assert list(bases) == [1]
         st = projection_stats(y, bases[1], 4, norm2_y=_norm2(y))
         assert st.s == pytest.approx(20.0)
 
@@ -420,8 +438,20 @@ class TestProjectionStats:
 
         monkeypatch.setattr(np.linalg, "svd", counting)
         post = map_order_scan(data, rows, 10, 512)
-        assert sum(st is not None for st in post.stats_per_k) == 11
+        assert len([*post.stats_per_k]) == 11
         assert shapes == [(32, k) for k in range(1, 11)]
+
+    @settings(max_examples=400)
+    @given(v=_clustered_vandermonde())
+    def test_no_full_rank_prefix_after_a_deficient_one(self, v):
+        # interlacing: a column more never raises sigma_min / sigma_max, so
+        # the prefixes past the last one prefix_bases keeps all fail the
+        # rank rule on their own SVDs
+        bases = prefix_bases(v)
+        assert list(bases) == list(range(1, len(bases) + 1))
+        for k in range(len(bases) + 1, v.shape[1] + 1):
+            _u, sv, _ = np.linalg.svd(v[:, :k], full_matrices=False)
+            assert sv[-1] < 1e-10 * sv[0], k
 
     def test_too_many_columns(self):
         with pytest.raises(ValueError):
