@@ -297,8 +297,9 @@ def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None)
     the MAP order, aic the AIC order, known-k the true count.  The scans
     and amplitude fits read only the peaks' steering rows.  The posterior
     (reusing the log I_p of an order the scan scored), amplitude fit and
-    metrics run once per (source, K), shared by every method picking it (a
-    K past the last full-rank prefix reads that prefix's posterior).
+    metrics run once per (source, K), shared by every method picking it; a
+    K past the last full-rank prefix reads that prefix's posterior and
+    fits its peaks, while the row keeps the rule's K.
     Returns dicts with the per-method metric fields of RunRecord (run_sweep
     fills in the rest).
     """
@@ -338,17 +339,17 @@ def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None)
             k_hat = aic_order(basis.eigvals, scenario.m, k_max)
         else:
             k_hat = scenario.k_true
-        key = (source, k_hat)
+        k = min(k_hat, len(post.log_scores) - 1)
+        key = (source, k)
         if key not in fits:
-            k = min(k_hat, len(post.stats_per_k) - 1)
-            pv = posterior_variances(post.stats_per_k[k], scenario.d,
+            pv = posterior_variances(post.stats_at(k), scenario.d,
                                      post.log_ip[k])
             if source == "pca":
                 err = r0 = rs = math.nan  # eigenvector bases carry no DOAs
             else:
                 angles, rows = peaks[source]
                 err, r0, rs = _peak_pipeline_metrics(
-                    y, angles[:k_hat], rows[:k_hat], pv.tau_mean,
+                    y, angles[:k], rows[:k], pv.tau_mean,
                     scenario.doa_deg, true_amps)
             fits[key] = dict(
                 err_doa=err, rmse_a0=r0, rmse_a_shrunk=rs,

@@ -15,6 +15,11 @@ is monotone, so score <= U_K bit for bit.  The O(beta) kernel runs only
 for orders whose bound can still beat the best exact score so far, and
 the log I_p each scored order computed is kept for its posterior moments.
 
+Both pipelines call that one branch and bound, which reads an order's
+split through a function, stats_at(K), only when it visits the order.
+PCA's splits are eigenvalue partial sums, all known up front, and its
+bounds are the exact U_K (_exact_bound).
+
 A spectrum scan scores the orders 0..P', P' its steering prefixes before
 the first rank-deficient one (coincident peaks), and runs one SVD per
 prefix, for its basis u^H (subspace.prefix_bases), which both the prefix's
@@ -28,14 +33,15 @@ allowance, bounds U_K from above (_interval_bound).  Only an order the
 scan visits reads Y, for its exact split on the same u^H; its U_K and
 score are then bit-exact, those of a scan that splits every prefix of Y.
 A pruned order keeps its bound from the R interval, >= its exact U_K, and
-its split is computed from Y, on the u^H the scan already holds, when
-first read (stats_per_k).
+its split is computed from Y, on the u^H the scan already holds, the
+first time stats_at reads it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from collections.abc import Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -76,7 +82,7 @@ class PosteriorVariances:
 class OrderPosterior:
     """Per-K log-scores, their bounds and energy splits, and the MAP order;
     a caller that picks an order K gets its variances from
-    posterior_variances(stats_per_k[K], D, log_ip[K]).
+    posterior_variances(stats_at(K), D, log_ip[K]).
 
     log_scores[K] is the exact score of every order the scan scored and NaN
     for an order it pruned; log_score_bounds[K] >= log_scores[K] for every
@@ -86,18 +92,19 @@ class OrderPosterior:
     (every scored order, every PCA order); a spectrum scan's pruned order
     has its bound from the R interval instead, >= U_K.  log_ip[K] is the
     log I_p(alpha, beta) that scored order K computed, NaN where no kernel
-    call scored it (a pruned order, K = 0).  A spectrum scan's stats_per_k
-    splits Y on a prefix's u^H block, the one its bound read, the first
-    time the prefix is read, and keeps it; PCA's is a list.  A spectrum
-    scan ends at its last full-rank prefix P' and lists the orders
-    P' + 1..min(K_max, P) in rank_deficient_k.
+    call scored it (a pruned order, K = 0).  stats_at(K) is order K's
+    ProjectionStats for K = 0..len(log_scores) - 1: a spectrum scan's
+    splits Y on the prefix's u^H block, the one its bound read, the first
+    time it is called for K, and keeps it.  A spectrum scan ends at its
+    last full-rank prefix P' and lists the orders P' + 1..min(K_max, P) in
+    rank_deficient_k.
     """
 
     log_scores: np.ndarray          # per order K, up to a K-independent constant
     log_score_bounds: np.ndarray    # closed-form upper bound on each score
     log_ip: np.ndarray              # log I_p(alpha, beta) of each scored order
     k_map: int
-    stats_per_k: Sequence
+    stats_at: Callable[[int], ProjectionStats]
     rank_deficient_k: tuple = ()
 
 
@@ -137,26 +144,25 @@ def posterior_variances(stats: ProjectionStats, d, log_ip=math.nan):
                               tau_mean=sigma2 / d / ra)
 
 
-def _finish_posterior(stats_list, log_prior):
-    """MAP order over log Q(alpha, beta, q) + log_prior(K), branch and bound
-    on each order's exact bound `_log_q_from(0.0, ...)` + log_prior(K)."""
-    priors = [log_prior(k) for k in range(len(stats_list))]
-    bounds = [_log_q_from(0.0, st.alpha, st.beta, st.q) + priors[k]
-              if st.alpha else 0.0 + priors[k]
-              for k, st in enumerate(stats_list)]
-    return _branch_and_bound(stats_list, priors, bounds)
+def _exact_bound(st: ProjectionStats, prior):
+    """Order K's exact score bound U_K + prior: the closed form on
+    log I_p = 0.0, >= the score bit for bit.  K = 0, the empty subspace
+    (alpha = 0, log Q = 0), has its score as its bound."""
+    if st.alpha == 0:
+        return 0.0 + prior
+    return _log_q_from(0.0, st.alpha, st.beta, st.q) + prior
 
 
-def _branch_and_bound(stats_list, priors, bounds):
+def _branch_and_bound(stats_at, priors, bounds):
     """MAP order over log Q(alpha, beta, q) + priors[K], given upper bounds
-    on each order's exact bound.
+    on each order's exact bound; stats_at(K) is order K's split.
 
     Entry 0 is the empty subspace (log Q = 0), whose bound 0.0 + priors[0]
     is its score, with no kernel call.  The rest are visited in descending
     bound order (ties to smaller K) until a bound falls below the best
-    score so far.  A visited order reads its split from stats_list, and
-    its bound becomes the exact one; log_q_sum scores it unless that too
-    is below the best.  An order left unscored scores at most its bound,
+    score so far.  A visited order reads its split from stats_at, and its
+    bound becomes the exact one; log_q_sum scores it unless that too is
+    below the best.  An order left unscored scores at most its bound,
     below that best, so the MAP order is the argmax over all exact scores,
     smallest K on ties.
     """
@@ -170,8 +176,8 @@ def _branch_and_bound(stats_list, priors, bounds):
         if bounds[k] < best:
             break
         if math.isnan(log_scores[k]):
-            st = stats_list[k]
-            bounds[k] = _log_q_from(0.0, st.alpha, st.beta, st.q) + priors[k]
+            st = stats_at(k)
+            bounds[k] = _exact_bound(st, priors[k])
             if bounds[k] < best:
                 continue
             log_q, log_ip[k] = log_q_sum(st.alpha, st.beta, st.q)
@@ -182,7 +188,7 @@ def _branch_and_bound(stats_list, priors, bounds):
         log_score_bounds=bounds,
         log_ip=log_ip,
         k_map=int(np.nanargmax(log_scores)),  # the smallest K on ties
-        stats_per_k=stats_list,
+        stats_at=stats_at,
     )
 
 
@@ -206,60 +212,28 @@ def _interval_bound(s, delta, norm2_y, k, d, m):
     if not q_hi < 1.0:
         return math.inf
     alpha, beta = k * m, (d - k) * m
+    top = max(_log_q_from(0.0, alpha, beta, q) for q in (q_lo, q_hi))
     log_b = float(betaln(alpha, beta))
-    # _log_q_from(0.0, alpha, beta, q) at both ends, log B computed once
-    top = max(0.0 - alpha * math.log(1.0 - q) - beta * math.log(q) + log_b
-              for q in (q_lo, q_hi))
     return top + 8.0 * _EPS * (abs(top) + 2.0 * abs(log_b) + alpha)
-
-
-def _scan_bounds(data: DrawData, bases, m, priors):
-    """Each order K's upper bound on its exact score bound, K = 0's exact
-    and each prefix's from the captured energies of covariance_energies;
-    priors has one entry per order K = 0..P'."""
-    d = data.cov.shape[0]
-    return [0.0 + priors[0]] + [
-        _interval_bound(s, energy_margin(k, d, m, data.norm2_y),
-                        data.norm2_y, k, d, m) + priors[k]
-        for k, s in covariance_energies(data.cov, bases).items()]
-
-
-class _PrefixSplits(Sequence):
-    """stats_per_k of a spectrum scan over orders K = 0..P': prefix K's
-    projection_stats split of Y on its u^H block in bases (K = 0 a 0 x D
-    block), computed the first time it is read and kept."""
-
-    def __init__(self, data: DrawData, bases, m):
-        empty = np.empty((0, data.y.shape[0]), dtype=complex)
-        self._data, self._m = data, m
-        self._bases = [empty, *bases.values()]
-        self._splits = {}
-
-    def __len__(self):
-        return len(self._bases)
-
-    def __getitem__(self, k):
-        k = range(len(self))[k]
-        if k not in self._splits:
-            self._splits[k] = projection_stats(
-                self._data.y, self._bases[k], self._m,
-                norm2_y=self._data.norm2_y)
-        return self._splits[k]
 
 
 def map_order_pca(basis: EigenBasis, norm2_y, k_max, m):
     """MAP order for the PCA pipeline: eigenvector bases, Stiefel prior.
 
     The top-K eigenvectors of R = Y Y^H of the D x M data Y capture the
-    top-K eigenvalue sum; norm2_y is |Y|^2, the data's total energy.
+    top-K eigenvalue sum; norm2_y is |Y|^2, the data's total energy.  Every
+    order's split is known up front, so the branch and bound runs on the
+    exact bounds.
     """
     d = basis.eigvecs.shape[0]
     if k_max >= d:
         raise ValueError(f"K_max must be < D, got K_max={k_max}, D={d}")
     s = np.concatenate(([0.0], np.cumsum(basis.eigvals[:k_max])))
-    stats_list = [ProjectionStats.from_energy(float(s[k]), norm2_y, k, d, m)
-                  for k in range(k_max + 1)]
-    return _finish_posterior(stats_list, lambda k: -log_stiefel_volume(d, k))
+    stats = [ProjectionStats.from_energy(float(s[k]), norm2_y, k, d, m)
+             for k in range(k_max + 1)]
+    priors = [-log_stiefel_volume(d, k) for k in range(k_max + 1)]
+    return _branch_and_bound(stats.__getitem__, priors, [
+        _exact_bound(st, prior) for st, prior in zip(stats, priors)])
 
 
 def map_order_scan(data: DrawData, steer_rows, k_max, m):
@@ -269,21 +243,31 @@ def map_order_scan(data: DrawData, steer_rows, k_max, m):
     steer_rows is P x D, row i the steering vector of the i-th highest
     spectrum peak; prefix K is the first K rows, transposed, and P = 0
     scores K = 0 alone.  Each prefix's u^H comes from one SVD
-    (prefix_bases), which both its bound from the covariance R (see
-    _scan_bounds) and its split of Y read.  Only the orders the branch and
-    bound visits read Y, each through its own projection_stats split;
-    stats_per_k splits any other prefix when it is first read.
-    The DOA prior contributes -K*log(2*pi) for both the MUSIC and DTFT
-    spectra.  The orders past the last full-rank prefix (coincident peaks)
-    are not scored, only listed in rank_deficient_k.
+    (prefix_bases), which both its bound and its split of Y read.  Each
+    order's bound is _interval_bound's, from the covariance R, K = 0's the
+    exact score.  stats_at(K) splits Y on prefix K's u^H (K = 0 a 0 x D
+    block) the first time order K is read, by the branch and bound or a
+    caller, and keeps it.  The DOA prior contributes -K*log(2*pi) for both
+    the MUSIC and DTFT spectra.  The orders past the last full-rank prefix
+    (coincident peaks) are not scored, only listed in rank_deficient_k.
     """
     v = steer_rows[:k_max].T
+    d = v.shape[0]
     bases = prefix_bases(v)
-    priors = [-k * math.log(2.0 * math.pi) for k in range(len(bases) + 1)]
-    post = _branch_and_bound(_PrefixSplits(data, bases, m), priors,
-                             _scan_bounds(data, bases, m, priors))
+    blocks = [np.empty((0, d), dtype=complex), *bases.values()]
+
+    @functools.cache
+    def stats_at(k):
+        return projection_stats(data.y, blocks[k], m, norm2_y=data.norm2_y)
+
+    priors = [-k * math.log(2.0 * math.pi) for k in range(len(blocks))]
+    bounds = [0.0 + priors[0]] + [
+        _interval_bound(s, energy_margin(k, d, m, data.norm2_y),
+                        data.norm2_y, k, d, m) + priors[k]
+        for k, s in covariance_energies(data.cov, bases).items()]
+    post = _branch_and_bound(stats_at, priors, bounds)
     return replace(post, rank_deficient_k=tuple(
-        range(len(bases) + 1, v.shape[1] + 1)))
+        range(len(blocks), v.shape[1] + 1)))
 
 
 def aic_order(eigvals, m, k_max):

@@ -390,19 +390,25 @@ class TestRunSingle:
     def test_coincident_peaks(self, monkeypatch):
         # both spectra's two peaks coincide, so each scan ends at the
         # full-rank prefix K = 1 and flags K = 2; map picks K = 0, and aic
-        # and known-k at K = 2 read the posterior of K = 1
-        from doamap.arraysim import default_scenario
+        # and known-k at K = 2 read the posterior of K = 1 and fit its one
+        # peak
+        from doamap.arraysim import amplitude_matrix, default_scenario, synth_freq
 
         # grid index 25 of the 2-degree grid is 50 degrees
         monkeypatch.setattr(bench, "pick_peaks",
                             lambda values, count: np.array([25, 25]))
-        scans = []
+        scans, peaks = [], []
 
         def spy(*args):
             scans.append(map_order_scan(*args))
             return scans[-1]
 
+        def peaks_spy(*args, real=bench.spectrum_peaks):
+            peaks.append(real(*args))
+            return peaks[-1]
+
         monkeypatch.setattr(bench, "map_order_scan", spy)
+        monkeypatch.setattr(bench, "spectrum_peaks", peaks_spy)
         sc = default_scenario(d=16, k=2, m=64, n=64, snr_db=20.0, seed=0)
         rows = run_single(sc, 5, 2.0, bench.KNOWN_METHODS,
                           rng=np.random.default_rng(0))
@@ -413,11 +419,20 @@ class TestRunSingle:
         assert k_hat == {"pca-map": 2, "music-map": 0, "dtft-map": 0,
                          "music-aic": 2, "music-known-k": 2,
                          "dtft-known-k": 2}
-        post = scans[0]
-        tau = posterior_variances(post.stats_per_k[1], sc.d,
-                                  post.log_ip[1]).tau_mean
+        y = synth_freq(sc, rng=np.random.default_rng(0))
+        (peaks,) = peaks
+        posts = dict(zip(peaks, scans))  # the scans run in peaks' order
         for row in rows[3:]:
+            source = row["method"].split("-")[0]
+            (angles, steer), post = peaks[source], posts[source]
+            tau = posterior_variances(post.stats_at(1), sc.d,
+                                      post.log_ip[1]).tau_mean
             assert row["tau_mean"] == tau, row["method"]
+            fit = bench._peak_pipeline_metrics(
+                y, angles[:1], steer[:1], tau, sc.doa_deg,
+                amplitude_matrix(sc))
+            assert (row["err_doa"], row["rmse_a0"], row["rmse_a_shrunk"]) \
+                == fit, row["method"]
 
 
 def _load_tracing():

@@ -18,7 +18,6 @@ from doamap.arraysim import (
 from doamap import ordermap, specfun
 from doamap.bench import ExperimentConfig, spectrum_peaks
 from doamap.ordermap import (
-    _finish_posterior,
     aic_order,
     log_stiefel_volume,
     map_order_pca,
@@ -126,8 +125,8 @@ class TestPosteriorVariances:
             _angles, rows = spectrum_peaks(cov, basis, GRID, 10, {"music"})["music"]
             for post in (map_order_pca(basis, _norm2(y), 10, sc.m),
                          map_order_scan(_data(y), rows, 10, sc.m)):
-                for k in range(1, len(post.stats_per_k)):
-                    st = post.stats_per_k[k]
+                for k in range(1, len(post.log_scores)):
+                    st = post.stats_at(k)
                     want = posterior_variances(st, sc.d)
                     is_scored = not math.isnan(post.log_scores[k])
                     assert math.isnan(post.log_ip[k]) != is_scored, k
@@ -171,7 +170,7 @@ class TestMapOrderPca:
         post = map_order_pca(basis, _norm2(y), k_max=10, m=sc.m)
         assert post.k_map == 3
         assert len(post.log_scores) == 11
-        pv = posterior_variances(post.stats_per_k[post.k_map], sc.d)
+        pv = posterior_variances(post.stats_at(post.k_map), sc.d)
         assert 0.0 < pv.tau_mean < 1.0
 
     def test_pure_noise_stays_low_order(self):
@@ -191,7 +190,7 @@ class TestMapOrderPca:
         basis = eigendecompose(sample_covariance(y))
         post = map_order_pca(basis, _norm2(y), k_max=5, m=sc.m)
         if post.k_map == 0:
-            pv = posterior_variances(post.stats_per_k[0], sc.d)
+            pv = posterior_variances(post.stats_at(0), sc.d)
             assert math.isnan(pv.ra_mean)
             assert pv.tau_mean == 1.0
             norm2 = float(np.sum(np.abs(y) ** 2))
@@ -244,7 +243,9 @@ class TestMapOrderScan:
         rows = steering_matrix([50.0, 50.0], sc.d).T
         post = map_order_scan(_data(y), rows, 2, sc.m)
         assert post.rank_deficient_k == (2,)
-        assert len(post.log_scores) == len(post.stats_per_k) == 2
+        assert len(post.log_scores) == len(post.log_score_bounds) == 2
+        with pytest.raises(IndexError):
+            post.stats_at(2)
         assert post.k_map in (0, 1)
 
     def test_empty_peaks_score_k0_alone(self):
@@ -253,7 +254,7 @@ class TestMapOrderScan:
                               np.empty((0, 4), dtype=complex), 3, 2)
         assert post.k_map == 0
         assert len(post.log_scores) == 1 and post.log_scores[0] == 0.0
-        pv = posterior_variances(post.stats_per_k[0], 4)
+        pv = posterior_variances(post.stats_at(0), 4)
         assert pv.tau_mean == 1.0
         assert pv.sigma2_mean == pytest.approx(8.0 / (4 * 2 - 1))
 
@@ -263,9 +264,9 @@ class TestMapOrderScan:
         y = synth_freq(sc)
         angles, rows = self._peaks(y, "music", k_max=5)
         post = map_order_scan(_data(y), rows, 5, sc.m)
-        for k in range(1, len(post.stats_per_k)):
+        for k in range(1, len(post.log_scores)):
             v = steering_matrix(angles[:k], sc.d)
-            assert post.stats_per_k[k] == projection_stats(
+            assert post.stats_at(k) == projection_stats(
                 y, prefix_bases(v)[k], sc.m, norm2_y=_norm2(y))
 
 
@@ -277,13 +278,22 @@ def _scan_prior(k):
     return -k * math.log(2.0 * math.pi)
 
 
+def _exact_scan(stats, log_prior):
+    """The branch and bound over a list of splits on every order's exact
+    bound, as map_order_pca runs it."""
+    priors = [log_prior(k) for k in range(len(stats))]
+    return ordermap._branch_and_bound(stats.__getitem__, priors, [
+        ordermap._exact_bound(st, prior) for st, prior in zip(stats, priors)])
+
+
 def _check_pruned(post, log_prior):
     """The pruned scan against every order's exact score (the oracle);
     K = 0 is the empty-subspace convention log Q = 0."""
+    stats = [post.stats_at(k) for k in range(len(post.log_scores))]
     exact = np.array([
         (0.0 if st.alpha == 0 else log_q_sum(st.alpha, st.beta, st.q)[0])
         + log_prior(k)
-        for k, st in enumerate(post.stats_per_k)])
+        for k, st in enumerate(stats)])
     assert post.k_map == int(np.argmax(exact))
     for k, (got, bound, want) in enumerate(
             zip(post.log_scores, post.log_score_bounds, exact)):
@@ -293,6 +303,27 @@ def _check_pruned(post, log_prior):
         else:
             assert got == want, k
     return int(np.isnan(post.log_scores).sum())
+
+
+@hst.composite
+def _loose_cases(draw):
+    """(splits, log prior, slack) for a branch and bound: nested energies
+    on d 4-32, m 2-64 and K_max up to min(10, d - 1), and per order K >= 1
+    a slack in [0, 1e3] or +inf to add to its exact bound (0 at K = 0)."""
+    d = draw(hst.integers(4, 32))
+    m = draw(hst.integers(2, 64))
+    k_max = draw(hst.integers(1, min(10, d - 1)))
+    norm2_y = draw(hst.floats(1e-3, 1e6))
+    # the energy each order adds, then the residual's
+    parts = draw(hst.lists(hst.floats(1e-6, 1.0), min_size=k_max + 1,
+                           max_size=k_max + 1))
+    s = np.concatenate(([0.0], np.cumsum(parts[:-1]))) * (norm2_y / sum(parts))
+    stats = [ProjectionStats.from_energy(float(s[k]), norm2_y, k, d, m)
+             for k in range(k_max + 1)]
+    slack = draw(hst.lists(hst.one_of(hst.floats(0.0, 1e3), hst.just(math.inf)),
+                           min_size=k_max, max_size=k_max))
+    return (stats, draw(hst.sampled_from((_pca_prior(d), _scan_prior))),
+            [0.0, *slack])
 
 
 class TestPrunedScan:
@@ -337,7 +368,7 @@ class TestPrunedScan:
         weak = ProjectionStats(s=10.0, t=990.0, alpha=128, beta=896)
         stats = [ProjectionStats(s=0.0, t=1000.0, alpha=0, beta=1024),
                  weak, strong, strong, weak]
-        post = _finish_posterior(stats, lambda k: 0.0)
+        post = _exact_scan(stats, lambda k: 0.0)
         assert post.log_score_bounds[2] == post.log_score_bounds[3]
         assert post.k_map == 2
         _check_pruned(post, lambda k: 0.0)
@@ -347,7 +378,7 @@ class TestPrunedScan:
         # the scan goes on past its first exact score
         stats = [ProjectionStats.from_energy(s, 1000.0, k, 16, 4)
                  for k, s in enumerate((0.0, 85.0, 169.0))]
-        post = _finish_posterior(stats, lambda k: 0.0)
+        post = _exact_scan(stats, lambda k: 0.0)
         assert post.log_score_bounds[1] > post.log_score_bounds[2]
         assert post.k_map == 2
         _check_pruned(post, lambda k: 0.0)
@@ -356,7 +387,7 @@ class TestPrunedScan:
         stats = [ProjectionStats.from_energy(s, 1000.0, k, 16, 64)
                  for k, s in enumerate((0.0, 20.0, 30.0, 35.0))]
         prior = lambda k: -1e6 * k  # noqa: E731
-        post = _finish_posterior(stats, prior)
+        post = _exact_scan(stats, prior)
         assert post.k_map == 0
         assert post.log_scores[0] == post.log_score_bounds[0] == 0.0
         assert np.isnan(post.log_scores[1:]).all()
@@ -376,12 +407,13 @@ class TestPrunedScan:
         monkeypatch.setattr(ordermap, "log_q_sum", counting)
         stats = [ProjectionStats.from_energy(s, 1000.0, k, 16, 64)
                  for k, s in enumerate((0.0, 600.0, 700.0, 720.0, 730.0))]
-        exact = _finish_posterior(stats, _scan_prior)
+        exact = _exact_scan(stats, _scan_prior)
         assert calls == [2 * 64]
         loose = [b + 300.0 * (k > 0)
                  for k, b in enumerate(exact.log_score_bounds)]
         post = ordermap._branch_and_bound(
-            stats, [_scan_prior(k) for k in range(len(stats))], loose)
+            stats.__getitem__, [_scan_prior(k) for k in range(len(stats))],
+            loose)
         assert calls == [2 * 64] * 2
         assert post.k_map == exact.k_map == 2
         np.testing.assert_array_equal(post.log_scores, exact.log_scores)
@@ -389,6 +421,25 @@ class TestPrunedScan:
         np.testing.assert_array_equal(post.log_score_bounds,
                                       exact.log_score_bounds)
         _check_pruned(post, _scan_prior)
+
+    @settings(max_examples=200)
+    @given(case=_loose_cases())
+    def test_loose_bounds_change_only_the_visits(self, case):
+        # bounds at or above the exact ones change which orders are
+        # visited, never the result: the same MAP order and score, and the
+        # same score and log I_p at every order both scans scored
+        stats, log_prior, slack = case
+        exact = _exact_scan(stats, log_prior)
+        post = ordermap._branch_and_bound(
+            stats.__getitem__, [log_prior(k) for k in range(len(stats))],
+            exact.log_score_bounds + slack)
+        assert post.k_map == exact.k_map
+        assert post.log_scores[post.k_map] == exact.log_scores[exact.k_map]
+        both = ~np.isnan(post.log_scores) & ~np.isnan(exact.log_scores)
+        for got, want in ((post.log_scores, exact.log_scores),
+                          (post.log_ip, exact.log_ip)):
+            np.testing.assert_array_equal(got[both], want[both])
+        assert (post.log_score_bounds >= exact.log_score_bounds).all()
 
     @pytest.mark.parametrize("deficient", [(4,), (3, 4), (2, 3, 4)])
     def test_rank_deficient_prefixes(self, deficient):
@@ -408,7 +459,8 @@ class TestPrunedScan:
                           (post.log_score_bounds, full.log_score_bounds),
                           (post.log_ip, full.log_ip)):
             np.testing.assert_array_equal(got, want)
-        assert list(post.stats_per_k) == list(full.stats_per_k)
+        assert ([post.stats_at(k) for k in range(len(post.log_scores))]
+                == [full.stats_at(k) for k in range(len(full.log_scores))])
         _check_pruned(post, _scan_prior)
 
 
@@ -440,9 +492,13 @@ def _check_against_full_scan(data, rows, k_max, m):
             else log_q_sum(st.alpha, st.beta, st.q) for st in exact]
     scores = [f[0] + priors[k] for k, f in enumerate(full)]
     assert post.k_map == int(np.argmax(scores))
-    exact_bounds = _finish_posterior(exact, _scan_prior).log_score_bounds
-    interval = ordermap._scan_bounds(data, bases, m, priors)
-    assert len(interval) == len(post.stats_per_k) == len(exact)
+    exact_bounds = _exact_scan(exact, _scan_prior).log_score_bounds
+    d = v.shape[0]
+    interval = [0.0 + priors[0]] + [
+        ordermap._interval_bound(s, energy_margin(k, d, m, data.norm2_y),
+                                 data.norm2_y, k, d, m) + priors[k]
+        for k, s in covariance_energies(data.cov, bases).items()]
+    assert len(interval) == len(post.log_scores) == len(exact)
     for k, st in enumerate(exact):
         assert interval[k] >= exact_bounds[k], k
         assert post.log_score_bounds[k] >= exact_bounds[k], k
@@ -451,7 +507,7 @@ def _check_against_full_scan(data, rows, k_max, m):
             assert post.log_score_bounds[k] == exact_bounds[k], k
             if k:
                 assert post.log_ip[k] == full[k][1], k
-        assert post.stats_per_k[k] == st, k
+        assert post.stats_at(k) == st, k
 
 
 _angle = hst.floats(0.0, 180.0, exclude_max=True)

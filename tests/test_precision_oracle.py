@@ -69,7 +69,7 @@ def _posteriors(gi, ri):
 
 def _fits(gi, ri):
     """{(source, K): ProjectionStats} at each scan's MAP order and at K = 3."""
-    return {(source, k): post.stats_per_k[k]
+    return {(source, k): post.stats_at(k)
             for source, post in _posteriors(gi, ri).items()
             for k in (post.k_map, 3) if k > 0}
 
@@ -82,7 +82,7 @@ def _scored(gi, ri):
              "music": lambda k: -k * math.log(2.0 * math.pi),
              "dtft": lambda k: -k * math.log(2.0 * math.pi)}
     return {(source, k): (float(post.log_scores[k]) - prior[source](k),
-                          post.stats_per_k[k])
+                          post.stats_at(k))
             for source, post in _posteriors(gi, ri).items()
             for k in range(1, len(post.log_scores))
             if not math.isnan(post.log_scores[k])}

@@ -418,7 +418,7 @@ class TestProjectionStats:
         scored = {k for k in range(1, 11) if not math.isnan(post.log_scores[k])}
         assert scored == {3} and (counted.matmuls, counted.rows) == (1, 3)
         for k in (3, 1, 3, 1):
-            assert post.stats_per_k[k] == projection_stats(
+            assert post.stats_at(k) == projection_stats(
                 y, prefix_bases(rows[:k].T)[k], 512, norm2_y=_norm2(y))
         assert (counted.matmuls, counted.rows) == (2, 3 + 2)
 
@@ -438,7 +438,9 @@ class TestProjectionStats:
 
         monkeypatch.setattr(np.linalg, "svd", counting)
         post = map_order_scan(data, rows, 10, 512)
-        assert len([*post.stats_per_k]) == 11
+        assert len(post.log_scores) == 11
+        for k in range(11):
+            post.stats_at(k)
         assert shapes == [(32, k) for k in range(1, 11)]
 
     @settings(max_examples=400)
