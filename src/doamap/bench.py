@@ -555,19 +555,23 @@ def validate_distributions(n_mc=20_000, seed=99):
     checks.append(("dominance_monte_carlo_3se", worst, 1.0))
 
     # log_q_sum's cross form I_p / (p q B_p) against the dominance sum Q
-    # summed term by term, so the check does not read the kernel it tests
-    # (one p per row, so each degree pair is one logsumexp call)
+    # summed term by term, so the check does not read the kernel it tests:
+    # one logsumexp call over (degree pair, q, term i), each pair's terms
+    # i >= b padded with -inf
     worst = 0.0
     qs = [1.0 - p for p in (0.1, 0.3, 0.5, 0.7, 0.9)]
     log_qs = np.array([[math.log(q)] for q in qs])
-    for a in (1, 3, 8, 17, 30):
-        for b in (1, 4, 12, 30):
-            i = np.arange(b)
-            direct = logsumexp(_gl(b) + _gl(a + i) - _gl(i + 1)
-                               - _gl(a + b) - (b - i) * log_qs, axis=-1)
-            for q, d in zip(qs, direct.tolist()):
-                log_q, _log_ip = sf.log_q_sum(a, b, q)
-                worst = max(worst, abs(math.expm1(log_q - d)))
+    pairs = [(a, b) for a in (1, 3, 8, 17, 30) for b in (1, 4, 12, 30)]
+    terms = np.full((len(pairs), len(qs), max(b for _a, b in pairs)), -np.inf)
+    for row, (a, b) in zip(terms, pairs):
+        i = np.arange(b)
+        row[:, :b] = (_gl(b) + _gl(a + i) - _gl(i + 1)
+                      - _gl(a + b) - (b - i) * log_qs)
+    direct = logsumexp(terms, axis=-1)
+    for (a, b), row in zip(pairs, direct.tolist()):
+        for q, d in zip(qs, row):
+            log_q, _log_ip = sf.log_q_sum(a, b, q)
+            worst = max(worst, abs(math.expm1(log_q - d)))
     checks.append(("dominance_sum_cross_form", worst, 1e-8))
 
     # pdf normalization and moment/quadrature agreement

@@ -26,6 +26,16 @@ the indices within 64 of the max; every term outside lies further below
 and adds under 2^-60 relative to the sum.  At paper degrees the window
 holds about an eighth of the terms.
 
+`log_reg_inc_beta` runs one path for scalar and array p: a scalar is the
+one-row case of an array, with the same terms, window and pairwise sum,
+so it carries the same bits as that row.  log p and log(1 - p) are taken
+once per call, for both the grid and the window.  When every p is
+interior, 0 < p < 1, every term is finite and the path raises no
+floating-point warning, so it enters no `np.errstate` and needs no
+fix-up.  Only a call with some p exactly 0 or 1 takes log(0) and
+0 * -inf, under `np.errstate`, and then overwrites those rows with the
+exact log I_0 = -inf and log I_1 = 0.
+
 The conditional densities take their tail factor from scipy's regularized
 incomplete gamma functions, `gammaincc` for X and `gammainc` for Y.  Each
 is computed directly, never as one minus the other, so the lower function
@@ -116,38 +126,28 @@ def _log_gamma_table(top):
     return _LOG_GAMMA
 
 
-def _logsumexp(t):
-    """log sum exp over the last axis, each row shifted by its max; a row
-    of -inf gives -inf."""
-    t_max = np.max(t, axis=-1)
-    with np.errstate(invalid="ignore"):  # -inf - -inf in a row of -inf
-        out = np.log(np.sum(np.exp(t - t_max[..., None]), axis=-1)) + t_max
-    return np.where(t_max == -np.inf, -np.inf, out)
+def _log_terms(log_p, log_q, n, i):
+    """log C(n+i-1, i) p^n (1-p)^i for the indices of range i, one row per p.
 
-
-def _log_terms(p, n, m, sl):
-    """log C(n+i-1, i) p^n (1-p)^i for i in range(m)[sl], one row per p.
-
-    The log binomial coefficient is gammaln(n+i) - gammaln(i+1) -
+    log_p and log_q are the column vectors log p and log(1 - p) of the
+    rows.  The log binomial coefficient is gammaln(n+i) - gammaln(i+1) -
     gammaln(n) read from the module's log-gamma table.  Every index gets
-    the same operands in the same order, whichever slice asks for it, so a
+    the same operands in the same order, whichever range asks for it, so a
     term carries the same bits on a grid, in a window or over the full
     range.  p = 0 or 1 hits log(0) and 0 * -inf: p = 0 gives a row of
-    -inf, which `_logsumexp` maps to -inf (I_0 = 0), and log_reg_inc_beta
-    overwrites p = 1 with its exact value.
+    -inf and p = 1 a NaN at i = 0 and -inf after it, which
+    log_reg_inc_beta's edge path overwrites with the exact values.
     """
-    log_gamma = _log_gamma_table(n + m)
-    i = range(m)[sl]
-    t = log_gamma[n:n + m][sl] - log_gamma[1:m + 1][sl]
+    log_gamma = _log_gamma_table(n + i.stop)
+    t = (log_gamma[n + i.start:n + i.stop:i.step]
+         - log_gamma[1 + i.start:1 + i.stop:i.step])
     t -= log_gamma[n]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = t + n * np.log(p)[..., None]
-        t += (np.arange(i.start, i.stop, i.step, dtype=float)
-              * np.log1p(-p)[..., None])
+    t = t + n * log_p
+    t += np.arange(i.start, i.stop, i.step, dtype=float) * log_q
     return t
 
 
-def _term_window(p, n, m):
+def _term_window(log_p, log_q, n, m):
     """[lo, hi): the indices of log_reg_inc_beta's sum within _MARGIN of the max.
 
     Each row of terms is the log of a negative-binomial pmf in i, a concave
@@ -157,19 +157,31 @@ def _term_window(p, n, m):
     concavity every index up to the grid point before a, or from the grid
     point after b, has a term no larger than that grid point's, which is
     more than _MARGIN below the grid max and so more than _MARGIN below
-    the row max.  An array p takes the union of its rows' windows.
-    m <= _GRID, or no finite term (p = 1), gives [0, m).
+    the row max.  The rows take the union of their windows.  m <= _GRID,
+    or no finite term in any row (every p = 1), gives [0, m).
     """
     stride = -(-m // _GRID)
     if stride == 1:
         return 0, m
-    grid = _log_terms(p, n, m, slice(0, m, stride))
-    near = grid >= np.max(grid, axis=-1, keepdims=True) - _MARGIN
-    kept = np.flatnonzero(near.reshape(-1, near.shape[-1]).any(axis=0))
+    grid = _log_terms(log_p, log_q, n, range(0, m, stride))
+    near = grid >= grid.max(axis=1, keepdims=True) - _MARGIN
+    kept = np.flatnonzero(near.any(axis=0))
     if not kept.size:
         return 0, m
     return (max(int(kept[0] - 1) * stride + 1, 0),
             min(int(kept[-1] + 1) * stride, m))
+
+
+def _log_sum_window(rows, n, m):
+    """log I_p(n, m) of each row of the column vector p, clamped to <= 0,
+    and each row's max log-term, from the terms in `_term_window`."""
+    log_p, log_q = np.log(rows), np.log1p(-rows)
+    lo, hi = _term_window(log_p, log_q, n, m)
+    t = _log_terms(log_p, log_q, n, range(lo, hi))
+    t_max = t.max(axis=1)
+    t -= t_max[:, None]
+    np.exp(t, out=t)
+    return np.minimum(np.log(t.sum(axis=1)) + t_max, 0.0), t_max
 
 
 def log_reg_inc_beta(p, n, m):
@@ -177,7 +189,8 @@ def log_reg_inc_beta(p, n, m):
 
     I_p(n,m) = sum_{i=0}^{m-1} C(n+i-1, i) p^n (1-p)^i, a sum of positive
     terms, so the log-sum-exp evaluation keeps full relative accuracy even
-    when I_p underflows.  Accepts scalar or array p.
+    when I_p underflows.  Accepts scalar or array p; a scalar is the
+    one-row case of an array.
 
     Only the terms of `_term_window`, those within _MARGIN = 64 of their
     row's max, are computed and summed; at paper degrees that is about an
@@ -187,17 +200,22 @@ def log_reg_inc_beta(p, n, m):
     if int(n) != n or n < 1 or int(m) != m or m < 1:
         raise ValueError(f"shapes must be positive integers, got n={n}, m={m}")
     p_arr = np.asarray(p, dtype=float)
-    if not (p_arr.min() >= 0 and p_arr.max() <= 1):  # False for NaN
+    p_min, p_max = p_arr.min(), p_arr.max()
+    if not (p_min >= 0 and p_max <= 1):  # False for NaN
         raise ValueError("p must lie in [0, 1]")
     n, m = int(n), int(m)
-    lo, hi = _term_window(p_arr, n, m)
-    log_terms = _log_terms(p_arr, n, m, slice(lo, hi))
-    out = np.minimum(_logsumexp(log_terms), 0.0)
-    # exact endpoint I_1 = 1; p = 0's row of -inf already gave log I_0 = -inf
-    out = np.where(p_arr == 1.0, 0.0, out)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    rows = p_arr.reshape(-1, 1)
+    if 0 < p_min and p_max < 1:
+        out = _log_sum_window(rows, n, m)[0]
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out, t_max = _log_sum_window(rows, n, m)
+        # p = 0's row of -inf gives log I_0 = -inf; exact endpoint I_1 = 1
+        out[t_max == -np.inf] = -np.inf
+        out[rows[:, 0] == 1.0] = 0.0
+    if p_arr.ndim == 0:
+        return float(out[0])
+    return out.reshape(p_arr.shape)
 
 
 def reg_inc_beta(p, n, m):
@@ -261,27 +279,34 @@ def double_pdf(x, pair: DominancePair, family, which):
     family='gamma' conditions the gamma pair on X <= Y; 'invgamma' the
     inverse-gamma pair on X >= Y.  which='x' or 'y' picks the variate.
     Inverse-gamma X is 1/(gamma X) and the order flips with it, so its
-    density is the gamma density of the same variate at 1/x times the
-    Jacobian 1/x^2.
+    density is the gamma density of the same variate at u = 1/x times the
+    Jacobian 1/x^2; the gamma family reads u = x.  At x = inf both
+    densities read 0, their limit.
 
     The gamma density of the variate is multiplied by the other's tail
-    probability at x, scipy's gammaincc (X) or gammainc (Y).  Where that
+    probability at u, scipy's gammaincc (X) or gammainc (Y).  Where that
     factor underflows below ~1e-308 the density reads 0.
     """
     _check_selector(family, which)
     if not x > 0:
         raise ValueError(f"x must be positive, got {x}")
-    if family == "invgamma":
-        return double_pdf(1.0 / x, pair, "gamma", which) / x / x
-    a, b, sx, sy = pair.alpha, pair.beta, pair.s_x, pair.s_y
-    if which == "x":  # X <= Y: Y's upper tail beyond x
-        tail, shape, rate = gammaincc(b, sy * x), a, sx
-    else:             # X <= Y: X's lower tail below x
-        tail, shape, rate = gammainc(a, sx * x), b, sy
-    # at x = inf the gamma density's log reads inf - inf; the density is 0
-    if tail == 0 or x == math.inf:
+    # both densities tend to 0 as x -> inf, where the inverse-gamma one
+    # would read the gamma one at u = 0 and log(0)
+    if x == math.inf:
         return 0.0
-    return math.exp(math.log(tail) + _log_gamma_pdf(x, shape, rate) - pair.log_ip)
+    inverse = family == "invgamma"
+    u = 1.0 / x if inverse else x
+    a, b, sx, sy = pair.alpha, pair.beta, pair.s_x, pair.s_y
+    if which == "x":  # X <= Y: Y's upper tail beyond u
+        tail, shape, rate = gammaincc(b, sy * u), a, sx
+    else:             # X <= Y: X's lower tail below u
+        tail, shape, rate = gammainc(a, sx * u), b, sy
+    # u = 1/x overflows to inf at tiny x, where the gamma density's log
+    # reads inf - inf; the density is 0
+    if tail == 0 or u == math.inf:
+        return 0.0
+    density = math.exp(math.log(tail) + _log_gamma_pdf(u, shape, rate) - pair.log_ip)
+    return density / x / x if inverse else density
 
 
 def double_moment(pair: DominancePair, k, family, which):

@@ -5,12 +5,15 @@ import importlib
 import importlib.util
 import math
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import doamap
 from doamap import bench, cli
 from doamap.bench import (
     CSV_HEADER,
@@ -837,6 +840,22 @@ class TestValidateDistributions:
         # of pair (1, 4) has no mean, so its divergent x*pdf integral is skipped
         assert undefined == [((1, 4), "invgamma", "x")]
         assert counts == {"integrals": 23, "evaluations": 3135}
+
+
+class TestImportCost:
+    def test_import_loads_no_linalg_or_integrate(self):
+        # every benchmark setup imports the package; importing scipy.linalg
+        # after it takes ~66 ms more on a 2-core Xeon, against a desk or
+        # paper setup of ~0.25 s.  validate_distributions imports
+        # scipy.integrate where it uses it.
+        src = str(Path(doamap.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        code = ("import sys, doamap; print(sorted(name for name in "
+                "('scipy.linalg', 'scipy.integrate') if name in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": path})
+        assert out.stdout.strip() == "[]"
 
 
 class TestCli:

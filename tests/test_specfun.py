@@ -179,9 +179,36 @@ class TestKernelBitIdentity:
     def test_property_matches_oracle(self, n, m, p):
         _assert_matches_oracle(log_reg_inc_beta(p, n, m), p, n, m)
 
+    @given(degrees=st.one_of(
+        st.tuples(st.integers(1, 300), st.integers(1, 300)),
+        # (K M, (D - K) M) at the desk and paper shapes
+        st.integers(1, 31).map(lambda k: (k * 512, (32 - k) * 512)),
+        st.integers(1, 99).map(lambda k: (k * 4096, (100 - k) * 4096))),
+        p=st.floats(0.0, 1.0))
+    @example(degrees=(3, 5), p=0.0)
+    @example(degrees=(3 * 512, 29 * 512), p=1.0)
+    @example(degrees=(3 * 512, 29 * 512), p=2.0**-60)
+    @example(degrees=(5 * 4096, 95 * 4096), p=0.0)
+    @example(degrees=(5 * 4096, 95 * 4096), p=2.0**-60)
+    @example(degrees=(5 * 4096, 95 * 4096), p=1.0 - 2.0**-53)
+    def test_property_scalar_is_one_row(self, degrees, p):
+        # scalar p and array p run one arithmetic: a scalar's bits are
+        # those of the one-row array holding it
+        n, m = degrees
+        row = log_reg_inc_beta(np.array([p]), n, m)[0]
+        assert log_reg_inc_beta(p, n, m).hex() == float(row).hex()
+
 
 # (n, m, p) of a paper-draw kernel call, captured from a traced draw
 PAPER_CALL = (20480, 389120, 0.0647)
+
+
+def _window(p, n, m):
+    """The kernel's term window [lo, hi) at p, a scalar or an array."""
+    rows = np.asarray(p, dtype=float).reshape(-1, 1)
+    # log(0) at p = 0 or 1, and 0 * -inf at p = 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return specfun._term_window(np.log(rows), np.log1p(-rows), n, m)
 
 
 class TestKernelWindow:
@@ -197,7 +224,7 @@ class TestKernelWindow:
     def test_grid_threshold(self, n, m, p):
         # up to _GRID terms the window is the full range; one more term
         # switches the grid on, and a steep row then shrinks the window
-        lo, hi = specfun._term_window(np.asarray(p), n, m)
+        lo, hi = _window(p, n, m)
         if m <= specfun._GRID:
             assert (lo, hi) == (0, m)
         elif n == 1:
@@ -207,9 +234,9 @@ class TestKernelWindow:
     def test_array_p_disjoint_windows(self):
         n, m, _ = PAPER_CALL
         p = np.array([0.9, 0.0647])
-        (lo0, hi0), (lo1, hi1) = (specfun._term_window(np.asarray(x), n, m) for x in p)
+        (lo0, hi0), (lo1, hi1) = (_window(x, n, m) for x in p)
         assert hi0 < lo1
-        assert specfun._term_window(p, n, m) == (lo0, hi1)
+        assert _window(p, n, m) == (lo0, hi1)
         _assert_matches_oracle(log_reg_inc_beta(p, n, m), p, n, m)
 
     def test_underflow_regime(self):
@@ -222,13 +249,13 @@ class TestKernelWindow:
     def test_paper_call_skips_most_terms(self):
         # guards the work saving: a kernel back on the full range fails here
         n, m, p = PAPER_CALL
-        lo, hi = specfun._term_window(np.asarray(p), n, m)
+        lo, hi = _window(p, n, m)
         assert hi - lo < m / 4
 
     @given(n=st.integers(1, 40_000), m=st.integers(1, 400_000),
            p=st.floats(0.0, 1.0))
     def test_property_terms_outside_window_underflow(self, n, m, p):
-        lo, hi = specfun._term_window(np.asarray(p), n, m)
+        lo, hi = _window(p, n, m)
         assert 0 <= lo < hi <= m
         t = _oracle_log_terms(np.asarray(p), n, m)
         outside = np.concatenate([t[:lo], t[hi:]])
@@ -411,7 +438,7 @@ class TestDoublePdfs:
         # 1/x = inf; warnings are errors here, so inf - inf would fail
         for x in (1e300, math.inf):
             assert double_pdf(x, self.PAIR, "gamma", which) == 0.0
-        for x in (1e300, 5e-324):
+        for x in (1e300, 5e-324, math.inf):
             assert double_pdf(x, self.PAIR, "invgamma", which) == 0.0
 
     @pytest.mark.parametrize("which", ["x", "y"])
