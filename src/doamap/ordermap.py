@@ -49,7 +49,6 @@ from scipy.special import betaln
 
 from .specfun import DominancePair, _log_q_from, double_moment, log_q_sum
 from .subspace import (
-    T_CLAMP_REL,
     DrawData,
     EigenBasis,
     ProjectionStats,
@@ -109,20 +108,18 @@ class OrderPosterior:
     rank_deficient_k: tuple = ()
 
 
-def _stiefel_terms(d, k):
-    """The K terms of log_stiefel_volume(d, k), i = D-K+1..D in order; the
-    last j of them are those of log_stiefel_volume(d, j)."""
+def log_stiefel_volume(d, k):
+    """log volume of {V in C^(D x K): V^H V = D I}, columns of norm sqrt(D)."""
     if not 0 <= k <= d:
         raise ValueError(f"need 0 <= K <= D, got K={k}, D={d}")
     log_r2 = 2.0 * math.log(math.sqrt(d))
-    return [math.log(2.0) + i * (math.log(math.pi) + log_r2)
+    return float(
+        sum(
+            math.log(2.0) + i * (math.log(math.pi) + log_r2)
             - math.lgamma(i) - 0.5 * log_r2
-            for i in range(d - k + 1, d + 1)]
-
-
-def log_stiefel_volume(d, k):
-    """log volume of {V in C^(D x K): V^H V = D I}, columns of norm sqrt(D)."""
-    return float(sum(_stiefel_terms(d, k)))
+            for i in range(d - k + 1, d + 1)
+        )
+    )
 
 
 def posterior_variances(stats: ProjectionStats, d, log_ip=math.nan):
@@ -208,19 +205,15 @@ def _interval_bound(s, delta, norm2_y, k, d, m):
     (log(1 - q) is off by eps/2 absolute, hence alpha).  +inf where the
     interval reaches q = 1.
     """
-    q_ends = []
-    for e in (s + delta, s - delta):  # from_energy's t and q
-        t = max(norm2_y - e, T_CLAMP_REL * norm2_y)
-        q_ends.append(t / (e + t))
-    q_lo = q_ends[0] * (1.0 - 4.0 * _EPS)
-    q_hi = q_ends[1] * (1.0 + 4.0 * _EPS)
+    q_lo, q_hi = (ProjectionStats.from_energy(e, norm2_y, k, d, m).q
+                  for e in (s + delta, s - delta))
+    q_lo *= 1.0 - 4.0 * _EPS
+    q_hi *= 1.0 + 4.0 * _EPS
     if not q_hi < 1.0:
         return math.inf
     alpha, beta = k * m, (d - k) * m
+    top = max(_log_q_from(0.0, alpha, beta, q) for q in (q_lo, q_hi))
     log_b = float(betaln(alpha, beta))
-    # _log_q_from(0.0, alpha, beta, q), operation for operation
-    top = max(0.0 - alpha * math.log(1.0 - q) - beta * math.log(q) + log_b
-              for q in (q_lo, q_hi))
     return top + 8.0 * _EPS * (abs(top) + 2.0 * abs(log_b) + alpha)
 
 
@@ -238,8 +231,7 @@ def map_order_pca(basis: EigenBasis, norm2_y, k_max, m):
     s = np.concatenate(([0.0], np.cumsum(basis.eigvals[:k_max])))
     stats = [ProjectionStats.from_energy(float(s[k]), norm2_y, k, d, m)
              for k in range(k_max + 1)]
-    terms = _stiefel_terms(d, k_max)
-    priors = [-float(sum(terms[k_max - k:])) for k in range(k_max + 1)]
+    priors = [-log_stiefel_volume(d, k) for k in range(k_max + 1)]
     return _branch_and_bound(stats.__getitem__, priors, [
         _exact_bound(st, prior) for st, prior in zip(stats, priors)])
 
@@ -288,7 +280,10 @@ def aic_order(eigvals, m, k_max):
     d = lam.size
     lam = np.maximum(lam, 1e-300 * max(lam[0], 1e-300))
     k_max = min(k_max, d - 1)
-    log_lam = np.log(lam)
+    # the floor underflows to 0 below lam[0] ~ 5e-24, so zeros can reach
+    # the log (-inf); at all-zero data math.log below raises ValueError
+    with np.errstate(divide="ignore"):
+        log_lam = np.log(lam)
     crit = np.empty(k_max + 1)
     for k in range(k_max + 1):
         # each tail mean as np.mean computes it: the pairwise sum / size

@@ -279,34 +279,30 @@ def double_pdf(x, pair: DominancePair, family, which):
     family='gamma' conditions the gamma pair on X <= Y; 'invgamma' the
     inverse-gamma pair on X >= Y.  which='x' or 'y' picks the variate.
     Inverse-gamma X is 1/(gamma X) and the order flips with it, so its
-    density is the gamma density of the same variate at u = 1/x times the
-    Jacobian 1/x^2; the gamma family reads u = x.  At x = inf both
-    densities read 0, their limit.
+    density is the gamma density of the same variate at 1/x times the
+    Jacobian 1/x^2.  At x = inf both densities read 0, their limit.
 
     The gamma density of the variate is multiplied by the other's tail
-    probability at u, scipy's gammaincc (X) or gammainc (Y).  Where that
+    probability at x, scipy's gammaincc (X) or gammainc (Y).  Where that
     factor underflows below ~1e-308 the density reads 0.
     """
     _check_selector(family, which)
     if not x > 0:
         raise ValueError(f"x must be positive, got {x}")
-    # both densities tend to 0 as x -> inf, where the inverse-gamma one
-    # would read the gamma one at u = 0 and log(0)
+    # at x = inf the gamma density's log reads inf - inf and the
+    # inverse-gamma one would read it at 1/x = 0; both densities are 0
     if x == math.inf:
         return 0.0
-    inverse = family == "invgamma"
-    u = 1.0 / x if inverse else x
+    if family == "invgamma":
+        return double_pdf(1.0 / x, pair, "gamma", which) / x / x
     a, b, sx, sy = pair.alpha, pair.beta, pair.s_x, pair.s_y
-    if which == "x":  # X <= Y: Y's upper tail beyond u
-        tail, shape, rate = gammaincc(b, sy * u), a, sx
-    else:             # X <= Y: X's lower tail below u
-        tail, shape, rate = gammainc(a, sx * u), b, sy
-    # u = 1/x overflows to inf at tiny x, where the gamma density's log
-    # reads inf - inf; the density is 0
-    if tail == 0 or u == math.inf:
+    if which == "x":  # X <= Y: Y's upper tail beyond x
+        tail, shape, rate = gammaincc(b, sy * x), a, sx
+    else:             # X <= Y: X's lower tail below x
+        tail, shape, rate = gammainc(a, sx * x), b, sy
+    if tail == 0:
         return 0.0
-    density = math.exp(math.log(tail) + _log_gamma_pdf(u, shape, rate) - pair.log_ip)
-    return density / x / x if inverse else density
+    return math.exp(math.log(tail) + _log_gamma_pdf(x, shape, rate) - pair.log_ip)
 
 
 def double_moment(pair: DominancePair, k, family, which):

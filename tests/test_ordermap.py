@@ -1,6 +1,7 @@
 """Tests for MAP model-order selection, posterior variances, and AIC."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -622,6 +623,14 @@ class TestAic:
             ratio = np.mean(tail) / np.exp(np.mean(np.log(tail)))
             crit.append(2 * m * (12 - k) * math.log(ratio) + 2 * k * (2 * 12 - k))
         assert aic_order(lam, m, k_max) == int(np.argmin(crit))
+
+    def test_all_zero_eigenvalues_raise_value_error(self):
+        # the floor underflows to 0 here; math.log of the zero mean raises,
+        # and no RuntimeWarning from the log of the eigenvalues comes first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="math domain error"):
+                aic_order(np.zeros(4), 16, 2)
 
     def test_recovers_k_on_clean_data(self):
         sc = default_scenario(d=32, k=3, m=512, n=512, snr_db=20.0, seed=8)
