@@ -401,9 +401,9 @@ def run_sweep(config: ExperimentConfig, jobs=1):
     ]
     if jobs > 1:
         # spawned workers read the environment when they start, so each
-        # gets one BLAS thread and jobs workers share the cores
+        # gets one BLAS thread; at most one worker per task and per core
         with _worker_blas_env(), ProcessPoolExecutor(
-                max_workers=min(jobs, len(tasks)),
+                max_workers=min(jobs, len(tasks), os.cpu_count() or 1),
                 mp_context=multiprocessing.get_context("spawn")) as pool:
             chunks = list(pool.map(_run_task, tasks, chunksize=8))
     else:

@@ -24,15 +24,13 @@ A spectrum scan scores the orders 0..P', P' its steering prefixes before
 the first rank-deficient one (coincident peaks), and runs one SVD per
 prefix, for its basis u^H (subspace.prefix_bases), which both the prefix's
 bound and its split read.  It visits its orders by bounds it reads from
-the covariance R instead of Y.  Each prefix's captured energy from R,
-s~_K, lies within delta_K = 4 eps K (2M + 4D + 8) |Y|^2 of the energy s_K
-it captures of Y (an a-priori rounding bound, derived at
-subspace.energy_margin), and U is convex in q, which is monotone in s, so
-U at the ends of [s~_K - delta_K, s~_K + delta_K], plus a rounding
-allowance, bounds U_K from above (_interval_bound).  Only an order the
-scan visits reads Y, for its exact split on the same u^H; its U_K and
-score are then bit-exact, those of a scan that splits every prefix of Y.
-A pruned order keeps its bound from the R interval, >= its exact U_K, and
+the covariance R instead of Y: each prefix's captured energy from R lies
+within a rounding margin, fixed beforehand, of the energy it captures of
+Y, and the closed form at the ends of that interval bounds U_K from above
+(_covariance_bounds, which derives the margin).  Only an order the scan
+visits reads Y, for its exact split on the same u^H; its U_K and score
+are then bit-exact, those of a scan that splits every prefix of Y.  A
+pruned order keeps its bound from the R interval, >= its exact U_K, and
 its split is computed from Y, on the u^H the scan already holds, the
 first time stats_at reads it.
 """
@@ -42,7 +40,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betaln
@@ -52,8 +50,6 @@ from .subspace import (
     DrawData,
     EigenBasis,
     ProjectionStats,
-    covariance_energies,
-    energy_margin,
     prefix_bases,
     projection_stats,
 )
@@ -145,29 +141,27 @@ def posterior_variances(stats: ProjectionStats, d, log_ip=math.nan):
 
 
 def _exact_bound(st: ProjectionStats, prior):
-    """Order K's exact score bound U_K + prior: the closed form on
-    log I_p = 0.0, >= the score bit for bit.  K = 0, the empty subspace
-    (alpha = 0, log Q = 0), has its score as its bound."""
-    if st.alpha == 0:
-        return 0.0 + prior
+    """Order K >= 1's exact score bound U_K + prior: the closed form on
+    log I_p = 0.0, >= the score bit for bit."""
     return _log_q_from(0.0, st.alpha, st.beta, st.q) + prior
 
 
-def _branch_and_bound(stats_at, priors, bounds):
+def _branch_and_bound(stats_at, priors, bounds, rank_deficient_k=()):
     """MAP order over log Q(alpha, beta, q) + priors[K], given upper bounds
-    on each order's exact bound; stats_at(K) is order K's split.
+    on the exact bounds of the orders K >= 1; stats_at(K) is order K's
+    split.
 
-    Entry 0 is the empty subspace (log Q = 0), whose bound 0.0 + priors[0]
-    is its score, with no kernel call.  The rest are visited in descending
-    bound order (ties to smaller K) until a bound falls below the best
-    score so far.  A visited order reads its split from stats_at, and its
-    bound becomes the exact one; log_q_sum scores it unless that too is
-    below the best.  An order left unscored scores at most its bound,
-    below that best, so the MAP order is the argmax over all exact scores,
-    smallest K on ties.
+    Order 0 is the empty subspace (log Q = 0), whose bound 0.0 + priors[0]
+    is its score, with no kernel call.  The orders are visited in
+    descending bound order (ties to smaller K) until a bound falls below
+    the best score so far.  A visited order reads its split from stats_at,
+    and its bound becomes the exact one; log_q_sum scores it unless that
+    too is below the best.  An order left unscored scores at most its
+    bound, below that best, so the MAP order is the argmax over all exact
+    scores, smallest K on ties.
     """
+    bounds = np.array([0.0 + priors[0], *bounds])
     n = len(bounds)
-    bounds = np.array(bounds)
     log_scores = np.full(n, math.nan)
     log_ip = np.full(n, math.nan)
     log_scores[0] = bounds[0]
@@ -189,32 +183,71 @@ def _branch_and_bound(stats_at, priors, bounds):
         log_ip=log_ip,
         k_map=int(np.nanargmax(log_scores)),  # the smallest K on ties
         stats_at=stats_at,
+        rank_deficient_k=rank_deficient_k,
     )
 
 
-def _interval_bound(s, delta, norm2_y, k, d, m):
-    """An upper bound on `_log_q_from(0.0, ...)` at order K >= 1 over every
-    captured energy within delta of s, as ProjectionStats.from_energy
-    computes q from it.
+def _covariance_bounds(data: DrawData, bases, m):
+    """Upper bounds on `_log_q_from(0.0, ...)` at each prefix K >= 1 of
+    bases (prefix_bases), read from the covariance R = data.cov instead of
+    Y: a list in key order, +inf where a bound reaches q = 1.
+
+    Prefix K captures s~_K = sum over its rows u^H of Re(u^H R u) from R,
+    all prefixes from one product of the stacked blocks with R.  In exact
+    arithmetic that is projection_stats' s_K from Y on the same block, and
+    delta_K = 4 eps K (2M + 4D + 8) |Y|^2 bounds |s_K - s~_K| beforehand.
+    With unit roundoff u = eps/2, gamma_n = n u / (1 - n u) and a_jm =
+    |u_j|^T |y_m| (moduli entrywise), sum_{j<K, m} a_jm^2 <= K |Y|^2 by
+    Cauchy-Schwarz.  A complex inner product of length n is off by at most
+    sqrt(2) gamma_{n+2} times the same product of moduli, in any summation
+    order, FMA or not (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, sections 3.1 and 3.6).  To first order in u:
+
+    - From Y: each entry of u^H Y is off by sqrt(2) gamma_{D+2} a_jm, its
+      squared modulus by 2 sqrt(2) (D+2) u a_jm^2 + 4 u a_jm^2, and the
+      sum of the K M squares by K M u s_K <= K M u |Y|^2.  In all,
+      K u |Y|^2 (M + 2 sqrt(2) D + 10).
+    - From R: each entry of R is off by (sqrt(2) (M+2) + 1) u (|Y||Y|^T)_ab
+      (product and symmetrising sum), which moves u^H R u by that factor
+      times sum_m a_jm^2; u^H R and its product with u add
+      ((sqrt(2) + 1) D + 6) u |u|^T|R||u|, and the sum over the K rows K u
+      times the same, K <= D.  In all, K u |Y|^2 (sqrt(2) M + (2 + sqrt(2))
+      D + 10).
+
+    The sum is under eps K |Y|^2 (1.21 M + 3.13 D + 10), and delta_K is
+    over three times that, which covers the second-order terms, columns
+    of u whose norm is 1 within D eps, and the rounding of s~_K +- delta_K.
 
     U(q) = -alpha log(1 - q) - beta log q + log B(alpha, beta) is convex
-    on (0, 1) and q is monotone in s, so U's maximum over the interval is
-    at an end.  The ends' q are widened by 4 eps, more than the rounding
-    of any q computed from an energy inside; the result is raised by
-    8 eps (|U| + 2 |log B| + alpha), more than twice the rounding of U
-    (log(1 - q) is off by eps/2 absolute, hence alpha).  +inf where the
-    interval reaches q = 1.
+    on (0, 1) and q, as ProjectionStats.from_energy computes it, is
+    monotone in s, so U's maximum over s~_K +- delta_K is at an end.  The
+    ends' q are widened by 4 eps, more than the rounding of any q computed
+    from an energy inside; the result is raised by 8 eps (|U| + 2 |log B|
+    + alpha), more than twice the rounding of U (log(1 - q) is off by
+    eps/2 absolute, hence alpha).
     """
-    q_lo, q_hi = (ProjectionStats.from_energy(e, norm2_y, k, d, m).q
-                  for e in (s + delta, s - delta))
-    q_lo *= 1.0 - 4.0 * _EPS
-    q_hi *= 1.0 + 4.0 * _EPS
-    if not q_hi < 1.0:
-        return math.inf
-    alpha, beta = k * m, (d - k) * m
-    top = max(_log_q_from(0.0, alpha, beta, q) for q in (q_lo, q_hi))
-    log_b = float(betaln(alpha, beta))
-    return top + 8.0 * _EPS * (abs(top) + 2.0 * abs(log_b) + alpha)
+    if not bases:
+        return []
+    d = data.cov.shape[0]
+    rows = np.concatenate(list(bases.values()))
+    # row u^H times R, times u = conj(u^H): the sum of (u^H R) conj(u^H)
+    e = np.sum((rows @ data.cov * rows.conj()).real, axis=1)
+    bounds = []
+    for k, part in zip(bases, np.split(e, np.cumsum(list(bases))[:-1])):
+        s = float(np.sum(part))
+        delta = 4.0 * _EPS * k * (2 * m + 4 * d + 8) * data.norm2_y
+        q_lo, q_hi = (ProjectionStats.from_energy(x, data.norm2_y, k, d, m).q
+                      for x in (s + delta, s - delta))
+        q_lo *= 1.0 - 4.0 * _EPS
+        q_hi *= 1.0 + 4.0 * _EPS
+        if not q_hi < 1.0:
+            bounds.append(math.inf)
+            continue
+        alpha, beta = k * m, (d - k) * m
+        top = max(_log_q_from(0.0, alpha, beta, q) for q in (q_lo, q_hi))
+        log_b = float(betaln(alpha, beta))
+        bounds.append(top + 8.0 * _EPS * (abs(top) + 2.0 * abs(log_b) + alpha))
+    return bounds
 
 
 def map_order_pca(basis: EigenBasis, norm2_y, k_max, m):
@@ -233,7 +266,7 @@ def map_order_pca(basis: EigenBasis, norm2_y, k_max, m):
              for k in range(k_max + 1)]
     priors = [-log_stiefel_volume(d, k) for k in range(k_max + 1)]
     return _branch_and_bound(stats.__getitem__, priors, [
-        _exact_bound(st, prior) for st, prior in zip(stats, priors)])
+        _exact_bound(stats[k], priors[k]) for k in range(1, k_max + 1)])
 
 
 def map_order_scan(data: DrawData, steer_rows, k_max, m):
@@ -244,12 +277,12 @@ def map_order_scan(data: DrawData, steer_rows, k_max, m):
     spectrum peak; prefix K is the first K rows, transposed, and P = 0
     scores K = 0 alone.  Each prefix's u^H comes from one SVD
     (prefix_bases), which both its bound and its split of Y read.  Each
-    order's bound is _interval_bound's, from the covariance R, K = 0's the
-    exact score.  stats_at(K) splits Y on prefix K's u^H (K = 0 a 0 x D
-    block) the first time order K is read, by the branch and bound or a
-    caller, and keeps it.  The DOA prior contributes -K*log(2*pi) for both
-    the MUSIC and DTFT spectra.  The orders past the last full-rank prefix
-    (coincident peaks) are not scored, only listed in rank_deficient_k.
+    order K >= 1's bound is _covariance_bounds', from the covariance R.
+    stats_at(K) splits Y on prefix K's u^H (K = 0 a 0 x D block) the first
+    time order K is read, by the branch and bound or a caller, and keeps
+    it.  The DOA prior contributes -K*log(2*pi) for both the MUSIC and DTFT
+    spectra.  The orders past the last full-rank prefix (coincident peaks)
+    are not scored, only listed in rank_deficient_k.
     """
     v = steer_rows[:k_max].T
     d = v.shape[0]
@@ -261,12 +294,9 @@ def map_order_scan(data: DrawData, steer_rows, k_max, m):
         return projection_stats(data.y, blocks[k], m, norm2_y=data.norm2_y)
 
     priors = [-k * math.log(2.0 * math.pi) for k in range(len(blocks))]
-    bounds = [0.0 + priors[0]] + [
-        _interval_bound(s, energy_margin(k, d, m, data.norm2_y),
-                        data.norm2_y, k, d, m) + priors[k]
-        for k, s in covariance_energies(data.cov, bases).items()]
-    post = _branch_and_bound(stats_at, priors, bounds)
-    return replace(post, rank_deficient_k=tuple(
+    bounds = [b + priors[k]
+              for k, b in enumerate(_covariance_bounds(data, bases, m), 1)]
+    return _branch_and_bound(stats_at, priors, bounds, tuple(
         range(len(blocks), v.shape[1] + 1)))
 
 
@@ -278,12 +308,11 @@ def aic_order(eigvals, m, k_max):
     """
     lam = np.asarray(eigvals, dtype=float)
     d = lam.size
-    lam = np.maximum(lam, 1e-300 * max(lam[0], 1e-300))
+    # floor at 1e-300 lam[0], at least the smallest normal float, so
+    # every log below is finite
+    lam = np.maximum(lam, max(1e-300 * lam[0], np.finfo(float).tiny))
     k_max = min(k_max, d - 1)
-    # the floor underflows to 0 below lam[0] ~ 5e-24, so zeros can reach
-    # the log (-inf); at all-zero data math.log below raises ValueError
-    with np.errstate(divide="ignore"):
-        log_lam = np.log(lam)
+    log_lam = np.log(lam)
     crit = np.empty(k_max + 1)
     for k in range(k_max + 1):
         # each tail mean as np.mean computes it: the pairwise sum / size

@@ -5,11 +5,9 @@ data energy splits as |Y|^2 = |V A0|^2 + |H0|^2 with A0 the least-squares
 amplitudes and H0 the residual.  ProjectionStats.from_energy packages that
 split, plus the signal/noise degree counts, for the Bayesian order scores.
 prefix_bases gives each steering prefix before the first rank-deficient
-one its K x D orthonormal block u^H, and both energy paths read those
-blocks: projection_stats splits the D x M data on one block, and
-covariance_energies computes the same captured energies from R = Y Y^H
-(D x D) instead, within energy_margin of projection_stats' bits, for the
-order scan's bounds.
+one its K x D orthonormal block u^H, and projection_stats splits the D x M
+data on one block; the order scan's bounds read the same blocks against
+R = Y Y^H instead (ordermap._covariance_bounds).
 
 Both spectra are quadratic forms v^H H v of a D x D Hermitian H at the
 grid steering vectors v_a = e^{i omega a}, and any such form is a
@@ -48,8 +46,6 @@ __all__ = [
     "pick_peaks",
     "prefix_bases",
     "projection_stats",
-    "covariance_energies",
-    "energy_margin",
     "DrawData",
 ]
 
@@ -251,54 +247,6 @@ def projection_stats(y, uh, m, *, norm2_y):
     block = (np.concatenate((uh, uh)) @ y)[:1] if k == 1 else uh @ y
     s = float(np.sum(np.abs(block) ** 2))
     return ProjectionStats.from_energy(s, norm2_y, k, y.shape[0], m)
-
-
-def covariance_energies(cov, bases):
-    """{K: s~_K} for each u^H block of bases (prefix_bases), with
-    s~_K = sum over the block's rows u^H of Re(u^H R u), from one product
-    of the stacked blocks with the D x D covariance R = Y Y^H.
-
-    In exact arithmetic s~_K is projection_stats' s_K; the two computed
-    values differ by at most energy_margin(K, ...).
-    """
-    if not bases:
-        return {}
-    rows = np.concatenate(list(bases.values()))
-    # row u^H times R, times u = conj(u^H): the sum of (u^H R) conj(u^H)
-    e = np.sum((rows @ cov * rows.conj()).real, axis=1)
-    ends = np.cumsum(list(bases))
-    return {k: float(np.sum(part)) for k, part in zip(bases, np.split(e, ends[:-1]))}
-
-
-def energy_margin(k, d, m, norm2_y):
-    """delta_K = 4 eps K (2M + 4D + 8) |Y|^2, a bound fixed beforehand on
-    |s_K - s~_K|: projection_stats' s_K from Y against covariance_energies'
-    s~_K from R = sample_covariance(Y), both on the same K x D block u^H.
-
-    With unit roundoff u = eps/2, gamma_n = n u / (1 - n u) and a_jm =
-    |u_j|^T |y_m| (moduli entrywise), sum_{j<K, m} a_jm^2 <= K |Y|^2 by
-    Cauchy-Schwarz.  A complex inner product of length n is off by at most
-    sqrt(2) gamma_{n+2} times the same product of moduli, in any summation
-    order, FMA or not (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, sections 3.1 and 3.6).  To first order in u:
-
-    - From Y: each entry of u^H Y is off by sqrt(2) gamma_{D+2} a_jm, its
-      squared modulus by 2 sqrt(2) (D+2) u a_jm^2 + 4 u a_jm^2, and the
-      sum of the K M squares by K M u s_K <= K M u |Y|^2.  In all,
-      K u |Y|^2 (M + 2 sqrt(2) D + 10).
-    - From R: each entry of R is off by (sqrt(2) (M+2) + 1) u (|Y||Y|^T)_ab
-      (product and symmetrising sum), which moves u^H R u by that factor
-      times sum_m a_jm^2; u^H R and its product with u add
-      ((sqrt(2) + 1) D + 6) u |u|^T|R||u|, and the sum over the K rows K u
-      times the same, K <= D.  In all, K u |Y|^2 (sqrt(2) M + (2 + sqrt(2))
-      D + 10).
-
-    The sum is under eps K |Y|^2 (1.21 M + 3.13 D + 10), and delta_K =
-    eps K |Y|^2 (8 M + 16 D + 32) is over three times that, which covers
-    the second-order terms, columns of u whose norm is 1 within D eps, and
-    the rounding of s~_K +- delta_K.
-    """
-    return 4.0 * EPS * k * (2 * m + 4 * d + 8) * norm2_y
 
 
 @dataclass(frozen=True)

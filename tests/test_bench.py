@@ -608,29 +608,46 @@ class TestBenchmarkContract:
             8 * 90 * 16**2 / 1e9)
 
 
+def _serial_pools(monkeypatch, cores):
+    """The max_workers of every pool run_sweep opens, on a host of `cores`
+    cores; each pool runs its tasks in this process, so none starts."""
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers, **kwargs):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    return pools
+
+
 class TestSweep:
     def test_pool_capped_at_task_count(self, monkeypatch):
         # two tasks take two workers, whatever --jobs asks for
-        pools = []
-
-        class SerialPool:
-            def __init__(self, max_workers, **kwargs):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
+        pools = _serial_pools(monkeypatch, cores=64)
         cfg = ExperimentConfig(**FAST, methods=("music-map",))
         serial = [r.csv_row() for r in run_sweep(cfg)]
         assert [r.csv_row() for r in run_sweep(cfg, jobs=64)] == serial
         assert pools == [2]
+
+    def test_pool_capped_at_core_count(self, monkeypatch):
+        # four tasks on three cores take three workers, whatever --jobs
+        # asks for
+        pools = _serial_pools(monkeypatch, cores=3)
+        cfg = ExperimentConfig(**{**FAST, "n_runs": 4}, methods=("music-map",))
+        serial = [r.csv_row() for r in run_sweep(cfg)]
+        assert [r.csv_row() for r in run_sweep(cfg, jobs=10**6)] == serial
+        assert pools == [3]
 
     def test_record_count_and_order(self):
         cfg = ExperimentConfig(**FAST, methods=("music-map", "dtft-map"))

@@ -29,9 +29,7 @@ from doamap.specfun import log_q_sum
 from doamap.subspace import (
     DrawData,
     ProjectionStats,
-    covariance_energies,
     eigendecompose,
-    energy_margin,
     prefix_bases,
     projection_stats,
     sample_covariance,
@@ -280,11 +278,12 @@ def _scan_prior(k):
 
 
 def _exact_scan(stats, log_prior):
-    """The branch and bound over a list of splits on every order's exact
-    bound, as map_order_pca runs it."""
+    """The branch and bound over a list of splits on every order K >= 1's
+    exact bound, as map_order_pca runs it."""
     priors = [log_prior(k) for k in range(len(stats))]
     return ordermap._branch_and_bound(stats.__getitem__, priors, [
-        ordermap._exact_bound(st, prior) for st, prior in zip(stats, priors)])
+        ordermap._exact_bound(st, prior)
+        for st, prior in zip(stats[1:], priors[1:])])
 
 
 def _check_pruned(post, log_prior):
@@ -310,7 +309,7 @@ def _check_pruned(post, log_prior):
 def _loose_cases(draw):
     """(splits, log prior, slack) for a branch and bound: nested energies
     on d 4-32, m 2-64 and K_max up to min(10, d - 1), and per order K >= 1
-    a slack in [0, 1e3] or +inf to add to its exact bound (0 at K = 0)."""
+    a slack in [0, 1e3] or +inf to add to its exact bound."""
     d = draw(hst.integers(4, 32))
     m = draw(hst.integers(2, 64))
     k_max = draw(hst.integers(1, min(10, d - 1)))
@@ -324,7 +323,7 @@ def _loose_cases(draw):
     slack = draw(hst.lists(hst.one_of(hst.floats(0.0, 1e3), hst.just(math.inf)),
                            min_size=k_max, max_size=k_max))
     return (stats, draw(hst.sampled_from((_pca_prior(d), _scan_prior))),
-            [0.0, *slack])
+            slack)
 
 
 class TestPrunedScan:
@@ -410,8 +409,7 @@ class TestPrunedScan:
                  for k, s in enumerate((0.0, 600.0, 700.0, 720.0, 730.0))]
         exact = _exact_scan(stats, _scan_prior)
         assert calls == [2 * 64]
-        loose = [b + 300.0 * (k > 0)
-                 for k, b in enumerate(exact.log_score_bounds)]
+        loose = [b + 300.0 for b in exact.log_score_bounds[1:]]
         post = ordermap._branch_and_bound(
             stats.__getitem__, [_scan_prior(k) for k in range(len(stats))],
             loose)
@@ -433,7 +431,7 @@ class TestPrunedScan:
         exact = _exact_scan(stats, log_prior)
         post = ordermap._branch_and_bound(
             stats.__getitem__, [log_prior(k) for k in range(len(stats))],
-            exact.log_score_bounds + slack)
+            exact.log_score_bounds[1:] + slack)
         assert post.k_map == exact.k_map
         assert post.log_scores[post.k_map] == exact.log_scores[exact.k_map]
         both = ~np.isnan(post.log_scores) & ~np.isnan(exact.log_scores)
@@ -494,11 +492,9 @@ def _check_against_full_scan(data, rows, k_max, m):
     scores = [f[0] + priors[k] for k, f in enumerate(full)]
     assert post.k_map == int(np.argmax(scores))
     exact_bounds = _exact_scan(exact, _scan_prior).log_score_bounds
-    d = v.shape[0]
     interval = [0.0 + priors[0]] + [
-        ordermap._interval_bound(s, energy_margin(k, d, m, data.norm2_y),
-                                 data.norm2_y, k, d, m) + priors[k]
-        for k, s in covariance_energies(data.cov, bases).items()]
+        b + priors[k] for k, b in
+        enumerate(ordermap._covariance_bounds(data, bases, m), 1)]
     assert len(interval) == len(post.log_scores) == len(exact)
     for k, st in enumerate(exact):
         assert interval[k] >= exact_bounds[k], k
@@ -548,10 +544,16 @@ class TestCovarianceBounds:
 
     def test_interval_reaching_q_one_bounds_nothing(self):
         # once s - delta <= 0 the residual holds all of |Y|^2, q = 1, where
-        # U has no upper bound
-        for s in (0.0, 0.5, 1.0):
-            assert ordermap._interval_bound(s, 1.0, 100.0, 1, 4, 2) == math.inf
-        assert ordermap._interval_bound(50.0, 1.0, 100.0, 1, 4, 2) < math.inf
+        # U has no upper bound: R = 0 captures s = 0 on any block
+        bases = {1: np.array([[1.0, 0.0, 0.0, 0.0]], dtype=complex)}
+
+        def bound(cov):  # the bounds read R and |Y|^2, never Y
+            data = DrawData(np.zeros((4, 2), dtype=complex),
+                            cov.astype(complex), 100.0)
+            return ordermap._covariance_bounds(data, bases, 2)[0]
+
+        assert bound(np.zeros((4, 4))) == math.inf
+        assert bound(np.diag([50.0, 25.0, 15.0, 10.0])) < math.inf
 
     @pytest.mark.parametrize("pool", ["desk", "paper"])
     def test_r_energies_within_a_hundredth_of_the_margin(self, pool):
@@ -571,10 +573,14 @@ class TestCovarianceBounds:
                 for rows in peaks.values():
                     v = rows[:cfg.k_max].T
                     bases = prefix_bases(v)
-                    for k, s in covariance_energies(data.cov, bases).items():
-                        exact = projection_stats(data.y, bases[k], sc.m,
+                    for k, uh in bases.items():
+                        # s~_K = sum over the rows u^H of Re(u^H R u), and
+                        # delta_K = 4 eps K (2M + 4D + 8) |Y|^2
+                        s = float(np.sum((uh @ data.cov * uh.conj()).real))
+                        delta = (4.0 * np.finfo(float).eps * k
+                                 * (2 * sc.m + 4 * sc.d + 8) * data.norm2_y)
+                        exact = projection_stats(data.y, uh, sc.m,
                                                  norm2_y=data.norm2_y)
-                        delta = energy_margin(k, sc.d, sc.m, data.norm2_y)
                         worst = max(worst, abs(exact.s - s) / delta)
         assert worst <= 1e-2
 
@@ -624,13 +630,15 @@ class TestAic:
             crit.append(2 * m * (12 - k) * math.log(ratio) + 2 * k * (2 * 12 - k))
         assert aic_order(lam, m, k_max) == int(np.argmin(crit))
 
-    def test_all_zero_eigenvalues_raise_value_error(self):
-        # the floor underflows to 0 here; math.log of the zero mean raises,
-        # and no RuntimeWarning from the log of the eigenvalues comes first
+    def test_tiny_and_zero_eigenvalues(self):
+        # the floor never underflows to 0, so noiseless eigenvalues at any
+        # scale, all-zero ones included, take no log of zero and no warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="math domain error"):
-                aic_order(np.zeros(4), 16, 2)
+            assert aic_order(np.zeros(4), 16, 2) == 0
+            lam = np.array([3.0, 2.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+            for scale in (1.0, 2.0**-100, 2.0**-1000):
+                assert aic_order(lam * scale, 64, 6) == 3, scale
 
     def test_recovers_k_on_clean_data(self):
         sc = default_scenario(d=32, k=3, m=512, n=512, snr_db=20.0, seed=8)
