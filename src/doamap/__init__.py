@@ -33,9 +33,10 @@ from .subspace import (
     eigendecompose,
     music_pseudospectrum,
     pick_peaks,
-    prefix_bases,
+    prefix_energies,
     projection_stats,
     sample_covariance,
+    svd_block,
 )
 
 __version__ = "0.1.0"

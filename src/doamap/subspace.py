@@ -4,10 +4,11 @@ The three estimators share one geometric fact: for a candidate basis V the
 data energy splits as |Y|^2 = |V A0|^2 + |H0|^2 with A0 the least-squares
 amplitudes and H0 the residual.  ProjectionStats.from_energy packages that
 split, plus the signal/noise degree counts, for the Bayesian order scores.
-prefix_bases gives each steering prefix before the first rank-deficient
-one its K x D orthonormal block u^H, and projection_stats splits the D x M
-data on one block; the order scan's bounds read the same blocks against
-R = Y Y^H instead (ordermap._covariance_bounds).
+Both order scans read their splits from R = Y Y^H as partial sums of
+energies: PCA's the eigenvalues, a spectrum scan's prefix_energies, those
+of R on one QR of the steering prefixes.  The posterior at a chosen order
+splits the D x M data itself: projection_stats on the prefix's K x D
+orthonormal block u^H (svd_block).
 
 Both spectra are quadratic forms v^H H v of a D x D Hermitian H at the
 grid steering vectors v_a = e^{i omega a}, and any such form is a
@@ -44,13 +45,15 @@ __all__ = [
     "music_candidates",
     "music_exact",
     "pick_peaks",
-    "prefix_bases",
+    "prefix_energies",
+    "svd_block",
     "projection_stats",
     "DrawData",
 ]
 
 EPS = float(np.finfo(float).eps)
-# residual-energy floor, relative to |Y|^2: keeps q > 0 for noiseless inputs
+# energy floor of both parts of a split, relative to |Y|^2: keeps q in
+# (0, 1) at K >= 1 for noiseless inputs and for orthogonal bases
 T_CLAMP_REL = 1e-12
 # |MUSIC lag polynomial - sum_{j >= k} |q_j^H v|^2| <= NOISE_POLY_ERR * D,
 # the tests' bound (measured at worst 14.7 D eps, at paper shape)
@@ -69,8 +72,8 @@ class EigenBasis:
 class ProjectionStats:
     """Energy split of Y on a K-dimensional basis plus degree counts.
 
-    s = |V A0|^2, t = |H0|^2 (clamped away from zero), alpha = K*M,
-    beta = (D-K)*M, and the residual share q = t/(s+t).
+    s = |V A0|^2, t = |H0|^2 (both clamped away from zero, s for K >= 1),
+    alpha = K*M, beta = (D-K)*M, and the residual share q = t/(s+t).
     """
 
     s: float
@@ -84,7 +87,12 @@ class ProjectionStats:
 
     @classmethod
     def from_energy(cls, s, norm2_y, k, d, m):
-        """Split of |Y|^2 when a rank-k basis captures energy s (t clamped)."""
+        """Split of |Y|^2 when a rank-k basis captures energy s.
+
+        Both parts are floored at T_CLAMP_REL |Y|^2, s only for k >= 1,
+        so q lies in (0, 1) at every order K >= 1, noiseless or not."""
+        if k:
+            s = max(s, T_CLAMP_REL * norm2_y)
         t = max(norm2_y - s, T_CLAMP_REL * norm2_y)
         return cls(s=s, t=t, alpha=k * m, beta=(d - k) * m)
 
@@ -210,13 +218,17 @@ def pick_peaks(values, count):
     return idx[np.argsort(-v[idx], kind="stable")][:count]
 
 
-def prefix_bases(v):
-    """{K: u^H} for the prefixes K = 1..P' of the D x P basis V before its
-    first rank-deficient one: u the left singular vectors of its first K
-    columns, one SVD each, never forming (V^H V)^-1.
+def prefix_energies(v, cov):
+    """Energies e_j = Re(q_j^H R q_j) of the covariance R = cov on the
+    columns q_j of one reduced QR, V = Q T, of the D x P basis V, for
+    j < P', P' the last prefix before the first rank-deficient one.
 
-    A prefix is rank deficient (coincident steering vectors) when its
-    smallest singular value is below 1e-10 of its largest.  A column more
+    Prefix K's columns span the same subspace as q_0..q_{K-1}, so
+    e_0 + ... + e_{K-1} is the energy of Y that prefix K captures, read
+    from R = Y Y^H.  A prefix is rank deficient (coincident steering
+    vectors) when the smallest singular value of its columns is below
+    1e-10 of its largest; T's leading K x K block has V_K's singular
+    values (V_K = Q_K T_K), so the rule reads that block.  A column more
     never lowers the largest nor raises the smallest (interlacing; Horn &
     Johnson, Topics in Matrix Analysis, 1991, section 3.1), so no prefix
     past the first deficient one is full rank.
@@ -224,18 +236,29 @@ def prefix_bases(v):
     d, p = v.shape
     if p > d:
         raise ValueError(f"basis has more columns ({p}) than sensors ({d})")
-    bases = {}
-    for k in range(1, p + 1):
-        u, sv, _ = np.linalg.svd(v[:, :k], full_matrices=False)
+    q, tri = np.linalg.qr(v)
+    full = 0
+    while full < p:
+        sv = np.linalg.svd(tri[:full + 1, :full + 1], compute_uv=False)
         if sv[-1] < 1e-10 * sv[0]:
             break
-        bases[k] = u.conj().T
-    return bases
+        full += 1
+    rows = q[:, :full].conj().T
+    # row q^H times R, times q = conj(q^H): the sum of (q^H R) conj(q^H)
+    return np.sum((rows @ cov * rows.conj()).real, axis=1)
+
+
+def svd_block(v):
+    """The K x D block u^H with orthonormal rows spanning the columns of
+    the full-rank D x K basis V: its left singular vectors, from one thin
+    SVD, never forming (V^H V)^-1."""
+    u, _sv, _vh = np.linalg.svd(v, full_matrices=False)
+    return u.conj().T
 
 
 def projection_stats(y, uh, m, *, norm2_y):
     """Energy split of the D x M data Y on the row space of the K x D
-    block u^H with orthonormal rows (a prefix_bases entry).
+    block u^H with orthonormal rows (svd_block).
 
     s sums the squared magnitudes of u^H Y.  K = 0 is a 0 x D block, the
     pure-noise convention s = 0, t = |Y|^2.  A lone row would take numpy's

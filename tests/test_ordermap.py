@@ -17,7 +17,7 @@ from doamap.arraysim import (
     synth_freq,
 )
 from doamap import ordermap, specfun
-from doamap.bench import ExperimentConfig, spectrum_peaks
+from doamap.bench import spectrum_peaks
 from doamap.ordermap import (
     aic_order,
     log_stiefel_volume,
@@ -30,9 +30,10 @@ from doamap.subspace import (
     DrawData,
     ProjectionStats,
     eigendecompose,
-    prefix_bases,
+    prefix_energies,
     projection_stats,
     sample_covariance,
+    svd_block,
 )
 
 GRID = np.arange(0.0, 180.0, 0.5)
@@ -103,10 +104,12 @@ class TestPosteriorVariances:
                     ProjectionStats(s=1.0, t=1.0, alpha=9, beta=1), 3, log_ip)
 
     def test_scored_orders_reuse_the_scan_normaliser(self, monkeypatch):
-        # at an order the scan scored, the fit takes log I_p(alpha, beta)
-        # from the scan and calls the kernel only for the two moments; a
-        # pruned order computes it.  Either way the result is the bits of
-        # the fit that computes everything itself
+        # at an order the PCA scan scored, the fit takes log I_p(alpha,
+        # beta) from the scan and calls the kernel only for the two
+        # moments; a pruned order computes it.  A spectrum scan scores its
+        # splits of R, not the posterior's split of Y, so it hands on no
+        # log I_p and its posteriors compute it.  Either way the result is
+        # the bits of the fit that computes everything itself
         kernel = specfun.log_reg_inc_beta
         calls = []
 
@@ -122,12 +125,14 @@ class TestPosteriorVariances:
             cov = sample_covariance(y)
             basis = eigendecompose(cov)
             _angles, rows = spectrum_peaks(cov, basis, GRID, 10, {"music"})["music"]
-            for post in (map_order_pca(basis, _norm2(y), 10, sc.m),
-                         map_order_scan(_data(y), rows, 10, sc.m)):
+            for post, reuses in ((map_order_pca(basis, _norm2(y), 10, sc.m),
+                                  True),
+                                 (map_order_scan(_data(y), rows, 10, sc.m),
+                                  False)):
                 for k in range(1, len(post.log_scores)):
                     st = post.stats_at(k)
                     want = posterior_variances(st, sc.d)
-                    is_scored = not math.isnan(post.log_scores[k])
+                    is_scored = reuses and not math.isnan(post.log_scores[k])
                     assert math.isnan(post.log_ip[k]) != is_scored, k
                     calls.clear()
                     with monkeypatch.context() as mp:
@@ -145,7 +150,7 @@ class TestPosteriorVariances:
         sc = default_scenario(d=32, k=3, m=512, n=512, snr_db=10.0, seed=77)
         y = synth_freq(sc)
         v = steering_matrix(sc.doa_deg, sc.d)
-        st = projection_stats(y, prefix_bases(v)[3], sc.m, norm2_y=_norm2(y))
+        st = projection_stats(y, svd_block(v), sc.m, norm2_y=_norm2(y))
         pv = posterior_variances(st, sc.d)
         assert pv.sigma2_mean == pytest.approx(
             noise_variances(sc, amplitude_matrix(sc)), rel=0.05)
@@ -257,6 +262,32 @@ class TestMapOrderScan:
         assert pv.tau_mean == 1.0
         assert pv.sigma2_mean == pytest.approx(8.0 / (4 * 2 - 1))
 
+    def test_prefix_orthogonal_to_the_data_scores(self):
+        # noiseless rank-1 Y = v(w0) a^T and one steering row at
+        # w0 + 2 pi 3 / D, orthogonal to v(w0) on the ULA: the prefix
+        # captures only rounding error of |Y|^2, which the split floors at
+        # 1e-12 |Y|^2 as it does the residual, so q < 1 and order 1 is
+        # scored (its bound beats K = 0's); its posterior's split is valid
+        # too
+        d, m = 16, 8
+        sensors = np.arange(d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in range(50):
+                rng = np.random.default_rng(seed)
+                w0 = rng.uniform(-math.pi, math.pi)
+                a = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+                y = np.outer(np.exp(1j * w0 * sensors), a)
+                row = np.exp(1j * (w0 + 2.0 * math.pi * 3 / d) * sensors)
+                post = map_order_scan(_data(y), row[None, :], 1, m)
+                assert post.k_map == 0
+                assert math.isfinite(post.log_score_bounds[1])
+                assert post.log_scores[1] <= post.log_score_bounds[1]
+                st = post.stats_at(1)
+                assert 0.0 < st.q < 1.0
+                pv = posterior_variances(st, d)
+                assert math.isfinite(pv.ra_mean) and 0.0 < pv.tau_mean
+
     def test_prefixes_are_slices_of_one_matrix(self):
         # each prefix's stats equal those of its own steering matrix, bit for bit
         sc = default_scenario(d=16, k=3, m=64, n=64, snr_db=5.0, seed=7)
@@ -266,7 +297,7 @@ class TestMapOrderScan:
         for k in range(1, len(post.log_scores)):
             v = steering_matrix(angles[:k], sc.d)
             assert post.stats_at(k) == projection_stats(
-                y, prefix_bases(v)[k], sc.m, norm2_y=_norm2(y))
+                y, svd_block(v), sc.m, norm2_y=_norm2(y))
 
 
 def _pca_prior(d):
@@ -278,18 +309,26 @@ def _scan_prior(k):
 
 
 def _exact_scan(stats, log_prior):
-    """The branch and bound over a list of splits on every order K >= 1's
-    exact bound, as map_order_pca runs it."""
-    priors = [log_prior(k) for k in range(len(stats))]
-    return ordermap._branch_and_bound(stats.__getitem__, priors, [
-        ordermap._exact_bound(st, prior)
-        for st, prior in zip(stats[1:], priors[1:])])
+    """The branch and bound over a list of splits, as map_order_pca runs
+    it."""
+    return ordermap._branch_and_bound(
+        stats, [log_prior(k) for k in range(len(stats))])
 
 
-def _check_pruned(post, log_prior):
-    """The pruned scan against every order's exact score (the oracle);
-    K = 0 is the empty-subspace convention log Q = 0."""
-    stats = [post.stats_at(k) for k in range(len(post.log_scores))]
+def _r_splits(data, rows, k_max, m):
+    """The splits a spectrum scan scores: the partial sums of the energies
+    of R on its prefixes."""
+    v = rows[:k_max].T
+    return ordermap._energy_stats(prefix_energies(v, data.cov),
+                                  data.norm2_y, v.shape[0], m)
+
+
+def _check_pruned(post, log_prior, stats=None):
+    """The pruned scan against every order's exact score (the oracle) on
+    the splits it scored, by default its posterior's; K = 0 is the
+    empty-subspace convention log Q = 0."""
+    if stats is None:
+        stats = [post.stats_at(k) for k in range(len(post.log_scores))]
     exact = np.array([
         (0.0 if st.alpha == 0 else log_q_sum(st.alpha, st.beta, st.q)[0])
         + log_prior(k)
@@ -303,27 +342,6 @@ def _check_pruned(post, log_prior):
         else:
             assert got == want, k
     return int(np.isnan(post.log_scores).sum())
-
-
-@hst.composite
-def _loose_cases(draw):
-    """(splits, log prior, slack) for a branch and bound: nested energies
-    on d 4-32, m 2-64 and K_max up to min(10, d - 1), and per order K >= 1
-    a slack in [0, 1e3] or +inf to add to its exact bound."""
-    d = draw(hst.integers(4, 32))
-    m = draw(hst.integers(2, 64))
-    k_max = draw(hst.integers(1, min(10, d - 1)))
-    norm2_y = draw(hst.floats(1e-3, 1e6))
-    # the energy each order adds, then the residual's
-    parts = draw(hst.lists(hst.floats(1e-6, 1.0), min_size=k_max + 1,
-                           max_size=k_max + 1))
-    s = np.concatenate(([0.0], np.cumsum(parts[:-1]))) * (norm2_y / sum(parts))
-    stats = [ProjectionStats.from_energy(float(s[k]), norm2_y, k, d, m)
-             for k in range(k_max + 1)]
-    slack = draw(hst.lists(hst.one_of(hst.floats(0.0, 1e3), hst.just(math.inf)),
-                           min_size=k_max, max_size=k_max))
-    return (stats, draw(hst.sampled_from((_pca_prior(d), _scan_prior))),
-            slack)
 
 
 class TestPrunedScan:
@@ -344,7 +362,7 @@ class TestPrunedScan:
             for _angles, rows in peaks.values():
                 pruned += _check_pruned(
                     map_order_scan(_data(y), rows, 10, sc.m),
-                    _scan_prior)
+                    _scan_prior, _r_splits(_data(y), rows, 10, sc.m))
         assert pruned > 0  # the bound did cut kernel calls
 
     def test_kernel_runs_only_for_scored_orders(self, monkeypatch):
@@ -393,53 +411,6 @@ class TestPrunedScan:
         assert np.isnan(post.log_scores[1:]).all()
         _check_pruned(post, prior)
 
-    def test_loose_bounds_prune_on_the_exact_bound(self, monkeypatch):
-        # bounds 300 above the exact ones (as the R interval raises a
-        # spectrum scan's) visit every order, but an order whose exact
-        # bound falls below the best score takes no kernel call: the scan
-        # scores only K = 2, as it does on the exact bounds
-        calls = []
-
-        def counting(alpha, beta, q):
-            calls.append(alpha)
-            return log_q_sum(alpha, beta, q)
-
-        monkeypatch.setattr(ordermap, "log_q_sum", counting)
-        stats = [ProjectionStats.from_energy(s, 1000.0, k, 16, 64)
-                 for k, s in enumerate((0.0, 600.0, 700.0, 720.0, 730.0))]
-        exact = _exact_scan(stats, _scan_prior)
-        assert calls == [2 * 64]
-        loose = [b + 300.0 for b in exact.log_score_bounds[1:]]
-        post = ordermap._branch_and_bound(
-            stats.__getitem__, [_scan_prior(k) for k in range(len(stats))],
-            loose)
-        assert calls == [2 * 64] * 2
-        assert post.k_map == exact.k_map == 2
-        np.testing.assert_array_equal(post.log_scores, exact.log_scores)
-        # every order was visited, so every bound is the exact one
-        np.testing.assert_array_equal(post.log_score_bounds,
-                                      exact.log_score_bounds)
-        _check_pruned(post, _scan_prior)
-
-    @settings(max_examples=200)
-    @given(case=_loose_cases())
-    def test_loose_bounds_change_only_the_visits(self, case):
-        # bounds at or above the exact ones change which orders are
-        # visited, never the result: the same MAP order and score, and the
-        # same score and log I_p at every order both scans scored
-        stats, log_prior, slack = case
-        exact = _exact_scan(stats, log_prior)
-        post = ordermap._branch_and_bound(
-            stats.__getitem__, [log_prior(k) for k in range(len(stats))],
-            exact.log_score_bounds[1:] + slack)
-        assert post.k_map == exact.k_map
-        assert post.log_scores[post.k_map] == exact.log_scores[exact.k_map]
-        both = ~np.isnan(post.log_scores) & ~np.isnan(exact.log_scores)
-        for got, want in ((post.log_scores, exact.log_scores),
-                          (post.log_ip, exact.log_ip)):
-            np.testing.assert_array_equal(got[both], want[both])
-        assert (post.log_score_bounds >= exact.log_score_bounds).all()
-
     @pytest.mark.parametrize("deficient", [(4,), (3, 4), (2, 3, 4)])
     def test_rank_deficient_prefixes(self, deficient):
         # the first deficient prefix repeats peak 1; every later one holds
@@ -460,7 +431,7 @@ class TestPrunedScan:
             np.testing.assert_array_equal(got, want)
         assert ([post.stats_at(k) for k in range(len(post.log_scores))]
                 == [full.stats_at(k) for k in range(len(full.log_scores))])
-        _check_pruned(post, _scan_prior)
+        _check_pruned(post, _scan_prior, _r_splits(data, rows, 4, sc.m))
 
 
 def _scan_draw(sc, seed, k_max, step):
@@ -476,35 +447,53 @@ def _scan_draw(sc, seed, k_max, step):
             {source: rows for source, (_angles, rows) in peaks.items()})
 
 
+# a Y-side MAP margin above which the scan's order must be the Y-side
+# MAP order: the scores on R's and on Y's splits differed by at most
+# 0.024 on 18,000 random cases of _scan_cases' shapes, noiseless ones the
+# worst (the residual near its floor, 1e-12 |Y|^2)
+Y_MARGIN = 1.0
+
+
 def _check_against_full_scan(data, rows, k_max, m):
-    """The R-bounded scan against the unpruned scan on Y's exact splits."""
+    """The scan against the unpruned scan on the same splits of R, its
+    posterior splits against Y's split on each prefix's own SVD block, and
+    its MAP order against the unpruned scan on those splits of Y."""
     v = rows[:k_max].T
+    d = v.shape[0]
     post = map_order_scan(data, rows, k_max, m)
-    bases = prefix_bases(v)
-    assert post.rank_deficient_k == tuple(range(len(bases) + 1,
+    splits = _r_splits(data, rows, k_max, m)
+    assert post.rank_deficient_k == tuple(range(len(splits),
                                                 v.shape[1] + 1))
-    blocks = [np.empty((0, v.shape[0]), complex), *bases.values()]
-    exact = [projection_stats(data.y, uh, m, norm2_y=data.norm2_y)
-             for uh in blocks]
-    priors = [_scan_prior(k) for k in range(len(exact))]
+    assert len(post.log_scores) == len(splits)
+    priors = [_scan_prior(k) for k in range(len(splits))]
     full = [(0.0, math.nan) if st.alpha == 0
-            else log_q_sum(st.alpha, st.beta, st.q) for st in exact]
+            else log_q_sum(st.alpha, st.beta, st.q) for st in splits]
     scores = [f[0] + priors[k] for k, f in enumerate(full)]
+    # (a) the pruned scan on R's splits, bit for bit
     assert post.k_map == int(np.argmax(scores))
-    exact_bounds = _exact_scan(exact, _scan_prior).log_score_bounds
-    interval = [0.0 + priors[0]] + [
-        b + priors[k] for k, b in
-        enumerate(ordermap._covariance_bounds(data, bases, m), 1)]
-    assert len(interval) == len(post.log_scores) == len(exact)
-    for k, st in enumerate(exact):
-        assert interval[k] >= exact_bounds[k], k
-        assert post.log_score_bounds[k] >= exact_bounds[k], k
+    r_scan = ordermap._branch_and_bound(splits, priors)
+    for got, want in ((post.log_scores, r_scan.log_scores),
+                      (post.log_score_bounds, r_scan.log_score_bounds)):
+        np.testing.assert_array_equal(got, want)
+    assert np.isnan(post.log_ip).all()
+    for k in range(len(splits)):
+        assert post.log_score_bounds[k] >= scores[k], k
         if not math.isnan(post.log_scores[k]):
             assert post.log_scores[k] == scores[k], k
-            assert post.log_score_bounds[k] == exact_bounds[k], k
             if k:
-                assert post.log_ip[k] == full[k][1], k
-        assert post.stats_at(k) == st, k
+                assert r_scan.log_ip[k] == full[k][1], k
+    # (b) each posterior split is Y's on that prefix's SVD block alone
+    blocks = [np.empty((0, d), complex),
+              *(svd_block(v[:, :k]) for k in range(1, len(splits)))]
+    y_splits = [projection_stats(data.y, uh, m, norm2_y=data.norm2_y)
+                for uh in blocks]
+    assert [post.stats_at(k) for k in range(len(splits))] == y_splits
+    # (c) the Y-side MAP order wherever its margin is clear
+    y_scores = sorted(
+        ((0.0 if st.alpha == 0 else log_q_sum(st.alpha, st.beta, st.q)[0])
+         + priors[k], -k) for k, st in enumerate(y_splits))
+    if len(y_scores) < 2 or y_scores[-1][0] - y_scores[-2][0] > Y_MARGIN:
+        assert post.k_map == -y_scores[-1][1]
 
 
 _angle = hst.floats(0.0, 180.0, exclude_max=True)
@@ -527,7 +516,8 @@ def _scan_cases(draw):
 
 
 class TestCovarianceBounds:
-    """Every prefix's bound from R against the scan on Y's exact splits."""
+    """The scan's bounds and scores from R against unpruned scans on the
+    splits of R and of Y."""
 
     @settings(max_examples=150)
     @given(case=_scan_cases())
@@ -542,48 +532,6 @@ class TestCovarianceBounds:
         for rows in peaks.values():
             _check_against_full_scan(data, rows, k_max, sc.m)
 
-    def test_interval_reaching_q_one_bounds_nothing(self):
-        # once s - delta <= 0 the residual holds all of |Y|^2, q = 1, where
-        # U has no upper bound: R = 0 captures s = 0 on any block
-        bases = {1: np.array([[1.0, 0.0, 0.0, 0.0]], dtype=complex)}
-
-        def bound(cov):  # the bounds read R and |Y|^2, never Y
-            data = DrawData(np.zeros((4, 2), dtype=complex),
-                            cov.astype(complex), 100.0)
-            return ordermap._covariance_bounds(data, bases, 2)[0]
-
-        assert bound(np.zeros((4, 4))) == math.inf
-        assert bound(np.diag([50.0, 25.0, 15.0, 10.0])) < math.inf
-
-    @pytest.mark.parametrize("pool", ["desk", "paper"])
-    def test_r_energies_within_a_hundredth_of_the_margin(self, pool):
-        # on the benchmark's golden pools, |s_K - s~_K| <= delta_K / 100
-        # for every full-rank prefix of both scans; the worst measured
-        # when the margin was fixed was 1.1e-4 delta_K (desk)
-        if pool == "desk":
-            cfg, runs = ExperimentConfig(overlap=(0.0, 0.999)), 10
-        else:
-            cfg, runs = ExperimentConfig.paper_scale(
-                snr_grid_db=(-20.0, 0.0, 20.0)), 4
-        worst = 0.0
-        for gi, sc in enumerate(cfg.scenarios()):
-            for ri in range(runs):
-                data, peaks = _scan_draw(sc, [cfg.master_seed, gi, ri],
-                                         cfg.k_max, cfg.grid_step_deg)
-                for rows in peaks.values():
-                    v = rows[:cfg.k_max].T
-                    bases = prefix_bases(v)
-                    for k, uh in bases.items():
-                        # s~_K = sum over the rows u^H of Re(u^H R u), and
-                        # delta_K = 4 eps K (2M + 4D + 8) |Y|^2
-                        s = float(np.sum((uh @ data.cov * uh.conj()).real))
-                        delta = (4.0 * np.finfo(float).eps * k
-                                 * (2 * sc.m + 4 * sc.d + 8) * data.norm2_y)
-                        exact = projection_stats(data.y, uh, sc.m,
-                                                 norm2_y=data.norm2_y)
-                        worst = max(worst, abs(exact.s - s) / delta)
-        assert worst <= 1e-2
-
 
 class TestShrinkage:
     def test_shrinkage_helps_at_low_snr(self):
@@ -596,7 +544,7 @@ class TestShrinkage:
                                   seed=seed)
             y = synth_freq(sc)
             v = steering_matrix(sc.doa_deg, sc.d)
-            st = projection_stats(y, prefix_bases(v)[3], sc.m,
+            st = projection_stats(y, svd_block(v), sc.m,
                                   norm2_y=_norm2(y))
             pv = posterior_variances(st, sc.d)
             a0, *_ = np.linalg.lstsq(v, y, rcond=None)

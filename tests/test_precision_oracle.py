@@ -9,8 +9,10 @@ term: t_0 = p^alpha, t_{i+1} = t_i * q * (alpha + i) / (i + 1).
 (`mpmath.betainc` does not converge at these degrees.)  The package's
 log I_p, ra, sigma^2 and tau are compared with the oracle's.  So is every
 order K that a scan scored: its log score minus its prior against the
-40-digit log I_p - alpha log p - beta log q + log B(alpha, beta).  K = 0
-has no I_p and is not fitted or scored here.
+40-digit log I_p - alpha log p - beta log q + log B(alpha, beta) at the
+split it was scored from, PCA's the posterior's and a spectrum scan's
+the partial sum of the energies of R on its prefixes.  K = 0 has no I_p
+and is not fitted or scored here.
 
 The bounds were fixed above the kernel's errors when this module was
 written: log I_p off by up to 7.6e-12 (absolute), ra and tau by up to
@@ -27,6 +29,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from doamap import ordermap
 from doamap.arraysim import synth_freq
 from doamap.bench import ExperimentConfig, spectrum_peaks
 from doamap.ordermap import (
@@ -36,7 +39,12 @@ from doamap.ordermap import (
     posterior_variances,
 )
 from doamap.specfun import DominancePair
-from doamap.subspace import DrawData, eigendecompose, sample_covariance
+from doamap.subspace import (
+    DrawData,
+    eigendecompose,
+    prefix_energies,
+    sample_covariance,
+)
 
 # the desk-sweep draws (grid index, run index): -30, 0 and 30 dB, overlap 0
 CONFIG = ExperimentConfig(overlap=(0.0, 0.999))
@@ -48,9 +56,9 @@ LOG_SCORE_ABS = 5e-11
 
 
 @functools.cache
-def _posteriors(gi, ri):
-    """{source: OrderPosterior} of the pca, music and dtft scans, from the
-    draw, spectra and scans of that sweep task's run_single."""
+def _draw(gi, ri):
+    """(DrawData, eigenbasis, {source: peak rows}) of that sweep task's
+    run_single."""
     cfg = CONFIG
     scenario = cfg.scenarios()[gi]
     y = synth_freq(scenario, rng=np.random.default_rng([cfg.master_seed, gi, ri]))
@@ -59,12 +67,34 @@ def _posteriors(gi, ri):
     norm2_y = float(np.sum(np.abs(y) ** 2))
     grid = np.arange(0.0, 180.0, cfg.grid_step_deg)
     peaks = spectrum_peaks(cov, basis, grid, cfg.k_max, {"music", "dtft"})
-    data = DrawData(y, cov, norm2_y)
+    return (DrawData(y, cov, norm2_y), basis,
+            {source: rows for source, (_angles, rows) in peaks.items()})
+
+
+@functools.cache
+def _posteriors(gi, ri):
+    """{source: OrderPosterior} of the pca, music and dtft scans, from the
+    draw, spectra and scans of that sweep task's run_single."""
+    data, basis, peaks = _draw(gi, ri)
+    m = CONFIG.m
     return {
-        "pca": map_order_pca(basis, norm2_y, cfg.k_max, scenario.m),
-        **{source: map_order_scan(data, rows, cfg.k_max, scenario.m)
-           for source, (_angles, rows) in peaks.items()},
+        "pca": map_order_pca(basis, data.norm2_y, CONFIG.k_max, m),
+        **{source: map_order_scan(data, rows, CONFIG.k_max, m)
+           for source, rows in peaks.items()},
     }
+
+
+def _scan_splits(gi, ri):
+    """{source: the splits each scan scored}: PCA's posterior splits, and
+    a spectrum scan's partial sums of the energies of R on its prefixes."""
+    data, _basis, peaks = _draw(gi, ri)
+    post = _posteriors(gi, ri)["pca"]
+    splits = {"pca": [post.stats_at(k) for k in range(len(post.log_scores))]}
+    for source, rows in peaks.items():
+        v = rows[:CONFIG.k_max].T
+        splits[source] = ordermap._energy_stats(
+            prefix_energies(v, data.cov), data.norm2_y, CONFIG.d, CONFIG.m)
+    return splits
 
 
 def _fits(gi, ri):
@@ -76,13 +106,15 @@ def _fits(gi, ri):
 
 def _scored(gi, ri):
     """{(source, K): (log score - log prior, ProjectionStats)} of every
-    order K > 0 that a scan scored (a pruned order's score is NaN)."""
+    order K > 0 that a scan scored (a pruned order's score is NaN), with
+    the split it was scored from."""
     d = CONFIG.d
     prior = {"pca": lambda k: -log_stiefel_volume(d, k),
              "music": lambda k: -k * math.log(2.0 * math.pi),
              "dtft": lambda k: -k * math.log(2.0 * math.pi)}
+    splits = _scan_splits(gi, ri)
     return {(source, k): (float(post.log_scores[k]) - prior[source](k),
-                          post.stats_at(k))
+                          splits[source][k])
             for source, post in _posteriors(gi, ri).items()
             for k in range(1, len(post.log_scores))
             if not math.isnan(post.log_scores[k])}

@@ -25,9 +25,10 @@ from doamap.subspace import (
     music_exact,
     music_pseudospectrum,
     pick_peaks,
-    prefix_bases,
+    prefix_energies,
     projection_stats,
     sample_covariance,
+    svd_block,
 )
 
 EPS = np.finfo(float).eps
@@ -309,7 +310,7 @@ class TestProjectionStats:
         a = rng.standard_normal((2, 10)) + 1j * rng.standard_normal((2, 10))
         y = v @ a
         norm2 = _norm2(y)
-        st = projection_stats(y, prefix_bases(v)[2], 10, norm2_y=norm2)
+        st = projection_stats(y, svd_block(v), 10, norm2_y=norm2)
         assert st.t == pytest.approx(1e-12 * norm2)
         assert st.s == pytest.approx(norm2, rel=1e-10)
 
@@ -323,7 +324,7 @@ class TestProjectionStats:
             v = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
             y = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
             norm2 = _norm2(y)
-            st = projection_stats(y, prefix_bases(v)[k], m, norm2_y=norm2)
+            st = projection_stats(y, svd_block(v), m, norm2_y=norm2)
             assert abs(st.s + st.t - norm2) <= 1e-8 * norm2
             assert st.alpha == k * m and st.beta == (d - k) * m
 
@@ -331,7 +332,7 @@ class TestProjectionStats:
         rng = np.random.default_rng(6)
         v = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
         y = rng.standard_normal((7, 9)) + 1j * rng.standard_normal((7, 9))
-        st = projection_stats(y, prefix_bases(v)[3], 9, norm2_y=_norm2(y))
+        st = projection_stats(y, svd_block(v), 9, norm2_y=_norm2(y))
         a0, *_ = np.linalg.lstsq(v, y, rcond=None)
         resid = float(np.sum(np.abs(y - v @ a0) ** 2))
         fit = float(np.sum(np.abs(v @ a0) ** 2))
@@ -343,7 +344,7 @@ class TestProjectionStats:
         rng = np.random.default_rng(7)
         v = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
         y = rng.standard_normal((6, 8)) + 1j * rng.standard_normal((6, 8))
-        st = projection_stats(y, prefix_bases(v)[2], 8, norm2_y=_norm2(y))
+        st = projection_stats(y, svd_block(v), 8, norm2_y=_norm2(y))
         p = v @ np.linalg.solve(v.conj().T @ v, v.conj().T)
         expect = float(np.real(np.trace(p @ (y @ y.conj().T))))
         assert st.s == pytest.approx(expect, rel=1e-10)
@@ -356,11 +357,11 @@ class TestProjectionStats:
         basis = eigendecompose(sample_covariance(y))
         norm2 = _norm2(y)
         for k in (1, 2, 4):
-            s_pca = projection_stats(y, prefix_bases(basis.eigvecs[:, :k])[k],
+            s_pca = projection_stats(y, svd_block(basis.eigvecs[:, :k]),
                                      40, norm2_y=norm2).s
             for _ in range(50):
                 w = _random_unitary_columns(rng, 8, k)
-                s = projection_stats(y, prefix_bases(w)[k], 40,
+                s = projection_stats(y, svd_block(w), 40,
                                      norm2_y=norm2).s
                 assert s <= s_pca + 1e-8 * s_pca
             # and it equals the sum of the top-k eigenvalues
@@ -374,90 +375,104 @@ class TestProjectionStats:
         v[:, 1] = 2.0 * v[:, 0]
         v[:, 2] = np.exp(1j * np.arange(5))
         y = np.ones((5, 4), dtype=complex)
-        bases = prefix_bases(v)
-        assert list(bases) == [1]
-        st = projection_stats(y, bases[1], 4, norm2_y=_norm2(y))
+        (e,) = prefix_energies(v, sample_covariance(y))
+        assert e == pytest.approx(20.0)
+        st = projection_stats(y, svd_block(v[:, :1]), 4, norm2_y=_norm2(y))
         assert st.s == pytest.approx(20.0)
 
     def test_prefixes_match_single_basis_products(self):
-        # each prefix's energy equals that of its own SVD basis times Y
+        # each prefix's split of Y is that of its own SVD basis times Y
         # bit for bit; a 1 x D row alone takes numpy's matrix-vector path,
-        # so K = 1's reference is its row in a two-row product;
-        # rank-deficient prefixes (coincident peaks) have no basis
+        # so K = 1's reference is its row in a two-row product.  The
+        # energies of R end at the first prefix that fails the rank rule
+        # on its own SVD (coincident peaks), and their partial sums are
+        # the energies each prefix captures of Y
         checked = 0
         for y, basis, steer in _desk_draws():
+            cov, norm2 = sample_covariance(y), _norm2(y)
             idx = pick_peaks(_oracle_music(basis, 10, steer), 10)
             for rows in (steer[idx], steer[np.r_[idx[:3], idx[1], idx[3:6]]]):
                 v = rows.T
-                bases = prefix_bases(v)
+                energies = prefix_energies(v, cov)
                 for k in range(1, v.shape[1] + 1):
                     u, sv, _ = np.linalg.svd(v[:, :k], full_matrices=False)
                     if sv[-1] < 1e-10 * sv[0]:
-                        assert k not in bases, k
+                        assert k > energies.size, k
                         continue
                     uh = u.conj().T
                     prod = (np.vstack([uh, uh]) @ y)[:1] if k == 1 else uh @ y
                     s = float(np.sum(np.abs(prod) ** 2))
-                    st = projection_stats(y, bases[k], 512, norm2_y=_norm2(y))
+                    st = projection_stats(y, svd_block(v[:, :k]), 512,
+                                          norm2_y=norm2)
                     assert st == ProjectionStats.from_energy(
-                        s, _norm2(y), k, 32, 512), k
+                        s, norm2, k, 32, 512), k
+                    assert float(np.sum(energies[:k])) == pytest.approx(
+                        s, rel=1e-10, abs=1e-12 * norm2), k
                     checked += 1
-            assert [k in bases for k in range(1, 8)] == [True] * 3 + [False] * 4
+            assert energies.size == 3
         assert checked == 5 * (10 + 3)
 
     def test_scan_multiplies_y_only_for_read_prefixes(self):
-        # the order scan bounds every prefix from R, and multiplies Y by
-        # the K rows of u^H of each order it scores or a caller reads
-        # (here K = 3 again and K = 1, which is multiplied as two rows);
-        # splitting every prefix would multiply 1 + 2 + ... + 10 = 55
+        # the order scan reads every split from R and never multiplies Y;
+        # a caller reading order K multiplies Y by the K rows of that
+        # prefix's u^H once (here K = 3 and K = 1, which is multiplied as
+        # two rows), and reading it again multiplies nothing
         ((y, basis, steer),) = _desk_draws(snrs=(10.0,))
         rows = steer[pick_peaks(_oracle_music(basis, 10, steer), 10)]
         counted = y.view(_MatmulCounter)
         data = DrawData(counted, sample_covariance(y), _norm2(y))
         post = map_order_scan(data, rows, 10, 512)
         scored = {k for k in range(1, 11) if not math.isnan(post.log_scores[k])}
-        assert scored == {3} and (counted.matmuls, counted.rows) == (1, 3)
+        assert scored == {3} and (counted.matmuls, counted.rows) == (0, 0)
         for k in (3, 1, 3, 1):
             assert post.stats_at(k) == projection_stats(
-                y, prefix_bases(rows[:k].T)[k], 512, norm2_y=_norm2(y))
+                y, svd_block(rows[:k].T), 512, norm2_y=_norm2(y))
         assert (counted.matmuls, counted.rows) == (2, 3 + 2)
 
     def test_one_svd_per_prefix_per_scan(self, monkeypatch):
-        # the scan takes each prefix's u^H from one SVD, which both its
-        # bound from R and its split of Y read: reading every split after
-        # the scan runs no SVD again
+        # the scan runs one QR of the D x P prefixes and no D x K SVD: its
+        # rank rule reads one K x K leading block of the triangular factor
+        # per prefix.  Reading order K's split runs one D x K SVD, the
+        # first time only
         ((y, basis, steer),) = _desk_draws(snrs=(10.0,))
         rows = steer[pick_peaks(_oracle_music(basis, 10, steer), 10)]
         assert rows.shape == (10, 32)
         data = DrawData(y, sample_covariance(y), _norm2(y))
-        svd, shapes = np.linalg.svd, []
+        qr, svd, calls = np.linalg.qr, np.linalg.svd, []
 
-        def counting(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return svd(a, *args, **kwargs)
+        def counting(real, name):
+            def call(a, *args, **kwargs):
+                calls.append((name, np.shape(a)))
+                return real(a, *args, **kwargs)
+            return call
 
-        monkeypatch.setattr(np.linalg, "svd", counting)
+        monkeypatch.setattr(np.linalg, "qr", counting(qr, "qr"))
+        monkeypatch.setattr(np.linalg, "svd", counting(svd, "svd"))
         post = map_order_scan(data, rows, 10, 512)
         assert len(post.log_scores) == 11
-        for k in range(11):
+        assert calls == [("qr", (32, 10))] + [
+            ("svd", (k, k)) for k in range(1, 11)]
+        calls.clear()
+        for k in (*range(11), *range(11)):
             post.stats_at(k)
-        assert shapes == [(32, k) for k in range(1, 11)]
+        assert calls == [("svd", (32, k)) for k in range(1, 11)]
 
     @settings(max_examples=400)
     @given(v=_clustered_vandermonde())
     def test_no_full_rank_prefix_after_a_deficient_one(self, v):
-        # interlacing: a column more never raises sigma_min / sigma_max, so
-        # the prefixes past the last one prefix_bases keeps all fail the
-        # rank rule on their own SVDs
-        bases = prefix_bases(v)
-        assert list(bases) == list(range(1, len(bases) + 1))
-        for k in range(len(bases) + 1, v.shape[1] + 1):
-            _u, sv, _ = np.linalg.svd(v[:, :k], full_matrices=False)
-            assert sv[-1] < 1e-10 * sv[0], k
+        # the rank rule on the QR's triangular blocks gives each prefix the
+        # verdict of its own D x K SVD, and by interlacing (a column more
+        # never raises sigma_min / sigma_max) the prefixes past the last
+        # full-rank one all fail it
+        d, p = v.shape
+        full = prefix_energies(v, np.eye(d)).size
+        for k in range(1, p + 1):
+            sv = np.linalg.svd(v[:, :k], compute_uv=False)
+            assert (sv[-1] < 1e-10 * sv[0]) == (k > full), k
 
     def test_too_many_columns(self):
         with pytest.raises(ValueError):
-            prefix_bases(np.ones((3, 4), dtype=complex))
+            prefix_energies(np.ones((3, 4), dtype=complex), np.eye(3))
 
     def test_music_and_dtft_agree_noiseless_on_grid(self):
         # distinct far-apart sources: both spectra put peaks on the true DOAs
