@@ -26,7 +26,6 @@ from .specfun import (
     reg_inc_beta,
 )
 from .subspace import (
-    DrawData,
     EigenBasis,
     ProjectionStats,
     dtft_spectrum,
@@ -36,7 +35,6 @@ from .subspace import (
     prefix_energies,
     projection_stats,
     sample_covariance,
-    svd_block,
 )
 
 __version__ = "0.1.0"

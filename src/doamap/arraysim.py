@@ -68,6 +68,13 @@ class ArrayScenario:
         if self.snr_db <= snr_floor:
             raise ValueError(f"snr_db {self.snr_db:g} overflows the draw's spectra; "
                              f"it must exceed {snr_floor:.6g} at d={self.d}, m={self.m}")
+        # pure noise draws Y = 0, which has no energy split, when each
+        # part's noise variance underflows (always at +inf dB): its squares
+        # must stay normal floats
+        if self.k_true == 0 and not (noise_variances(self, amplitude_matrix(self))
+                                     / 2 >= np.finfo(float).tiny):
+            raise ValueError(f"a pure-noise scenario (k_true = 0) at snr_db "
+                             f"{self.snr_db:g} draws all-zero data; lower snr_db")
 
 
 def spatial_frequency(doa_deg):

@@ -37,13 +37,13 @@ from .ordermap import (
     posterior_variances,
 )
 from .subspace import (
-    DrawData,
     dtft_spectrum,
     eigendecompose,
     music_candidates,
     music_exact,
     music_pseudospectrum,
     pick_peaks,
+    projection_stats,
     sample_covariance,
 )
 
@@ -296,7 +296,8 @@ def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None)
     spectrum_peaks) runs its order scan once; the rule only picks K: map
     the MAP order, aic the AIC order, known-k the true count.  The scans
     and amplitude fits read only the peaks' steering rows.  The posterior
-    (reusing the log I_p of an order the scan scored), amplitude fit and
+    (PCA's on its scan's split, reusing the log I_p of an order the scan
+    scored; a spectrum's on Y's split on the prefix), amplitude fit and
     metrics run once per (source, K), shared by every method picking it; a
     K past the last full-rank prefix reads that prefix's posterior and
     fits its peaks, while the row keeps the rule's K.
@@ -325,9 +326,8 @@ def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None)
     # peaks: source -> (angles, steering rows)
     peaks = (spectrum_peaks(cov, basis, grid, k_max, sources)
              if sources & {"music", "dtft"} else {})
-    data = DrawData(y, cov, norm2_y)
     for source, (_angles, rows) in peaks.items():
-        posts[source] = map_order_scan(data, rows, k_max, scenario.m)
+        posts[source] = map_order_scan(cov, rows, k_max, scenario.m, norm2_y)
 
     fits = {}  # (source, k_hat) -> metric fields
     out = []
@@ -342,12 +342,16 @@ def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None)
         k = min(k_hat, len(post.log_scores) - 1)
         key = (source, k)
         if key not in fits:
-            pv = posterior_variances(post.stats_at(k), scenario.d,
-                                     post.log_ip[k])
             if source == "pca":
+                pv = posterior_variances(post.stats[k], scenario.d,
+                                         post.log_ip[k])
                 err = r0 = rs = math.nan  # eigenvector bases carry no DOAs
             else:
                 angles, rows = peaks[source]
+                # Y's split, not the scan's of R, until both agree to the
+                # golden bound (ROADMAP item 2)
+                pv = posterior_variances(projection_stats(
+                    y, rows[:k].T, scenario.m, norm2_y=norm2_y), scenario.d)
                 err, r0, rs = _peak_pipeline_metrics(
                     y, angles[:k], rows[:k], pv.tau_mean,
                     scenario.doa_deg, true_amps)

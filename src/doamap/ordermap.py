@@ -18,31 +18,21 @@ Both pipelines call that one branch and bound on every order's split,
 each read from the covariance R = Y Y^H as a partial sum of energies:
 PCA's eigenvalues, and a spectrum scan's energies of R on one QR of its
 steering prefixes (subspace.prefix_energies), up to P', the last prefix
-before the first rank-deficient one (coincident peaks).  The posterior at
-a chosen order reads OrderPosterior.stats_at.  PCA's is the scan's own
-split, with the log I_p the scan computed for it; a spectrum scan's
-splits Y on the prefix's orthonormal block from one thin SVD
-(subspace.svd_block) when first read, and computes its own log I_p.
+before the first rank-deficient one (coincident peaks).  No scan reads the
+D x M data.  OrderPosterior.stats holds the splits a scan scored, and
+log_ip the log I_p it computed on each; PCA's posterior at a chosen order
+reads both.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .specfun import DominancePair, _log_q_from, double_moment, log_q_sum
-from .subspace import (
-    DrawData,
-    EigenBasis,
-    ProjectionStats,
-    prefix_energies,
-    projection_stats,
-    svd_block,
-)
+from .subspace import EigenBasis, ProjectionStats, prefix_energies
 
 __all__ = [
     "OrderPosterior",
@@ -64,29 +54,25 @@ class PosteriorVariances:
 
 @dataclass(frozen=True)
 class OrderPosterior:
-    """Per-K log-scores, their bounds and energy splits, and the MAP order;
-    a caller that picks an order K gets its variances from
-    posterior_variances(stats_at(K), D, log_ip[K]).
+    """Per-K log-scores, their bounds and energy splits, and the MAP order.
 
     log_scores[K] is the exact score of every order the scan scored and NaN
     for an order it pruned; log_score_bounds[K] is every order's exact
     closed form U_K, bit for bit, >= log_scores[K], so a pruned order lost
     to the MAP order by at least log_scores[k_map] - log_score_bounds[K].
-    Both are read from the scan's splits of R.  stats_at(K) is order K's
-    ProjectionStats for K = 0..len(log_scores) - 1: PCA's the scan's split,
-    a spectrum scan's Y split on the prefix's svd_block, made the first
-    time it is called for K and kept.  log_ip[K] is the log I_p(alpha,
-    beta) that the scan computed at stats_at(K)'s split, NaN where it
-    computed none there (a pruned order, K = 0, every order of a spectrum
-    scan).  A spectrum scan ends at its last full-rank prefix P' and lists
-    the orders P' + 1..min(K_max, P) in rank_deficient_k.
+    stats[K] is the split of R the scan scored at order K, indexed as
+    log_scores, and log_ip[K] the log I_p(alpha, beta) it computed there,
+    NaN where it computed none (a pruned order, K = 0), so
+    posterior_variances(stats[K], D, log_ip[K]) is order K's posterior on
+    that split.  A spectrum scan ends at its last full-rank prefix P' and
+    lists the orders P' + 1..min(K_max, P) in rank_deficient_k.
     """
 
     log_scores: np.ndarray          # per order K, up to a K-independent constant
     log_score_bounds: np.ndarray    # closed-form upper bound on each score
     log_ip: np.ndarray              # log I_p(alpha, beta) of each scored order
     k_map: int
-    stats_at: Callable[[int], ProjectionStats]
+    stats: tuple                    # the ProjectionStats of each order
     rank_deficient_k: tuple = ()
 
 
@@ -132,10 +118,9 @@ def _exact_bound(st: ProjectionStats, prior):
     return _log_q_from(0.0, st.alpha, st.beta, st.q) + prior
 
 
-def _branch_and_bound(stats, priors, stats_at=None, rank_deficient_k=()):
+def _branch_and_bound(stats, priors, rank_deficient_k=()):
     """MAP order over log Q(alpha, beta, q) + priors[K] on the splits
-    stats[K]; stats_at, when given, is the posterior's split, computed
-    elsewhere, so no log I_p of the scan's is handed on.
+    stats[K].
 
     Order 0 is the empty subspace (log Q = 0), whose bound 0.0 + priors[0]
     is its score, with no kernel call; every order K >= 1 is bounded by its
@@ -163,9 +148,9 @@ def _branch_and_bound(stats, priors, stats_at=None, rank_deficient_k=()):
     return OrderPosterior(
         log_scores=log_scores,
         log_score_bounds=bounds,
-        log_ip=log_ip if stats_at is None else np.full(n, math.nan),
+        log_ip=log_ip,
         k_map=int(np.nanargmax(log_scores)),  # the smallest K on ties
-        stats_at=stats.__getitem__ if stats_at is None else stats_at,
+        stats=tuple(stats),
         rank_deficient_k=rank_deficient_k,
     )
 
@@ -192,33 +177,22 @@ def map_order_pca(basis: EigenBasis, norm2_y, k_max, m):
     return _branch_and_bound(stats, priors)
 
 
-def map_order_scan(data: DrawData, steer_rows, k_max, m):
-    """MAP order for spectrum pipelines on one draw's data: nested top-K
-    steering prefixes.
+def map_order_scan(cov, steer_rows, k_max, m, norm2_y):
+    """MAP order for spectrum pipelines: nested top-K steering prefixes.
 
-    steer_rows is P x D, row i the steering vector of the i-th highest
-    spectrum peak; prefix K is the first K rows, transposed, and P = 0
-    scores K = 0 alone.  Order K's split is the partial sum of
-    prefix_energies, read from the covariance R on one QR of the prefixes.
-    stats_at(K) splits Y on prefix K's svd_block (K = 0 a 0 x D block) the
-    first time a caller reads order K, and keeps it.  The DOA prior
-    contributes -K*log(2*pi) for both the MUSIC and DTFT spectra.  The
-    orders past the last full-rank prefix (coincident peaks) are not
-    scored, only listed in rank_deficient_k.
+    cov is R = Y Y^H of the D x M data Y and norm2_y is |Y|^2.  steer_rows
+    is P x D, row i the steering vector of the i-th highest spectrum peak;
+    prefix K is the first K rows, transposed, and P = 0 scores K = 0
+    alone.  Order K's split is the partial sum of prefix_energies, read
+    from R on one QR of the prefixes.  The DOA prior contributes
+    -K*log(2*pi) for both the MUSIC and DTFT spectra.  The orders past the
+    last full-rank prefix (coincident peaks) are not scored, only listed in
+    rank_deficient_k.
     """
     v = steer_rows[:k_max].T
-    d = v.shape[0]
-    stats = _energy_stats(prefix_energies(v, data.cov), data.norm2_y, d, m)
-
-    @functools.cache
-    def stats_at(k):
-        if not 0 <= k < len(stats):
-            raise IndexError(f"order {k} is past the last full-rank prefix")
-        uh = svd_block(v[:, :k]) if k else np.empty((0, d), dtype=complex)
-        return projection_stats(data.y, uh, m, norm2_y=data.norm2_y)
-
+    stats = _energy_stats(prefix_energies(v, cov), norm2_y, v.shape[0], m)
     priors = [-k * math.log(2.0 * math.pi) for k in range(len(stats))]
-    return _branch_and_bound(stats, priors, stats_at, tuple(
+    return _branch_and_bound(stats, priors, tuple(
         range(len(stats), v.shape[1] + 1)))
 
 

@@ -6,9 +6,9 @@ amplitudes and H0 the residual.  ProjectionStats.from_energy packages that
 split, plus the signal/noise degree counts, for the Bayesian order scores.
 Both order scans read their splits from R = Y Y^H as partial sums of
 energies: PCA's the eigenvalues, a spectrum scan's prefix_energies, those
-of R on one QR of the steering prefixes.  The posterior at a chosen order
-splits the D x M data itself: projection_stats on the prefix's K x D
-orthonormal block u^H (svd_block).
+of R on one QR of the steering prefixes.  A spectrum pipeline's posterior
+at a chosen order still splits the D x M data itself: projection_stats on
+the prefix's basis.
 
 Both spectra are quadratic forms v^H H v of a D x D Hermitian H at the
 grid steering vectors v_a = e^{i omega a}, and any such form is a
@@ -46,9 +46,7 @@ __all__ = [
     "music_exact",
     "pick_peaks",
     "prefix_energies",
-    "svd_block",
     "projection_stats",
-    "DrawData",
 ]
 
 EPS = float(np.finfo(float).eps)
@@ -90,7 +88,11 @@ class ProjectionStats:
         """Split of |Y|^2 when a rank-k basis captures energy s.
 
         Both parts are floored at T_CLAMP_REL |Y|^2, s only for k >= 1,
-        so q lies in (0, 1) at every order K >= 1, noiseless or not."""
+        so q lies in (0, 1) at every order K >= 1, noiseless or not.
+        All-zero data (|Y|^2 = 0) has no split and is rejected."""
+        if not norm2_y > 0:
+            raise ValueError(f"data energy |Y|^2 must be positive, got {norm2_y}"
+                             " (all-zero data has no energy split)")
         if k:
             s = max(s, T_CLAMP_REL * norm2_y)
         t = max(norm2_y - s, T_CLAMP_REL * norm2_y)
@@ -248,35 +250,21 @@ def prefix_energies(v, cov):
     return np.sum((rows @ cov * rows.conj()).real, axis=1)
 
 
-def svd_block(v):
-    """The K x D block u^H with orthonormal rows spanning the columns of
-    the full-rank D x K basis V: its left singular vectors, from one thin
-    SVD, never forming (V^H V)^-1."""
-    u, _sv, _vh = np.linalg.svd(v, full_matrices=False)
-    return u.conj().T
+def projection_stats(y, v, m, *, norm2_y):
+    """Energy split of the D x M data Y on the column space of the
+    full-rank D x K basis V.
 
-
-def projection_stats(y, uh, m, *, norm2_y):
-    """Energy split of the D x M data Y on the row space of the K x D
-    block u^H with orthonormal rows (svd_block).
-
-    s sums the squared magnitudes of u^H Y.  K = 0 is a 0 x D block, the
-    pure-noise convention s = 0, t = |Y|^2.  A lone row would take numpy's
-    matrix-vector path, which sums otherwise, so K = 1 is multiplied as
-    two rows and every s has the bits of a matrix product.  norm2_y is
-    |Y|^2, which the caller sums once per draw.
+    s sums the squared magnitudes of u^H Y, u the left singular vectors of
+    one thin SVD of V (never forming (V^H V)^-1); a D x 0 basis has a
+    D x 0 u, the pure-noise convention s = 0, t = |Y|^2.  A lone row would
+    take numpy's matrix-vector path, which sums otherwise, so K = 1 is
+    multiplied as two rows and every s has the bits of a matrix product.
+    norm2_y is |Y|^2, which the caller sums once per draw.
     """
-    k = uh.shape[0]
+    d, k = v.shape
+    if k > d:
+        raise ValueError(f"basis has more columns ({k}) than sensors ({d})")
+    uh = np.linalg.svd(v, full_matrices=False)[0].conj().T
     block = (np.concatenate((uh, uh)) @ y)[:1] if k == 1 else uh @ y
     s = float(np.sum(np.abs(block) ** 2))
-    return ProjectionStats.from_energy(s, norm2_y, k, y.shape[0], m)
-
-
-@dataclass(frozen=True)
-class DrawData:
-    """One draw's D x M data Y, its covariance R = sample_covariance(Y) and
-    its energy norm2_y = |Y|^2, made once per draw for the order scans."""
-
-    y: np.ndarray
-    cov: np.ndarray
-    norm2_y: float
+    return ProjectionStats.from_energy(s, norm2_y, k, d, m)

@@ -32,7 +32,6 @@ from doamap.subspace import (
     eigendecompose,
     projection_stats,
     sample_covariance,
-    svd_block,
 )
 
 
@@ -155,7 +154,7 @@ class TestCriterion4:
             v = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
             y = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
             norm2 = float(np.sum(np.abs(y) ** 2))
-            st = projection_stats(y, svd_block(v), m, norm2_y=norm2)
+            st = projection_stats(y, v, m, norm2_y=norm2)
             worst = max(worst, abs(st.s + st.t - norm2) / norm2)
         _report(4, worst <= 1e-8,
                 f"max relative residual {worst:.2e} over 100 instances "
@@ -171,12 +170,12 @@ class TestCriterion5:
         norm2 = float(np.sum(np.abs(y) ** 2))
         worst = -np.inf
         for k in (1, 3, 5):
-            s_pca = projection_stats(y, svd_block(basis.eigvecs[:, :k]),
+            s_pca = projection_stats(y, basis.eigvecs[:, :k],
                                      m, norm2_y=norm2).s
             for _ in range(34 if k == 1 else 33):
                 g = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
                 q, _ = np.linalg.qr(g)
-                s = projection_stats(y, svd_block(q), m,
+                s = projection_stats(y, q, m,
                                      norm2_y=norm2).s
                 excess = (s - s_pca) / s_pca
                 worst = max(worst, excess)

@@ -182,6 +182,11 @@ class TestSynthesis:
         # as one complex expression from the same stream
         d, k, m, n = shape
         k = 0 if pure_noise else k
+        if k == 0 and snr_db == math.inf:
+            # pure noise at +inf dB would draw Y = 0: rejected up front
+            with pytest.raises(ValueError, match="pure-noise"):
+                default_scenario(d=d, k=k, m=m, n=n, snr_db=snr_db, seed=21)
+            return
         sc = default_scenario(d=d, k=k, m=m, n=n, snr_db=snr_db, seed=21)
         y = synth_freq(sc, rng=None if default_rng else np.random.default_rng(21))
         amps = amplitude_matrix(sc)

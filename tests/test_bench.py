@@ -31,7 +31,18 @@ from doamap.bench import (
     write_results,
 )
 from doamap.cli import main as cli_main
-from doamap.ordermap import map_order_scan, posterior_variances
+from doamap.ordermap import (
+    map_order_pca,
+    map_order_scan,
+    posterior_variances,
+)
+from doamap.subspace import (
+    ProjectionStats,
+    eigendecompose,
+    prefix_energies,
+    projection_stats,
+    sample_covariance,
+)
 
 FAST = dict(d=16, k_true=2, m=64, n=64, k_max=5, n_runs=2,
             snr_grid_db=(20.0,), grid_step_deg=2.0)
@@ -400,6 +411,32 @@ class TestRunSingle:
         # grid index 25 of the 2-degree grid is 50 degrees
         monkeypatch.setattr(bench, "pick_peaks",
                             lambda values, count: np.array([25, 25]))
+        sc = default_scenario(d=16, k=2, m=64, n=64, snr_db=20.0, seed=0)
+        rows, peaks, posts = self._spied_draw(monkeypatch, sc, 5, 2.0, 0)
+        assert [row["method"] for row in rows] == list(bench.KNOWN_METHODS)
+        assert [post.rank_deficient_k for post in posts.values()] == [(2,), (2,)]
+        assert [post.k_map for post in posts.values()] == [0, 0]
+        k_hat = {row["method"]: row["k_hat"] for row in rows}
+        assert k_hat == {"pca-map": 2, "music-map": 0, "dtft-map": 0,
+                         "music-aic": 2, "music-known-k": 2,
+                         "dtft-known-k": 2}
+        y = synth_freq(sc, rng=np.random.default_rng(0))
+        norm2_y = float(np.sum(np.abs(y) ** 2))
+        for row in rows[3:]:
+            angles, steer = peaks[row["method"].split("-")[0]]
+            tau = posterior_variances(projection_stats(
+                y, steer[:1].T, sc.m, norm2_y=norm2_y), sc.d).tau_mean
+            assert row["tau_mean"] == tau, row["method"]
+            fit = bench._peak_pipeline_metrics(
+                y, angles[:1], steer[:1], tau, sc.doa_deg,
+                amplitude_matrix(sc))
+            assert (row["err_doa"], row["rmse_a0"], row["rmse_a_shrunk"]) \
+                == fit, row["method"]
+
+    @staticmethod
+    def _spied_draw(monkeypatch, sc, k_max, step, seed):
+        """run_single's rows on one draw with every method, its
+        {source: (angles, peak rows)} and its {source: OrderPosterior}."""
         scans, peaks = [], []
 
         def spy(*args):
@@ -412,30 +449,87 @@ class TestRunSingle:
 
         monkeypatch.setattr(bench, "map_order_scan", spy)
         monkeypatch.setattr(bench, "spectrum_peaks", peaks_spy)
-        sc = default_scenario(d=16, k=2, m=64, n=64, snr_db=20.0, seed=0)
-        rows = run_single(sc, 5, 2.0, bench.KNOWN_METHODS,
-                          rng=np.random.default_rng(0))
-        assert [row["method"] for row in rows] == list(bench.KNOWN_METHODS)
-        assert [post.rank_deficient_k for post in scans] == [(2,), (2,)]
-        assert [post.k_map for post in scans] == [0, 0]
-        k_hat = {row["method"]: row["k_hat"] for row in rows}
-        assert k_hat == {"pca-map": 2, "music-map": 0, "dtft-map": 0,
-                         "music-aic": 2, "music-known-k": 2,
-                         "dtft-known-k": 2}
-        y = synth_freq(sc, rng=np.random.default_rng(0))
+        rows = run_single(sc, k_max, step, bench.KNOWN_METHODS,
+                          rng=np.random.default_rng(seed))
         (peaks,) = peaks
-        posts = dict(zip(peaks, scans))  # the scans run in peaks' order
-        for row in rows[3:]:
+        return rows, peaks, dict(zip(peaks, scans))  # scans run in peaks' order
+
+    @pytest.mark.parametrize("coincident", [False, True])
+    def test_spectrum_posterior_splits_y_on_the_prefix(self, coincident,
+                                                       monkeypatch):
+        # a spectrum scan scores the partial sums of prefix_energies (R's
+        # splits); the row of the order a rule picks takes its posterior
+        # from Y's split on that prefix of the peak rows.  The coincident
+        # draw is test_coincident_peaks', whose scans end at K = 1
+        from doamap.arraysim import (
+            amplitude_matrix,
+            default_scenario,
+            noise_variances,
+            synth_freq,
+        )
+
+        if coincident:
+            monkeypatch.setattr(bench, "pick_peaks",
+                                lambda values, count: np.array([25, 25]))
+            sc = default_scenario(d=16, k=2, m=64, n=64, snr_db=20.0, seed=0)
+            k_max, step, seed = 5, 2.0, 0
+        else:
+            sc = default_scenario(d=32, k=3, m=512, n=512, snr_db=-5.0,
+                                  seed=0)
+            k_max, step, seed = 10, 0.5, 3
+        rows, peaks, posts = self._spied_draw(monkeypatch, sc, k_max, step,
+                                              seed)
+        y = synth_freq(sc, rng=np.random.default_rng(seed))
+        cov = sample_covariance(y)
+        norm2_y = float(np.sum(np.abs(y) ** 2))
+        sigma_true = math.sqrt(noise_variances(sc, amplitude_matrix(sc)))
+        for source, (_angles, steer) in peaks.items():
+            post = posts[source]
+            energies = prefix_energies(steer[:k_max].T, cov)
+            partial = np.cumsum(energies)
+            assert len(post.stats) == len(energies) + 1
+            assert post.stats == tuple(
+                ProjectionStats.from_energy(float(partial[k - 1]) if k else 0.0,
+                                            norm2_y, k, sc.d, sc.m)
+                for k in range(len(post.stats)))
+        spectrum_rows = [row for row in rows
+                         if not row["method"].startswith("pca")]
+        assert len(spectrum_rows) == 5
+        for row in spectrum_rows:
             source = row["method"].split("-")[0]
-            (angles, steer), post = peaks[source], posts[source]
-            tau = posterior_variances(post.stats_at(1), sc.d,
-                                      post.log_ip[1]).tau_mean
-            assert row["tau_mean"] == tau, row["method"]
-            fit = bench._peak_pipeline_metrics(
-                y, angles[:1], steer[:1], tau, sc.doa_deg,
-                amplitude_matrix(sc))
-            assert (row["err_doa"], row["rmse_a0"], row["rmse_a_shrunk"]) \
-                == fit, row["method"]
+            k = min(row["k_hat"], len(posts[source].stats) - 1)
+            pv = posterior_variances(projection_stats(
+                y, peaks[source][1][:k].T, sc.m, norm2_y=norm2_y), sc.d)
+            assert row["tau_mean"] == pv.tau_mean, row["method"]
+            assert row["rmse_sigma"] == abs(
+                math.sqrt(pv.sigma2_mean) - sigma_true), row["method"]
+
+    def test_all_zero_data_is_rejected(self):
+        # Y = 0 has no energy split (q = 0/0): a pure-noise scenario at
+        # +inf dB, which always draws it, or at an SNR whose noise
+        # variance underflows, is rejected up front, and the scans name
+        # the cause; k_true = 0 at a finite SNR below that still runs
+        from doamap.arraysim import ArrayScenario, steering_matrix
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for snr_db in (math.inf, 3300.0):
+                with pytest.raises(ValueError, match="pure-noise"):
+                    ArrayScenario(d=4, k_true=0, m=8, n=8, doa_deg=(),
+                                  snr_db=snr_db)
+            cov = sample_covariance(np.zeros((4, 8), dtype=complex))
+            with pytest.raises(ValueError, match="all-zero"):
+                map_order_pca(eigendecompose(cov), 0.0, 2, 8)
+            with pytest.raises(ValueError, match="all-zero"):
+                map_order_scan(cov, steering_matrix([50.0], 4).T, 2, 8, 0.0)
+            for snr_db in (0.0, 3000.0):
+                sc = ArrayScenario(d=4, k_true=0, m=8, n=8, doa_deg=(),
+                                   snr_db=snr_db)
+                (row,) = run_single(sc, 2, 2.0, ("pca-map",),
+                                    rng=np.random.default_rng(0))
+                assert 0 <= row["k_hat"] <= 2
+                assert math.isfinite(row["rmse_sigma"])
+                assert 0.0 < row["tau_mean"] <= 1.0
 
 
 def _load_tracing():
@@ -506,9 +600,9 @@ class TestBenchmarkContract:
         return row["method"].split("-", 1)[0], row["k_hat"]
 
     def test_one_scan_per_source(self):
-        # every rule reads its source's one scan, and Y is split once per
-        # prefix a scan scores or a rule picks: music K = 2 (scored; map,
-        # aic and known-k pick it), dtft K = 3 (scored; map) and K = 2
+        # every rule reads its source's one scan, which splits only R, and
+        # Y is split once per (source, K) that a rule picks: music K = 2
+        # (map, aic and known-k pick it), dtft K = 3 (map) and K = 2
         # (known-k).  The steering matrices are synthesis and the one set
         # of peak rows (MUSIC's candidates and their neighbours with the
         # DTFT peaks) that MUSIC's ranking, both scans and every amplitude
@@ -540,9 +634,9 @@ class TestBenchmarkContract:
                 picked.append(traced_pick(values, count))
                 return picked[-1]
 
-            def scan_spy(data, steer_rows, k_max, m):
+            def scan_spy(cov, steer_rows, *rest):
                 scanned.append(steer_rows)
-                return traced_scan(data, steer_rows, k_max, m)
+                return traced_scan(cov, steer_rows, *rest)
 
             mp.setattr(bench, "pick_peaks", pick_spy)
             mp.setattr(bench, "map_order_scan", scan_spy)

@@ -27,13 +27,11 @@ from doamap.ordermap import (
 )
 from doamap.specfun import log_q_sum
 from doamap.subspace import (
-    DrawData,
     ProjectionStats,
     eigendecompose,
     prefix_energies,
     projection_stats,
     sample_covariance,
-    svd_block,
 )
 
 GRID = np.arange(0.0, 180.0, 0.5)
@@ -125,19 +123,24 @@ class TestPosteriorVariances:
             cov = sample_covariance(y)
             basis = eigendecompose(cov)
             _angles, rows = spectrum_peaks(cov, basis, GRID, 10, {"music"})["music"]
-            for post, reuses in ((map_order_pca(basis, _norm2(y), 10, sc.m),
-                                  True),
-                                 (map_order_scan(_data(y), rows, 10, sc.m),
-                                  False)):
+            pca = map_order_pca(basis, _norm2(y), 10, sc.m)
+            scan = map_order_scan(*_data(y, rows, 10, sc.m))
+            # a spectrum posterior splits Y on the prefix, with no log I_p
+            y_splits = [(projection_stats(y, rows[:k].T, sc.m,
+                                          norm2_y=_norm2(y)), math.nan)
+                        for k in range(len(scan.log_scores))]
+            for post, splits, reuses in (
+                    (pca, list(zip(pca.stats, pca.log_ip)), True),
+                    (scan, y_splits, False)):
                 for k in range(1, len(post.log_scores)):
-                    st = post.stats_at(k)
+                    st, log_ip = splits[k]
                     want = posterior_variances(st, sc.d)
                     is_scored = reuses and not math.isnan(post.log_scores[k])
-                    assert math.isnan(post.log_ip[k]) != is_scored, k
+                    assert math.isnan(log_ip) != is_scored, k
                     calls.clear()
                     with monkeypatch.context() as mp:
                         mp.setattr(specfun, "log_reg_inc_beta", counting)
-                        got = posterior_variances(st, sc.d, post.log_ip[k])
+                        got = posterior_variances(st, sc.d, log_ip)
                     assert got == want, k
                     moments = [(st.alpha - 1, st.beta), (st.alpha, st.beta - 1)]
                     assert calls == (moments if is_scored
@@ -150,7 +153,7 @@ class TestPosteriorVariances:
         sc = default_scenario(d=32, k=3, m=512, n=512, snr_db=10.0, seed=77)
         y = synth_freq(sc)
         v = steering_matrix(sc.doa_deg, sc.d)
-        st = projection_stats(y, svd_block(v), sc.m, norm2_y=_norm2(y))
+        st = projection_stats(y, v, sc.m, norm2_y=_norm2(y))
         pv = posterior_variances(st, sc.d)
         assert pv.sigma2_mean == pytest.approx(
             noise_variances(sc, amplitude_matrix(sc)), rel=0.05)
@@ -161,9 +164,10 @@ def _norm2(y):
     return float(np.sum(np.abs(y) ** 2))
 
 
-def _data(y):
-    """The DrawData record a spectrum scan reads, as run_single makes it."""
-    return DrawData(y, sample_covariance(y), _norm2(y))
+def _data(y, rows, k_max, m):
+    """map_order_scan's arguments on Y's peak rows, as run_single makes
+    them."""
+    return sample_covariance(y), rows, k_max, m, _norm2(y)
 
 
 class TestMapOrderPca:
@@ -174,7 +178,7 @@ class TestMapOrderPca:
         post = map_order_pca(basis, _norm2(y), k_max=10, m=sc.m)
         assert post.k_map == 3
         assert len(post.log_scores) == 11
-        pv = posterior_variances(post.stats_at(post.k_map), sc.d)
+        pv = posterior_variances(post.stats[post.k_map], sc.d)
         assert 0.0 < pv.tau_mean < 1.0
 
     def test_pure_noise_stays_low_order(self):
@@ -194,7 +198,7 @@ class TestMapOrderPca:
         basis = eigendecompose(sample_covariance(y))
         post = map_order_pca(basis, _norm2(y), k_max=5, m=sc.m)
         if post.k_map == 0:
-            pv = posterior_variances(post.stats_at(0), sc.d)
+            pv = posterior_variances(post.stats[0], sc.d)
             assert math.isnan(pv.ra_mean)
             assert pv.tau_mean == 1.0
             norm2 = float(np.sum(np.abs(y) ** 2))
@@ -222,22 +226,22 @@ class TestMapOrderScan:
     def test_k0_score_is_zero(self):
         sc = default_scenario(d=16, k=1, m=128, n=128, snr_db=10.0, seed=2)
         y = synth_freq(sc)
-        post = map_order_scan(_data(y), self._peaks(y, "dtft")[1], 5, sc.m)
+        post = map_order_scan(*_data(y, self._peaks(y, "dtft")[1], 5, sc.m))
         assert post.log_scores[0] == 0.0
 
     def test_single_source_selected(self):
         sc = default_scenario(d=32, k=1, m=256, n=256, snr_db=15.0, seed=3)
         y = synth_freq(sc)
         for kind in ("music", "dtft"):
-            post = map_order_scan(_data(y), self._peaks(y, kind)[1], 8, sc.m)
+            post = map_order_scan(*_data(y, self._peaks(y, kind)[1], 8, sc.m))
             assert post.k_map == 1
             assert post.log_scores[1] > post.log_scores[0]
 
     def test_k_max_capped_by_peak_count(self):
         sc = default_scenario(d=16, k=1, m=64, n=64, snr_db=240.0, seed=5)
         y = synth_freq(sc)
-        post = map_order_scan(_data(y), steering_matrix(sc.doa_deg, sc.d).T,
-                              10, sc.m)
+        post = map_order_scan(*_data(y, steering_matrix(sc.doa_deg, sc.d).T,
+                                     10, sc.m))
         assert len(post.log_scores) == 2  # K in {0, 1} only
 
     def test_coincident_peaks_flagged(self):
@@ -245,20 +249,21 @@ class TestMapOrderScan:
         sc = default_scenario(d=16, k=1, m=64, n=64, snr_db=20.0, seed=6)
         y = synth_freq(sc)
         rows = steering_matrix([50.0, 50.0], sc.d).T
-        post = map_order_scan(_data(y), rows, 2, sc.m)
+        post = map_order_scan(*_data(y, rows, 2, sc.m))
         assert post.rank_deficient_k == (2,)
-        assert len(post.log_scores) == len(post.log_score_bounds) == 2
+        assert (len(post.log_scores) == len(post.log_score_bounds)
+                == len(post.stats) == 2)
         with pytest.raises(IndexError):
-            post.stats_at(2)
+            post.stats[2]
         assert post.k_map in (0, 1)
 
     def test_empty_peaks_score_k0_alone(self):
         y = np.ones((4, 2), dtype=complex)
-        post = map_order_scan(DrawData(y, sample_covariance(y), 8.0),
-                              np.empty((0, 4), dtype=complex), 3, 2)
+        post = map_order_scan(sample_covariance(y),
+                              np.empty((0, 4), dtype=complex), 3, 2, 8.0)
         assert post.k_map == 0
         assert len(post.log_scores) == 1 and post.log_scores[0] == 0.0
-        pv = posterior_variances(post.stats_at(0), 4)
+        pv = posterior_variances(post.stats[0], 4)
         assert pv.tau_mean == 1.0
         assert pv.sigma2_mean == pytest.approx(8.0 / (4 * 2 - 1))
 
@@ -279,25 +284,29 @@ class TestMapOrderScan:
                 a = rng.standard_normal(m) + 1j * rng.standard_normal(m)
                 y = np.outer(np.exp(1j * w0 * sensors), a)
                 row = np.exp(1j * (w0 + 2.0 * math.pi * 3 / d) * sensors)
-                post = map_order_scan(_data(y), row[None, :], 1, m)
+                post = map_order_scan(*_data(y, row[None, :], 1, m))
                 assert post.k_map == 0
                 assert math.isfinite(post.log_score_bounds[1])
                 assert post.log_scores[1] <= post.log_score_bounds[1]
-                st = post.stats_at(1)
-                assert 0.0 < st.q < 1.0
-                pv = posterior_variances(st, d)
-                assert math.isfinite(pv.ra_mean) and 0.0 < pv.tau_mean
+                for st in (post.stats[1], projection_stats(
+                        y, row[:, None], m, norm2_y=_norm2(y))):
+                    assert 0.0 < st.q < 1.0
+                    pv = posterior_variances(st, d)
+                    assert math.isfinite(pv.ra_mean) and 0.0 < pv.tau_mean
 
     def test_prefixes_are_slices_of_one_matrix(self):
         # each prefix's stats equal those of its own steering matrix, bit for bit
         sc = default_scenario(d=16, k=3, m=64, n=64, snr_db=5.0, seed=7)
         y = synth_freq(sc)
         angles, rows = self._peaks(y, "music", k_max=5)
-        post = map_order_scan(_data(y), rows, 5, sc.m)
+        args = _data(y, rows, 5, sc.m)
+        post = map_order_scan(*args)
         for k in range(1, len(post.log_scores)):
             v = steering_matrix(angles[:k], sc.d)
-            assert post.stats_at(k) == projection_stats(
-                y, svd_block(v), sc.m, norm2_y=_norm2(y))
+            assert post.stats[k] == _r_splits(args[0], v.T, 5, sc.m,
+                                              _norm2(y))[k]
+            assert projection_stats(y, rows[:k].T, sc.m, norm2_y=_norm2(y)) \
+                == projection_stats(y, v, sc.m, norm2_y=_norm2(y))
 
 
 def _pca_prior(d):
@@ -315,20 +324,20 @@ def _exact_scan(stats, log_prior):
         stats, [log_prior(k) for k in range(len(stats))])
 
 
-def _r_splits(data, rows, k_max, m):
+def _r_splits(cov, rows, k_max, m, norm2_y):
     """The splits a spectrum scan scores: the partial sums of the energies
-    of R on its prefixes."""
+    of R = cov on its prefixes."""
     v = rows[:k_max].T
-    return ordermap._energy_stats(prefix_energies(v, data.cov),
-                                  data.norm2_y, v.shape[0], m)
+    return ordermap._energy_stats(prefix_energies(v, cov), norm2_y,
+                                  v.shape[0], m)
 
 
 def _check_pruned(post, log_prior, stats=None):
     """The pruned scan against every order's exact score (the oracle) on
-    the splits it scored, by default its posterior's; K = 0 is the
+    the splits it scored, by default its own; K = 0 is the
     empty-subspace convention log Q = 0."""
     if stats is None:
-        stats = [post.stats_at(k) for k in range(len(post.log_scores))]
+        stats = post.stats
     exact = np.array([
         (0.0 if st.alpha == 0 else log_q_sum(st.alpha, st.beta, st.q)[0])
         + log_prior(k)
@@ -360,9 +369,9 @@ class TestPrunedScan:
                 _pca_prior(sc.d))
             peaks = spectrum_peaks(cov, basis, GRID, 10, {"music", "dtft"})
             for _angles, rows in peaks.values():
-                pruned += _check_pruned(
-                    map_order_scan(_data(y), rows, 10, sc.m),
-                    _scan_prior, _r_splits(_data(y), rows, 10, sc.m))
+                args = _data(y, rows, 10, sc.m)
+                pruned += _check_pruned(map_order_scan(*args), _scan_prior,
+                                        _r_splits(*args))
         assert pruned > 0  # the bound did cut kernel calls
 
     def test_kernel_runs_only_for_scored_orders(self, monkeypatch):
@@ -417,25 +426,25 @@ class TestPrunedScan:
         # both copies too, so the scan is that of the full-rank prefixes
         # alone, bit for bit, with the rest flagged
         sc = default_scenario(d=16, k=3, m=64, n=64, snr_db=10.0, seed=8)
-        data = _data(synth_freq(sc))
+        y = synth_freq(sc)
         angles = [30.0, 75.0, 120.0, 150.0]
         angles[deficient[0] - 1] = angles[0]
         rows = steering_matrix(angles, sc.d).T
-        post = map_order_scan(data, rows, 4, sc.m)
-        full = map_order_scan(data, rows[:deficient[0] - 1], 4, sc.m)
+        args = _data(y, rows, 4, sc.m)
+        post = map_order_scan(*args)
+        full = map_order_scan(*_data(y, rows[:deficient[0] - 1], 4, sc.m))
         assert post.rank_deficient_k == deficient and not full.rank_deficient_k
         assert post.k_map == full.k_map
         for got, want in ((post.log_scores, full.log_scores),
                           (post.log_score_bounds, full.log_score_bounds),
                           (post.log_ip, full.log_ip)):
             np.testing.assert_array_equal(got, want)
-        assert ([post.stats_at(k) for k in range(len(post.log_scores))]
-                == [full.stats_at(k) for k in range(len(full.log_scores))])
-        _check_pruned(post, _scan_prior, _r_splits(data, rows, 4, sc.m))
+        assert post.stats == full.stats
+        _check_pruned(post, _scan_prior, _r_splits(*args))
 
 
 def _scan_draw(sc, seed, k_max, step):
-    """(data, {source: P x D peak rows}) of one draw, as run_single makes
+    """(Y, {source: P x D peak rows}) of one draw, as run_single makes
     them."""
     y = synth_freq(sc, rng=np.random.default_rng(seed))
     cov = sample_covariance(y)
@@ -443,8 +452,7 @@ def _scan_draw(sc, seed, k_max, step):
     grid = grid[np.cos(np.deg2rad(grid)) > -1.0]
     peaks = spectrum_peaks(cov, eigendecompose(cov), grid, k_max,
                            {"music", "dtft"})
-    return (DrawData(y, cov, _norm2(y)),
-            {source: rows for source, (_angles, rows) in peaks.items()})
+    return y, {source: rows for source, (_angles, rows) in peaks.items()}
 
 
 # a Y-side MAP margin above which the scan's order must be the Y-side
@@ -454,14 +462,13 @@ def _scan_draw(sc, seed, k_max, step):
 Y_MARGIN = 1.0
 
 
-def _check_against_full_scan(data, rows, k_max, m):
-    """The scan against the unpruned scan on the same splits of R, its
-    posterior splits against Y's split on each prefix's own SVD block, and
-    its MAP order against the unpruned scan on those splits of Y."""
+def _check_against_full_scan(y, rows, k_max, m):
+    """The scan against the unpruned scan on the same splits of R, and its
+    MAP order against the unpruned scan on Y's split on each prefix."""
     v = rows[:k_max].T
-    d = v.shape[0]
-    post = map_order_scan(data, rows, k_max, m)
-    splits = _r_splits(data, rows, k_max, m)
+    args = _data(y, rows, k_max, m)
+    post = map_order_scan(*args)
+    splits = _r_splits(*args)
     assert post.rank_deficient_k == tuple(range(len(splits),
                                                 v.shape[1] + 1))
     assert len(post.log_scores) == len(splits)
@@ -473,22 +480,19 @@ def _check_against_full_scan(data, rows, k_max, m):
     assert post.k_map == int(np.argmax(scores))
     r_scan = ordermap._branch_and_bound(splits, priors)
     for got, want in ((post.log_scores, r_scan.log_scores),
-                      (post.log_score_bounds, r_scan.log_score_bounds)):
+                      (post.log_score_bounds, r_scan.log_score_bounds),
+                      (post.log_ip, r_scan.log_ip)):
         np.testing.assert_array_equal(got, want)
-    assert np.isnan(post.log_ip).all()
     for k in range(len(splits)):
         assert post.log_score_bounds[k] >= scores[k], k
         if not math.isnan(post.log_scores[k]):
             assert post.log_scores[k] == scores[k], k
             if k:
                 assert r_scan.log_ip[k] == full[k][1], k
-    # (b) each posterior split is Y's on that prefix's SVD block alone
-    blocks = [np.empty((0, d), complex),
-              *(svd_block(v[:, :k]) for k in range(1, len(splits)))]
-    y_splits = [projection_stats(data.y, uh, m, norm2_y=data.norm2_y)
-                for uh in blocks]
-    assert [post.stats_at(k) for k in range(len(splits))] == y_splits
-    # (c) the Y-side MAP order wherever its margin is clear
+    assert list(post.stats) == splits
+    # (b) the Y-side MAP order wherever its margin is clear
+    y_splits = [projection_stats(y, v[:, :k], m, norm2_y=_norm2(y))
+                for k in range(len(splits))]
     y_scores = sorted(
         ((0.0 if st.alpha == 0 else log_q_sum(st.alpha, st.beta, st.q)[0])
          + priors[k], -k) for k, st in enumerate(y_splits))
@@ -528,9 +532,9 @@ class TestCovarianceBounds:
                    1, 7, 0.5))
     def test_scan_matches_full_scan(self, case):
         sc, seed, k_max, step = case
-        data, peaks = _scan_draw(sc, seed, k_max, step)
+        y, peaks = _scan_draw(sc, seed, k_max, step)
         for rows in peaks.values():
-            _check_against_full_scan(data, rows, k_max, sc.m)
+            _check_against_full_scan(y, rows, k_max, sc.m)
 
 
 class TestShrinkage:
@@ -544,8 +548,7 @@ class TestShrinkage:
                                   seed=seed)
             y = synth_freq(sc)
             v = steering_matrix(sc.doa_deg, sc.d)
-            st = projection_stats(y, svd_block(v), sc.m,
-                                  norm2_y=_norm2(y))
+            st = projection_stats(y, v, sc.m, norm2_y=_norm2(y))
             pv = posterior_variances(st, sc.d)
             a0, *_ = np.linalg.lstsq(v, y, rcond=None)
             truth = amplitude_matrix(sc)

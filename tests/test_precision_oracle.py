@@ -40,9 +40,9 @@ from doamap.ordermap import (
 )
 from doamap.specfun import DominancePair
 from doamap.subspace import (
-    DrawData,
     eigendecompose,
     prefix_energies,
+    projection_stats,
     sample_covariance,
 )
 
@@ -57,7 +57,7 @@ LOG_SCORE_ABS = 5e-11
 
 @functools.cache
 def _draw(gi, ri):
-    """(DrawData, eigenbasis, {source: peak rows}) of that sweep task's
+    """(Y, R, |Y|^2, eigenbasis, {source: peak rows}) of that sweep task's
     run_single."""
     cfg = CONFIG
     scenario = cfg.scenarios()[gi]
@@ -67,7 +67,7 @@ def _draw(gi, ri):
     norm2_y = float(np.sum(np.abs(y) ** 2))
     grid = np.arange(0.0, 180.0, cfg.grid_step_deg)
     peaks = spectrum_peaks(cov, basis, grid, cfg.k_max, {"music", "dtft"})
-    return (DrawData(y, cov, norm2_y), basis,
+    return (y, cov, norm2_y, basis,
             {source: rows for source, (_angles, rows) in peaks.items()})
 
 
@@ -75,11 +75,11 @@ def _draw(gi, ri):
 def _posteriors(gi, ri):
     """{source: OrderPosterior} of the pca, music and dtft scans, from the
     draw, spectra and scans of that sweep task's run_single."""
-    data, basis, peaks = _draw(gi, ri)
+    _y, cov, norm2_y, basis, peaks = _draw(gi, ri)
     m = CONFIG.m
     return {
-        "pca": map_order_pca(basis, data.norm2_y, CONFIG.k_max, m),
-        **{source: map_order_scan(data, rows, CONFIG.k_max, m)
+        "pca": map_order_pca(basis, norm2_y, CONFIG.k_max, m),
+        **{source: map_order_scan(cov, rows, CONFIG.k_max, m, norm2_y)
            for source, rows in peaks.items()},
     }
 
@@ -87,19 +87,23 @@ def _posteriors(gi, ri):
 def _scan_splits(gi, ri):
     """{source: the splits each scan scored}: PCA's posterior splits, and
     a spectrum scan's partial sums of the energies of R on its prefixes."""
-    data, _basis, peaks = _draw(gi, ri)
-    post = _posteriors(gi, ri)["pca"]
-    splits = {"pca": [post.stats_at(k) for k in range(len(post.log_scores))]}
+    _y, cov, norm2_y, _basis, peaks = _draw(gi, ri)
+    splits = {"pca": list(_posteriors(gi, ri)["pca"].stats)}
     for source, rows in peaks.items():
         v = rows[:CONFIG.k_max].T
         splits[source] = ordermap._energy_stats(
-            prefix_energies(v, data.cov), data.norm2_y, CONFIG.d, CONFIG.m)
+            prefix_energies(v, cov), norm2_y, CONFIG.d, CONFIG.m)
     return splits
 
 
 def _fits(gi, ri):
-    """{(source, K): ProjectionStats} at each scan's MAP order and at K = 3."""
-    return {(source, k): post.stats_at(k)
+    """{(source, K): ProjectionStats} at each scan's MAP order and at K = 3:
+    PCA's scan's split, and a spectrum's split of Y on the prefix, as
+    run_single fits them."""
+    y, _cov, norm2_y, _basis, peaks = _draw(gi, ri)
+    return {(source, k): (post.stats[k] if source == "pca"
+                          else projection_stats(y, peaks[source][:k].T,
+                                                CONFIG.m, norm2_y=norm2_y))
             for source, post in _posteriors(gi, ri).items()
             for k in (post.k_map, 3) if k > 0}
 

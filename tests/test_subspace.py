@@ -17,7 +17,6 @@ from doamap.arraysim import (
 from doamap.bench import spectrum_peaks
 from doamap.ordermap import map_order_scan
 from doamap.subspace import (
-    DrawData,
     ProjectionStats,
     dtft_spectrum,
     eigendecompose,
@@ -28,7 +27,6 @@ from doamap.subspace import (
     prefix_energies,
     projection_stats,
     sample_covariance,
-    svd_block,
 )
 
 EPS = np.finfo(float).eps
@@ -298,7 +296,7 @@ def _clustered_vandermonde(draw):
 class TestProjectionStats:
     def test_k0_convention(self):
         y = np.ones((4, 3), dtype=complex)
-        st = projection_stats(y, np.empty((0, 4), dtype=complex), 3,
+        st = projection_stats(y, np.empty((4, 0), dtype=complex), 3,
                               norm2_y=_norm2(y))
         assert st.s == 0.0 and st.t == pytest.approx(12.0)
         assert st.alpha == 0 and st.beta == 12
@@ -310,7 +308,7 @@ class TestProjectionStats:
         a = rng.standard_normal((2, 10)) + 1j * rng.standard_normal((2, 10))
         y = v @ a
         norm2 = _norm2(y)
-        st = projection_stats(y, svd_block(v), 10, norm2_y=norm2)
+        st = projection_stats(y, v, 10, norm2_y=norm2)
         assert st.t == pytest.approx(1e-12 * norm2)
         assert st.s == pytest.approx(norm2, rel=1e-10)
 
@@ -324,7 +322,7 @@ class TestProjectionStats:
             v = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
             y = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
             norm2 = _norm2(y)
-            st = projection_stats(y, svd_block(v), m, norm2_y=norm2)
+            st = projection_stats(y, v, m, norm2_y=norm2)
             assert abs(st.s + st.t - norm2) <= 1e-8 * norm2
             assert st.alpha == k * m and st.beta == (d - k) * m
 
@@ -332,7 +330,7 @@ class TestProjectionStats:
         rng = np.random.default_rng(6)
         v = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
         y = rng.standard_normal((7, 9)) + 1j * rng.standard_normal((7, 9))
-        st = projection_stats(y, svd_block(v), 9, norm2_y=_norm2(y))
+        st = projection_stats(y, v, 9, norm2_y=_norm2(y))
         a0, *_ = np.linalg.lstsq(v, y, rcond=None)
         resid = float(np.sum(np.abs(y - v @ a0) ** 2))
         fit = float(np.sum(np.abs(v @ a0) ** 2))
@@ -344,7 +342,7 @@ class TestProjectionStats:
         rng = np.random.default_rng(7)
         v = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
         y = rng.standard_normal((6, 8)) + 1j * rng.standard_normal((6, 8))
-        st = projection_stats(y, svd_block(v), 8, norm2_y=_norm2(y))
+        st = projection_stats(y, v, 8, norm2_y=_norm2(y))
         p = v @ np.linalg.solve(v.conj().T @ v, v.conj().T)
         expect = float(np.real(np.trace(p @ (y @ y.conj().T))))
         assert st.s == pytest.approx(expect, rel=1e-10)
@@ -357,11 +355,11 @@ class TestProjectionStats:
         basis = eigendecompose(sample_covariance(y))
         norm2 = _norm2(y)
         for k in (1, 2, 4):
-            s_pca = projection_stats(y, svd_block(basis.eigvecs[:, :k]),
+            s_pca = projection_stats(y, basis.eigvecs[:, :k],
                                      40, norm2_y=norm2).s
             for _ in range(50):
                 w = _random_unitary_columns(rng, 8, k)
-                s = projection_stats(y, svd_block(w), 40,
+                s = projection_stats(y, w, 40,
                                      norm2_y=norm2).s
                 assert s <= s_pca + 1e-8 * s_pca
             # and it equals the sum of the top-k eigenvalues
@@ -377,7 +375,7 @@ class TestProjectionStats:
         y = np.ones((5, 4), dtype=complex)
         (e,) = prefix_energies(v, sample_covariance(y))
         assert e == pytest.approx(20.0)
-        st = projection_stats(y, svd_block(v[:, :1]), 4, norm2_y=_norm2(y))
+        st = projection_stats(y, v[:, :1], 4, norm2_y=_norm2(y))
         assert st.s == pytest.approx(20.0)
 
     def test_prefixes_match_single_basis_products(self):
@@ -402,7 +400,7 @@ class TestProjectionStats:
                     uh = u.conj().T
                     prod = (np.vstack([uh, uh]) @ y)[:1] if k == 1 else uh @ y
                     s = float(np.sum(np.abs(prod) ** 2))
-                    st = projection_stats(y, svd_block(v[:, :k]), 512,
+                    st = projection_stats(y, v[:, :k], 512,
                                           norm2_y=norm2)
                     assert st == ProjectionStats.from_energy(
                         s, norm2, k, 32, 512), k
@@ -413,31 +411,26 @@ class TestProjectionStats:
         assert checked == 5 * (10 + 3)
 
     def test_scan_multiplies_y_only_for_read_prefixes(self):
-        # the order scan reads every split from R and never multiplies Y;
-        # a caller reading order K multiplies Y by the K rows of that
-        # prefix's u^H once (here K = 3 and K = 1, which is multiplied as
-        # two rows), and reading it again multiplies nothing
+        # the order scan reads only R; splitting Y on a prefix of K rows
+        # multiplies Y by that prefix's u^H once (here K = 3 and K = 1,
+        # which is multiplied as two rows)
         ((y, basis, steer),) = _desk_draws(snrs=(10.0,))
         rows = steer[pick_peaks(_oracle_music(basis, 10, steer), 10)]
         counted = y.view(_MatmulCounter)
-        data = DrawData(counted, sample_covariance(y), _norm2(y))
-        post = map_order_scan(data, rows, 10, 512)
-        scored = {k for k in range(1, 11) if not math.isnan(post.log_scores[k])}
-        assert scored == {3} and (counted.matmuls, counted.rows) == (0, 0)
-        for k in (3, 1, 3, 1):
-            assert post.stats_at(k) == projection_stats(
-                y, svd_block(rows[:k].T), 512, norm2_y=_norm2(y))
+        for k in (3, 1):
+            assert projection_stats(counted, rows[:k].T, 512,
+                                    norm2_y=_norm2(y)) == projection_stats(
+                y, rows[:k].T, 512, norm2_y=_norm2(y))
         assert (counted.matmuls, counted.rows) == (2, 3 + 2)
 
     def test_one_svd_per_prefix_per_scan(self, monkeypatch):
         # the scan runs one QR of the D x P prefixes and no D x K SVD: its
         # rank rule reads one K x K leading block of the triangular factor
-        # per prefix.  Reading order K's split runs one D x K SVD, the
-        # first time only
+        # per prefix.  Splitting Y on a prefix of K rows runs one D x K SVD
         ((y, basis, steer),) = _desk_draws(snrs=(10.0,))
         rows = steer[pick_peaks(_oracle_music(basis, 10, steer), 10)]
         assert rows.shape == (10, 32)
-        data = DrawData(y, sample_covariance(y), _norm2(y))
+        cov = sample_covariance(y)
         qr, svd, calls = np.linalg.qr, np.linalg.svd, []
 
         def counting(real, name):
@@ -448,14 +441,14 @@ class TestProjectionStats:
 
         monkeypatch.setattr(np.linalg, "qr", counting(qr, "qr"))
         monkeypatch.setattr(np.linalg, "svd", counting(svd, "svd"))
-        post = map_order_scan(data, rows, 10, 512)
+        post = map_order_scan(cov, rows, 10, 512, _norm2(y))
         assert len(post.log_scores) == 11
         assert calls == [("qr", (32, 10))] + [
             ("svd", (k, k)) for k in range(1, 11)]
-        calls.clear()
-        for k in (*range(11), *range(11)):
-            post.stats_at(k)
-        assert calls == [("svd", (32, k)) for k in range(1, 11)]
+        for k in range(11):
+            calls.clear()
+            projection_stats(y, rows[:k].T, 512, norm2_y=_norm2(y))
+            assert calls == [("svd", (32, k))]
 
     @settings(max_examples=400)
     @given(v=_clustered_vandermonde())
