@@ -126,9 +126,8 @@ def _branch_and_bound(stats, priors, rank_deficient_k=()):
     is its score, with no kernel call; every order K >= 1 is bounded by its
     exact U_K.  The orders are scored by log_q_sum in descending bound
     order (ties to smaller K) until a bound falls below the best score so
-    far.  An order left unscored scores at most its bound, below that
-    best, so the MAP order is the argmax over all exact scores, smallest K
-    on ties.
+    far, k_map's (a tie to the smaller K).  An unscored order scores at
+    most its bound, below that best, so k_map is the exact scores' argmax.
     """
     bounds = np.array([0.0 + priors[0], *(
         _exact_bound(st, prior) for st, prior in zip(stats[1:], priors[1:]))])
@@ -136,7 +135,7 @@ def _branch_and_bound(stats, priors, rank_deficient_k=()):
     log_scores = np.full(n, math.nan)
     log_ip = np.full(n, math.nan)
     log_scores[0] = bounds[0]
-    best = -math.inf
+    best, k_map = -math.inf, 0
     for k in sorted(range(n), key=lambda k: (-bounds[k], k)):
         if bounds[k] < best:
             break
@@ -144,12 +143,13 @@ def _branch_and_bound(stats, priors, rank_deficient_k=()):
             st = stats[k]
             log_q, log_ip[k] = log_q_sum(st.alpha, st.beta, st.q)
             log_scores[k] = log_q + priors[k]
-        best = max(best, log_scores[k])
+        if log_scores[k] > best or log_scores[k] == best and k < k_map:
+            best, k_map = log_scores[k], k
     return OrderPosterior(
         log_scores=log_scores,
         log_score_bounds=bounds,
         log_ip=log_ip,
-        k_map=int(np.nanargmax(log_scores)),  # the smallest K on ties
+        k_map=k_map,
         stats=tuple(stats),
         rank_deficient_k=rank_deficient_k,
     )

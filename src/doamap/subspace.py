@@ -114,8 +114,7 @@ def eigendecompose(cov):
     """
     cov = np.asarray(cov)
     herm_err = np.max(np.abs(cov - cov.conj().T))
-    scale = max(np.max(np.abs(cov)), 1.0)
-    if herm_err > 1e-6 * scale:
+    if herm_err > 1e-6 * np.max(np.abs(cov)):
         raise ValueError(f"matrix is not Hermitian (max asymmetry {herm_err:.3g})")
     vals, vecs = np.linalg.eigh(cov)
     vals = vals[::-1].copy()
@@ -232,19 +231,20 @@ def prefix_energies(v, cov):
     1e-10 of its largest; T's leading K x K block has V_K's singular
     values (V_K = Q_K T_K), so the rule reads that block.  A column more
     never lowers the largest nor raises the smallest (interlacing; Horn &
-    Johnson, Topics in Matrix Analysis, 1991, section 3.1), so no prefix
-    past the first deficient one is full rank.
+    Johnson, Topics in Matrix Analysis, 1991, section 3.1), so the rule
+    walks down from the whole P x P block to the first that passes, P':
+    one SVD if every prefix is full rank, P - P' + 1 if not.
     """
     d, p = v.shape
     if p > d:
         raise ValueError(f"basis has more columns ({p}) than sensors ({d})")
     q, tri = np.linalg.qr(v)
-    full = 0
-    while full < p:
-        sv = np.linalg.svd(tri[:full + 1, :full + 1], compute_uv=False)
-        if sv[-1] < 1e-10 * sv[0]:
+    full = p
+    while full:
+        sv = np.linalg.svd(tri[:full, :full], compute_uv=False)
+        if not sv[-1] < 1e-10 * sv[0]:
             break
-        full += 1
+        full -= 1
     rows = q[:, :full].conj().T
     # row q^H times R, times q = conj(q^H): the sum of (q^H R) conj(q^H)
     return np.sum((rows @ cov * rows.conj()).real, axis=1)

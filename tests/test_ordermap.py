@@ -400,6 +400,20 @@ class TestPrunedScan:
         assert post.k_map == 2
         _check_pruned(post, lambda k: 0.0)
 
+    def test_late_exact_tie_picks_smaller_k(self):
+        # K = 1's higher bound visits it first; K = 0's prior is K = 1's
+        # exact score, so K = 0, visited next, ties it and wins as the
+        # smaller K, as an argmax over the scores picks the first
+        st = ProjectionStats.from_energy(85.0, 1000.0, 1, 16, 4)
+        log_q = log_q_sum(st.alpha, st.beta, st.q)[0]
+        stats = [ProjectionStats.from_energy(0.0, 1000.0, 0, 16, 4), st]
+        priors = [log_q, 0.0]
+        post = ordermap._branch_and_bound(stats, priors)
+        assert post.log_score_bounds[1] > post.log_score_bounds[0]
+        assert post.log_scores[0] == post.log_scores[1]
+        assert post.k_map == 0
+        _check_pruned(post, priors.__getitem__)
+
     def test_top_bound_can_lose(self):
         # K = 1 has the highest bound but K = 2 the highest exact score, so
         # the scan goes on past its first exact score

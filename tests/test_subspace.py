@@ -73,6 +73,17 @@ class TestCovarianceAndEigen:
         with pytest.raises(ValueError):
             eigendecompose(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("scale", [2.0**-40, 1.0, 2.0**40])
+    def test_hermitian_check_is_scale_free(self, scale):
+        # the asymmetry is measured against the matrix's own largest entry,
+        # so a small matrix is not read from one triangle as if Hermitian
+        with pytest.raises(ValueError, match="not Hermitian"):
+            eigendecompose(scale * np.array([[1, 1], [0, 1]], dtype=complex))
+
+    def test_eigendecompose_all_zero(self):
+        basis = eigendecompose(np.zeros((3, 3), dtype=complex))
+        assert np.all(basis.eigvals == 0.0)
+
 
 class _MatmulCounter(np.ndarray):
     """A view of the data that counts the matrix products reading it and
@@ -277,6 +288,19 @@ class TestPickPeaks:
             pick_peaks(np.array([]), 1)
 
 
+def _walk_up_full(tri):
+    """P', the last full-rank prefix, by the rank rule on each leading
+    block of the triangular factor from 1 x 1 up, stopping at the first
+    that fails: one SVD per prefix up to P' + 1."""
+    full = 0
+    while full < tri.shape[1]:
+        sv = np.linalg.svd(tri[:full + 1, :full + 1], compute_uv=False)
+        if sv[-1] < 1e-10 * sv[0]:
+            break
+        full += 1
+    return full
+
+
 @hst.composite
 def _clustered_vandermonde(draw):
     """A D x P unit-circle Vandermonde basis, column j = e^{i w_j a}, whose
@@ -425,11 +449,17 @@ class TestProjectionStats:
 
     def test_one_svd_per_prefix_per_scan(self, monkeypatch):
         # the scan runs one QR of the D x P prefixes and no D x K SVD: its
-        # rank rule reads one K x K leading block of the triangular factor
-        # per prefix.  Splitting Y on a prefix of K rows runs one D x K SVD
+        # rank rule reads the K x K leading blocks of the triangular factor
+        # from K = P down to the first full-rank one, P'.  A full-rank scan
+        # runs one SVD; one whose first deficient prefix is P' + 1 runs the
+        # SVDs of blocks P, P - 1, ..., P'.  Splitting Y on a prefix of K
+        # rows runs one D x K SVD
         ((y, basis, steer),) = _desk_draws(snrs=(10.0,))
-        rows = steer[pick_peaks(_oracle_music(basis, 10, steer), 10)]
+        idx = pick_peaks(_oracle_music(basis, 10, steer), 10)
+        rows = steer[idx]
         assert rows.shape == (10, 32)
+        # peak 1 again after the top 3: P = 7, P' = 3
+        twice = steer[np.r_[idx[:3], idx[1], idx[3:6]]]
         cov = sample_covariance(y)
         qr, svd, calls = np.linalg.qr, np.linalg.svd, []
 
@@ -443,8 +473,13 @@ class TestProjectionStats:
         monkeypatch.setattr(np.linalg, "svd", counting(svd, "svd"))
         post = map_order_scan(cov, rows, 10, 512, _norm2(y))
         assert len(post.log_scores) == 11
-        assert calls == [("qr", (32, 10))] + [
-            ("svd", (k, k)) for k in range(1, 11)]
+        assert calls == [("qr", (32, 10)), ("svd", (10, 10))]
+        calls.clear()
+        post = map_order_scan(cov, twice, 10, 512, _norm2(y))
+        assert len(post.log_scores) == 4
+        assert post.rank_deficient_k == (4, 5, 6, 7)
+        assert calls == [("qr", (32, 7))] + [
+            ("svd", (k, k)) for k in range(7, 2, -1)]
         for k in range(11):
             calls.clear()
             projection_stats(y, rows[:k].T, 512, norm2_y=_norm2(y))
@@ -462,6 +497,14 @@ class TestProjectionStats:
         for k in range(1, p + 1):
             sv = np.linalg.svd(v[:, :k], compute_uv=False)
             assert (sv[-1] < 1e-10 * sv[0]) == (k > full), k
+
+    @settings(max_examples=400)
+    @given(v=_clustered_vandermonde())
+    def test_walk_down_finds_the_walk_up_prefix(self, v):
+        # walking down from the whole block stops at the walk-up's P': the
+        # same rule on the same blocks, whose verdicts only fall as K grows
+        full = prefix_energies(v, np.eye(v.shape[0])).size
+        assert full == _walk_up_full(np.linalg.qr(v)[1])
 
     def test_too_many_columns(self):
         with pytest.raises(ValueError):
