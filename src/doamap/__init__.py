@@ -3,7 +3,6 @@
 from .arraysim import (
     ArrayScenario,
     amplitude_matrix,
-    default_scenario,
     steering_matrix,
     synth_freq,
 )
@@ -33,6 +32,7 @@ from .subspace import (
     music_pseudospectrum,
     pick_peaks,
     prefix_energies,
+    prefix_fit,
     projection_stats,
     sample_covariance,
 )

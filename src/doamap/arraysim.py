@@ -24,7 +24,6 @@ __all__ = [
     "steering_matrix",
     "amplitude_matrix",
     "default_doas",
-    "default_scenario",
     "noise_variances",
     "synth_freq",
 ]
@@ -101,14 +100,6 @@ def default_doas(k):
         return ()
     step = math.floor(170.0 / k)
     return tuple(10.0 + i * step for i in range(k))
-
-
-def default_scenario(d, k, m, n, overlap=0.0, decay=0.0, snr_db=20.0, seed=0):
-    """Scenario with the default equally-spaced DOAs and banded amplitudes."""
-    return ArrayScenario(
-        d=d, k_true=k, m=m, n=n, doa_deg=default_doas(k),
-        overlap=overlap, decay=decay, snr_db=snr_db, seed=seed,
-    )
 
 
 def amplitude_matrix(scenario: ArrayScenario):

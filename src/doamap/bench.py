@@ -43,7 +43,7 @@ from .subspace import (
     music_exact,
     music_pseudospectrum,
     pick_peaks,
-    projection_stats,
+    prefix_fit,
     sample_covariance,
 )
 
@@ -250,13 +250,13 @@ def _grid_str(value):
     return f"{value:g}"
 
 
-def _peak_pipeline_metrics(y, angles, rows, tau, true_doas, true_amps):
-    """DOA and amplitude metrics for spectrum peaks at these angles, fitted
-    on their P x D steering rows (P may be 0): one amplitude row per peak."""
-    a0 = np.linalg.pinv(rows.T) @ y
-    return (err_doa(angles, true_doas),
-            rmse_amplitude(a0, angles, true_amps, true_doas),
-            rmse_amplitude((1.0 - tau) * a0, angles, true_amps, true_doas))
+def _peak_pipeline_metrics(a0, angles, tau, true_doas, true_amps):
+    """DOA and amplitude metrics for spectrum peaks at these angles, with
+    a0 their P x M least-squares amplitudes (P may be 0), one row per
+    peak, and (1 - tau) a0 the shrunk ones: one events pass scores both."""
+    r0, rs = rmse_amplitude(np.stack((a0, (1.0 - tau) * a0)), angles,
+                            true_amps, true_doas)
+    return err_doa(angles, true_doas), r0, rs
 
 
 def spectrum_peaks(cov, basis, grid, k_max, sources):
@@ -297,7 +297,8 @@ def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None)
     the MAP order, aic the AIC order, known-k the true count.  The scans
     and amplitude fits read only the peaks' steering rows.  The posterior
     (PCA's on its scan's split, reusing the log I_p of an order the scan
-    scored; a spectrum's on Y's split on the prefix), amplitude fit and
+    scored; a spectrum's on Y's split on the prefix, whose one SVD and one
+    product with Y also give the amplitude fit, see prefix_fit) and
     metrics run once per (source, K), shared by every method picking it; a
     K past the last full-rank prefix reads that prefix's posterior and
     fits its peaks, while the row keeps the rule's K.
@@ -349,12 +350,13 @@ def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None)
             else:
                 angles, rows = peaks[source]
                 # Y's split, not the scan's of R, until both agree to the
-                # golden bound (ROADMAP item 2)
-                pv = posterior_variances(projection_stats(
-                    y, rows[:k].T, scenario.m, norm2_y=norm2_y), scenario.d)
+                # golden bound (ROADMAP item 2); the amplitude fit reads
+                # the same factorisation
+                split, a0 = prefix_fit(y, rows[:k].T, scenario.m,
+                                       norm2_y=norm2_y)
+                pv = posterior_variances(split, scenario.d)
                 err, r0, rs = _peak_pipeline_metrics(
-                    y, angles[:k], rows[:k], pv.tau_mean,
-                    scenario.doa_deg, true_amps)
+                    a0, angles[:k], pv.tau_mean, scenario.doa_deg, true_amps)
             fits[key] = dict(
                 err_doa=err, rmse_a0=r0, rmse_a_shrunk=rs,
                 rmse_sigma=abs(math.sqrt(pv.sigma2_mean) - sigma_true),

@@ -7,8 +7,8 @@ split, plus the signal/noise degree counts, for the Bayesian order scores.
 Both order scans read their splits from R = Y Y^H as partial sums of
 energies: PCA's the eigenvalues, a spectrum scan's prefix_energies, those
 of R on one QR of the steering prefixes.  A spectrum pipeline's posterior
-at a chosen order still splits the D x M data itself: projection_stats on
-the prefix's basis.
+at a chosen order still splits the D x M data itself, and fits its
+amplitudes on the same factorisation: prefix_fit on the prefix's basis.
 
 Both spectra are quadratic forms v^H H v of a D x D Hermitian H at the
 grid steering vectors v_a = e^{i omega a}, and any such form is a
@@ -46,6 +46,7 @@ __all__ = [
     "music_exact",
     "pick_peaks",
     "prefix_energies",
+    "prefix_fit",
     "projection_stats",
 ]
 
@@ -250,21 +251,32 @@ def prefix_energies(v, cov):
     return np.sum((rows @ cov * rows.conj()).real, axis=1)
 
 
-def projection_stats(y, v, m, *, norm2_y):
+def prefix_fit(y, v, m, *, norm2_y):
     """Energy split of the D x M data Y on the column space of the
-    full-rank D x K basis V.
+    full-rank D x K basis V, and Y's least-squares amplitudes A0 on V.
 
-    s sums the squared magnitudes of u^H Y, u the left singular vectors of
-    one thin SVD of V (never forming (V^H V)^-1); a D x 0 basis has a
-    D x 0 u, the pure-noise convention s = 0, t = |Y|^2.  A lone row would
-    take numpy's matrix-vector path, which sums otherwise, so K = 1 is
-    multiplied as two rows and every s has the bits of a matrix product.
-    norm2_y is |Y|^2, which the caller sums once per draw.
+    One thin SVD V = U S W^H and one product B = U^H Y give both (Golub &
+    Van Loan, Matrix Computations, section 5.5): s sums |B|^2, never
+    forming (V^H V)^-1, and A0 = W S^-1 B is K x M.  A D x 0 basis has a
+    D x 0 U, the pure-noise convention s = 0, t = |Y|^2, and a 0 x M A0.
+    A lone row would take numpy's matrix-vector path, which sums
+    otherwise, so K = 1 is multiplied as two rows and every s has the bits
+    of a matrix product.  No singular value is cut off: a draw fits only
+    steering prefixes that pass its scan's rank rule (prefix_energies),
+    whose condition numbers are below 1e10.  norm2_y is |Y|^2, which the
+    caller sums once per draw.  Returns (ProjectionStats, A0).
     """
     d, k = v.shape
     if k > d:
         raise ValueError(f"basis has more columns ({k}) than sensors ({d})")
-    uh = np.linalg.svd(v, full_matrices=False)[0].conj().T
+    u, sv, vt = np.linalg.svd(v, full_matrices=False)
+    uh = u.conj().T
     block = (np.concatenate((uh, uh)) @ y)[:1] if k == 1 else uh @ y
     s = float(np.sum(np.abs(block) ** 2))
-    return ProjectionStats.from_energy(s, norm2_y, k, d, m)
+    a0 = (vt.conj().T / sv) @ block
+    return ProjectionStats.from_energy(s, norm2_y, k, d, m), a0
+
+
+def projection_stats(y, v, m, *, norm2_y):
+    """The energy split of prefix_fit(y, v, m, norm2_y=norm2_y)."""
+    return prefix_fit(y, v, m, norm2_y=norm2_y)[0]

@@ -15,7 +15,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln, logsumexp
 from scipy.stats import spearmanr
 
-from doamap.arraysim import amplitude_matrix, default_scenario, synth_freq
+from doamap.arraysim import amplitude_matrix, synth_freq
 from doamap.bench import run_single
 from doamap.metrics import err_doa, rmse_amplitude
 from doamap.ordermap import posterior_variances
@@ -33,6 +33,7 @@ from doamap.subspace import (
     projection_stats,
     sample_covariance,
 )
+from scenarios import default_scenario
 
 
 def _report(num, ok, detail):

@@ -10,11 +10,11 @@ from doamap.arraysim import (
     ArrayScenario,
     amplitude_matrix,
     default_doas,
-    default_scenario,
     noise_variances,
     steering_matrix,
     synth_freq,
 )
+from scenarios import default_scenario
 from timedomain import complex_awgn, fft_reduce, synth_time, tone_grid
 
 # (d, k, m, n) of the benchmark's desk and paper shapes

@@ -40,9 +40,11 @@ from doamap.subspace import (
     ProjectionStats,
     eigendecompose,
     prefix_energies,
+    prefix_fit,
     projection_stats,
     sample_covariance,
 )
+from scenarios import default_scenario
 
 FAST = dict(d=16, k_true=2, m=64, n=64, k_max=5, n_runs=2,
             snr_grid_db=(20.0,), grid_step_deg=2.0)
@@ -254,8 +256,6 @@ class TestConfig:
 
 class TestRunSingle:
     def test_row_per_method(self):
-        from doamap.arraysim import default_scenario
-
         sc = default_scenario(d=16, k=2, m=64, n=64, snr_db=20.0, seed=0)
         rows = run_single(sc, k_max=5, grid_step_deg=2.0,
                           methods=("pca-map", "music-map", "dtft-map",
@@ -327,8 +327,6 @@ class TestRunSingle:
     @pytest.mark.parametrize("shape,rng_seed,want", RECORDED,
                              ids=["fast-20dB", "fast-minus10dB", "k6-kmax5"])
     def test_all_methods_match_recorded(self, shape, rng_seed, want):
-        from doamap.arraysim import default_scenario
-
         rows = run_single(default_scenario(**shape), 5, 2.0,
                           [w[0] for w in want],
                           rng=np.random.default_rng(rng_seed))
@@ -342,8 +340,6 @@ class TestRunSingle:
                         ), (method, f, got, expect)
 
     def test_known_k_uses_truth(self):
-        from doamap.arraysim import default_scenario
-
         sc = default_scenario(d=16, k=2, m=64, n=64, snr_db=20.0, seed=1)
         rows = run_single(sc, 5, 2.0, ("music-known-k", "dtft-known-k"),
                           rng=np.random.default_rng(1))
@@ -406,7 +402,7 @@ class TestRunSingle:
         # full-rank prefix K = 1 and flags K = 2; map picks K = 0, and aic
         # and known-k at K = 2 read the posterior of K = 1 and fit its one
         # peak
-        from doamap.arraysim import amplitude_matrix, default_scenario, synth_freq
+        from doamap.arraysim import amplitude_matrix, synth_freq
 
         # grid index 25 of the 2-degree grid is 50 degrees
         monkeypatch.setattr(bench, "pick_peaks",
@@ -424,12 +420,12 @@ class TestRunSingle:
         norm2_y = float(np.sum(np.abs(y) ** 2))
         for row in rows[3:]:
             angles, steer = peaks[row["method"].split("-")[0]]
-            tau = posterior_variances(projection_stats(
-                y, steer[:1].T, sc.m, norm2_y=norm2_y), sc.d).tau_mean
+            split, a0 = prefix_fit(y, steer[:1].T, sc.m, norm2_y=norm2_y)
+            assert a0.shape == (1, sc.m)
+            tau = posterior_variances(split, sc.d).tau_mean
             assert row["tau_mean"] == tau, row["method"]
             fit = bench._peak_pipeline_metrics(
-                y, angles[:1], steer[:1], tau, sc.doa_deg,
-                amplitude_matrix(sc))
+                a0, angles[:1], tau, sc.doa_deg, amplitude_matrix(sc))
             assert (row["err_doa"], row["rmse_a0"], row["rmse_a_shrunk"]) \
                 == fit, row["method"]
 
@@ -463,7 +459,6 @@ class TestRunSingle:
         # draw is test_coincident_peaks', whose scans end at K = 1
         from doamap.arraysim import (
             amplitude_matrix,
-            default_scenario,
             noise_variances,
             synth_freq,
         )
@@ -546,9 +541,11 @@ class TestBenchmarkContract:
     table and binds their arguments in count functions; a rename, removal
     or signature change in the package must fail here, not in the benchmark."""
 
-    # TRACED layers that one run_single draw does not reach
+    # TRACED layers that one run_single draw does not reach; a draw splits
+    # Y through prefix_fit, which TRACED does not list, so its time counts
+    # as run_single's own
     NOT_IN_DRAW = {"bench.write_results", "bench.write_aggregates",
-                   "bench.validate_distributions"}
+                   "bench.validate_distributions", "subspace.projection_stats"}
     METHODS = ("pca-map", "music-map", "dtft-map", "music-aic",
                "music-known-k", "dtft-known-k")
 
@@ -559,8 +556,6 @@ class TestBenchmarkContract:
             assert callable(getattr(module, fn_name, None)), (mod_name, fn_name)
 
     def test_traced_draw(self):
-        from doamap.arraysim import default_scenario
-
         tracing = _load_tracing()
         sc = default_scenario(d=16, k=2, m=64, n=64, snr_db=20.0, seed=0)
         untraced = run_single(sc, 5, 2.0, self.METHODS,
@@ -585,8 +580,6 @@ class TestBenchmarkContract:
 
     def _traced_six_method_draw(self, snr_db=20.0, rng_seed=0):
         """(tracing module, tracer, rows) of one traced FAST-shape draw."""
-        from doamap.arraysim import default_scenario
-
         tracing = _load_tracing()
         sc = default_scenario(d=16, k=2, m=64, n=64, snr_db=snr_db, seed=0)
         tracer = tracing.Tracer()
@@ -599,20 +592,27 @@ class TestBenchmarkContract:
     def _source_and_k(row):
         return row["method"].split("-", 1)[0], row["k_hat"]
 
-    def test_one_scan_per_source(self):
+    def test_one_scan_per_source(self, monkeypatch):
         # every rule reads its source's one scan, which splits only R, and
-        # Y is split once per (source, K) that a rule picks: music K = 2
-        # (map, aic and known-k pick it), dtft K = 3 (map) and K = 2
-        # (known-k).  The steering matrices are synthesis and the one set
-        # of peak rows (MUSIC's candidates and their neighbours with the
-        # DTFT peaks) that MUSIC's ranking, both scans and every amplitude
-        # fit read
+        # Y is split and fitted once per (source, K) that a rule picks:
+        # music K = 2 (map, aic and known-k pick it), dtft K = 3 (map) and
+        # K = 2 (known-k).  The steering matrices are synthesis and the one
+        # set of peak rows (MUSIC's candidates and their neighbours with
+        # the DTFT peaks) that MUSIC's ranking, both scans and every
+        # amplitude fit read
+        fits = []
+
+        def fit_spy(y, v, m, *, norm2_y, real=bench.prefix_fit):
+            fits.append(v.shape[1])
+            return real(y, v, m, norm2_y=norm2_y)
+
+        monkeypatch.setattr(bench, "prefix_fit", fit_spy)
         _tracing, tracer, rows = self._traced_six_method_draw()
         counts = tracer.counts
         scored = counts["ordermap.map_order_scan", "candidates_scored"]
         assert [row["k_hat"] for row in rows[1:]] == [2, 3, 2, 2, 2]
         assert counts["ordermap.map_order_scan", "calls"] == 2
-        assert counts["subspace.projection_stats", "calls"] == 3
+        assert fits == [2, 3, 2]
         assert scored == 12
         assert counts["arraysim.steering_matrix", "calls"] == 2
 
@@ -621,7 +621,7 @@ class TestBenchmarkContract:
         # count, so the scan gets the peaks' steering rows, P x D, highest
         # peak first.  The 30-degree grid has fewer peaks than k_max = 5,
         # where a D x P argument would count min(k_max, D) = 5 peaks.
-        from doamap.arraysim import default_scenario, steering_matrix
+        from doamap.arraysim import steering_matrix
 
         tracing = _load_tracing()
         sc = default_scenario(d=16, k=2, m=64, n=64, snr_db=20.0, seed=0)

@@ -133,6 +133,25 @@ class TestRmseAmplitude:
         got = rmse_amplitude(np.ldexp(a_est, j), d_est, np.ldexp(a_true, j), d_true)
         assert got == math.ldexp(want, 2 * j)
 
+    @pytest.mark.parametrize("p", [0, 1, 3])
+    def test_stack_matches_separate_calls(self, p):
+        # estimates that share est_doas score in one pass, each with the
+        # bits of its own call: a0 and a0 / 3 lie in different binades,
+        # a0 * 2^300 sets a scale whose squares would underflow the others'
+        # differences, and one entry of 2^-540 squares to a subnormal power
+        rng = np.random.default_rng(21)
+        a_true = rng.standard_normal((2, 5))
+        d_true, d_est = (20.0, 90.0), (15.0, 70.0, 91.0)[:p]
+        a0 = 4.0 * (rng.standard_normal((p, 5))
+                    + 1j * rng.standard_normal((p, 5)))
+        tiny = a0.copy()
+        tiny[:1, :1] = 2.0**-540
+        stack = np.stack((a0, a0 / 3.0, a0 * 2.0**300, tiny))
+        got = rmse_amplitude(stack, d_est, a_true, d_true)
+        want = [rmse_amplitude(est, d_est, a_true, d_true) for est in stack]
+        assert [type(r) for r in got] == [float] * 4
+        assert list(map(float.hex, got)) == list(map(float.hex, want))
+
     def test_integer_amplitudes(self):
         # one unit source against one unit estimate 10 degrees off, per
         # tone: a unit step over 10 degrees of 180

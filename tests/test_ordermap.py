@@ -11,7 +11,6 @@ from hypothesis import strategies as hst
 from doamap.arraysim import (
     ArrayScenario,
     amplitude_matrix,
-    default_scenario,
     noise_variances,
     steering_matrix,
     synth_freq,
@@ -33,6 +32,7 @@ from doamap.subspace import (
     projection_stats,
     sample_covariance,
 )
+from scenarios import default_scenario
 
 GRID = np.arange(0.0, 180.0, 0.5)
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as hst
 
 from doamap.arraysim import (
     amplitude_matrix,
-    default_scenario,
     spatial_frequency,
     steering_matrix,
     synth_freq,
@@ -25,9 +24,11 @@ from doamap.subspace import (
     music_pseudospectrum,
     pick_peaks,
     prefix_energies,
+    prefix_fit,
     projection_stats,
     sample_covariance,
 )
+from scenarios import default_scenario
 
 EPS = np.finfo(float).eps
 
@@ -104,6 +105,27 @@ class _MatmulCounter(np.ndarray):
 def _norm2(y):
     """|Y|^2, the energy projection_stats takes from its caller."""
     return float(np.sum(np.abs(y) ** 2))
+
+
+def _reference_split(y, v, m, norm2):
+    """Y's split on V from u^H Y, u the left singular vectors of V's own
+    thin SVD: a 1 x D row alone takes numpy's matrix-vector path, so K = 1
+    is its row in a two-row product."""
+    d, k = v.shape
+    uh = np.linalg.svd(v, full_matrices=False)[0].conj().T
+    prod = (np.vstack([uh, uh]) @ y)[:1] if k == 1 else uh @ y
+    return ProjectionStats.from_energy(float(np.sum(np.abs(prod) ** 2)),
+                                       norm2, k, d, m)
+
+
+def _fit_bound(v, y):
+    """64 eps cond(V) |Y|_F / |V|_2 = 64 eps |Y|_F / sigma_min(V), the
+    bound on |A0 - pinv(V) Y|_F.  Both read the same singular vectors
+    (pinv's of conj(V) are their conjugates) and differ by where the
+    products round: one fl(U^H Y) error of size ~eps |Y|_F is scaled by at
+    most 1 / sigma_min on its way to A0."""
+    sv = np.linalg.svd(v, compute_uv=False)
+    return 64 * EPS * np.linalg.norm(y) / sv[-1]
 
 
 def _steer(grid, d):
@@ -417,19 +439,15 @@ class TestProjectionStats:
                 v = rows.T
                 energies = prefix_energies(v, cov)
                 for k in range(1, v.shape[1] + 1):
-                    u, sv, _ = np.linalg.svd(v[:, :k], full_matrices=False)
+                    sv = np.linalg.svd(v[:, :k], compute_uv=False)
                     if sv[-1] < 1e-10 * sv[0]:
                         assert k > energies.size, k
                         continue
-                    uh = u.conj().T
-                    prod = (np.vstack([uh, uh]) @ y)[:1] if k == 1 else uh @ y
-                    s = float(np.sum(np.abs(prod) ** 2))
                     st = projection_stats(y, v[:, :k], 512,
                                           norm2_y=norm2)
-                    assert st == ProjectionStats.from_energy(
-                        s, norm2, k, 32, 512), k
+                    assert st == _reference_split(y, v[:, :k], 512, norm2), k
                     assert float(np.sum(energies[:k])) == pytest.approx(
-                        s, rel=1e-10, abs=1e-12 * norm2), k
+                        st.s, rel=1e-10, abs=1e-12 * norm2), k
                     checked += 1
             assert energies.size == 3
         assert checked == 5 * (10 + 3)
@@ -524,3 +542,54 @@ class TestProjectionStats:
             assert abs(est - true) <= 0.5
         for est, true in zip(m_ang, sorted(sc.doa_deg)):
             assert abs(est - true) <= 0.5
+
+
+class TestPrefixFit:
+    """prefix_fit's split has the bits of _reference_split, and its
+    amplitudes are pinv(V) Y to _fit_bound on every basis a draw fits: a
+    steering prefix that passes the scan's rank rule, sigma_min >= 1e-10
+    sigma_max, so pinv's 1e-15 cutoff never acts."""
+
+    def test_k0_is_pure_noise_with_no_amplitudes(self):
+        y = np.ones((4, 3), dtype=complex)
+        v = np.empty((4, 0), dtype=complex)
+        split, a0 = prefix_fit(y, v, 3, norm2_y=_norm2(y))
+        assert split == _reference_split(y, v, 3, _norm2(y))
+        assert split.s == 0.0 and split.q == 1.0
+        assert a0.shape == (0, 3)
+
+    def test_desk_prefixes(self):
+        # K = 0..10 on the MUSIC peaks of desk draws: the split has the
+        # bits of the reference, and A0 is pinv's least squares
+        checked = 0
+        for y, basis, steer in _desk_draws():
+            norm2 = _norm2(y)
+            rows = steer[pick_peaks(_oracle_music(basis, 10, steer), 10)]
+            for k in range(11):
+                v = rows[:k].T
+                split, a0 = prefix_fit(y, v, 512, norm2_y=norm2)
+                assert split == _reference_split(y, v, 512, norm2), k
+                assert a0.shape == (k, 512)
+                if k:
+                    err = np.linalg.norm(a0 - np.linalg.pinv(v) @ y)
+                    assert err <= _fit_bound(v, y), k
+                checked += 1
+        assert checked == 5 * 11
+
+    @settings(max_examples=300)
+    @given(v=_clustered_vandermonde(), m=hst.integers(1, 12),
+           seed=hst.integers(0, 2**32 - 1), in_span=hst.booleans())
+    def test_clustered_prefixes(self, v, m, seed, in_span):
+        # the full-rank prefix of a clustered basis, its condition number
+        # up to 1e10, and data in or mostly out of its span
+        full = prefix_energies(v, np.eye(v.shape[0])).size
+        v = v[:, :full]
+        rng = np.random.default_rng(seed)
+        y = rng.standard_normal((v.shape[0], m)) + 1j * rng.standard_normal(
+            (v.shape[0], m))
+        if in_span:
+            y = v @ y[:full] + 1e-3 * y
+        split, a0 = prefix_fit(y, v, m, norm2_y=_norm2(y))
+        assert split == _reference_split(y, v, m, _norm2(y))
+        err = np.linalg.norm(a0 - np.linalg.pinv(v) @ y)
+        assert err <= _fit_bound(v, y)
