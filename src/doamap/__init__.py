@@ -32,7 +32,6 @@ from .subspace import (
     music_pseudospectrum,
     pick_peaks,
     prefix_energies,
-    prefix_fit,
     projection_stats,
     sample_covariance,
 )

@@ -43,7 +43,7 @@ from .subspace import (
     music_exact,
     music_pseudospectrum,
     pick_peaks,
-    prefix_fit,
+    projection_stats,
     sample_covariance,
 )
 
@@ -298,7 +298,7 @@ def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None)
     and amplitude fits read only the peaks' steering rows.  The posterior
     (PCA's on its scan's split, reusing the log I_p of an order the scan
     scored; a spectrum's on Y's split on the prefix, whose one SVD and one
-    product with Y also give the amplitude fit, see prefix_fit) and
+    product with Y also give the amplitude fit, see projection_stats) and
     metrics run once per (source, K), shared by every method picking it; a
     K past the last full-rank prefix reads that prefix's posterior and
     fits its peaks, while the row keeps the rule's K.
@@ -352,8 +352,8 @@ def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None)
                 # Y's split, not the scan's of R, until both agree to the
                 # golden bound (ROADMAP item 2); the amplitude fit reads
                 # the same factorisation
-                split, a0 = prefix_fit(y, rows[:k].T, scenario.m,
-                                       norm2_y=norm2_y)
+                split, a0 = projection_stats(y, rows[:k].T, scenario.m,
+                                             norm2_y=norm2_y)
                 pv = posterior_variances(split, scenario.d)
                 err, r0, rs = _peak_pipeline_metrics(
                     a0, angles[:k], pv.tau_mean, scenario.doa_deg, true_amps)
@@ -399,21 +399,25 @@ def _worker_blas_env():
 
 
 def run_sweep(config: ExperimentConfig, jobs=1):
-    """Run the whole sweep; returns records in deterministic task order."""
+    """Run the whole sweep; returns records in deterministic task order.
+
+    Every sweep, jobs = 1 too, runs in spawned worker processes, at most
+    `jobs`, one per task and one per core.  Spawned workers read the
+    environment when they start, so each gets one BLAS thread.  They
+    import the caller's __main__, so a script that calls run_sweep needs
+    an `if __name__ == "__main__":` guard.  jobs < 1 is a ConfigError.
+    """
+    if jobs < 1:
+        raise ConfigError(f"jobs (--jobs) must be >= 1, got {jobs}")
     tasks = [
         (config, scenario, gi, ri)
         for gi, scenario in enumerate(config.scenarios())
         for ri in range(config.n_runs)
     ]
-    if jobs > 1:
-        # spawned workers read the environment when they start, so each
-        # gets one BLAS thread; at most one worker per task and per core
-        with _worker_blas_env(), ProcessPoolExecutor(
-                max_workers=min(jobs, len(tasks), os.cpu_count() or 1),
-                mp_context=multiprocessing.get_context("spawn")) as pool:
-            chunks = list(pool.map(_run_task, tasks, chunksize=8))
-    else:
-        chunks = [_run_task(t) for t in tasks]
+    with _worker_blas_env(), ProcessPoolExecutor(
+            max_workers=min(jobs, len(tasks), os.cpu_count() or 1),
+            mp_context=multiprocessing.get_context("spawn")) as pool:
+        chunks = list(pool.map(_run_task, tasks, chunksize=8))
     return [rec for chunk in chunks for rec in chunk]
 
 

@@ -61,8 +61,6 @@ def _build_parser():
 
 
 def _cmd_sweep(args):
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     # defaults < --paper-scale preset < --config file < flags; a
     # ConfigError here reaches main(), which exits 1 before any work
     settings = ExperimentConfig.parse_file(args.config) if args.config else {}

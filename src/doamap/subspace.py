@@ -8,7 +8,8 @@ Both order scans read their splits from R = Y Y^H as partial sums of
 energies: PCA's the eigenvalues, a spectrum scan's prefix_energies, those
 of R on one QR of the steering prefixes.  A spectrum pipeline's posterior
 at a chosen order still splits the D x M data itself, and fits its
-amplitudes on the same factorisation: prefix_fit on the prefix's basis.
+amplitudes on the same factorisation: projection_stats on the prefix's
+basis.
 
 Both spectra are quadratic forms v^H H v of a D x D Hermitian H at the
 grid steering vectors v_a = e^{i omega a}, and any such form is a
@@ -46,7 +47,6 @@ __all__ = [
     "music_exact",
     "pick_peaks",
     "prefix_energies",
-    "prefix_fit",
     "projection_stats",
 ]
 
@@ -251,7 +251,7 @@ def prefix_energies(v, cov):
     return np.sum((rows @ cov * rows.conj()).real, axis=1)
 
 
-def prefix_fit(y, v, m, *, norm2_y):
+def projection_stats(y, v, m, *, norm2_y):
     """Energy split of the D x M data Y on the column space of the
     full-rank D x K basis V, and Y's least-squares amplitudes A0 on V.
 
@@ -275,8 +275,3 @@ def prefix_fit(y, v, m, *, norm2_y):
     s = float(np.sum(np.abs(block) ** 2))
     a0 = (vt.conj().T / sv) @ block
     return ProjectionStats.from_energy(s, norm2_y, k, d, m), a0
-
-
-def projection_stats(y, v, m, *, norm2_y):
-    """The energy split of prefix_fit(y, v, m, norm2_y=norm2_y)."""
-    return prefix_fit(y, v, m, norm2_y=norm2_y)[0]

@@ -155,7 +155,7 @@ class TestCriterion4:
             v = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
             y = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
             norm2 = float(np.sum(np.abs(y) ** 2))
-            st = projection_stats(y, v, m, norm2_y=norm2)
+            st = projection_stats(y, v, m, norm2_y=norm2)[0]
             worst = max(worst, abs(st.s + st.t - norm2) / norm2)
         _report(4, worst <= 1e-8,
                 f"max relative residual {worst:.2e} over 100 instances "
@@ -172,12 +172,12 @@ class TestCriterion5:
         worst = -np.inf
         for k in (1, 3, 5):
             s_pca = projection_stats(y, basis.eigvecs[:, :k],
-                                     m, norm2_y=norm2).s
+                                     m, norm2_y=norm2)[0].s
             for _ in range(34 if k == 1 else 33):
                 g = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
                 q, _ = np.linalg.qr(g)
                 s = projection_stats(y, q, m,
-                                     norm2_y=norm2).s
+                                     norm2_y=norm2)[0].s
                 excess = (s - s_pca) / s_pca
                 worst = max(worst, excess)
         _report(5, worst <= 1e-8,

@@ -40,7 +40,6 @@ from doamap.subspace import (
     ProjectionStats,
     eigendecompose,
     prefix_energies,
-    prefix_fit,
     projection_stats,
     sample_covariance,
 )
@@ -115,7 +114,8 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"grid point \(-inf, 0\.0, 0\.0\)"):
             ExperimentConfig(snr_grid_db=(0.0, -math.inf))
 
-    def test_load_and_sweep_are_linear_in_the_grid(self, monkeypatch):
+    def test_load_and_sweep_are_linear_in_the_grid(self, monkeypatch,
+                                                   serial_pools):
         # one pass over the grid at load and one scenario per grid point in
         # the sweep, however many runs share it
         grid_calls, built = [], []
@@ -420,7 +420,7 @@ class TestRunSingle:
         norm2_y = float(np.sum(np.abs(y) ** 2))
         for row in rows[3:]:
             angles, steer = peaks[row["method"].split("-")[0]]
-            split, a0 = prefix_fit(y, steer[:1].T, sc.m, norm2_y=norm2_y)
+            split, a0 = projection_stats(y, steer[:1].T, sc.m, norm2_y=norm2_y)
             assert a0.shape == (1, sc.m)
             tau = posterior_variances(split, sc.d).tau_mean
             assert row["tau_mean"] == tau, row["method"]
@@ -494,7 +494,7 @@ class TestRunSingle:
             source = row["method"].split("-")[0]
             k = min(row["k_hat"], len(posts[source].stats) - 1)
             pv = posterior_variances(projection_stats(
-                y, peaks[source][1][:k].T, sc.m, norm2_y=norm2_y), sc.d)
+                y, peaks[source][1][:k].T, sc.m, norm2_y=norm2_y)[0], sc.d)
             assert row["tau_mean"] == pv.tau_mean, row["method"]
             assert row["rmse_sigma"] == abs(
                 math.sqrt(pv.sigma2_mean) - sigma_true), row["method"]
@@ -541,11 +541,9 @@ class TestBenchmarkContract:
     table and binds their arguments in count functions; a rename, removal
     or signature change in the package must fail here, not in the benchmark."""
 
-    # TRACED layers that one run_single draw does not reach; a draw splits
-    # Y through prefix_fit, which TRACED does not list, so its time counts
-    # as run_single's own
+    # TRACED layers that one run_single draw does not reach
     NOT_IN_DRAW = {"bench.write_results", "bench.write_aggregates",
-                   "bench.validate_distributions", "subspace.projection_stats"}
+                   "bench.validate_distributions"}
     METHODS = ("pca-map", "music-map", "dtft-map", "music-aic",
                "music-known-k", "dtft-known-k")
 
@@ -602,11 +600,11 @@ class TestBenchmarkContract:
         # amplitude fit read
         fits = []
 
-        def fit_spy(y, v, m, *, norm2_y, real=bench.prefix_fit):
+        def fit_spy(y, v, m, *, norm2_y, real=bench.projection_stats):
             fits.append(v.shape[1])
             return real(y, v, m, norm2_y=norm2_y)
 
-        monkeypatch.setattr(bench, "prefix_fit", fit_spy)
+        monkeypatch.setattr(bench, "projection_stats", fit_spy)
         _tracing, tracer, rows = self._traced_six_method_draw()
         counts = tracer.counts
         scored = counts["ordermap.map_order_scan", "candidates_scored"]
@@ -702,48 +700,38 @@ class TestBenchmarkContract:
             8 * 90 * 16**2 / 1e9)
 
 
-def _serial_pools(monkeypatch, cores):
-    """The max_workers of every pool run_sweep opens, on a host of `cores`
-    cores; each pool runs its tasks in this process, so none starts."""
-    pools = []
-
-    class SerialPool:
-        def __init__(self, max_workers, **kwargs):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cores)
-    return pools
-
-
 class TestSweep:
-    def test_pool_capped_at_task_count(self, monkeypatch):
-        # two tasks take two workers, whatever --jobs asks for
-        pools = _serial_pools(monkeypatch, cores=64)
+    def test_pool_capped_at_task_count(self, serial_pools, monkeypatch):
+        # two tasks take two workers, whatever --jobs asks for; the default
+        # jobs = 1 opens a pool of one, and every pool is opened with one
+        # BLAS thread set for its workers
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
         cfg = ExperimentConfig(**FAST, methods=("music-map",))
         serial = [r.csv_row() for r in run_sweep(cfg)]
         assert [r.csv_row() for r in run_sweep(cfg, jobs=64)] == serial
-        assert pools == [2]
+        assert serial_pools.workers == [1, 2]
+        assert serial_pools.blas_pinned == [True, True]
 
-    def test_pool_capped_at_core_count(self, monkeypatch):
+    def test_pool_capped_at_core_count(self, serial_pools, monkeypatch):
         # four tasks on three cores take three workers, whatever --jobs
         # asks for
-        pools = _serial_pools(monkeypatch, cores=3)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         cfg = ExperimentConfig(**{**FAST, "n_runs": 4}, methods=("music-map",))
         serial = [r.csv_row() for r in run_sweep(cfg)]
         assert [r.csv_row() for r in run_sweep(cfg, jobs=10**6)] == serial
-        assert pools == [3]
+        assert serial_pools.workers == [1, 3]
 
-    def test_record_count_and_order(self):
+    def test_zero_jobs_is_a_config_error(self, monkeypatch):
+        # raised before any task is built
+        def no_scenarios(self):
+            raise AssertionError("tasks built for jobs = 0")
+
+        cfg = ExperimentConfig(**FAST)
+        monkeypatch.setattr(ExperimentConfig, "scenarios", no_scenarios)
+        with pytest.raises(ConfigError, match="jobs"):
+            run_sweep(cfg, jobs=0)
+
+    def test_record_count_and_order(self, serial_pools):
         cfg = ExperimentConfig(**FAST, methods=("music-map", "dtft-map"))
         records = run_sweep(cfg)
         assert len(records) == 2 * 2  # runs x methods, one grid point
@@ -776,14 +764,14 @@ class TestSweep:
                          "--jobs", "2", "--out", str(tmp_path / "r.csv")]) == 0
         assert dict(os.environ) == before
 
-    def test_seed_changes_data(self):
+    def test_seed_changes_data(self, serial_pools):
         cfg = ExperimentConfig(**FAST, methods=("music-map",))
         base = run_sweep(cfg)
         other = run_sweep(ExperimentConfig(**FAST, methods=("music-map",),
                                            master_seed=99))
         assert any(a.rmse_a0 != b.rmse_a0 for a, b in zip(base, other))
 
-    def test_csv_round_trip(self, tmp_path):
+    def test_csv_round_trip(self, tmp_path, serial_pools):
         cfg = ExperimentConfig(**FAST)
         records = run_sweep(cfg)
         path = tmp_path / "out.csv"
@@ -970,7 +958,7 @@ class TestImportCost:
 
 
 class TestCli:
-    def test_sweep_writes_outputs(self, tmp_path, capsys):
+    def test_sweep_writes_outputs(self, tmp_path, capsys, serial_pools):
         cfg_file = tmp_path / "fast.cfg"
         cfg_file.write_text(
             "d = 16\nk_true = 2\nm = 64\nn = 64\nk_max = 5\n"
@@ -1124,10 +1112,12 @@ class TestCli:
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_sweep_bad_jobs_exit_code(self, jobs, tmp_path, capsys, monkeypatch):
-        def no_sweep(*args, **kwargs):
-            raise AssertionError("run_sweep called with a bad --jobs")
+        # run_sweep rejects it before any pool opens or output is written
+        def no_pool(*args, **kwargs):
+            raise AssertionError("pool opened for a bad --jobs")
 
-        monkeypatch.setattr("doamap.cli.run_sweep", no_sweep)
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", no_pool)
         assert cli_main(["sweep", "--runs", "1", "--jobs", jobs,
                          "--out", str(tmp_path / "res.csv")]) == 1
         assert "--jobs" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

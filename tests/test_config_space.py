@@ -18,6 +18,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +30,7 @@ from doamap.bench import (
     ExperimentConfig,
     run_single,
 )
+from conftest import patch_serial_pools
 
 DEFAULT_METHODS = ExperimentConfig().methods
 # the RunRecord fields PCA leaves NaN: eigenvector bases carry no DOAs
@@ -132,7 +134,11 @@ def test_sweep_on_a_written_config_exits_clean_or_config_error(fields):
         expected = cli.EXIT_OK
     except ConfigError:
         expected = cli.EXIT_CONFIG
-    with tempfile.TemporaryDirectory() as tmp:
+    # the pools run in this process: the property is about exit codes, and
+    # hypothesis takes no function-scoped fixture
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as mp:
+        patch_serial_pools(mp)
         path = Path(tmp) / "sweep.cfg"
         path.write_text(_config_text(fields))
         status = cli.main(["sweep", "--config", str(path), "--runs", "1",

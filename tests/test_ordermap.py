@@ -127,7 +127,7 @@ class TestPosteriorVariances:
             scan = map_order_scan(*_data(y, rows, 10, sc.m))
             # a spectrum posterior splits Y on the prefix, with no log I_p
             y_splits = [(projection_stats(y, rows[:k].T, sc.m,
-                                          norm2_y=_norm2(y)), math.nan)
+                                          norm2_y=_norm2(y))[0], math.nan)
                         for k in range(len(scan.log_scores))]
             for post, splits, reuses in (
                     (pca, list(zip(pca.stats, pca.log_ip)), True),
@@ -153,7 +153,7 @@ class TestPosteriorVariances:
         sc = default_scenario(d=32, k=3, m=512, n=512, snr_db=10.0, seed=77)
         y = synth_freq(sc)
         v = steering_matrix(sc.doa_deg, sc.d)
-        st = projection_stats(y, v, sc.m, norm2_y=_norm2(y))
+        st = projection_stats(y, v, sc.m, norm2_y=_norm2(y))[0]
         pv = posterior_variances(st, sc.d)
         assert pv.sigma2_mean == pytest.approx(
             noise_variances(sc, amplitude_matrix(sc)), rel=0.05)
@@ -289,7 +289,7 @@ class TestMapOrderScan:
                 assert math.isfinite(post.log_score_bounds[1])
                 assert post.log_scores[1] <= post.log_score_bounds[1]
                 for st in (post.stats[1], projection_stats(
-                        y, row[:, None], m, norm2_y=_norm2(y))):
+                        y, row[:, None], m, norm2_y=_norm2(y))[0]):
                     assert 0.0 < st.q < 1.0
                     pv = posterior_variances(st, d)
                     assert math.isfinite(pv.ra_mean) and 0.0 < pv.tau_mean
@@ -305,8 +305,8 @@ class TestMapOrderScan:
             v = steering_matrix(angles[:k], sc.d)
             assert post.stats[k] == _r_splits(args[0], v.T, 5, sc.m,
                                               _norm2(y))[k]
-            assert projection_stats(y, rows[:k].T, sc.m, norm2_y=_norm2(y)) \
-                == projection_stats(y, v, sc.m, norm2_y=_norm2(y))
+            split = projection_stats(y, rows[:k].T, sc.m, norm2_y=_norm2(y))[0]
+            assert split == projection_stats(y, v, sc.m, norm2_y=_norm2(y))[0]
 
 
 def _pca_prior(d):
@@ -505,7 +505,7 @@ def _check_against_full_scan(y, rows, k_max, m):
                 assert r_scan.log_ip[k] == full[k][1], k
     assert list(post.stats) == splits
     # (b) the Y-side MAP order wherever its margin is clear
-    y_splits = [projection_stats(y, v[:, :k], m, norm2_y=_norm2(y))
+    y_splits = [projection_stats(y, v[:, :k], m, norm2_y=_norm2(y))[0]
                 for k in range(len(splits))]
     y_scores = sorted(
         ((0.0 if st.alpha == 0 else log_q_sum(st.alpha, st.beta, st.q)[0])
@@ -562,7 +562,7 @@ class TestShrinkage:
                                   seed=seed)
             y = synth_freq(sc)
             v = steering_matrix(sc.doa_deg, sc.d)
-            st = projection_stats(y, v, sc.m, norm2_y=_norm2(y))
+            st = projection_stats(y, v, sc.m, norm2_y=_norm2(y))[0]
             pv = posterior_variances(st, sc.d)
             a0, *_ = np.linalg.lstsq(v, y, rcond=None)
             truth = amplitude_matrix(sc)

@@ -103,7 +103,7 @@ def _fits(gi, ri):
     y, _cov, norm2_y, _basis, peaks = _draw(gi, ri)
     return {(source, k): (post.stats[k] if source == "pca"
                           else projection_stats(y, peaks[source][:k].T,
-                                                CONFIG.m, norm2_y=norm2_y))
+                                                CONFIG.m, norm2_y=norm2_y)[0])
             for source, post in _posteriors(gi, ri).items()
             for k in (post.k_map, 3) if k > 0}
 

@@ -24,7 +24,6 @@ from doamap.subspace import (
     music_pseudospectrum,
     pick_peaks,
     prefix_energies,
-    prefix_fit,
     projection_stats,
     sample_covariance,
 )
@@ -343,7 +342,7 @@ class TestProjectionStats:
     def test_k0_convention(self):
         y = np.ones((4, 3), dtype=complex)
         st = projection_stats(y, np.empty((4, 0), dtype=complex), 3,
-                              norm2_y=_norm2(y))
+                              norm2_y=_norm2(y))[0]
         assert st.s == 0.0 and st.t == pytest.approx(12.0)
         assert st.alpha == 0 and st.beta == 12
         assert st.q == 1.0
@@ -354,7 +353,7 @@ class TestProjectionStats:
         a = rng.standard_normal((2, 10)) + 1j * rng.standard_normal((2, 10))
         y = v @ a
         norm2 = _norm2(y)
-        st = projection_stats(y, v, 10, norm2_y=norm2)
+        st = projection_stats(y, v, 10, norm2_y=norm2)[0]
         assert st.t == pytest.approx(1e-12 * norm2)
         assert st.s == pytest.approx(norm2, rel=1e-10)
 
@@ -368,7 +367,7 @@ class TestProjectionStats:
             v = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
             y = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
             norm2 = _norm2(y)
-            st = projection_stats(y, v, m, norm2_y=norm2)
+            st = projection_stats(y, v, m, norm2_y=norm2)[0]
             assert abs(st.s + st.t - norm2) <= 1e-8 * norm2
             assert st.alpha == k * m and st.beta == (d - k) * m
 
@@ -376,7 +375,7 @@ class TestProjectionStats:
         rng = np.random.default_rng(6)
         v = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
         y = rng.standard_normal((7, 9)) + 1j * rng.standard_normal((7, 9))
-        st = projection_stats(y, v, 9, norm2_y=_norm2(y))
+        st = projection_stats(y, v, 9, norm2_y=_norm2(y))[0]
         a0, *_ = np.linalg.lstsq(v, y, rcond=None)
         resid = float(np.sum(np.abs(y - v @ a0) ** 2))
         fit = float(np.sum(np.abs(v @ a0) ** 2))
@@ -388,7 +387,7 @@ class TestProjectionStats:
         rng = np.random.default_rng(7)
         v = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
         y = rng.standard_normal((6, 8)) + 1j * rng.standard_normal((6, 8))
-        st = projection_stats(y, v, 8, norm2_y=_norm2(y))
+        st = projection_stats(y, v, 8, norm2_y=_norm2(y))[0]
         p = v @ np.linalg.solve(v.conj().T @ v, v.conj().T)
         expect = float(np.real(np.trace(p @ (y @ y.conj().T))))
         assert st.s == pytest.approx(expect, rel=1e-10)
@@ -402,11 +401,11 @@ class TestProjectionStats:
         norm2 = _norm2(y)
         for k in (1, 2, 4):
             s_pca = projection_stats(y, basis.eigvecs[:, :k],
-                                     40, norm2_y=norm2).s
+                                     40, norm2_y=norm2)[0].s
             for _ in range(50):
                 w = _random_unitary_columns(rng, 8, k)
                 s = projection_stats(y, w, 40,
-                                     norm2_y=norm2).s
+                                     norm2_y=norm2)[0].s
                 assert s <= s_pca + 1e-8 * s_pca
             # and it equals the sum of the top-k eigenvalues
             assert s_pca == pytest.approx(float(np.sum(basis.eigvals[:k])),
@@ -421,7 +420,7 @@ class TestProjectionStats:
         y = np.ones((5, 4), dtype=complex)
         (e,) = prefix_energies(v, sample_covariance(y))
         assert e == pytest.approx(20.0)
-        st = projection_stats(y, v[:, :1], 4, norm2_y=_norm2(y))
+        st = projection_stats(y, v[:, :1], 4, norm2_y=_norm2(y))[0]
         assert st.s == pytest.approx(20.0)
 
     def test_prefixes_match_single_basis_products(self):
@@ -444,7 +443,7 @@ class TestProjectionStats:
                         assert k > energies.size, k
                         continue
                     st = projection_stats(y, v[:, :k], 512,
-                                          norm2_y=norm2)
+                                          norm2_y=norm2)[0]
                     assert st == _reference_split(y, v[:, :k], 512, norm2), k
                     assert float(np.sum(energies[:k])) == pytest.approx(
                         st.s, rel=1e-10, abs=1e-12 * norm2), k
@@ -461,8 +460,8 @@ class TestProjectionStats:
         counted = y.view(_MatmulCounter)
         for k in (3, 1):
             assert projection_stats(counted, rows[:k].T, 512,
-                                    norm2_y=_norm2(y)) == projection_stats(
-                y, rows[:k].T, 512, norm2_y=_norm2(y))
+                                    norm2_y=_norm2(y))[0] == projection_stats(
+                y, rows[:k].T, 512, norm2_y=_norm2(y))[0]
         assert (counted.matmuls, counted.rows) == (2, 3 + 2)
 
     def test_one_svd_per_prefix_per_scan(self, monkeypatch):
@@ -545,7 +544,7 @@ class TestProjectionStats:
 
 
 class TestPrefixFit:
-    """prefix_fit's split has the bits of _reference_split, and its
+    """projection_stats's split has the bits of _reference_split, and its
     amplitudes are pinv(V) Y to _fit_bound on every basis a draw fits: a
     steering prefix that passes the scan's rank rule, sigma_min >= 1e-10
     sigma_max, so pinv's 1e-15 cutoff never acts."""
@@ -553,7 +552,7 @@ class TestPrefixFit:
     def test_k0_is_pure_noise_with_no_amplitudes(self):
         y = np.ones((4, 3), dtype=complex)
         v = np.empty((4, 0), dtype=complex)
-        split, a0 = prefix_fit(y, v, 3, norm2_y=_norm2(y))
+        split, a0 = projection_stats(y, v, 3, norm2_y=_norm2(y))
         assert split == _reference_split(y, v, 3, _norm2(y))
         assert split.s == 0.0 and split.q == 1.0
         assert a0.shape == (0, 3)
@@ -567,7 +566,7 @@ class TestPrefixFit:
             rows = steer[pick_peaks(_oracle_music(basis, 10, steer), 10)]
             for k in range(11):
                 v = rows[:k].T
-                split, a0 = prefix_fit(y, v, 512, norm2_y=norm2)
+                split, a0 = projection_stats(y, v, 512, norm2_y=norm2)
                 assert split == _reference_split(y, v, 512, norm2), k
                 assert a0.shape == (k, 512)
                 if k:
@@ -589,7 +588,7 @@ class TestPrefixFit:
             (v.shape[0], m))
         if in_span:
             y = v @ y[:full] + 1e-3 * y
-        split, a0 = prefix_fit(y, v, m, norm2_y=_norm2(y))
+        split, a0 = projection_stats(y, v, m, norm2_y=_norm2(y))
         assert split == _reference_split(y, v, m, _norm2(y))
         err = np.linalg.norm(a0 - np.linalg.pinv(v) @ y)
         assert err <= _fit_bound(v, y)
