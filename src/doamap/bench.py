@@ -344,7 +344,7 @@ def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None)
         key = (source, k)
         if key not in fits:
             if source == "pca":
-                pv = posterior_variances(post.stats[k], scenario.d,
+                pv = posterior_variances(post.split(k), scenario.d,
                                          post.log_ip[k])
                 err = r0 = rs = math.nan  # eigenvector bases carry no DOAs
             else:

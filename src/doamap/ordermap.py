@@ -19,20 +19,22 @@ each read from the covariance R = Y Y^H as a partial sum of energies:
 PCA's eigenvalues, and a spectrum scan's energies of R on one QR of its
 steering prefixes (subspace.prefix_energies), up to P', the last prefix
 before the first rank-deficient one (coincident peaks).  No scan reads the
-D x M data.  OrderPosterior.stats holds the splits a scan scored, and
-log_ip the log I_p it computed on each; PCA's posterior at a chosen order
-reads both.
+D x M data.  A scan clamps every split in one pass (subspace.clamp_split)
+into the arrays OrderPosterior.s and t; split(K) builds order K's
+ProjectionStats when a rule reads it.  Bounds and scores stay scalar, so
+score <= U_K rests on math.log alone; PCA's posterior reuses log_ip.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .specfun import DominancePair, _log_q_from, double_moment, log_q_sum
-from .subspace import EigenBasis, ProjectionStats, prefix_energies
+from .specfun import _log_q_from, log_q_sum, log_reg_inc_beta
+from .subspace import EigenBasis, ProjectionStats, clamp_split, prefix_energies
 
 __all__ = [
     "OrderPosterior",
@@ -60,10 +62,10 @@ class OrderPosterior:
     for an order it pruned; log_score_bounds[K] is every order's exact
     closed form U_K, bit for bit, >= log_scores[K], so a pruned order lost
     to the MAP order by at least log_scores[k_map] - log_score_bounds[K].
-    stats[K] is the split of R the scan scored at order K, indexed as
-    log_scores, and log_ip[K] the log I_p(alpha, beta) it computed there,
-    NaN where it computed none (a pruned order, K = 0), so
-    posterior_variances(stats[K], D, log_ip[K]) is order K's posterior on
+    s[K] and t[K] are the clamped split of R the scan scored at order K,
+    indexed as log_scores, and log_ip[K] the log I_p(alpha, beta) it
+    computed there, NaN where it computed none (a pruned order, K = 0), so
+    posterior_variances(split(K), D, log_ip[K]) is order K's posterior on
     that split.  A spectrum scan ends at its last full-rank prefix P' and
     lists the orders P' + 1..min(K_max, P) in rank_deficient_k.
     """
@@ -72,95 +74,94 @@ class OrderPosterior:
     log_score_bounds: np.ndarray    # closed-form upper bound on each score
     log_ip: np.ndarray              # log I_p(alpha, beta) of each scored order
     k_map: int
-    stats: tuple                    # the ProjectionStats of each order
+    s: np.ndarray                   # captured energy of each order, clamped
+    t: np.ndarray                   # residual energy of each order, clamped
+    d: int                          # sensors, so order K has beta = (D-K)*M
+    m: int                          # snapshots, so order K has alpha = K*M
     rank_deficient_k: tuple = ()
+
+    def split(self, k) -> ProjectionStats:
+        """Order k's split, ProjectionStats.from_energy's bit for bit."""
+        return ProjectionStats(s=float(self.s[k]), t=float(self.t[k]),
+                               alpha=k * self.m, beta=(self.d - k) * self.m)
+
+    @property
+    def stats(self):  # every order's split, built on each read
+        return tuple(map(self.split, range(len(self.s))))
+
+
+def _log_stiefel_volumes(d, k_max):
+    """log_stiefel_volume(d, K), K = 0..k_max: one running sum of the log
+    factors of prod_{i=D-K+1}^{D} 2 (pi D)^i / (Gamma(i) sqrt(D)), i = D down."""
+    log_r2 = 2.0 * math.log(math.sqrt(d))
+    return list(accumulate((
+        math.log(2.0) + i * (math.log(math.pi) + log_r2)
+        - math.lgamma(i) - 0.5 * log_r2 for i in range(d, d - k_max, -1)),
+        initial=0.0))
 
 
 def log_stiefel_volume(d, k):
-    """log volume of {V in C^(D x K): V^H V = D I}, columns of norm sqrt(D)."""
+    """log volume of {V in C^(D x K): V^H V = D I}, the priors' running sum."""
     if not 0 <= k <= d:
         raise ValueError(f"need 0 <= K <= D, got K={k}, D={d}")
-    log_r2 = 2.0 * math.log(math.sqrt(d))
-    return float(
-        sum(
-            math.log(2.0) + i * (math.log(math.pi) + log_r2)
-            - math.lgamma(i) - 0.5 * log_r2
-            for i in range(d - k + 1, d + 1)
-        )
-    )
+    return _log_stiefel_volumes(d, k)[k]
 
 
 def posterior_variances(stats: ProjectionStats, d, log_ip=math.nan):
     """Posterior mean variances and the noise-to-signal percentage at one order.
 
     The exact means are the first moments of the inverse-gamma pair
-    X = D*ra, Y = sigma2 conditioned on X >= Y, so they need alpha > 1 and
-    beta > 1.  K = 0 (alpha = 0) is the convention sigma^2 ~
-    inverse-gamma(DM, |Y|^2), tau = 1, no signal variance (nan).  log_ip is
-    the order's log I_p(alpha, beta) when its scan scored it
-    (OrderPosterior.log_ip); NaN, a pruned or unscanned order, computes it
-    with one kernel call.
+    X = D*ra, Y = sigma2 conditioned on X >= Y, in double_moment's order:
+    D*ra = s/(alpha-1) I_p(alpha-1, beta)/I_p and sigma2 = t/(beta-1)
+    I_p(alpha, beta-1)/I_p, so they need alpha, beta > 1 and finite
+    positive s, t.  K = 0 (alpha = 0) is the convention sigma^2 ~
+    inverse-gamma(DM, |Y|^2), tau = 1, ra nan.  log_ip = log I_p(alpha,
+    beta) where the scan scored the order; NaN computes it.
     """
-    if stats.alpha == 0:
-        sigma2 = stats.t / (stats.beta - 1)
-        return PosteriorVariances(ra_mean=math.nan, sigma2_mean=sigma2,
-                                  tau_mean=1.0)
-    pair = DominancePair(stats.alpha, stats.beta, stats.s, stats.t, log_ip)
-    ra = double_moment(pair, 1, "invgamma", "x") / d
-    sigma2 = double_moment(pair, 1, "invgamma", "y")
-    return PosteriorVariances(ra_mean=ra, sigma2_mean=sigma2,
-                              tau_mean=sigma2 / d / ra)
+    a, b, s, t = stats.alpha, stats.beta, stats.s, stats.t
+    if a == 0:
+        return PosteriorVariances(math.nan, t / (b - 1), 1.0)
+    if not (a > 1 and b > 1 and 0 < s < math.inf and 0 < t < math.inf):
+        raise ValueError(f"posterior means need alpha, beta > 1 and finite "
+                         f"positive s, t; got {stats}")
+    p = 1.0 - stats.q
+    if math.isnan(log_ip):
+        log_ip = log_reg_inc_beta(p, a, b)
+    ra = s / (a - 1) * math.exp(log_reg_inc_beta(p, a - 1, b) - log_ip) / d
+    sigma2 = t / (b - 1) * math.exp(log_reg_inc_beta(p, a, b - 1) - log_ip)
+    return PosteriorVariances(ra, sigma2, sigma2 / d / ra)
 
 
-def _exact_bound(st: ProjectionStats, prior):
-    """Order K >= 1's exact score bound U_K + prior: the closed form on
-    log I_p = 0.0, >= the score bit for bit."""
-    return _log_q_from(0.0, st.alpha, st.beta, st.q) + prior
+def _map_order(energies, norm2_y, d, m, priors, rank_deficient_k=()):
+    """MAP order over log Q(alpha, beta, q) + priors[K] on the splits of
+    |Y|^2 = norm2_y when order K captures the partial sum of energies[:K].
 
-
-def _branch_and_bound(stats, priors, rank_deficient_k=()):
-    """MAP order over log Q(alpha, beta, q) + priors[K] on the splits
-    stats[K].
-
-    Order 0 is the empty subspace (log Q = 0), whose bound 0.0 + priors[0]
-    is its score, with no kernel call; every order K >= 1 is bounded by its
-    exact U_K.  The orders are scored by log_q_sum in descending bound
-    order (ties to smaller K) until a bound falls below the best score so
-    far, k_map's (a tie to the smaller K).  An unscored order scores at
-    most its bound, below that best, so k_map is the exact scores' argmax.
+    Order 0 (log Q = 0) scores its bound 0.0 + priors[0]; order K >= 1 is
+    bounded by U_K, the closed form on log I_p = 0.0.  log_q_sum scores the
+    orders in descending bound order (ties to smaller K) until a bound falls
+    below the best score so far, k_map's (a tie to the smaller K), so k_map
+    is the exact scores' argmax.
     """
-    bounds = np.array([0.0 + priors[0], *(
-        _exact_bound(st, prior) for st, prior in zip(stats[1:], priors[1:]))])
-    n = len(bounds)
-    log_scores = np.full(n, math.nan)
-    log_ip = np.full(n, math.nan)
+    n = len(energies) + 1
+    s, t = clamp_split(np.concatenate(([0.0], np.cumsum(energies))), norm2_y,
+                       np.arange(n))
+    q = (t / (s + t)).tolist()
+    bounds = [0.0 + priors[0]] + [
+        _log_q_from(0.0, k * m, (d - k) * m, q[k]) + priors[k]
+        for k in range(1, n)]
+    log_scores, log_ip = np.full((2, n), math.nan)
     log_scores[0] = bounds[0]
     best, k_map = -math.inf, 0
     for k in sorted(range(n), key=lambda k: (-bounds[k], k)):
         if bounds[k] < best:
             break
         if k:
-            st = stats[k]
-            log_q, log_ip[k] = log_q_sum(st.alpha, st.beta, st.q)
+            log_q, log_ip[k] = log_q_sum(k * m, (d - k) * m, q[k])
             log_scores[k] = log_q + priors[k]
         if log_scores[k] > best or log_scores[k] == best and k < k_map:
             best, k_map = log_scores[k], k
-    return OrderPosterior(
-        log_scores=log_scores,
-        log_score_bounds=bounds,
-        log_ip=log_ip,
-        k_map=k_map,
-        stats=tuple(stats),
-        rank_deficient_k=rank_deficient_k,
-    )
-
-
-def _energy_stats(energies, norm2_y, d, m):
-    """The splits of orders K = 0..len(energies) when order K captures the
-    partial sum of energies[:K] of |Y|^2."""
-    s = np.concatenate(([0.0], np.cumsum(energies)))
-    return [ProjectionStats.from_energy(float(s[k]), norm2_y, k, d, m)
-            for k in range(len(s))]
+    return OrderPosterior(log_scores, np.array(bounds), log_ip, k_map,
+                          s, t, d, m, rank_deficient_k)
 
 
 def map_order_pca(basis: EigenBasis, norm2_y, k_max, m):
@@ -172,9 +173,8 @@ def map_order_pca(basis: EigenBasis, norm2_y, k_max, m):
     d = basis.eigvecs.shape[0]
     if k_max >= d:
         raise ValueError(f"K_max must be < D, got K_max={k_max}, D={d}")
-    stats = _energy_stats(basis.eigvals[:k_max], norm2_y, d, m)
-    priors = [-log_stiefel_volume(d, k) for k in range(k_max + 1)]
-    return _branch_and_bound(stats, priors)
+    priors = [-v for v in _log_stiefel_volumes(d, k_max)]
+    return _map_order(basis.eigvals[:k_max], norm2_y, d, m, priors)
 
 
 def map_order_scan(cov, steer_rows, k_max, m, norm2_y):
@@ -190,10 +190,11 @@ def map_order_scan(cov, steer_rows, k_max, m, norm2_y):
     rank_deficient_k.
     """
     v = steer_rows[:k_max].T
-    stats = _energy_stats(prefix_energies(v, cov), norm2_y, v.shape[0], m)
-    priors = [-k * math.log(2.0 * math.pi) for k in range(len(stats))]
-    return _branch_and_bound(stats, priors, tuple(
-        range(len(stats), v.shape[1] + 1)))
+    energies = prefix_energies(v, cov)
+    n = len(energies) + 1
+    priors = [-k * math.log(2.0 * math.pi) for k in range(n)]
+    return _map_order(energies, norm2_y, v.shape[0], m, priors,
+                      tuple(range(n, v.shape[1] + 1)))
 
 
 def aic_order(eigvals, m, k_max):

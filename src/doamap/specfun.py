@@ -11,8 +11,7 @@ counts (hundreds of thousands) never overflow.
 (`log_q_sum`), the conditional density `double_pdf` and every moment
 `double_moment` of a `DominancePair` are closed forms around it; both take
 the same (family, which) selector of the gamma or inverse-gamma pair and
-its variate X or Y.  A pair computes its normaliser log I_p once,
-or takes the one `log_q_sum` computed for the same degrees and q.
+its variate X or Y.  A pair computes its normaliser log I_p once.
 
 `log_reg_inc_beta` reads log Gamma(j) from a grow-only module table instead
 of calling `gammaln` per term, and sums the terms with a log-sum-exp
@@ -28,8 +27,8 @@ holds about an eighth of the terms.
 
 `log_reg_inc_beta` runs one path for scalar and array p: a scalar is the
 one-row case of an array, with the same terms, window and pairwise sum,
-so it carries the same bits as that row.  log p and log(1 - p) are taken
-once per call, for both the grid and the window.  When every p is
+so it carries the same bits as that row.  n log p and log(1 - p) are
+taken once per call, for both the grid and the window.  When every p is
 interior, 0 < p < 1, every term is finite and the path raises no
 floating-point warning, so it enters no `np.errstate` and needs no
 fix-up.  Only a call with some p exactly 0 or 1 takes log(0) and
@@ -82,9 +81,7 @@ class DominancePair:
 
     alpha/beta are the integer signal/noise degrees, s_x/s_y the rates.
     q is stored as s_y/(s_x+s_y) and p as 1-q so that p + q == 1 exactly;
-    log_ip = log I_p(alpha, beta) is the log normaliser Pr[X <= Y].  A
-    caller that already has log I_p at this p and these degrees (the
-    order score log_q_sum hands it back) passes it; NaN computes it.
+    log_ip = log I_p(alpha, beta) is the log normaliser Pr[X <= Y].
     """
 
     alpha: int
@@ -93,7 +90,7 @@ class DominancePair:
     s_y: float
     p: float = field(init=False)
     q: float = field(init=False)
-    log_ip: float = math.nan
+    log_ip: float = field(init=False)
 
     def __post_init__(self):
         if int(self.alpha) != self.alpha or self.alpha < 1:
@@ -107,9 +104,8 @@ class DominancePair:
         q = self.s_y / (self.s_x + self.s_y)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", 1.0 - q)
-        if math.isnan(self.log_ip):
-            object.__setattr__(self, "log_ip",
-                               log_reg_inc_beta(self.p, self.alpha, self.beta))
+        object.__setattr__(self, "log_ip",
+                           log_reg_inc_beta(self.p, self.alpha, self.beta))
 
 
 def _log_gamma_table(top):
@@ -126,10 +122,10 @@ def _log_gamma_table(top):
     return _LOG_GAMMA
 
 
-def _log_terms(log_p, log_q, n, i):
+def _log_terms(n_log_p, log_q, n, i):
     """log C(n+i-1, i) p^n (1-p)^i for the indices of range i, one row per p.
 
-    log_p and log_q are the column vectors log p and log(1 - p) of the
+    n_log_p and log_q are the column vectors n log p and log(1 - p) of the
     rows.  The log binomial coefficient is gammaln(n+i) - gammaln(i+1) -
     gammaln(n) read from the module's log-gamma table.  Every index gets
     the same operands in the same order, whichever range asks for it, so a
@@ -142,12 +138,12 @@ def _log_terms(log_p, log_q, n, i):
     t = (log_gamma[n + i.start:n + i.stop:i.step]
          - log_gamma[1 + i.start:1 + i.stop:i.step])
     t -= log_gamma[n]
-    t = t + n * log_p
+    t = t + n_log_p
     t += np.arange(i.start, i.stop, i.step, dtype=float) * log_q
     return t
 
 
-def _term_window(log_p, log_q, n, m):
+def _term_window(n_log_p, log_q, n, m):
     """[lo, hi): the indices of log_reg_inc_beta's sum within _MARGIN of the max.
 
     Each row of terms is the log of a negative-binomial pmf in i, a concave
@@ -163,7 +159,7 @@ def _term_window(log_p, log_q, n, m):
     stride = -(-m // _GRID)
     if stride == 1:
         return 0, m
-    grid = _log_terms(log_p, log_q, n, range(0, m, stride))
+    grid = _log_terms(n_log_p, log_q, n, range(0, m, stride))
     near = grid >= grid.max(axis=1, keepdims=True) - _MARGIN
     kept = np.flatnonzero(near.any(axis=0))
     if not kept.size:
@@ -175,9 +171,9 @@ def _term_window(log_p, log_q, n, m):
 def _log_sum_window(rows, n, m):
     """log I_p(n, m) of each row of the column vector p, clamped to <= 0,
     and each row's max log-term, from the terms in `_term_window`."""
-    log_p, log_q = np.log(rows), np.log1p(-rows)
-    lo, hi = _term_window(log_p, log_q, n, m)
-    t = _log_terms(log_p, log_q, n, range(lo, hi))
+    n_log_p, log_q = n * np.log(rows), np.log1p(-rows)
+    lo, hi = _term_window(n_log_p, log_q, n, m)
+    t = _log_terms(n_log_p, log_q, n, range(lo, hi))
     t_max = t.max(axis=1)
     t -= t_max[:, None]
     np.exp(t, out=t)
@@ -200,7 +196,7 @@ def log_reg_inc_beta(p, n, m):
     if int(n) != n or n < 1 or int(m) != m or m < 1:
         raise ValueError(f"shapes must be positive integers, got n={n}, m={m}")
     p_arr = np.asarray(p, dtype=float)
-    p_min, p_max = p_arr.min(), p_arr.max()
+    p_min, p_max = (p_arr.min(), p_arr.max()) if p_arr.ndim else (p_arr[()],) * 2
     if not (p_min >= 0 and p_max <= 1):  # False for NaN
         raise ValueError("p must lie in [0, 1]")
     n, m = int(n), int(m)
@@ -238,9 +234,8 @@ def log_q_sum(alpha, beta, q):
     evaluated through the second (cross) form as
     log I_p - alpha log p - beta log q + log B(alpha,beta): one kernel call.
     Both degrees must be positive, as in a `DominancePair`; the empty
-    subspace (alpha = 0) is scored by the order scan itself.  log I_p is
-    that of a `DominancePair` with these degrees and q, so the posterior
-    moments at a scored order need no second kernel call for it.
+    subspace (alpha = 0) is scored by the order scan itself.  The posterior
+    at a scored order reuses the log I_p handed back.
 
     The computed log I_p is at most 0.0, so `_log_q_from(0.0, ...)`, the
     same arithmetic without the kernel, bounds the result from above bit

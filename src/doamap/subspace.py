@@ -86,18 +86,22 @@ class ProjectionStats:
 
     @classmethod
     def from_energy(cls, s, norm2_y, k, d, m):
-        """Split of |Y|^2 when a rank-k basis captures energy s.
+        """Split of |Y|^2 when a rank-k basis captures energy s."""
+        s, t = clamp_split(s, norm2_y, k)
+        return cls(s=float(s), t=float(t), alpha=k * m, beta=(d - k) * m)
 
-        Both parts are floored at T_CLAMP_REL |Y|^2, s only for k >= 1,
-        so q lies in (0, 1) at every order K >= 1, noiseless or not.
-        All-zero data (|Y|^2 = 0) has no split and is rejected."""
-        if not norm2_y > 0:
-            raise ValueError(f"data energy |Y|^2 must be positive, got {norm2_y}"
-                             " (all-zero data has no energy split)")
-        if k:
-            s = max(s, T_CLAMP_REL * norm2_y)
-        t = max(norm2_y - s, T_CLAMP_REL * norm2_y)
-        return cls(s=s, t=t, alpha=k * m, beta=(d - k) * m)
+
+def clamp_split(s, norm2_y, k):
+    """(s, t) of |Y|^2 = norm2_y when a rank-k basis captures energy s,
+    elementwise over arrays s and k.  Both parts are floored at T_CLAMP_REL
+    |Y|^2, s only for k >= 1, so q = t/(s+t) lies in (0, 1) at every order
+    K >= 1, noiseless or not.  All-zero data (|Y|^2 = 0) is rejected."""
+    if not norm2_y > 0:
+        raise ValueError(f"data energy |Y|^2 must be positive, got {norm2_y}"
+                         " (all-zero data has no energy split)")
+    floor = T_CLAMP_REL * norm2_y
+    s = np.where(np.asarray(k) > 0, np.maximum(s, floor), s)
+    return s, np.maximum(norm2_y - s, floor)
 
 
 def sample_covariance(y):

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
 from doamap.arraysim import (
@@ -26,6 +26,7 @@ from doamap.ordermap import (
 )
 from doamap.specfun import log_q_sum
 from doamap.subspace import (
+    EigenBasis,
     ProjectionStats,
     eigendecompose,
     prefix_energies,
@@ -108,7 +109,7 @@ class TestPosteriorVariances:
         # splits of R, not the posterior's split of Y, so it hands on no
         # log I_p and its posteriors compute it.  Either way the result is
         # the bits of the fit that computes everything itself
-        kernel = specfun.log_reg_inc_beta
+        kernel = ordermap.log_reg_inc_beta
         calls = []
 
         def counting(p, n, m):
@@ -139,7 +140,7 @@ class TestPosteriorVariances:
                     assert math.isnan(log_ip) != is_scored, k
                     calls.clear()
                     with monkeypatch.context() as mp:
-                        mp.setattr(specfun, "log_reg_inc_beta", counting)
+                        mp.setattr(ordermap, "log_reg_inc_beta", counting)
                         got = posterior_variances(st, sc.d, log_ip)
                     assert got == want, k
                     moments = [(st.alpha - 1, st.beta), (st.alpha, st.beta - 1)]
@@ -317,19 +318,50 @@ def _scan_prior(k):
     return -k * math.log(2.0 * math.pi)
 
 
-def _exact_scan(stats, log_prior):
-    """The branch and bound over a list of splits, as map_order_pca runs
-    it."""
-    return ordermap._branch_and_bound(
-        stats, [log_prior(k) for k in range(len(stats))])
+def _exact_scan(energies, norm2_y, d, m, log_prior):
+    """The branch and bound over the partial sums of energies, as
+    map_order_pca runs it."""
+    return ordermap._map_order(
+        energies, norm2_y, d, m,
+        [log_prior(k) for k in range(len(energies) + 1)])
+
+
+def _energy_splits(energies, norm2_y, d, m):
+    """ProjectionStats.from_energy of every order K = 0..len(energies) on
+    the partial sum of energies[:K]."""
+    partial = np.concatenate(([0.0], np.cumsum(energies)))
+    return [ProjectionStats.from_energy(float(s), norm2_y, k, d, m)
+            for k, s in enumerate(partial)]
 
 
 def _r_splits(cov, rows, k_max, m, norm2_y):
     """The splits a spectrum scan scores: the partial sums of the energies
     of R = cov on its prefixes."""
     v = rows[:k_max].T
-    return ordermap._energy_stats(prefix_energies(v, cov), norm2_y,
-                                  v.shape[0], m)
+    return _energy_splits(prefix_energies(v, cov), norm2_y, v.shape[0], m)
+
+
+def _bound_tied(c, target):
+    """A prior p with c + p == target exactly, or None: p = target - c
+    nudged by an ulp at a time."""
+    p = target - c
+    for _ in range(4):
+        if c + p == target:
+            return p
+        p = math.nextafter(p, math.inf if c + p < target else -math.inf)
+    return None
+
+
+def _tied_priors(energies, norm2_y, d, m, i, j, log_prior=lambda k: 0.0):
+    """log_prior's priors of the orders 0..len(energies), with order j's
+    set so that its bound U_j equals order i's bit for bit (None if no
+    prior does)."""
+    priors = [log_prior(k) for k in range(len(energies) + 1)]
+    closed = [0.0 if st.alpha == 0
+              else specfun._log_q_from(0.0, st.alpha, st.beta, st.q)
+              for st in _energy_splits(energies, norm2_y, d, m)]
+    priors[j] = _bound_tied(closed[j], closed[i] + priors[i])
+    return None if priors[j] is None else priors.__getitem__
 
 
 def _check_pruned(post, log_prior, stats=None):
@@ -391,14 +423,15 @@ class TestPrunedScan:
         assert post.k_map in scored and len(scored) < 10
 
     def test_tied_bounds_pick_smaller_k(self):
-        strong = ProjectionStats(s=900.0, t=100.0, alpha=64, beta=960)
-        weak = ProjectionStats(s=10.0, t=990.0, alpha=128, beta=896)
-        stats = [ProjectionStats(s=0.0, t=1000.0, alpha=0, beta=1024),
-                 weak, strong, strong, weak]
-        post = _exact_scan(stats, lambda k: 0.0)
+        # order 3 adds no energy to order 2's strong split; its prior ties
+        # its bound to order 2's, and with more signal degrees on the same
+        # split its exact score is lower
+        energies, d, m = [10.0, 890.0, 0.0, 10.0], 16, 64
+        log_prior = _tied_priors(energies, 1000.0, d, m, 2, 3)
+        post = _exact_scan(energies, 1000.0, d, m, log_prior)
         assert post.log_score_bounds[2] == post.log_score_bounds[3]
         assert post.k_map == 2
-        _check_pruned(post, lambda k: 0.0)
+        _check_pruned(post, log_prior)
 
     def test_late_exact_tie_picks_smaller_k(self):
         # K = 1's higher bound visits it first; K = 0's prior is K = 1's
@@ -406,9 +439,8 @@ class TestPrunedScan:
         # smaller K, as an argmax over the scores picks the first
         st = ProjectionStats.from_energy(85.0, 1000.0, 1, 16, 4)
         log_q = log_q_sum(st.alpha, st.beta, st.q)[0]
-        stats = [ProjectionStats.from_energy(0.0, 1000.0, 0, 16, 4), st]
         priors = [log_q, 0.0]
-        post = ordermap._branch_and_bound(stats, priors)
+        post = ordermap._map_order([85.0], 1000.0, 16, 4, priors)
         assert post.log_score_bounds[1] > post.log_score_bounds[0]
         assert post.log_scores[0] == post.log_scores[1]
         assert post.k_map == 0
@@ -417,18 +449,16 @@ class TestPrunedScan:
     def test_top_bound_can_lose(self):
         # K = 1 has the highest bound but K = 2 the highest exact score, so
         # the scan goes on past its first exact score
-        stats = [ProjectionStats.from_energy(s, 1000.0, k, 16, 4)
-                 for k, s in enumerate((0.0, 85.0, 169.0))]
-        post = _exact_scan(stats, lambda k: 0.0)
+        # partial sums 85 and 169
+        post = _exact_scan([85.0, 84.0], 1000.0, 16, 4, lambda k: 0.0)
         assert post.log_score_bounds[1] > post.log_score_bounds[2]
         assert post.k_map == 2
         _check_pruned(post, lambda k: 0.0)
 
     def test_k0_winner_prunes_every_order(self):
-        stats = [ProjectionStats.from_energy(s, 1000.0, k, 16, 64)
-                 for k, s in enumerate((0.0, 20.0, 30.0, 35.0))]
+        # partial sums 20, 30 and 35
         prior = lambda k: -1e6 * k  # noqa: E731
-        post = _exact_scan(stats, prior)
+        post = _exact_scan([20.0, 10.0, 5.0], 1000.0, 16, 64, prior)
         assert post.k_map == 0
         assert post.log_scores[0] == post.log_score_bounds[0] == 0.0
         assert np.isnan(post.log_scores[1:]).all()
@@ -455,6 +485,105 @@ class TestPrunedScan:
             np.testing.assert_array_equal(got, want)
         assert post.stats == full.stats
         _check_pruned(post, _scan_prior, _r_splits(*args))
+
+
+@hst.composite
+def _energy_cases(draw):
+    """(energies, |Y|^2, D, M, K_max, prior family, tie) on synthetic
+    splits: P' = len(energies) <= K_max <= D - 1, energies on a scale
+    that floors s (a clamp hit at every order), fits |Y|^2 or overruns it
+    (t floored), and either no tie or orders i < j whose bounds are to be
+    tied exactly."""
+    d = draw(hst.integers(2, 64))
+    m = draw(hst.integers(2, 512))
+    k_max = draw(hst.integers(0, d - 1))
+    p_full = draw(hst.integers(0, k_max))
+    norm2_y = draw(hst.floats(1e-3, 1e6))
+    scale = norm2_y * draw(hst.sampled_from((1e-14, 0.5, 1.0, 2.0))) / max(p_full, 1)
+    energies = [scale * u for u in draw(hst.lists(
+        hst.one_of(hst.just(0.0), hst.floats(0.0, 1.0)),
+        min_size=p_full, max_size=p_full))]
+    tie = None
+    if p_full and draw(hst.booleans()):
+        i = draw(hst.integers(0, p_full - 1))
+        tie = (i, draw(hst.integers(i + 1, p_full)))
+    return (energies, norm2_y, d, m, k_max,
+            draw(hst.sampled_from(("pca", "scan"))), tie)
+
+
+class TestArrayBranchAndBound:
+    """The array scan on synthetic energies against the full exact scan
+    and ProjectionStats.from_energy, with either prior family."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_energy_cases())
+    # the two top bounds tied exactly, orders 1 and 2
+    @example(case=([900.0, 0.0], 1000.0, 16, 64, 2, "scan", (1, 2)))
+    # order 3's bound tied to K = 0's score
+    @example(case=([400.0, 300.0, 200.0], 1000.0, 8, 16, 7, "scan", (0, 3)))
+    # every energy floored: the Stiefel prior makes K = 0 the winner
+    @example(case=([0.0] * 6, 1.0, 64, 512, 6, "pca", None))
+    # a rank-deficient scan: three full-rank prefixes of K_max = 7
+    @example(case=([400.0, 300.0, 200.0], 1000.0, 8, 16, 7, "scan", None))
+    def test_scan_matches_full_exact_scan(self, case):
+        energies, norm2_y, d, m, k_max, family, tie = case
+        log_prior = _pca_prior(d) if family == "pca" else _scan_prior
+        priors = log_prior
+        if tie is not None:
+            priors = _tied_priors(energies, norm2_y, d, m, *tie, log_prior)
+            assume(priors is not None)
+        n = len(energies) + 1
+        deficient = tuple(range(n, k_max + 1))
+        post = ordermap._map_order(energies, norm2_y, d, m,
+                                   [priors(k) for k in range(n)], deficient)
+        assert len(post.log_scores) == len(post.log_score_bounds) == n
+        assert post.rank_deficient_k == deficient
+        splits = _energy_splits(energies, norm2_y, d, m)
+        for k, st in enumerate(splits):
+            assert post.split(k) == st, k
+        with pytest.raises(IndexError):
+            post.split(n)
+        exact = [(0.0 if k == 0 else log_q_sum(st.alpha, st.beta, st.q)[0])
+                 + priors(k) for k, st in enumerate(splits)]
+        assert post.k_map == int(np.argmax(exact))  # ties to the smaller K
+        for k, (got, bound) in enumerate(zip(post.log_scores,
+                                             post.log_score_bounds)):
+            assert bound >= exact[k], k
+            if math.isnan(got):
+                assert bound < max(exact), k
+            else:
+                assert got == exact[k], k
+        if tie is not None:
+            assert post.log_score_bounds[tie[0]] == post.log_score_bounds[tie[1]]
+        else:
+            # the public scan of this family reads the same arrays
+            public = self._public(energies, norm2_y, d, m, k_max, family)
+            if public is not None:
+                for name in ("log_scores", "log_score_bounds", "log_ip",
+                             "s", "t"):
+                    np.testing.assert_array_equal(getattr(public, name),
+                                                  getattr(post, name))
+                assert (public.k_map, public.rank_deficient_k) == (
+                    post.k_map, deficient)
+
+    @staticmethod
+    def _public(energies, norm2_y, d, m, k_max, family):
+        """map_order_pca on eigenvalues `energies` (P' = K_max only), or
+        map_order_scan of R = diag(energies) on unit rows e_0..e_{P'-1},
+        then copies of e_0 up to K_max rows (P' >= 1), so the prefixes
+        after P' are rank deficient; both read `energies` exactly.  None
+        where neither applies."""
+        p_full = len(energies)
+        if p_full < k_max and (family == "pca" or not p_full):
+            return None
+        if family == "pca":
+            basis = EigenBasis(eigvecs=np.eye(d), eigvals=np.array(
+                energies + [0.0] * (d - p_full)))
+            return map_order_pca(basis, norm2_y, k_max, m)
+        cov = np.diag(np.array(energies + [0.0] * (d - p_full), dtype=complex))
+        rows = np.eye(d, dtype=complex)[[*range(p_full)]
+                                        + [0] * (k_max - p_full)]
+        return map_order_scan(cov, rows, k_max, m, norm2_y)
 
 
 def _scan_draw(sc, seed, k_max, step):
@@ -492,7 +621,8 @@ def _check_against_full_scan(y, rows, k_max, m):
     scores = [f[0] + priors[k] for k, f in enumerate(full)]
     # (a) the pruned scan on R's splits, bit for bit
     assert post.k_map == int(np.argmax(scores))
-    r_scan = ordermap._branch_and_bound(splits, priors)
+    r_scan = ordermap._map_order(prefix_energies(v, args[0]), args[4],
+                                 v.shape[0], m, priors)
     for got, want in ((post.log_scores, r_scan.log_scores),
                       (post.log_score_bounds, r_scan.log_score_bounds),
                       (post.log_ip, r_scan.log_ip)):

@@ -14,6 +14,14 @@ split it was scored from, PCA's the posterior's and a spectrum scan's
 the partial sum of the energies of R on its prefixes.  K = 0 has no I_p
 and is not fitted or scored here.
 
+The Ky Fan check holds each spectrum scan's captured energies below PCA's
+on the same draws, and on one draw of three coincident sources: no
+K-dimensional subspace captures more of R than its top K eigenvectors
+(Ky Fan, PNAS 35(11), 1949), so s_K of the scan's prefix K is at most the
+sum of R's K largest eigenvalues, and at equal degrees the order score
+log Q, increasing in s, is at most PCA's.  Its allowance, KY_FAN_ULPS
+units of eps |R|_2 per summed term, was fixed before the check first ran.
+
 The bounds were fixed above the kernel's errors when this module was
 written: log I_p off by up to 7.6e-12 (absolute), ra and tau by up to
 7.0e-12 relative (0:6 music, K = 10), sigma^2 by up to 8.9e-16 relative.
@@ -29,7 +37,6 @@ import mpmath
 import numpy as np
 import pytest
 
-from doamap import ordermap
 from doamap.arraysim import synth_freq
 from doamap.bench import ExperimentConfig, spectrum_peaks
 from doamap.ordermap import (
@@ -38,8 +45,9 @@ from doamap.ordermap import (
     map_order_scan,
     posterior_variances,
 )
-from doamap.specfun import DominancePair
+from doamap.specfun import DominancePair, log_q_sum
 from doamap.subspace import (
+    ProjectionStats,
     eigendecompose,
     prefix_energies,
     projection_stats,
@@ -53,13 +61,16 @@ LOG_IP_ABS = 2e-11
 RA_TAU_REL = 2e-11
 SIGMA2_REL = 1e-14
 LOG_SCORE_ABS = 5e-11
+# three sources at one DOA, the 30 dB draw of its sweep
+COINCIDENT = ExperimentConfig(doa_deg=(60.0, 60.0, 60.0))
+KY_FAN_DRAWS = (*((CONFIG, gi, ri) for gi, ri in DRAWS), (COINCIDENT, 12, 0))
+KY_FAN_ULPS = 4
 
 
 @functools.cache
-def _draw(gi, ri):
+def _draw(gi, ri, cfg=CONFIG):
     """(Y, R, |Y|^2, eigenbasis, {source: peak rows}) of that sweep task's
     run_single."""
-    cfg = CONFIG
     scenario = cfg.scenarios()[gi]
     y = synth_freq(scenario, rng=np.random.default_rng([cfg.master_seed, gi, ri]))
     cov = sample_covariance(y)
@@ -72,14 +83,13 @@ def _draw(gi, ri):
 
 
 @functools.cache
-def _posteriors(gi, ri):
+def _posteriors(gi, ri, cfg=CONFIG):
     """{source: OrderPosterior} of the pca, music and dtft scans, from the
     draw, spectra and scans of that sweep task's run_single."""
-    _y, cov, norm2_y, basis, peaks = _draw(gi, ri)
-    m = CONFIG.m
+    _y, cov, norm2_y, basis, peaks = _draw(gi, ri, cfg)
     return {
-        "pca": map_order_pca(basis, norm2_y, CONFIG.k_max, m),
-        **{source: map_order_scan(cov, rows, CONFIG.k_max, m, norm2_y)
+        "pca": map_order_pca(basis, norm2_y, cfg.k_max, cfg.m),
+        **{source: map_order_scan(cov, rows, cfg.k_max, cfg.m, norm2_y)
            for source, rows in peaks.items()},
     }
 
@@ -90,9 +100,11 @@ def _scan_splits(gi, ri):
     _y, cov, norm2_y, _basis, peaks = _draw(gi, ri)
     splits = {"pca": list(_posteriors(gi, ri)["pca"].stats)}
     for source, rows in peaks.items():
-        v = rows[:CONFIG.k_max].T
-        splits[source] = ordermap._energy_stats(
-            prefix_energies(v, cov), norm2_y, CONFIG.d, CONFIG.m)
+        partial = np.cumsum(prefix_energies(rows[:CONFIG.k_max].T, cov))
+        splits[source] = [
+            ProjectionStats.from_energy(float(partial[k - 1]) if k else 0.0,
+                                        norm2_y, k, CONFIG.d, CONFIG.m)
+            for k in range(len(partial) + 1)]
     return splits
 
 
@@ -174,3 +186,24 @@ def test_map_log_scores_match_40_digit_sums(draw):
     for (source, k), (got, st) in scored.items():
         log_q = _oracle(st.s, st.t, st.alpha, st.beta)[3]
         assert abs(got - log_q) <= LOG_SCORE_ABS, f"{source} K={k}"
+
+
+@pytest.mark.parametrize(
+    "cfg, gi, ri", KY_FAN_DRAWS,
+    ids=[f"{'coincident ' if cfg is COINCIDENT else ''}{gi}:{ri}"
+         for cfg, gi, ri in KY_FAN_DRAWS])
+def test_scan_energies_within_ky_fan_bound(cfg, gi, ri):
+    posts = _posteriors(gi, ri, cfg)
+    pca = posts["pca"]
+    # |R|_2 is R's largest eigenvalue, R positive semidefinite
+    slack = KY_FAN_ULPS * np.finfo(float).eps * _draw(gi, ri, cfg)[3].eigvals[0]
+    for source in ("music", "dtft"):
+        scan = posts[source]
+        for k in range(1, len(scan.s)):  # every K <= P'
+            where = f"{source} K={k}"
+            assert scan.s[k] <= pca.s[k] + k * slack, where
+            if not (math.isnan(scan.log_scores[k])
+                    or math.isnan(pca.log_scores[k])):
+                got, want = (log_q_sum(st.alpha, st.beta, st.q)[0]
+                             for st in (scan.split(k), pca.split(k)))
+                assert got <= want, where
