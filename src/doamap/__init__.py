@@ -9,6 +9,7 @@ from .arraysim import (
 from .metrics import err_doa, rmse_amplitude
 from .ordermap import (
     OrderPosterior,
+    ProjectionStats,
     aic_order,
     log_stiefel_volume,
     map_order_pca,
@@ -26,7 +27,6 @@ from .specfun import (
 )
 from .subspace import (
     EigenBasis,
-    ProjectionStats,
     dtft_spectrum,
     eigendecompose,
     music_pseudospectrum,

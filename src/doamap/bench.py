@@ -31,6 +31,7 @@ from .arraysim import (
 )
 from .metrics import err_doa, rmse_amplitude
 from .ordermap import (
+    ProjectionStats,
     aic_order,
     map_order_pca,
     map_order_scan,
@@ -250,15 +251,6 @@ def _grid_str(value):
     return f"{value:g}"
 
 
-def _peak_pipeline_metrics(a0, angles, tau, true_doas, true_amps):
-    """DOA and amplitude metrics for spectrum peaks at these angles, with
-    a0 their P x M least-squares amplitudes (P may be 0), one row per
-    peak, and (1 - tau) a0 the shrunk ones: one events pass scores both."""
-    r0, rs = rmse_amplitude(np.stack((a0, (1.0 - tau) * a0)), angles,
-                            true_amps, true_doas)
-    return err_doa(angles, true_doas), r0, rs
-
-
 def spectrum_peaks(cov, basis, grid, k_max, sources):
     """{source: (angles, steering rows)} of the peaks of the music and dtft
     spectra among `sources`, highest first, rows P x D, P <= k_max.
@@ -295,13 +287,14 @@ def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None)
     projector, MUSIC's ranked by its exact pseudospectrum; see
     spectrum_peaks) runs its order scan once; the rule only picks K: map
     the MAP order, aic the AIC order, known-k the true count.  The scans
-    and amplitude fits read only the peaks' steering rows.  The posterior
-    (PCA's on its scan's split, reusing the log I_p of an order the scan
-    scored; a spectrum's on Y's split on the prefix, whose one SVD and one
-    product with Y also give the amplitude fit, see projection_stats) and
-    metrics run once per (source, K), shared by every method picking it; a
-    K past the last full-rank prefix reads that prefix's posterior and
-    fits its peaks, while the row keeps the rule's K.
+    and amplitude fits read only the peaks' steering rows.  One fit per
+    (source, K), shared by every method picking it, builds one split
+    (ProjectionStats.from_energy) and one posterior: PCA's on its scan's
+    s, reusing the log I_p of an order the scan scored; a spectrum's on
+    Y's energy on the prefix, whose one SVD and one product with Y also
+    give the amplitude fit (see projection_stats).  A K past the last
+    full-rank prefix reads that prefix's posterior and fits its peaks,
+    while the row keeps the rule's K.
     Returns dicts with the per-method metric fields of RunRecord (run_sweep
     fills in the rest).
     """
@@ -344,19 +337,22 @@ def run_single(scenario: ArrayScenario, k_max, grid_step_deg, methods, rng=None)
         key = (source, k)
         if key not in fits:
             if source == "pca":
-                pv = posterior_variances(post.split(k), scenario.d,
-                                         post.log_ip[k])
-                err = r0 = rs = math.nan  # eigenvector bases carry no DOAs
+                s, log_ip = post.s[k], post.log_ip[k]
             else:
                 angles, rows = peaks[source]
                 # Y's split, not the scan's of R, until both agree to the
                 # golden bound (ROADMAP item 2); the amplitude fit reads
                 # the same factorisation
-                split, a0 = projection_stats(y, rows[:k].T, scenario.m,
-                                             norm2_y=norm2_y)
-                pv = posterior_variances(split, scenario.d)
-                err, r0, rs = _peak_pipeline_metrics(
-                    a0, angles[:k], pv.tau_mean, scenario.doa_deg, true_amps)
+                s, a0 = projection_stats(y, rows[:k].T)
+                log_ip = math.nan
+            pv = posterior_variances(ProjectionStats.from_energy(
+                s, norm2_y, k, scenario.d, scenario.m), scenario.d, log_ip)
+            err = r0 = rs = math.nan  # eigenvector bases carry no DOAs
+            if source != "pca":
+                err = err_doa(angles[:k], scenario.doa_deg)
+                r0, rs = rmse_amplitude(
+                    np.stack((a0, (1.0 - pv.tau_mean) * a0)), angles[:k],
+                    true_amps, scenario.doa_deg)
             fits[key] = dict(
                 err_doa=err, rmse_a0=r0, rmse_a_shrunk=rs,
                 rmse_sigma=abs(math.sqrt(pv.sigma2_mean) - sigma_true),

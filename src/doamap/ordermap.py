@@ -14,37 +14,84 @@ instead of the computed log I_p (itself clamped to <= 0.0), and rounding
 is monotone, so score <= U_K bit for bit.  The O(beta) kernel runs only
 for orders whose bound can still beat the best exact score so far.
 
-Both pipelines call that one branch and bound on every order's split,
-each read from the covariance R = Y Y^H as a partial sum of energies:
-PCA's eigenvalues, and a spectrum scan's energies of R on one QR of its
-steering prefixes (subspace.prefix_energies), up to P', the last prefix
-before the first rank-deficient one (coincident peaks).  No scan reads the
-D x M data.  A scan clamps every split in one pass (subspace.clamp_split)
-into the arrays OrderPosterior.s and t; split(K) builds order K's
-ProjectionStats when a rule reads it.  Bounds and scores stay scalar, so
+Every score and posterior reads one statistic, owned here: the split of
+|Y|^2 into the energy s a K-dimensional basis captures and the residual t,
+with alpha = K*M and beta = (D-K)*M degrees (ProjectionStats.from_energy,
+its one constructor, on clamp_split).  Both pipelines call one branch and
+bound on every order's split, read from the covariance R = Y Y^H as a
+partial sum of energies: PCA's eigenvalues, and a spectrum scan's energies
+of R on one QR of its steering prefixes (subspace.prefix_energies), up to
+P', the last prefix before the first rank-deficient one (coincident
+peaks).  No scan reads the D x M data.  A scan clamps every split in one
+pass into the array OrderPosterior.s.  Bounds and scores stay scalar, so
 score <= U_K rests on math.log alone; PCA's posterior reuses log_ip.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
 
 from .specfun import _log_q_from, log_q_sum, log_reg_inc_beta
-from .subspace import EigenBasis, ProjectionStats, clamp_split, prefix_energies
+from .subspace import EigenBasis, prefix_energies
 
 __all__ = [
     "OrderPosterior",
     "PosteriorVariances",
+    "ProjectionStats",
     "log_stiefel_volume",
     "posterior_variances",
     "map_order_pca",
     "map_order_scan",
     "aic_order",
 ]
+
+
+# energy floor of both parts of a split, relative to |Y|^2: keeps q in
+# (0, 1) at K >= 1 for noiseless inputs and for orthogonal bases
+T_CLAMP_REL = 1e-12
+
+
+@dataclass(frozen=True)
+class ProjectionStats:
+    """Energy split of Y on a K-dimensional basis plus degree counts.
+
+    s = |V A0|^2, t = |H0|^2 (both clamped away from zero, s for K >= 1),
+    alpha = K*M, beta = (D-K)*M, and the residual share q = t/(s+t).
+    """
+
+    s: float
+    t: float
+    alpha: int
+    beta: int
+    q: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "q", self.t / (self.s + self.t))
+
+    @classmethod
+    def from_energy(cls, s, norm2_y, k, d, m):
+        """Split of |Y|^2 when a rank-k basis captures energy s."""
+        s, t = clamp_split(s, norm2_y, k)
+        return cls(s=float(s), t=float(t), alpha=k * m, beta=(d - k) * m)
+
+
+def clamp_split(s, norm2_y, k):
+    """(s, t) of |Y|^2 = norm2_y when a rank-k basis captures energy s,
+    elementwise over arrays s and k.  Both parts are floored at T_CLAMP_REL
+    |Y|^2, s only for k >= 1, so q = t/(s+t) lies in (0, 1) at every order
+    K >= 1, noiseless or not; clamping a clamped s changes nothing.
+    All-zero data (|Y|^2 = 0) is rejected."""
+    if not norm2_y > 0:
+        raise ValueError(f"data energy |Y|^2 must be positive, got {norm2_y}"
+                         " (all-zero data has no energy split)")
+    floor = T_CLAMP_REL * norm2_y
+    # a floor of 0.0 at k = 0, whose s is +0.0 in every caller
+    s = np.maximum(s, floor * (np.asarray(k) > 0))
+    return s, np.maximum(norm2_y - s, floor)
 
 
 @dataclass(frozen=True)
@@ -56,18 +103,19 @@ class PosteriorVariances:
 
 @dataclass(frozen=True)
 class OrderPosterior:
-    """Per-K log-scores, their bounds and energy splits, and the MAP order.
+    """Per-K log-scores, bounds and captured energies, and the MAP order.
 
     log_scores[K] is the exact score of every order the scan scored and NaN
     for an order it pruned; log_score_bounds[K] is every order's exact
     closed form U_K, bit for bit, >= log_scores[K], so a pruned order lost
     to the MAP order by at least log_scores[k_map] - log_score_bounds[K].
-    s[K] and t[K] are the clamped split of R the scan scored at order K,
-    indexed as log_scores, and log_ip[K] the log I_p(alpha, beta) it
-    computed there, NaN where it computed none (a pruned order, K = 0), so
-    posterior_variances(split(K), D, log_ip[K]) is order K's posterior on
-    that split.  A spectrum scan ends at its last full-rank prefix P' and
-    lists the orders P' + 1..min(K_max, P) in rank_deficient_k.
+    s[K] is the clamped energy of R the scan scored at order K, indexed as
+    log_scores, and log_ip[K] the log I_p(alpha, beta) it computed there,
+    NaN where it computed none (a pruned order, K = 0), so order K's
+    posterior on that split is posterior_variances(from_energy(s[K],
+    |Y|^2, K, D, M), D, log_ip[K]).  A spectrum scan ends at its last
+    full-rank prefix P' and lists the orders P' + 1..min(K_max, P) in
+    rank_deficient_k.
     """
 
     log_scores: np.ndarray          # per order K, up to a K-independent constant
@@ -75,19 +123,7 @@ class OrderPosterior:
     log_ip: np.ndarray              # log I_p(alpha, beta) of each scored order
     k_map: int
     s: np.ndarray                   # captured energy of each order, clamped
-    t: np.ndarray                   # residual energy of each order, clamped
-    d: int                          # sensors, so order K has beta = (D-K)*M
-    m: int                          # snapshots, so order K has alpha = K*M
     rank_deficient_k: tuple = ()
-
-    def split(self, k) -> ProjectionStats:
-        """Order k's split, ProjectionStats.from_energy's bit for bit."""
-        return ProjectionStats(s=float(self.s[k]), t=float(self.t[k]),
-                               alpha=k * self.m, beta=(self.d - k) * self.m)
-
-    @property
-    def stats(self):  # every order's split, built on each read
-        return tuple(map(self.split, range(len(self.s))))
 
 
 def _log_stiefel_volumes(d, k_max):
@@ -160,8 +196,8 @@ def _map_order(energies, norm2_y, d, m, priors, rank_deficient_k=()):
             log_scores[k] = log_q + priors[k]
         if log_scores[k] > best or log_scores[k] == best and k < k_map:
             best, k_map = log_scores[k], k
-    return OrderPosterior(log_scores, np.array(bounds), log_ip, k_map,
-                          s, t, d, m, rank_deficient_k)
+    return OrderPosterior(log_scores, np.array(bounds), log_ip, k_map, s,
+                          rank_deficient_k)
 
 
 def map_order_pca(basis: EigenBasis, norm2_y, k_max, m):

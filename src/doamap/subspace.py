@@ -1,15 +1,15 @@
 """Sample-covariance eigendecomposition and the PCA/MUSIC/DTFT estimators.
 
-The three estimators share one geometric fact: for a candidate basis V the
-data energy splits as |Y|^2 = |V A0|^2 + |H0|^2 with A0 the least-squares
-amplitudes and H0 the residual.  ProjectionStats.from_energy packages that
-split, plus the signal/noise degree counts, for the Bayesian order scores.
-Both order scans read their splits from R = Y Y^H as partial sums of
-energies: PCA's the eigenvalues, a spectrum scan's prefix_energies, those
-of R on one QR of the steering prefixes.  A spectrum pipeline's posterior
-at a chosen order still splits the D x M data itself, and fits its
-amplitudes on the same factorisation: projection_stats on the prefix's
-basis.
+This module is geometry only.  For a candidate basis V the data energy
+splits as |Y|^2 = |V A0|^2 + |H0|^2 with A0 the least-squares amplitudes
+and H0 the residual; it computes the captured energies, and ordermap owns
+the split and its degree counts (ordermap.ProjectionStats.from_energy).
+Both order scans read their energies from R = Y Y^H: PCA's the
+eigenvalues, a spectrum scan's prefix_energies, those of R on one QR of
+the steering prefixes.  A spectrum pipeline's posterior at a chosen order
+still reads the energy the prefix captures of the D x M data itself, and
+fits its amplitudes on the same factorisation: projection_stats on the
+prefix's basis.
 
 Both spectra are quadratic forms v^H H v of a D x D Hermitian H at the
 grid steering vectors v_a = e^{i omega a}, and any such form is a
@@ -32,13 +32,12 @@ each candidate and its two grid neighbours (music_exact).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "EigenBasis",
-    "ProjectionStats",
     "sample_covariance",
     "eigendecompose",
     "dtft_spectrum",
@@ -51,9 +50,6 @@ __all__ = [
 ]
 
 EPS = float(np.finfo(float).eps)
-# energy floor of both parts of a split, relative to |Y|^2: keeps q in
-# (0, 1) at K >= 1 for noiseless inputs and for orthogonal bases
-T_CLAMP_REL = 1e-12
 # |MUSIC lag polynomial - sum_{j >= k} |q_j^H v|^2| <= NOISE_POLY_ERR * D,
 # the tests' bound (measured at worst 14.7 D eps, at paper shape)
 NOISE_POLY_ERR = 64 * EPS
@@ -65,43 +61,6 @@ class EigenBasis:
 
     eigvecs: np.ndarray
     eigvals: np.ndarray
-
-
-@dataclass(frozen=True)
-class ProjectionStats:
-    """Energy split of Y on a K-dimensional basis plus degree counts.
-
-    s = |V A0|^2, t = |H0|^2 (both clamped away from zero, s for K >= 1),
-    alpha = K*M, beta = (D-K)*M, and the residual share q = t/(s+t).
-    """
-
-    s: float
-    t: float
-    alpha: int
-    beta: int
-    q: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", self.t / (self.s + self.t))
-
-    @classmethod
-    def from_energy(cls, s, norm2_y, k, d, m):
-        """Split of |Y|^2 when a rank-k basis captures energy s."""
-        s, t = clamp_split(s, norm2_y, k)
-        return cls(s=float(s), t=float(t), alpha=k * m, beta=(d - k) * m)
-
-
-def clamp_split(s, norm2_y, k):
-    """(s, t) of |Y|^2 = norm2_y when a rank-k basis captures energy s,
-    elementwise over arrays s and k.  Both parts are floored at T_CLAMP_REL
-    |Y|^2, s only for k >= 1, so q = t/(s+t) lies in (0, 1) at every order
-    K >= 1, noiseless or not.  All-zero data (|Y|^2 = 0) is rejected."""
-    if not norm2_y > 0:
-        raise ValueError(f"data energy |Y|^2 must be positive, got {norm2_y}"
-                         " (all-zero data has no energy split)")
-    floor = T_CLAMP_REL * norm2_y
-    s = np.where(np.asarray(k) > 0, np.maximum(s, floor), s)
-    return s, np.maximum(norm2_y - s, floor)
 
 
 def sample_covariance(y):
@@ -255,20 +214,19 @@ def prefix_energies(v, cov):
     return np.sum((rows @ cov * rows.conj()).real, axis=1)
 
 
-def projection_stats(y, v, m, *, norm2_y):
-    """Energy split of the D x M data Y on the column space of the
-    full-rank D x K basis V, and Y's least-squares amplitudes A0 on V.
+def projection_stats(y, v):
+    """The energy s the column space of the full-rank D x K basis V
+    captures of the D x M data Y, and Y's least-squares amplitudes A0 on V.
 
     One thin SVD V = U S W^H and one product B = U^H Y give both (Golub &
     Van Loan, Matrix Computations, section 5.5): s sums |B|^2, never
     forming (V^H V)^-1, and A0 = W S^-1 B is K x M.  A D x 0 basis has a
-    D x 0 U, the pure-noise convention s = 0, t = |Y|^2, and a 0 x M A0.
-    A lone row would take numpy's matrix-vector path, which sums
-    otherwise, so K = 1 is multiplied as two rows and every s has the bits
-    of a matrix product.  No singular value is cut off: a draw fits only
-    steering prefixes that pass its scan's rank rule (prefix_energies),
-    whose condition numbers are below 1e10.  norm2_y is |Y|^2, which the
-    caller sums once per draw.  Returns (ProjectionStats, A0).
+    D x 0 U, s = 0 and a 0 x M A0.  A lone row would take numpy's
+    matrix-vector path, which sums otherwise, so K = 1 is multiplied as
+    two rows and every s has the bits of a matrix product.  No singular
+    value is cut off: a draw fits only steering prefixes that pass its
+    scan's rank rule (prefix_energies), whose condition numbers are below
+    1e10.  Returns (s, A0).
     """
     d, k = v.shape
     if k > d:
@@ -276,6 +234,5 @@ def projection_stats(y, v, m, *, norm2_y):
     u, sv, vt = np.linalg.svd(v, full_matrices=False)
     uh = u.conj().T
     block = (np.concatenate((uh, uh)) @ y)[:1] if k == 1 else uh @ y
-    s = float(np.sum(np.abs(block) ** 2))
     a0 = (vt.conj().T / sv) @ block
-    return ProjectionStats.from_energy(s, norm2_y, k, d, m), a0
+    return float(np.sum(np.abs(block) ** 2)), a0

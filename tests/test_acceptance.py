@@ -18,7 +18,7 @@ from scipy.stats import spearmanr
 from doamap.arraysim import amplitude_matrix, synth_freq
 from doamap.bench import run_single
 from doamap.metrics import err_doa, rmse_amplitude
-from doamap.ordermap import posterior_variances
+from doamap.ordermap import ProjectionStats, posterior_variances
 from doamap.specfun import (
     DominancePair,
     dominance_frequency,
@@ -155,7 +155,8 @@ class TestCriterion4:
             v = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
             y = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
             norm2 = float(np.sum(np.abs(y) ** 2))
-            st = projection_stats(y, v, m, norm2_y=norm2)[0]
+            st = ProjectionStats.from_energy(projection_stats(y, v)[0], norm2,
+                                             k, d, m)
             worst = max(worst, abs(st.s + st.t - norm2) / norm2)
         _report(4, worst <= 1e-8,
                 f"max relative residual {worst:.2e} over 100 instances "
@@ -168,16 +169,13 @@ class TestCriterion5:
         d, m = 16, 40
         y = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
         basis = eigendecompose(sample_covariance(y))
-        norm2 = float(np.sum(np.abs(y) ** 2))
         worst = -np.inf
         for k in (1, 3, 5):
-            s_pca = projection_stats(y, basis.eigvecs[:, :k],
-                                     m, norm2_y=norm2)[0].s
+            s_pca = projection_stats(y, basis.eigvecs[:, :k])[0]
             for _ in range(34 if k == 1 else 33):
                 g = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
                 q, _ = np.linalg.qr(g)
-                s = projection_stats(y, q, m,
-                                     norm2_y=norm2)[0].s
+                s = projection_stats(y, q)[0]
                 excess = (s - s_pca) / s_pca
                 worst = max(worst, excess)
         _report(5, worst <= 1e-8,

@@ -31,19 +31,20 @@ from doamap.bench import (
     write_results,
 )
 from doamap.cli import main as cli_main
+from doamap.metrics import err_doa, rmse_amplitude
 from doamap.ordermap import (
+    ProjectionStats,
     map_order_pca,
     map_order_scan,
     posterior_variances,
 )
 from doamap.subspace import (
-    ProjectionStats,
     eigendecompose,
     prefix_energies,
     projection_stats,
     sample_covariance,
 )
-from scenarios import default_scenario
+from scenarios import default_scenario, order_splits, y_split
 
 FAST = dict(d=16, k_true=2, m=64, n=64, k_max=5, n_runs=2,
             snr_grid_db=(20.0,), grid_step_deg=2.0)
@@ -420,14 +421,57 @@ class TestRunSingle:
         norm2_y = float(np.sum(np.abs(y) ** 2))
         for row in rows[3:]:
             angles, steer = peaks[row["method"].split("-")[0]]
-            split, a0 = projection_stats(y, steer[:1].T, sc.m, norm2_y=norm2_y)
+            s, a0 = projection_stats(y, steer[:1].T)
             assert a0.shape == (1, sc.m)
+            split = ProjectionStats.from_energy(s, norm2_y, 1, sc.d, sc.m)
             tau = posterior_variances(split, sc.d).tau_mean
             assert row["tau_mean"] == tau, row["method"]
-            fit = bench._peak_pipeline_metrics(
-                a0, angles[:1], tau, sc.doa_deg, amplitude_matrix(sc))
+            fit = (err_doa(angles[:1], sc.doa_deg), *rmse_amplitude(
+                np.stack((a0, (1.0 - tau) * a0)), angles[:1],
+                amplitude_matrix(sc), sc.doa_deg))
             assert (row["err_doa"], row["rmse_a0"], row["rmse_a_shrunk"]) \
                 == fit, row["method"]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rank_rule_through_a_draw(self, seed, monkeypatch):
+        """The scan's rank rule, reached by run_single on a product config.
+
+        D = 3, DOAs 0 and 0.0002 degrees on a 4e-4 degree grid at 300 dB:
+        MUSIC's two peaks are 0 and 179.9996 degrees, which the grid wrap
+        gives one steering vector (omega = pi cos phi, and pi and -pi are
+        one direction), so the music scan scores K = 0, 1 and flags K = 2.
+        The config reaches the rule only through that grid-wrap duplicate:
+        a fix that makes the two grid ends neighbours removes the 179.9996
+        peak, and this test then needs another config.  Every row is
+        written, and music-known-k keeps k_hat 2 while it reads prefix 1's
+        posterior and fits its one peak."""
+        from doamap.arraysim import ArrayScenario, amplitude_matrix, synth_freq
+
+        sc = ArrayScenario(d=3, k_true=2, m=16, n=16, doa_deg=(0.0, 0.0002),
+                           snr_db=300.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows, peaks, posts = self._spied_draw(monkeypatch, sc, 2, 4e-4,
+                                                  seed)
+        assert [row["method"] for row in rows] == list(bench.KNOWN_METHODS)
+        # the two ends of the grid, 0 and 179.9996 degrees
+        grid = np.arange(0.0, 180.0, 4e-4)
+        np.testing.assert_array_equal(peaks["music"][0], grid[[0, -1]])
+        assert posts["music"].rank_deficient_k == (2,)
+        assert len(posts["music"].s) == 2
+        (row,) = [row for row in rows if row["method"] == "music-known-k"]
+        assert row["k_hat"] == 2
+        y = synth_freq(sc, rng=np.random.default_rng(seed))
+        norm2_y = float(np.sum(np.abs(y) ** 2))
+        angles, steer = peaks["music"]
+        s, a0 = projection_stats(y, steer[:1].T)
+        split = ProjectionStats.from_energy(s, norm2_y, 1, sc.d, sc.m)
+        tau = posterior_variances(split, sc.d).tau_mean
+        fit = (err_doa(angles[:1], sc.doa_deg), *rmse_amplitude(
+            np.stack((a0, (1.0 - tau) * a0)), angles[:1],
+            amplitude_matrix(sc), sc.doa_deg))
+        assert row["tau_mean"] == tau
+        assert (row["err_doa"], row["rmse_a0"], row["rmse_a_shrunk"]) == fit
 
     @staticmethod
     def _spied_draw(monkeypatch, sc, k_max, step, seed):
@@ -482,19 +526,19 @@ class TestRunSingle:
             post = posts[source]
             energies = prefix_energies(steer[:k_max].T, cov)
             partial = np.cumsum(energies)
-            assert len(post.stats) == len(energies) + 1
-            assert post.stats == tuple(
+            assert len(post.s) == len(energies) + 1
+            assert order_splits(post, norm2_y, sc.d, sc.m) == [
                 ProjectionStats.from_energy(float(partial[k - 1]) if k else 0.0,
                                             norm2_y, k, sc.d, sc.m)
-                for k in range(len(post.stats)))
+                for k in range(len(post.s))]
         spectrum_rows = [row for row in rows
                          if not row["method"].startswith("pca")]
         assert len(spectrum_rows) == 5
         for row in spectrum_rows:
             source = row["method"].split("-")[0]
-            k = min(row["k_hat"], len(posts[source].stats) - 1)
-            pv = posterior_variances(projection_stats(
-                y, peaks[source][1][:k].T, sc.m, norm2_y=norm2_y)[0], sc.d)
+            k = min(row["k_hat"], len(posts[source].s) - 1)
+            pv = posterior_variances(y_split(y, peaks[source][1][:k].T, sc.m),
+                                     sc.d)
             assert row["tau_mean"] == pv.tau_mean, row["method"]
             assert row["rmse_sigma"] == abs(
                 math.sqrt(pv.sigma2_mean) - sigma_true), row["method"]
@@ -600,9 +644,9 @@ class TestBenchmarkContract:
         # amplitude fit read
         fits = []
 
-        def fit_spy(y, v, m, *, norm2_y, real=bench.projection_stats):
+        def fit_spy(y, v, real=bench.projection_stats):
             fits.append(v.shape[1])
-            return real(y, v, m, norm2_y=norm2_y)
+            return real(y, v)
 
         monkeypatch.setattr(bench, "projection_stats", fit_spy)
         _tracing, tracer, rows = self._traced_six_method_draw()

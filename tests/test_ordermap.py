@@ -18,7 +18,9 @@ from doamap.arraysim import (
 from doamap import ordermap, specfun
 from doamap.bench import spectrum_peaks
 from doamap.ordermap import (
+    ProjectionStats,
     aic_order,
+    clamp_split,
     log_stiefel_volume,
     map_order_pca,
     map_order_scan,
@@ -27,13 +29,12 @@ from doamap.ordermap import (
 from doamap.specfun import log_q_sum
 from doamap.subspace import (
     EigenBasis,
-    ProjectionStats,
     eigendecompose,
     prefix_energies,
     projection_stats,
     sample_covariance,
 )
-from scenarios import default_scenario
+from scenarios import default_scenario, order_splits, y_split
 
 GRID = np.arange(0.0, 180.0, 0.5)
 
@@ -65,6 +66,70 @@ class TestStiefelVolume:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             log_stiefel_volume(4, 5)
+
+
+class TestProjectionStats:
+    """The one split a posterior reads: from_energy on the energy a basis
+    captures, clamped, with its degree counts."""
+
+    def test_k0_convention(self):
+        y = np.ones((4, 3), dtype=complex)
+        st = y_split(y, np.empty((4, 0), dtype=complex), 3)
+        assert st.s == 0.0 and st.t == pytest.approx(12.0)
+        assert st.alpha == 0 and st.beta == 12
+        assert st.q == 1.0
+
+    def test_in_span_residual_clamped(self):
+        rng = np.random.default_rng(4)
+        # an orthonormal frame, from a QR of a Gaussian matrix
+        v = np.linalg.qr(rng.standard_normal((6, 2))
+                         + 1j * rng.standard_normal((6, 2)))[0]
+        a = rng.standard_normal((2, 10)) + 1j * rng.standard_normal((2, 10))
+        y = v @ a
+        norm2 = _norm2(y)
+        st = y_split(y, v, 10)
+        assert st.t == pytest.approx(1e-12 * norm2)
+        assert st.s == pytest.approx(norm2, rel=1e-10)
+
+    def test_pythagorean_split(self):
+        # |Y|^2 = s + t for 100 random well-conditioned instances
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            d = int(rng.integers(3, 12))
+            k = int(rng.integers(1, d))
+            m = int(rng.integers(k, 20))
+            v = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+            y = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
+            norm2 = _norm2(y)
+            st = y_split(y, v, m)
+            assert abs(st.s + st.t - norm2) <= 1e-8 * norm2
+            assert st.alpha == k * m and st.beta == (d - k) * m
+
+    def test_array_clamp_is_the_scalar_clamp(self):
+        # a scan's one array pass and from_energy's scalar call clamp alike,
+        # as the np.where form did (s floored only at K >= 1), and clamping
+        # a clamped s changes nothing, so a fit that rebuilds order K's
+        # split from the scan's s[K] has the scan's split bit for bit
+        rng = np.random.default_rng(12)
+        for _ in range(2000):
+            n = int(rng.integers(1, 12))
+            norm2 = float(rng.uniform(1e-3, 1e6))
+            scale = norm2 * rng.choice((1e-14, 0.5, 1.0, 2.0)) / n
+            energies = scale * rng.uniform(0.0, 1.0, n - 1) * (
+                rng.uniform(size=n - 1) < 0.8)
+            partial = np.concatenate(([0.0], np.cumsum(energies)))
+            ks = np.arange(n)
+            s, t = clamp_split(partial, norm2, ks)
+            floor = 1e-12 * norm2
+            want = np.where(ks > 0, np.maximum(partial, floor), partial)
+            np.testing.assert_array_equal(s, want)
+            np.testing.assert_array_equal(t, np.maximum(norm2 - want, floor))
+            np.testing.assert_array_equal(clamp_split(s, norm2, ks)[0], s)
+            for k in range(n):
+                st = ProjectionStats.from_energy(float(partial[k]), norm2, k,
+                                                 16, 4)
+                assert (st.s, st.t) == (s[k], t[k]), k
+                assert ProjectionStats.from_energy(s[k], norm2, k, 16, 4) == st
 
 
 class TestPosteriorVariances:
@@ -127,11 +192,11 @@ class TestPosteriorVariances:
             pca = map_order_pca(basis, _norm2(y), 10, sc.m)
             scan = map_order_scan(*_data(y, rows, 10, sc.m))
             # a spectrum posterior splits Y on the prefix, with no log I_p
-            y_splits = [(projection_stats(y, rows[:k].T, sc.m,
-                                          norm2_y=_norm2(y))[0], math.nan)
+            y_splits = [(y_split(y, rows[:k].T, sc.m), math.nan)
                         for k in range(len(scan.log_scores))]
+            pca_splits = order_splits(pca, _norm2(y), sc.d, sc.m)
             for post, splits, reuses in (
-                    (pca, list(zip(pca.stats, pca.log_ip)), True),
+                    (pca, list(zip(pca_splits, pca.log_ip)), True),
                     (scan, y_splits, False)):
                 for k in range(1, len(post.log_scores)):
                     st, log_ip = splits[k]
@@ -154,8 +219,7 @@ class TestPosteriorVariances:
         sc = default_scenario(d=32, k=3, m=512, n=512, snr_db=10.0, seed=77)
         y = synth_freq(sc)
         v = steering_matrix(sc.doa_deg, sc.d)
-        st = projection_stats(y, v, sc.m, norm2_y=_norm2(y))[0]
-        pv = posterior_variances(st, sc.d)
+        pv = posterior_variances(y_split(y, v, sc.m), sc.d)
         assert pv.sigma2_mean == pytest.approx(
             noise_variances(sc, amplitude_matrix(sc)), rel=0.05)
 
@@ -179,7 +243,8 @@ class TestMapOrderPca:
         post = map_order_pca(basis, _norm2(y), k_max=10, m=sc.m)
         assert post.k_map == 3
         assert len(post.log_scores) == 11
-        pv = posterior_variances(post.stats[post.k_map], sc.d)
+        pv = posterior_variances(
+            order_splits(post, _norm2(y), sc.d, sc.m)[post.k_map], sc.d)
         assert 0.0 < pv.tau_mean < 1.0
 
     def test_pure_noise_stays_low_order(self):
@@ -199,7 +264,8 @@ class TestMapOrderPca:
         basis = eigendecompose(sample_covariance(y))
         post = map_order_pca(basis, _norm2(y), k_max=5, m=sc.m)
         if post.k_map == 0:
-            pv = posterior_variances(post.stats[0], sc.d)
+            pv = posterior_variances(
+                order_splits(post, _norm2(y), sc.d, sc.m)[0], sc.d)
             assert math.isnan(pv.ra_mean)
             assert pv.tau_mean == 1.0
             norm2 = float(np.sum(np.abs(y) ** 2))
@@ -253,9 +319,9 @@ class TestMapOrderScan:
         post = map_order_scan(*_data(y, rows, 2, sc.m))
         assert post.rank_deficient_k == (2,)
         assert (len(post.log_scores) == len(post.log_score_bounds)
-                == len(post.stats) == 2)
+                == len(post.s) == 2)
         with pytest.raises(IndexError):
-            post.stats[2]
+            post.s[2]
         assert post.k_map in (0, 1)
 
     def test_empty_peaks_score_k0_alone(self):
@@ -264,7 +330,7 @@ class TestMapOrderScan:
                               np.empty((0, 4), dtype=complex), 3, 2, 8.0)
         assert post.k_map == 0
         assert len(post.log_scores) == 1 and post.log_scores[0] == 0.0
-        pv = posterior_variances(post.stats[0], 4)
+        pv = posterior_variances(order_splits(post, 8.0, 4, 2)[0], 4)
         assert pv.tau_mean == 1.0
         assert pv.sigma2_mean == pytest.approx(8.0 / (4 * 2 - 1))
 
@@ -289,25 +355,26 @@ class TestMapOrderScan:
                 assert post.k_map == 0
                 assert math.isfinite(post.log_score_bounds[1])
                 assert post.log_scores[1] <= post.log_score_bounds[1]
-                for st in (post.stats[1], projection_stats(
-                        y, row[:, None], m, norm2_y=_norm2(y))[0]):
+                for st in (order_splits(post, _norm2(y), d, m)[1],
+                           y_split(y, row[:, None], m)):
                     assert 0.0 < st.q < 1.0
                     pv = posterior_variances(st, d)
                     assert math.isfinite(pv.ra_mean) and 0.0 < pv.tau_mean
 
     def test_prefixes_are_slices_of_one_matrix(self):
-        # each prefix's stats equal those of its own steering matrix, bit for bit
+        # each prefix's splits equal those of its own steering matrix, bit
+        # for bit
         sc = default_scenario(d=16, k=3, m=64, n=64, snr_db=5.0, seed=7)
         y = synth_freq(sc)
         angles, rows = self._peaks(y, "music", k_max=5)
         args = _data(y, rows, 5, sc.m)
         post = map_order_scan(*args)
+        splits = order_splits(post, _norm2(y), sc.d, sc.m)
         for k in range(1, len(post.log_scores)):
             v = steering_matrix(angles[:k], sc.d)
-            assert post.stats[k] == _r_splits(args[0], v.T, 5, sc.m,
-                                              _norm2(y))[k]
-            split = projection_stats(y, rows[:k].T, sc.m, norm2_y=_norm2(y))[0]
-            assert split == projection_stats(y, v, sc.m, norm2_y=_norm2(y))[0]
+            assert splits[k] == _r_splits(args[0], v.T, 5, sc.m, _norm2(y))[k]
+            assert (projection_stats(y, rows[:k].T)[0]
+                    == projection_stats(y, v)[0])
 
 
 def _pca_prior(d):
@@ -364,12 +431,10 @@ def _tied_priors(energies, norm2_y, d, m, i, j, log_prior=lambda k: 0.0):
     return None if priors[j] is None else priors.__getitem__
 
 
-def _check_pruned(post, log_prior, stats=None):
+def _check_pruned(post, log_prior, stats):
     """The pruned scan against every order's exact score (the oracle) on
-    the splits it scored, by default its own; K = 0 is the
-    empty-subspace convention log Q = 0."""
-    if stats is None:
-        stats = post.stats
+    the splits it scored; K = 0 is the empty-subspace convention
+    log Q = 0."""
     exact = np.array([
         (0.0 if st.alpha == 0 else log_q_sum(st.alpha, st.beta, st.q)[0])
         + log_prior(k)
@@ -396,9 +461,9 @@ class TestPrunedScan:
             y = synth_freq(sc, rng=np.random.default_rng(seed))
             cov = sample_covariance(y)
             basis = eigendecompose(cov)
-            pruned += _check_pruned(
-                map_order_pca(basis, _norm2(y), 10, sc.m),
-                _pca_prior(sc.d))
+            pca = map_order_pca(basis, _norm2(y), 10, sc.m)
+            pruned += _check_pruned(pca, _pca_prior(sc.d),
+                                    order_splits(pca, _norm2(y), sc.d, sc.m))
             peaks = spectrum_peaks(cov, basis, GRID, 10, {"music", "dtft"})
             for _angles, rows in peaks.values():
                 args = _data(y, rows, 10, sc.m)
@@ -431,7 +496,7 @@ class TestPrunedScan:
         post = _exact_scan(energies, 1000.0, d, m, log_prior)
         assert post.log_score_bounds[2] == post.log_score_bounds[3]
         assert post.k_map == 2
-        _check_pruned(post, log_prior)
+        _check_pruned(post, log_prior, order_splits(post, 1000.0, d, m))
 
     def test_late_exact_tie_picks_smaller_k(self):
         # K = 1's higher bound visits it first; K = 0's prior is K = 1's
@@ -444,7 +509,8 @@ class TestPrunedScan:
         assert post.log_score_bounds[1] > post.log_score_bounds[0]
         assert post.log_scores[0] == post.log_scores[1]
         assert post.k_map == 0
-        _check_pruned(post, priors.__getitem__)
+        _check_pruned(post, priors.__getitem__,
+                      order_splits(post, 1000.0, 16, 4))
 
     def test_top_bound_can_lose(self):
         # K = 1 has the highest bound but K = 2 the highest exact score, so
@@ -453,7 +519,7 @@ class TestPrunedScan:
         post = _exact_scan([85.0, 84.0], 1000.0, 16, 4, lambda k: 0.0)
         assert post.log_score_bounds[1] > post.log_score_bounds[2]
         assert post.k_map == 2
-        _check_pruned(post, lambda k: 0.0)
+        _check_pruned(post, lambda k: 0.0, order_splits(post, 1000.0, 16, 4))
 
     def test_k0_winner_prunes_every_order(self):
         # partial sums 20, 30 and 35
@@ -462,7 +528,7 @@ class TestPrunedScan:
         assert post.k_map == 0
         assert post.log_scores[0] == post.log_score_bounds[0] == 0.0
         assert np.isnan(post.log_scores[1:]).all()
-        _check_pruned(post, prior)
+        _check_pruned(post, prior, order_splits(post, 1000.0, 16, 64))
 
     @pytest.mark.parametrize("deficient", [(4,), (3, 4), (2, 3, 4)])
     def test_rank_deficient_prefixes(self, deficient):
@@ -481,9 +547,8 @@ class TestPrunedScan:
         assert post.k_map == full.k_map
         for got, want in ((post.log_scores, full.log_scores),
                           (post.log_score_bounds, full.log_score_bounds),
-                          (post.log_ip, full.log_ip)):
+                          (post.log_ip, full.log_ip), (post.s, full.s)):
             np.testing.assert_array_equal(got, want)
-        assert post.stats == full.stats
         _check_pruned(post, _scan_prior, _r_splits(*args))
 
 
@@ -539,10 +604,11 @@ class TestArrayBranchAndBound:
         assert len(post.log_scores) == len(post.log_score_bounds) == n
         assert post.rank_deficient_k == deficient
         splits = _energy_splits(energies, norm2_y, d, m)
-        for k, st in enumerate(splits):
-            assert post.split(k) == st, k
+        assert len(post.s) == n
+        for k, st in enumerate(order_splits(post, norm2_y, d, m)):
+            assert st == splits[k], k
         with pytest.raises(IndexError):
-            post.split(n)
+            post.s[n]
         exact = [(0.0 if k == 0 else log_q_sum(st.alpha, st.beta, st.q)[0])
                  + priors(k) for k, st in enumerate(splits)]
         assert post.k_map == int(np.argmax(exact))  # ties to the smaller K
@@ -559,8 +625,7 @@ class TestArrayBranchAndBound:
             # the public scan of this family reads the same arrays
             public = self._public(energies, norm2_y, d, m, k_max, family)
             if public is not None:
-                for name in ("log_scores", "log_score_bounds", "log_ip",
-                             "s", "t"):
+                for name in ("log_scores", "log_score_bounds", "log_ip", "s"):
                     np.testing.assert_array_equal(getattr(public, name),
                                                   getattr(post, name))
                 assert (public.k_map, public.rank_deficient_k) == (
@@ -633,10 +698,9 @@ def _check_against_full_scan(y, rows, k_max, m):
             assert post.log_scores[k] == scores[k], k
             if k:
                 assert r_scan.log_ip[k] == full[k][1], k
-    assert list(post.stats) == splits
+    assert order_splits(post, args[4], v.shape[0], m) == splits
     # (b) the Y-side MAP order wherever its margin is clear
-    y_splits = [projection_stats(y, v[:, :k], m, norm2_y=_norm2(y))[0]
-                for k in range(len(splits))]
+    y_splits = [y_split(y, v[:, :k], m) for k in range(len(splits))]
     y_scores = sorted(
         ((0.0 if st.alpha == 0 else log_q_sum(st.alpha, st.beta, st.q)[0])
          + priors[k], -k) for k, st in enumerate(y_splits))
@@ -692,8 +756,7 @@ class TestShrinkage:
                                   seed=seed)
             y = synth_freq(sc)
             v = steering_matrix(sc.doa_deg, sc.d)
-            st = projection_stats(y, v, sc.m, norm2_y=_norm2(y))[0]
-            pv = posterior_variances(st, sc.d)
+            pv = posterior_variances(y_split(y, v, sc.m), sc.d)
             a0, *_ = np.linalg.lstsq(v, y, rcond=None)
             truth = amplitude_matrix(sc)
             e0 = float(np.sum(np.abs(a0 - truth) ** 2))

@@ -40,6 +40,7 @@ import pytest
 from doamap.arraysim import synth_freq
 from doamap.bench import ExperimentConfig, spectrum_peaks
 from doamap.ordermap import (
+    ProjectionStats,
     log_stiefel_volume,
     map_order_pca,
     map_order_scan,
@@ -47,12 +48,11 @@ from doamap.ordermap import (
 )
 from doamap.specfun import DominancePair, log_q_sum
 from doamap.subspace import (
-    ProjectionStats,
     eigendecompose,
     prefix_energies,
-    projection_stats,
     sample_covariance,
 )
+from scenarios import order_splits, y_split
 
 # the desk-sweep draws (grid index, run index): -30, 0 and 30 dB, overlap 0
 CONFIG = ExperimentConfig(overlap=(0.0, 0.999))
@@ -98,7 +98,8 @@ def _scan_splits(gi, ri):
     """{source: the splits each scan scored}: PCA's posterior splits, and
     a spectrum scan's partial sums of the energies of R on its prefixes."""
     _y, cov, norm2_y, _basis, peaks = _draw(gi, ri)
-    splits = {"pca": list(_posteriors(gi, ri)["pca"].stats)}
+    splits = {"pca": order_splits(_posteriors(gi, ri)["pca"], norm2_y,
+                                  CONFIG.d, CONFIG.m)}
     for source, rows in peaks.items():
         partial = np.cumsum(prefix_energies(rows[:CONFIG.k_max].T, cov))
         splits[source] = [
@@ -113,9 +114,9 @@ def _fits(gi, ri):
     PCA's scan's split, and a spectrum's split of Y on the prefix, as
     run_single fits them."""
     y, _cov, norm2_y, _basis, peaks = _draw(gi, ri)
-    return {(source, k): (post.stats[k] if source == "pca"
-                          else projection_stats(y, peaks[source][:k].T,
-                                                CONFIG.m, norm2_y=norm2_y)[0])
+    return {(source, k): (order_splits(post, norm2_y, CONFIG.d, CONFIG.m)[k]
+                          if source == "pca"
+                          else y_split(y, peaks[source][:k].T, CONFIG.m))
             for source, post in _posteriors(gi, ri).items()
             for k in (post.k_map, 3) if k > 0}
 
@@ -196,7 +197,8 @@ def test_scan_energies_within_ky_fan_bound(cfg, gi, ri):
     posts = _posteriors(gi, ri, cfg)
     pca = posts["pca"]
     # |R|_2 is R's largest eigenvalue, R positive semidefinite
-    slack = KY_FAN_ULPS * np.finfo(float).eps * _draw(gi, ri, cfg)[3].eigvals[0]
+    _y, _cov, norm2_y, basis, _peaks = _draw(gi, ri, cfg)
+    slack = KY_FAN_ULPS * np.finfo(float).eps * basis.eigvals[0]
     for source in ("music", "dtft"):
         scan = posts[source]
         for k in range(1, len(scan.s)):  # every K <= P'
@@ -204,6 +206,8 @@ def test_scan_energies_within_ky_fan_bound(cfg, gi, ri):
             assert scan.s[k] <= pca.s[k] + k * slack, where
             if not (math.isnan(scan.log_scores[k])
                     or math.isnan(pca.log_scores[k])):
-                got, want = (log_q_sum(st.alpha, st.beta, st.q)[0]
-                             for st in (scan.split(k), pca.split(k)))
+                got, want = (
+                    log_q_sum(st.alpha, st.beta, st.q)[0]
+                    for st in (order_splits(post, norm2_y, cfg.d, cfg.m)[k]
+                               for post in (scan, pca)))
                 assert got <= want, where

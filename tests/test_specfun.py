@@ -19,7 +19,7 @@ from scipy.stats import invgamma as invgamma_dist
 
 from doamap import specfun
 from doamap.metrics import rmse_amplitude
-from doamap.ordermap import posterior_variances
+from doamap.ordermap import ProjectionStats, posterior_variances
 from doamap.specfun import (
     DominancePair,
     dominance_frequency,
@@ -30,7 +30,6 @@ from doamap.specfun import (
     prob_dominance,
     reg_inc_beta,
 )
-from doamap.subspace import ProjectionStats
 
 # validate_distributions' p grid, the only array-p caller
 P_GRID = np.linspace(0.01, 0.99, 99)

@@ -1,4 +1,5 @@
-"""Tests for the eigendecomposition, spectra, peak picking, and energy split."""
+"""Tests for the eigendecomposition, spectra, peak picking, and captured
+energies."""
 
 import math
 
@@ -16,7 +17,6 @@ from doamap.arraysim import (
 from doamap.bench import spectrum_peaks
 from doamap.ordermap import map_order_scan
 from doamap.subspace import (
-    ProjectionStats,
     dtft_spectrum,
     eigendecompose,
     music_candidates,
@@ -102,19 +102,17 @@ class _MatmulCounter(np.ndarray):
 
 
 def _norm2(y):
-    """|Y|^2, the energy projection_stats takes from its caller."""
+    """|Y|^2, the energy the order scans take from their caller."""
     return float(np.sum(np.abs(y) ** 2))
 
 
-def _reference_split(y, v, m, norm2):
-    """Y's split on V from u^H Y, u the left singular vectors of V's own
-    thin SVD: a 1 x D row alone takes numpy's matrix-vector path, so K = 1
-    is its row in a two-row product."""
-    d, k = v.shape
+def _reference_energy(y, v):
+    """The energy V captures of Y from u^H Y, u the left singular vectors
+    of V's own thin SVD: a 1 x D row alone takes numpy's matrix-vector
+    path, so K = 1 is its row in a two-row product."""
     uh = np.linalg.svd(v, full_matrices=False)[0].conj().T
-    prod = (np.vstack([uh, uh]) @ y)[:1] if k == 1 else uh @ y
-    return ProjectionStats.from_energy(float(np.sum(np.abs(prod) ** 2)),
-                                       norm2, k, d, m)
+    prod = (np.vstack([uh, uh]) @ y)[:1] if v.shape[1] == 1 else uh @ y
+    return float(np.sum(np.abs(prod) ** 2))
 
 
 def _fit_bound(v, y):
@@ -339,26 +337,18 @@ def _clustered_vandermonde(draw):
 
 
 class TestProjectionStats:
-    def test_k0_convention(self):
-        y = np.ones((4, 3), dtype=complex)
-        st = projection_stats(y, np.empty((4, 0), dtype=complex), 3,
-                              norm2_y=_norm2(y))[0]
-        assert st.s == 0.0 and st.t == pytest.approx(12.0)
-        assert st.alpha == 0 and st.beta == 12
-        assert st.q == 1.0
+    # the clamp and degree counts of the split a posterior reads from s
+    # are ordermap's: tests/test_ordermap.py::TestProjectionStats
 
-    def test_in_span_residual_clamped(self):
-        rng = np.random.default_rng(4)
-        v = _random_unitary_columns(rng, 6, 2)
-        a = rng.standard_normal((2, 10)) + 1j * rng.standard_normal((2, 10))
-        y = v @ a
-        norm2 = _norm2(y)
-        st = projection_stats(y, v, 10, norm2_y=norm2)[0]
-        assert st.t == pytest.approx(1e-12 * norm2)
-        assert st.s == pytest.approx(norm2, rel=1e-10)
+    def test_k0_convention(self):
+        # a D x 0 basis captures nothing and fits no amplitudes
+        y = np.ones((4, 3), dtype=complex)
+        s, a0 = projection_stats(y, np.empty((4, 0), dtype=complex))
+        assert s == 0.0
+        assert a0.shape == (0, 3)
 
     def test_pythagorean_split(self):
-        # |Y|^2 = s + t for 100 random well-conditioned instances
+        # |Y|^2 = s + |Y - V A0|^2 for 100 random well-conditioned instances
         rng = np.random.default_rng(5)
         for _ in range(100):
             d = int(rng.integers(3, 12))
@@ -367,30 +357,30 @@ class TestProjectionStats:
             v = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
             y = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
             norm2 = _norm2(y)
-            st = projection_stats(y, v, m, norm2_y=norm2)[0]
-            assert abs(st.s + st.t - norm2) <= 1e-8 * norm2
-            assert st.alpha == k * m and st.beta == (d - k) * m
+            s, a0 = projection_stats(y, v)
+            resid = float(np.sum(np.abs(y - v @ a0) ** 2))
+            assert abs(s + resid - norm2) <= 1e-8 * norm2
 
     def test_matches_least_squares_residual(self):
         rng = np.random.default_rng(6)
         v = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
         y = rng.standard_normal((7, 9)) + 1j * rng.standard_normal((7, 9))
-        st = projection_stats(y, v, 9, norm2_y=_norm2(y))[0]
+        s = projection_stats(y, v)[0]
         a0, *_ = np.linalg.lstsq(v, y, rcond=None)
         resid = float(np.sum(np.abs(y - v @ a0) ** 2))
         fit = float(np.sum(np.abs(v @ a0) ** 2))
-        assert st.s == pytest.approx(fit, rel=1e-10)
-        assert st.t == pytest.approx(resid, rel=1e-8)
+        assert s == pytest.approx(fit, rel=1e-10)
+        assert _norm2(y) - s == pytest.approx(resid, rel=1e-8)
 
     def test_trace_identity(self):
         # s equals Tr(P YY^H) with P the orthogonal projector onto span(V)
         rng = np.random.default_rng(7)
         v = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
         y = rng.standard_normal((6, 8)) + 1j * rng.standard_normal((6, 8))
-        st = projection_stats(y, v, 8, norm2_y=_norm2(y))[0]
+        s = projection_stats(y, v)[0]
         p = v @ np.linalg.solve(v.conj().T @ v, v.conj().T)
         expect = float(np.real(np.trace(p @ (y @ y.conj().T))))
-        assert st.s == pytest.approx(expect, rel=1e-10)
+        assert s == pytest.approx(expect, rel=1e-10)
 
     def test_pca_prefix_maximizes_captured_energy(self):
         # the top-k eigenvector frame captures at least as much energy as any
@@ -398,14 +388,11 @@ class TestProjectionStats:
         rng = np.random.default_rng(8)
         y = rng.standard_normal((8, 40)) + 1j * rng.standard_normal((8, 40))
         basis = eigendecompose(sample_covariance(y))
-        norm2 = _norm2(y)
         for k in (1, 2, 4):
-            s_pca = projection_stats(y, basis.eigvecs[:, :k],
-                                     40, norm2_y=norm2)[0].s
+            s_pca = projection_stats(y, basis.eigvecs[:, :k])[0]
             for _ in range(50):
                 w = _random_unitary_columns(rng, 8, k)
-                s = projection_stats(y, w, 40,
-                                     norm2_y=norm2)[0].s
+                s = projection_stats(y, w)[0]
                 assert s <= s_pca + 1e-8 * s_pca
             # and it equals the sum of the top-k eigenvalues
             assert s_pca == pytest.approx(float(np.sum(basis.eigvals[:k])),
@@ -420,11 +407,10 @@ class TestProjectionStats:
         y = np.ones((5, 4), dtype=complex)
         (e,) = prefix_energies(v, sample_covariance(y))
         assert e == pytest.approx(20.0)
-        st = projection_stats(y, v[:, :1], 4, norm2_y=_norm2(y))[0]
-        assert st.s == pytest.approx(20.0)
+        assert projection_stats(y, v[:, :1])[0] == pytest.approx(20.0)
 
     def test_prefixes_match_single_basis_products(self):
-        # each prefix's split of Y is that of its own SVD basis times Y
+        # each prefix's energy of Y is that of its own SVD basis times Y
         # bit for bit; a 1 x D row alone takes numpy's matrix-vector path,
         # so K = 1's reference is its row in a two-row product.  The
         # energies of R end at the first prefix that fails the rank rule
@@ -442,26 +428,24 @@ class TestProjectionStats:
                     if sv[-1] < 1e-10 * sv[0]:
                         assert k > energies.size, k
                         continue
-                    st = projection_stats(y, v[:, :k], 512,
-                                          norm2_y=norm2)[0]
-                    assert st == _reference_split(y, v[:, :k], 512, norm2), k
+                    s = projection_stats(y, v[:, :k])[0]
+                    assert s == _reference_energy(y, v[:, :k]), k
                     assert float(np.sum(energies[:k])) == pytest.approx(
-                        st.s, rel=1e-10, abs=1e-12 * norm2), k
+                        s, rel=1e-10, abs=1e-12 * norm2), k
                     checked += 1
             assert energies.size == 3
         assert checked == 5 * (10 + 3)
 
     def test_scan_multiplies_y_only_for_read_prefixes(self):
-        # the order scan reads only R; splitting Y on a prefix of K rows
+        # the order scan reads only R; Y's energy on a prefix of K rows
         # multiplies Y by that prefix's u^H once (here K = 3 and K = 1,
         # which is multiplied as two rows)
         ((y, basis, steer),) = _desk_draws(snrs=(10.0,))
         rows = steer[pick_peaks(_oracle_music(basis, 10, steer), 10)]
         counted = y.view(_MatmulCounter)
         for k in (3, 1):
-            assert projection_stats(counted, rows[:k].T, 512,
-                                    norm2_y=_norm2(y))[0] == projection_stats(
-                y, rows[:k].T, 512, norm2_y=_norm2(y))[0]
+            assert (projection_stats(counted, rows[:k].T)[0]
+                    == projection_stats(y, rows[:k].T)[0])
         assert (counted.matmuls, counted.rows) == (2, 3 + 2)
 
     def test_one_svd_per_prefix_per_scan(self, monkeypatch):
@@ -469,8 +453,8 @@ class TestProjectionStats:
         # rank rule reads the K x K leading blocks of the triangular factor
         # from K = P down to the first full-rank one, P'.  A full-rank scan
         # runs one SVD; one whose first deficient prefix is P' + 1 runs the
-        # SVDs of blocks P, P - 1, ..., P'.  Splitting Y on a prefix of K
-        # rows runs one D x K SVD
+        # SVDs of blocks P, P - 1, ..., P'.  Y's energy on a prefix of K
+        # rows takes one D x K SVD
         ((y, basis, steer),) = _desk_draws(snrs=(10.0,))
         idx = pick_peaks(_oracle_music(basis, 10, steer), 10)
         rows = steer[idx]
@@ -499,7 +483,7 @@ class TestProjectionStats:
             ("svd", (k, k)) for k in range(7, 2, -1)]
         for k in range(11):
             calls.clear()
-            projection_stats(y, rows[:k].T, 512, norm2_y=_norm2(y))
+            projection_stats(y, rows[:k].T)
             assert calls == [("svd", (32, k))]
 
     @settings(max_examples=400)
@@ -544,7 +528,7 @@ class TestProjectionStats:
 
 
 class TestPrefixFit:
-    """projection_stats's split has the bits of _reference_split, and its
+    """projection_stats's energy has the bits of _reference_energy, and its
     amplitudes are pinv(V) Y to _fit_bound on every basis a draw fits: a
     steering prefix that passes the scan's rank rule, sigma_min >= 1e-10
     sigma_max, so pinv's 1e-15 cutoff never acts."""
@@ -552,22 +536,21 @@ class TestPrefixFit:
     def test_k0_is_pure_noise_with_no_amplitudes(self):
         y = np.ones((4, 3), dtype=complex)
         v = np.empty((4, 0), dtype=complex)
-        split, a0 = projection_stats(y, v, 3, norm2_y=_norm2(y))
-        assert split == _reference_split(y, v, 3, _norm2(y))
-        assert split.s == 0.0 and split.q == 1.0
+        s, a0 = projection_stats(y, v)
+        assert s == _reference_energy(y, v)
+        assert s == 0.0
         assert a0.shape == (0, 3)
 
     def test_desk_prefixes(self):
-        # K = 0..10 on the MUSIC peaks of desk draws: the split has the
+        # K = 0..10 on the MUSIC peaks of desk draws: the energy has the
         # bits of the reference, and A0 is pinv's least squares
         checked = 0
         for y, basis, steer in _desk_draws():
-            norm2 = _norm2(y)
             rows = steer[pick_peaks(_oracle_music(basis, 10, steer), 10)]
             for k in range(11):
                 v = rows[:k].T
-                split, a0 = projection_stats(y, v, 512, norm2_y=norm2)
-                assert split == _reference_split(y, v, 512, norm2), k
+                s, a0 = projection_stats(y, v)
+                assert s == _reference_energy(y, v), k
                 assert a0.shape == (k, 512)
                 if k:
                     err = np.linalg.norm(a0 - np.linalg.pinv(v) @ y)
@@ -588,7 +571,7 @@ class TestPrefixFit:
             (v.shape[0], m))
         if in_span:
             y = v @ y[:full] + 1e-3 * y
-        split, a0 = projection_stats(y, v, m, norm2_y=_norm2(y))
-        assert split == _reference_split(y, v, m, _norm2(y))
+        s, a0 = projection_stats(y, v)
+        assert s == _reference_energy(y, v)
         err = np.linalg.norm(a0 - np.linalg.pinv(v) @ y)
         assert err <= _fit_bound(v, y)
